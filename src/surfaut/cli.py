@@ -245,7 +245,10 @@ def _cmd_outer_equal(args, out: TextIO) -> int:
 def _cmd_selftest(args, out: TextIO) -> int:
     indices = None
     if args.criteria:
-        indices = [int(tok) for tok in args.criteria.split(",")]
+        try:
+            indices = [int(tok) for tok in args.criteria.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"bad criterion list {args.criteria!r}") from exc
         for i in indices:
             if not 1 <= i <= len(st.CRITERIA):
                 raise ParseError(f"criterion index {i} out of range")

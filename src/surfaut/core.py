@@ -10,6 +10,11 @@ is -b.  The fixed total order on signed letters is
 where the apostrophe marks the inverse.  Words are immutable and always
 freely reduced; cyclic words are stored in a canonical rotation so that
 conjugacy testing is plain equality.
+
+``Word(sig, codes)`` validates: it reduces the codes and range-checks every
+letter.  Results built from words that are already valid (products, inverses,
+slices of reduced words, images under a map) go through the trusted
+constructor ``_word`` instead, which stores the codes as given.
 """
 
 from __future__ import annotations
@@ -139,7 +144,7 @@ def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word; reduction happens at construction."""
 
@@ -147,16 +152,16 @@ class Word:
     codes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        reduced = _reduce_codes(self.codes)
-        if reduced != tuple(self.codes):
-            object.__setattr__(self, "codes", reduced)
-        for c in self.codes:
-            if not 1 <= abs(c) <= self.sig.rank:
+        codes = tuple(self.codes)
+        rank = self.sig.rank
+        for c in codes:  # before reduction, so that bad letters cannot cancel away
+            if not 1 <= abs(c) <= rank:
                 raise ValueError(f"letter code {c} out of range for {self.sig}")
+        object.__setattr__(self, "codes", _reduce_codes(codes))
 
     @staticmethod
     def identity(sig: Signature) -> "Word":
-        return Word(sig, ())
+        return _word(sig, ())
 
     @staticmethod
     def from_letters(sig: Signature, letters: Iterable[Letter]) -> "Word":
@@ -173,12 +178,23 @@ class Word:
         return bool(self.codes)
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.sig != other.sig:
-            raise SignatureMismatch(f"{self.sig} vs {other.sig}")
-        return Word(self.sig, self.codes + other.codes)
+        sig = self.sig
+        if other.sig is not sig and other.sig != sig:
+            raise SignatureMismatch(f"{sig} vs {other.sig}")
+        a, b = self.codes, other.codes
+        if not a:
+            return other
+        if not b:
+            return self
+        # both factors are reduced, so cancellation happens only at the seam
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1] == -b[j]:
+            i -= 1
+            j += 1
+        return _word(sig, a[:i] + b[j:] if j else a + b)
 
     def inverse(self) -> "Word":
-        return Word(self.sig, tuple(-c for c in reversed(self.codes)))
+        return _word(self.sig, tuple([-c for c in reversed(self.codes)]))
 
     def conjugate_by(self, v: "Word") -> "Word":
         """u^v = v' u v."""
@@ -199,7 +215,21 @@ class Word:
         while j - i >= 2 and codes[i] == -codes[j - 1]:
             i += 1
             j -= 1
-        return Word(self.sig, codes[i:j]), Word(self.sig, codes[:i])
+        return _word(self.sig, codes[i:j]), _word(self.sig, codes[:i])
+
+
+_new = object.__new__
+_set_sig = Word.sig.__set__
+_set_codes = Word.codes.__set__
+
+
+def _word(sig: Signature, codes: tuple[int, ...]) -> Word:
+    """Trusted constructor: ``codes`` must be a freely reduced tuple of letter
+    codes in range for ``sig``.  Skips the checks of ``Word.__post_init__``."""
+    w = _new(Word)
+    _set_sig(w, sig)
+    _set_codes(w, codes)
+    return w
 
 
 def free_reduce(sig: Signature, letters: Iterable) -> Word:

@@ -4,6 +4,12 @@ Composition follows the right-action convention: ``compose(phi, psi)``
 applies ``phi`` first, so ``apply(compose(phi, psi), u) ==
 apply(psi, apply(phi, u))``.  Automorphisms always carry a witness
 inverse; the constructor checks both composites against the identity.
+
+The public constructors validate.  Images computed here from valid maps
+(``apply``, the composites of ``compose``) and the swapped pair of
+``Automorphism.inverse`` are built with the trusted constructors ``_endo``
+and ``_aut``.  ``compose`` of automorphisms still checks the witness of the
+composite it builds.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Optional
 from .core import (
     Signature,
     Word,
+    _word,
     letter_str,
     order_rank,
     parse_letter,
@@ -29,7 +36,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endomorphism:
     """Basis-image map; ``images[b - 1]`` is the image of basis code b."""
 
@@ -57,23 +64,11 @@ class Endomorphism:
             images.append(moved.get(b, Word(sig, (b,))))
         return Endomorphism(sig, tuple(images))
 
-    def image_codes(self, code: int) -> tuple[int, ...]:
-        w = self.images[abs(code) - 1]
-        if code > 0:
-            return w.codes
-        return tuple(-c for c in reversed(w.codes))
-
     def apply(self, u: Word) -> Word:
-        if u.sig != self.sig:
-            raise SignatureMismatch(f"{u.sig} vs {self.sig}")
-        out: list[int] = []
-        for c in u.codes:
-            for d in self.image_codes(c):
-                if out and out[-1] == -d:
-                    out.pop()
-                else:
-                    out.append(d)
-        return Word(self.sig, tuple(out))
+        sig = self.sig
+        if u.sig is not sig and u.sig != sig:
+            raise SignatureMismatch(f"{u.sig} vs {sig}")
+        return _word(sig, _apply_codes(_image_table(self.images), u.codes))
 
     def is_identity(self) -> bool:
         return all(w.codes == (b,) for b, w in zip(self.sig.basis_codes(), self.images))
@@ -85,6 +80,46 @@ class Endomorphism:
 
     def __str__(self) -> str:
         return format_endomorphism(self)
+
+
+_new = object.__new__
+_set_endo_sig = Endomorphism.sig.__set__
+_set_endo_images = Endomorphism.images.__set__
+
+
+def _endo(sig: Signature, images: tuple[Word, ...]) -> Endomorphism:
+    """Trusted constructor: ``images`` must be ``sig.rank`` words over ``sig``."""
+    e = _new(Endomorphism)
+    _set_endo_sig(e, sig)
+    _set_endo_images(e, images)
+    return e
+
+
+def _image_table(images: tuple[Word, ...]) -> list[tuple[int, ...]]:
+    """Signed-code image table: ``table[c]`` is the image of the signed letter
+    c for 1 <= |c| <= rank; a negative c indexes from the end, where the
+    inverse images sit in reverse basis order."""
+    fwd = [w.codes for w in images]
+    return [()] + fwd + [tuple([-c for c in reversed(img)]) for img in reversed(fwd)]
+
+
+def _apply_codes(table: list[tuple[int, ...]], codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced image of a word under a map given by its signed image table.
+    The images are reduced, so each one cancels only at the seam."""
+    out: list[int] = []
+    pop, extend = out.pop, out.extend
+    for c in codes:
+        img = table[c]
+        if out and img and out[-1] == -img[0]:
+            pop()
+            k, m = 1, len(img)
+            while k < m and out and out[-1] == -img[k]:
+                pop()
+                k += 1
+            extend(img[k:])
+        else:
+            extend(img)
+    return tuple(out)
 
 
 def apply(phi, u: Word) -> Word:
@@ -112,15 +147,18 @@ def compose(*maps) -> "Endomorphism | Automorphism":
 
 def _compose_endos(endos: list[Endomorphism]) -> Endomorphism:
     sig = endos[0].sig
-    cur = endos[0]
+    if len(endos) == 1:
+        return endos[0]
+    cur = [w.codes for w in endos[0].images]
     for nxt in endos[1:]:
-        if nxt.sig != sig:
+        if nxt.sig is not sig and nxt.sig != sig:
             raise SignatureMismatch(f"{nxt.sig} vs {sig}")
-        cur = Endomorphism(sig, tuple(nxt.apply(w) for w in cur.images))
-    return cur
+        table = _image_table(nxt.images)
+        cur = [_apply_codes(table, codes) for codes in cur]
+    return _endo(sig, tuple([_word(sig, codes) for codes in cur]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """Endomorphism with a witness inverse, both checked at construction."""
 
@@ -148,13 +186,26 @@ class Automorphism:
         return self.fwd.apply(u)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.inv, self.fwd)
+        # the swapped pair satisfies the same two witness identities
+        return _aut(self.inv, self.fwd)
 
     def is_identity(self) -> bool:
         return self.fwd.is_identity()
 
     def __str__(self) -> str:
         return format_endomorphism(self.fwd)
+
+
+_set_fwd = Automorphism.fwd.__set__
+_set_inv = Automorphism.inv.__set__
+
+
+def _aut(fwd: Endomorphism, inv: Endomorphism) -> Automorphism:
+    """Trusted constructor: ``(fwd, inv)`` must be a checked witness pair."""
+    a = _new(Automorphism)
+    _set_fwd(a, fwd)
+    _set_inv(a, inv)
+    return a
 
 
 def invert(a: Automorphism) -> Automorphism:
@@ -461,7 +512,10 @@ def parse_endomorphism(text: str) -> Endomorphism:
         letter = parse_letter(lhs.strip())
         if letter.sign != 1:
             raise ParseError(f"image lines must use positive letters, got {lhs.strip()!r}")
-        code = letter.code(sig)
+        try:
+            code = letter.code(sig)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         if code in moved:
             raise ParseError(f"duplicate image for {lhs.strip()!r}")
         moved[code] = parse_word(sig, rhs.strip())

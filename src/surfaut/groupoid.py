@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import Signature, Word, letter_str, order_rank, relator
+from .core import Signature, Word, _word, letter_str, order_rank, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -221,7 +221,7 @@ def _lcp(u: Word, v: Word) -> Word:
         if a != b:
             break
         m += 1
-    return Word(u.sig, u.codes[:m])
+    return _word(u.sig, u.codes[:m])  # a prefix of a reduced word is reduced
 
 
 def _state_of(endo: Endomorphism, V: Word) -> ReductionState:

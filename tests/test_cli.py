@@ -53,6 +53,10 @@ class TestVerify:
         code, out, _ = invoke(["verify", "--sig", "1,0", "--aut", "x1 -> x1 y1"])
         assert code == 1 and "fixes_relator: false" in out
 
+    def test_letter_outside_signature_is_usage_error(self):
+        code, _, err = invoke(["verify", "--sig", "1,0", "--aut", "t1 -> x1"])
+        assert code == 2 and err.startswith("error:")
+
     def test_json_fields(self):
         code, out, _ = invoke(
             ["--json", "verify", "--sig", "1,0", "--aut", "x1 -> y1' x1"]
@@ -161,3 +165,7 @@ class TestSelftest:
     def test_bad_criterion_index(self):
         code, _, err = invoke(["selftest", "--criteria", "42"])
         assert code == 2
+
+    def test_non_integer_criterion_is_usage_error(self):
+        code, _, err = invoke(["selftest", "--criteria", "1,x"])
+        assert code == 2 and err.startswith("error:")

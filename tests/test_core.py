@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from surfaut import (
     GroupRingElement,
@@ -163,3 +164,69 @@ class TestFox:
     def test_positive_letter_required(self):
         with pytest.raises(ValueError):
             fox_derivative(w(S10, "x1"), -1)
+
+
+def validated(u):
+    """The same word rebuilt through the validating constructor."""
+    return Word(u.sig, u.codes)
+
+
+class TestTrustedKernel:
+    """Products, inverses and cyclic reductions skip validation; each result
+    must equal what the validating constructor gives on the naive codes."""
+
+    @given(word_pairs())
+    def test_product_matches_naive(self, pair):
+        u, v = pair
+        prod = u * v
+        assert prod == Word(u.sig, u.codes + v.codes)
+        assert type(prod.codes) is tuple and validated(prod).codes == prod.codes
+
+    @given(words())
+    def test_inverse_matches_naive(self, u):
+        inv = u.inverse()
+        assert inv == Word(u.sig, tuple(-c for c in u.codes[::-1]))
+        assert validated(inv).codes == inv.codes
+
+    @given(words())
+    def test_cyclic_reduction_matches_naive(self, u):
+        core, r = u.cyclic_reduction()
+        assert validated(core).codes == core.codes and validated(r).codes == r.codes
+        assert Word(u.sig, r.codes + core.codes + r.inverse().codes) == u
+        assert len(core) < 2 or core.codes[0] != -core.codes[-1]
+
+    @given(st.sampled_from(SMALL_SIGS), st.data())
+    def test_product_with_identity(self, sig, data):
+        u = data.draw(words(sig=sig))
+        one = Word.identity(sig)
+        assert u * one == u and one * u == u
+
+
+class TestBoundary:
+    """The public constructor still rejects what the trusted paths never see."""
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_code_above_rank(self, sig):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(sig, (1, sig.rank + 1))
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_code_below_minus_rank(self, sig):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(sig, (-(sig.rank + 1),))
+
+    def test_zero_code(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(S10, (0,))
+
+    @pytest.mark.parametrize("codes", [(3, -3), (0, 0), (1, 0, 0, 2)])
+    def test_bad_letters_that_cancel(self, codes):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(S10, codes)
+
+    def test_reduces_at_construction(self):
+        assert Word(S10, (1, 2, -2, -1, 2)).codes == (2,)
+
+    def test_product_across_signatures(self):
+        with pytest.raises(ValueError):
+            w(S10, "x1") * w(S12, "x1")

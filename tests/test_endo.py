@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surfaut import (
     Automorphism,
@@ -23,9 +27,11 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
+from surfaut.endo import aut_from_map
+from surfaut.errors import SignatureMismatch
 from surfaut.selftest import random_adl_automorphism, random_gen_word
 
-from conftest import SMALL_SIGS
+from conftest import SMALL_SIGS, words
 
 S10 = Signature(1, 0)
 S03 = Signature(0, 3)
@@ -256,3 +262,122 @@ class TestTextFormat:
     def test_unlisted_letters_fixed(self):
         endo = parse_endomorphism("sig g=1 p=1\nx1 -> y1' x1")
         assert endo.images[0] == parse_word(Signature(1, 1), "t1")
+
+
+def naive_apply(endo, u):
+    """Letter-by-letter substitution, reduced by the validating constructor."""
+    codes = []
+    for c in u.codes:
+        img = endo.images[abs(c) - 1].codes
+        codes.extend(img if c > 0 else [-d for d in reversed(img)])
+    return Word(u.sig, tuple(codes))
+
+
+def naive_compose(phi, psi):
+    return Endomorphism(phi.sig, tuple(naive_apply(psi, w) for w in phi.images))
+
+
+def witnessed(a):
+    """Both witness identities, checked by naive substitution."""
+    sig = a.sig
+    basis = [Word(sig, (b,)) for b in sig.basis_codes()]
+    return all(naive_apply(a.inv, naive_apply(a.fwd, u)) == u for u in basis) and all(
+        naive_apply(a.fwd, naive_apply(a.inv, u)) == u for u in basis
+    )
+
+
+@st.composite
+def endomorphisms(draw, sig=None):
+    s = sig if sig is not None else draw(st.sampled_from(SMALL_SIGS))
+    images = tuple(draw(words(sig=s, max_len=6)) for _ in s.basis_codes())
+    return Endomorphism(s, images)
+
+
+@st.composite
+def automorphisms(draw, sig=None, max_tokens=5):
+    s = sig if sig is not None else draw(st.sampled_from(SMALL_SIGS))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_adl_automorphism(s, random.Random(seed), max_tokens)
+
+
+class TestTrustedKernel:
+    """``apply`` and ``compose`` build their results without re-validation;
+    each must equal the naive substitution rebuilt by the public constructors."""
+
+    @given(st.data())
+    def test_apply_matches_naive(self, data):
+        phi = data.draw(endomorphisms())
+        u = data.draw(words(sig=phi.sig))
+        image = phi.apply(u)
+        assert image == naive_apply(phi, u)
+        assert Word(image.sig, image.codes).codes == image.codes
+
+    @given(st.data())
+    def test_compose_endomorphisms_matches_naive(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        phi, psi, chi = (data.draw(endomorphisms(sig=sig)) for _ in range(3))
+        assert compose(phi, psi) == naive_compose(phi, psi)
+        assert compose(phi, psi, chi) == naive_compose(naive_compose(phi, psi), chi)
+
+    @given(st.data())
+    def test_compose_automorphisms_matches_naive(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        a, b = data.draw(automorphisms(sig=sig)), data.draw(automorphisms(sig=sig))
+        ab = compose(a, b)
+        assert ab.fwd == naive_compose(a.fwd, b.fwd)
+        assert ab.inv == naive_compose(b.inv, a.inv)
+        assert witnessed(ab)
+
+    @given(automorphisms())
+    def test_inverse_is_witnessed(self, a):
+        inv = a.inverse()
+        assert inv.fwd == a.inv and inv.inv == a.fwd
+        assert witnessed(inv)
+        assert Automorphism(inv.fwd, inv.inv) == inv
+
+    @given(st.data())
+    def test_image_of_inverse_letter(self, data):
+        a = data.draw(automorphisms())
+        u = data.draw(words(sig=a.sig))
+        assert apply(a, u.inverse()) == apply(a, u).inverse()
+
+
+class TestBoundary:
+    """The public constructors still reject malformed maps."""
+
+    def test_too_few_images(self):
+        with pytest.raises(ValueError, match="need 2 images"):
+            Endomorphism(S10, (parse_word(S10, "x1"),))
+
+    def test_too_many_images(self):
+        x1 = parse_word(S10, "x1")
+        with pytest.raises(ValueError, match="need 2 images"):
+            Endomorphism(S10, (x1, x1, x1))
+
+    def test_foreign_signature_image(self):
+        foreign = parse_word(Signature(1, 1), "x1")
+        with pytest.raises(SignatureMismatch):
+            Endomorphism(S10, (foreign, parse_word(S10, "y1")))
+
+    def test_bad_witness(self):
+        fwd = gen("a", 1, S10).fwd
+        with pytest.raises(ValueError, match="witness failure"):
+            Automorphism(fwd, fwd)
+
+    def test_one_sided_witness(self):
+        # x1 -> x1 y1 and x1 -> x1: neither composite is the identity
+        fwd = Endomorphism.from_map(S10, {1: parse_word(S10, "x1 y1")})
+        with pytest.raises(ValueError, match="witness failure"):
+            Automorphism(fwd, Endomorphism.identity(S10))
+
+    def test_witness_signature_mismatch(self):
+        with pytest.raises(SignatureMismatch):
+            Automorphism(Endomorphism.identity(S10), Endomorphism.identity(S12))
+
+    def test_aut_from_map_checks_witness(self):
+        with pytest.raises(ValueError, match="witness failure"):
+            aut_from_map(S10, {1: parse_word(S10, "y1' x1")}, {1: parse_word(S10, "y1' x1")})
+
+    def test_apply_across_signatures(self):
+        with pytest.raises(SignatureMismatch):
+            apply(gen("a", 1, S10), parse_word(S12, "x1"))
