@@ -26,6 +26,7 @@ from .endo import (
 from .errors import (
     CosetViolation,
     HypothesisViolated,
+    ImageEscapes,
     IndexOutOfRange,
     NotACandidate,
     NotInA,
@@ -41,7 +42,7 @@ from .groupoid import canonical_edge, certify_automorphism, nielsen_reduce
 from .whitehead import build_graph, is_zieschang, to_dot
 
 _VERDICT_ERRORS = (NotZieschang, HypothesisViolated, NotInStabilizer, NotInA, TargetTooLong)
-_INTERNAL_ERRORS = (CosetViolation, ReductionStuck)
+_INTERNAL_ERRORS = (CosetViolation, ImageEscapes, ReductionStuck)
 
 
 def _parse_sig(text: str) -> Signature:

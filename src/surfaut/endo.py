@@ -29,6 +29,7 @@ from .core import (
     relator,
 )
 from .errors import (
+    CosetViolation,
     ImageEscapes,
     NotInStabilizer,
     ParseError,
@@ -54,14 +55,12 @@ class Endomorphism:
 
     @staticmethod
     def identity(sig: Signature) -> "Endomorphism":
-        return Endomorphism(sig, tuple(Word(sig, (b,)) for b in sig.basis_codes()))
+        return _endo(sig, tuple([_word(sig, (b,)) for b in sig.basis_codes()]))
 
     @staticmethod
     def from_map(sig: Signature, moved: dict[int, Word]) -> "Endomorphism":
         """Build from a map of basis codes to images; unlisted letters are fixed."""
-        images = []
-        for b in sig.basis_codes():
-            images.append(moved.get(b, Word(sig, (b,))))
+        images = [moved[b] if b in moved else _word(sig, (b,)) for b in sig.basis_codes()]
         return Endomorphism(sig, tuple(images))
 
     def apply(self, u: Word) -> Word:
@@ -364,7 +363,7 @@ def outer_equal(a: Automorphism, b: Automorphism) -> Optional[Word]:
         (u * root).codes == (root * u).codes
         for u in b.fwd.images
     ):
-        raise RuntimeError("automorphism images all commute with a nontrivial root")
+        raise CosetViolation("automorphism images all commute with a nontrivial root")
     sizes = sum(len(a.fwd.images[c - 1]) + len(b.fwd.images[c - 1])
                 for c in sig.basis_codes())
     kmax = (sizes + len(w0)) // max(1, len(root)) + 4
@@ -438,7 +437,8 @@ def restrict_drop_tp(a: Automorphism) -> Automorphism:
             if b == sig.p:
                 raise ImageEscapes(f"image of {who} mentions t{sig.p}")
             out.append(c if b < sig.p else c - (1 if c > 0 else -1))
-        return Word(small, tuple(out))
+        # a one-to-one relabeling that keeps inverse pairs keeps w reduced
+        return _word(small, tuple(out))
 
     def restrict(endo: Endomorphism) -> Endomorphism:
         images = []
@@ -474,7 +474,8 @@ def restrict_relabel_K(a: Automorphism) -> Automorphism:
             if b not in code_map:
                 raise ImageEscapes(f"image of {who} leaves the x1-free factor")
             out.append(code_map[b] if c > 0 else -code_map[b])
-        return Word(small, tuple(out))
+        # a one-to-one relabeling that keeps inverse pairs keeps w reduced
+        return _word(small, tuple(out))
 
     def restrict(endo: Endomorphism) -> Endomorphism:
         images: list[Word] = [Word.identity(small)] * small.rank

@@ -55,4 +55,5 @@ class ReductionStuck(SurfautError, RuntimeError):
 
 
 class CosetViolation(SurfautError, RuntimeError):
-    """A telescoped base loop landed outside the coset its case table promises."""
+    """A concrete verification of a constructive step failed, for example a
+    telescoped base loop landed outside the coset its case table promises."""

@@ -25,7 +25,7 @@ from .endo import (
     restrict_relabel_K,
 )
 from .errors import CosetViolation, NotInA
-from .gens import GenName, GenWord, eval_gen_word, generator, humphries_rewrite
+from .gens import GenName, GenWord, _splice, eval_gen_word, generator
 from .groupoid import (
     N1,
     N2_LEFT,
@@ -625,19 +625,12 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
 
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
-    ADLH names."""
-    sig = a.sig
+    ADLH names.  The recomposition check evaluates the ADL word with each
+    rewritten token standing for the once-checked value of its rewrite."""
     base = factorize_adl(a, audit)
-    tokens: list[tuple[GenName, int]] = []
-    for name, exp in base.tokens:
-        if name.family == "a" and name.index >= 3:
-            rewrite = humphries_rewrite(name.index, sig)
-            tokens.extend((rewrite if exp > 0 else rewrite.inverse()).tokens)
-        else:
-            tokens.append((name, exp))
-    word = GenWord(tuple(tokens))
+    word, value = _splice(base, a.sig)
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    if eval_gen_word(word, sig).fwd != a.fwd:
+    if value.fwd != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word

@@ -26,6 +26,7 @@ from .endo import (
     swap_letters,
 )
 from .errors import (
+    CosetViolation,
     HypothesisViolated,
     NotZieschang,
     ReductionStuck,
@@ -433,9 +434,9 @@ def _canonical_edge_impl(V: Word):
             fire(_whitehead_step(cur, sig, i, done), "vii", i)
 
     if cur != relator(sig):
-        raise RuntimeError(f"canonical normalization ended at {cur}")
+        raise CosetViolation(f"canonical normalization ended at {cur}")
     if acc.apply(V) != relator(sig):
-        raise RuntimeError("canonical composite does not carry V to the relator")
+        raise CosetViolation("canonical composite does not carry V to the relator")
     return acc, tuple(steps)
 
 
@@ -453,9 +454,9 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
     segment = set(line[lo : hi + 1])
     for forbidden in (xi, -xi, yi, -yi):
         if forbidden in segment:
-            raise RuntimeError(f"segment contains {letter_str(sig, forbidden)}")
+            raise CosetViolation(f"segment contains {letter_str(sig, forbidden)}")
     if any(sig.is_t_code(c) for c in segment):
-        raise RuntimeError("segment contains a puncture letter")
+        raise CosetViolation("segment contains a puncture letter")
     fwd_map: dict[int, Word] = {}
     inv_map: dict[int, Word] = {}
     for b in sig.basis_codes():
@@ -470,9 +471,9 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
     mid_word, tail_word = Word(sig, mid), Word(sig, tail)
     y_word = Word(sig, (yi,))
     if aut.apply(tail_word) != tail_word:
-        raise RuntimeError("whitehead step moved the tail")
+        raise CosetViolation("whitehead step moved the tail")
     if aut.apply(mid_word) != y_word * mid_word * y_word.inverse():
-        raise RuntimeError("whitehead step failed to conjugate the segment word")
+        raise CosetViolation("whitehead step failed to conjugate the segment word")
     return aut
 
 

@@ -1,7 +1,11 @@
 import io
 import json
 
+import pytest
+
+from surfaut import cli
 from surfaut.cli import run
+from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 
 
 def invoke(argv):
@@ -115,6 +119,16 @@ class TestCertifyFactorize:
     def test_deterministic(self):
         args = ["factorize", "--sig", "1,1", "--aut", "x1 -> y1' x1; y1 -> x1 y1"]
         assert invoke(args) == invoke(args)
+
+    @pytest.mark.parametrize("kind", [CosetViolation, ImageEscapes, ReductionStuck])
+    def test_internal_error_exits_3(self, kind, monkeypatch):
+        def fail(aut, audit=None):
+            raise kind("forced")
+
+        monkeypatch.setattr(cli, "factorize_adl", fail)
+        code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
+        assert code == 3 and out == ""
+        assert err == f"internal assertion: {kind.__name__}: forced\n"
 
 
 class TestWhitehead:

@@ -335,6 +335,31 @@ class TestTrustedKernel:
         assert witnessed(inv)
         assert Automorphism(inv.fwd, inv.inv) == inv
 
+    @given(st.sampled_from([S12, Signature(2, 1), S03]), st.integers(0, 2**32 - 1))
+    def test_restrict_drop_tp_images_are_reduced(self, big, seed):
+        small = Signature(big.g, big.p - 1)
+        a = eval_gen_word(random_gen_word(small, random.Random(seed), 6), big)
+        r = restrict_drop_tp(a)
+        for img in r.fwd.images + r.inv.images:
+            assert img.sig == small and Word(small, img.codes).codes == img.codes
+
+    @given(st.sampled_from([Signature(2, 0), Signature(3, 0)]), st.integers(0, 2**32 - 1))
+    def test_restrict_relabel_K_images_are_reduced(self, big, seed):
+        small = Signature(big.g - 1, 1)
+        w = random_gen_word(small, random.Random(seed), 6)
+        a = eval_gen_word(w.shifted(1), big)
+        r = restrict_relabel_K(a)
+        assert r.fwd == eval_gen_word(w, small).fwd
+        for img in r.fwd.images + r.inv.images:
+            assert img.sig == small and Word(small, img.codes).codes == img.codes
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_from_map_fixes_unlisted_letters(self, sig):
+        assert Endomorphism.from_map(sig, {}) == Endomorphism(
+            sig, tuple(Word(sig, (b,)) for b in sig.basis_codes())
+        )
+        assert Endomorphism.identity(sig) == Endomorphism.from_map(sig, {})
+
     @given(st.data())
     def test_image_of_inverse_letter(self, data):
         a = data.draw(automorphisms())
@@ -369,6 +394,11 @@ class TestBoundary:
         fwd = Endomorphism.from_map(S10, {1: parse_word(S10, "x1 y1")})
         with pytest.raises(ValueError, match="witness failure"):
             Automorphism(fwd, Endomorphism.identity(S10))
+
+    def test_from_map_checks_caller_images(self):
+        foreign = parse_word(S12, "x1")
+        with pytest.raises(SignatureMismatch):
+            Endomorphism.from_map(S10, {1: foreign})
 
     def test_witness_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaut import (
     Automorphism,
@@ -20,7 +24,9 @@ from surfaut import (
     peel_special,
     relator,
 )
+from surfaut import gens
 from surfaut.factorize import STAB, STAB_SPECIAL, BaseLoop, _bracket, _tag_of
+from surfaut.gens import _splice
 from surfaut.groupoid import GroupoidEdge
 from surfaut.selftest import random_adl_automorphism, random_zieschang
 
@@ -188,3 +194,25 @@ class TestFactorizeAdlh:
         w = factorize_adlh(a)
         assert eval_gen_word(w, sig).fwd == a.fwd
         assert not any(n.family == "a" and n.index >= 3 for n, _ in w.tokens)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([S30, Signature(4, 0), Signature(5, 0)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_macro_value_is_flat_value(self, sig, seed):
+        a = random_adl_automorphism(sig, random.Random(seed), 3)
+        flat, value = _splice(factorize_adl(a), sig)
+        assert flat == factorize_adlh(a)
+        assert value.fwd == eval_gen_word(flat, sig).fwd == a.fwd
+
+    def test_wrong_macro_value_is_caught(self, monkeypatch):
+        sig = S30
+        right = gens._macro_value
+
+        def wrong(name, s):
+            return right(GenName("b", 3) if name == GenName("a", 3) else name, s)
+
+        monkeypatch.setattr(gens, "_macro_value", wrong)
+        with pytest.raises(CosetViolation, match="ADLH factorization failed"):
+            factorize_adlh(gen("a", 3, sig))
