@@ -282,8 +282,9 @@ class CyclicWord:
         codes = core.codes
         if not codes:
             return CyclicWord(u.sig, ())
-        r = _least_rotation([order_rank(c) for c in codes])
-        return CyclicWord(u.sig, codes[r:] + codes[:r])
+        rotations = [codes[r:] + codes[:r] for r in range(len(codes))]
+        best = min(rotations, key=lambda cs: tuple(order_rank(c) for c in cs))
+        return CyclicWord(u.sig, best)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -292,29 +293,6 @@ class CyclicWord:
         if not self.codes:
             return "1"
         return "[" + " ".join(letter_str(self.sig, c) for c in self.codes) + "]"
-
-
-def _least_rotation(keys: list[int]) -> int:
-    """Start of the lexicographically least rotation of ``keys``, in linear
-    time (Booth 1980): ``fail`` is the failure function of the least
-    rotation found so far, which starts at ``k`` in the doubled sequence."""
-    s = keys + keys
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:  # here i == -1
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
 
 
 def cyclic_class(u: Word) -> CyclicWord:

@@ -625,12 +625,13 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
 
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
-    ADLH names.  The recomposition check evaluates the ADL word with each
-    rewritten token standing for the once-checked value of its rewrite."""
+    ADLH names.  Each rewrite is checked once, so the recomposition check
+    evaluates the ADL word rather than the much longer flat word."""
+    sig = a.sig
     base = factorize_adl(a, audit)
-    word, value = _splice(base, a.sig)
+    word = _splice(base, sig)
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    if value.fwd != a.fwd:
+    if eval_gen_word(base, sig).fwd != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word

@@ -160,12 +160,10 @@ def gen_set(sig: Signature, variant: str = "adl") -> list[GenName]:
 
 def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:
     """Left-to-right composition of the named generators."""
-    return _evaluate(w, sig, generator)
-
-
-def _evaluate(w: GenWord, sig: Signature, value) -> Automorphism:
-    """Left-to-right composition of ``value(name, sig)`` over the tokens."""
-    auts = [value(n, sig) if e > 0 else value(n, sig).inverse() for n, e in w.tokens]
+    auts = [
+        generator(n, sig) if e > 0 else generator(n, sig).inverse()
+        for n, e in w.tokens
+    ]
     if not auts:
         return Automorphism.identity(sig)
     return compose(*auts)
@@ -223,52 +221,38 @@ HUMPHRIES_CHAIN = tuple(
 )
 
 
+@lru_cache(maxsize=None)
 def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     """Rewrite alpha_i (i >= 3) over the ADLH names: conjugate alpha_(i-2) by
     the index-shifted 16-step chain, then recursively rewrite any alpha_(>=3)
-    token the shift has introduced.  Correctness is checked once, by
-    evaluating the 33-token unexpanded form."""
-    return _humphries(i, sig)[0]
+    token the shift has introduced.
 
-
-@lru_cache(maxsize=None)
-def _humphries(i: int, sig: Signature) -> tuple[GenWord, Automorphism]:
-    """The flat rewrite of alpha_i and its value, each built once and kept
-    as the macro that later alpha_i tokens stand for."""
+    Correctness is checked by evaluating the 33-token unexpanded form, whose
+    alpha_(>=3) tokens are generators whose own rewrites were checked first
+    (by the recursion in ``_splice``).  Evaluation is a homomorphism, so this
+    is the same predicate as evaluating the flat word, which grows about 3.7
+    times per genus and is built for output only."""
     if not 3 <= i <= sig.g:
         raise IndexOutOfRange(f"humphries_rewrite needs 3 <= i <= g, got i={i} at {sig}")
     shift = i - 3
     chain = GenWord.of(*(n.shifted(shift) for n in HUMPHRIES_CHAIN))
     raw = chain.inverse() * GenWord.of(GenName("a", i - 2)) * chain
-    word, value = _splice(raw, sig)
-    if value.fwd != generator(GenName("a", i), sig).fwd:
+    word = _splice(raw, sig)
+    if eval_gen_word(raw, sig).fwd != generator(GenName("a", i), sig).fwd:
         raise CosetViolation(f"Humphries rewriting failed evaluation for alpha_{i} at {sig}")
-    if any(_is_macro(n) for n, _ in word.tokens):
+    if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation(f"Humphries rewriting for alpha_{i} still uses alpha_(>=3)")
-    return word, value
+    return word
 
 
-def _is_macro(name: GenName) -> bool:
-    return name.family == "a" and name.index >= 3
-
-
-def _macro_value(name: GenName, sig: Signature) -> Automorphism:
-    return _humphries(name.index, sig)[1] if _is_macro(name) else generator(name, sig)
-
-
-def _splice(w: GenWord, sig: Signature) -> tuple[GenWord, Automorphism]:
+def _splice(w: GenWord, sig: Signature) -> GenWord:
     """Expand every alpha_i (i >= 3) token of ``w``, either sign, into its
-    Humphries rewrite; return the flat word and its value.
-
-    The value is that of ``w`` read as a straight-line program, each such
-    token standing for the memoised value of its rewrite.  Evaluation is a
-    homomorphism, so this equals ``eval_gen_word`` of the flat word, which
-    grows about 3.7 times per genus and is built for output only."""
+    (checked) Humphries rewrite."""
     tokens: list[tuple[GenName, int]] = []
     for name, exp in w.tokens:
-        if _is_macro(name):
+        if name.family == "a" and name.index >= 3:
             sub = humphries_rewrite(name.index, sig)
             tokens.extend((sub if exp > 0 else sub.inverse()).tokens)
         else:
             tokens.append((name, exp))
-    return GenWord(tuple(tokens)), _evaluate(w, sig, _macro_value)
+    return GenWord(tuple(tokens))

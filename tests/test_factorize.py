@@ -24,9 +24,7 @@ from surfaut import (
     peel_special,
     relator,
 )
-from surfaut import gens
 from surfaut.factorize import STAB, STAB_SPECIAL, BaseLoop, _bracket, _tag_of
-from surfaut.gens import _splice
 from surfaut.groupoid import GroupoidEdge
 from surfaut.selftest import random_adl_automorphism, random_zieschang
 
@@ -200,19 +198,16 @@ class TestFactorizeAdlh:
         st.sampled_from([S30, Signature(4, 0), Signature(5, 0)]),
         st.integers(0, 2**32 - 1),
     )
-    def test_macro_value_is_flat_value(self, sig, seed):
+    def test_adl_value_is_flat_value(self, sig, seed):
+        # the ADLH check evaluates the ADL word; this is the same predicate
         a = random_adl_automorphism(sig, random.Random(seed), 3)
-        flat, value = _splice(factorize_adl(a), sig)
-        assert flat == factorize_adlh(a)
-        assert value.fwd == eval_gen_word(flat, sig).fwd == a.fwd
+        base, flat = factorize_adl(a), factorize_adlh(a)
+        assert eval_gen_word(base, sig).fwd == eval_gen_word(flat, sig).fwd == a.fwd
 
-    def test_wrong_macro_value_is_caught(self, monkeypatch):
-        sig = S30
-        right = gens._macro_value
+    def test_wrong_adl_word_is_caught(self, monkeypatch):
+        # the recomposition check compares the ADL word's value with the input
+        from surfaut import factorize
 
-        def wrong(name, s):
-            return right(GenName("b", 3) if name == GenName("a", 3) else name, s)
-
-        monkeypatch.setattr(gens, "_macro_value", wrong)
+        monkeypatch.setattr(factorize, "factorize_adl", lambda a, audit=None: GenWord.of(GenName("a", 3)))
         with pytest.raises(CosetViolation, match="ADLH factorization failed"):
-            factorize_adlh(gen("a", 3, sig))
+            factorize_adlh(gen("a", 4, Signature(4, 0)))

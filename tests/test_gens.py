@@ -20,7 +20,7 @@ from surfaut import (
 )
 from surfaut import gens
 from surfaut.errors import CosetViolation
-from surfaut.gens import HUMPHRIES_CHAIN, _humphries, parse_gen_word
+from surfaut.gens import HUMPHRIES_CHAIN, parse_gen_word
 
 S10 = Signature(1, 0)
 S30 = Signature(3, 0)
@@ -179,26 +179,27 @@ class TestHumphries:
             humphries_rewrite(4, S30)
 
     def test_lengths_and_values_to_genus_8(self):
+        # humphries_rewrite checks each value against generator(a_i) itself;
+        # the flat evaluation here is the independent check, kept to i <= 5
         sig = Signature(8, 0)
         lengths = {3: 33, 4: 147, 5: 571, 6: 2153, 7: 8057, 8: 30091}
         for i, size in lengths.items():
             word = humphries_rewrite(i, sig)
-            target = generator(GenName("a", i), sig).fwd
             assert len(word) == size
             assert not any(n.family == "a" and n.index >= 3 for n, _ in word.tokens)
-            assert _humphries(i, sig)[1].fwd == target
             if i <= 5:
+                target = generator(GenName("a", i), sig).fwd
                 assert eval_gen_word(word, sig).fwd == target
 
     def test_corrupted_chain_is_caught(self, monkeypatch):
         # the flat word stays alpha_(>=3)-free, so only the value check can fail
         bad = (GenName("b", 2),) + HUMPHRIES_CHAIN[1:]
         monkeypatch.setattr(gens, "HUMPHRIES_CHAIN", bad)
-        _humphries.cache_clear()
+        humphries_rewrite.cache_clear()
         try:
             with pytest.raises(CosetViolation, match="failed evaluation"):
                 humphries_rewrite(3, S30)
             with pytest.raises(CosetViolation, match="failed evaluation"):
                 humphries_rewrite(5, Signature(5, 0))
         finally:
-            _humphries.cache_clear()
+            humphries_rewrite.cache_clear()
