@@ -24,7 +24,7 @@ from .endo import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from .errors import CosetViolation, NotInA
+from .errors import CosetViolation, NotInA, SignatureMismatch
 from .gens import GenName, GenWord, _splice, eval_gen_word, generator
 from .groupoid import (
     N1,
@@ -59,7 +59,7 @@ def _special_generator(sig: Signature) -> Automorphism:
         return generator(GenName("s", sig.p), sig)
     if sig.p == 1:
         return generator(GenName("g", 1), sig)
-    raise ValueError("no special generator at p = 0")
+    raise CosetViolation("no special generator at p = 0")
 
 
 def _tag_of(aut: Automorphism, sig: Signature) -> Optional[str]:
@@ -510,7 +510,7 @@ def peel_special(l: BaseLoop, sig: Signature) -> tuple[Automorphism, GenWord]:
     for p = 0 it equals eval(special)' * stab * eval(special).
     """
     if l.aut.sig != sig:
-        raise ValueError("loop signature mismatch")
+        raise SignatureMismatch("loop signature mismatch")
     if l.coset_tag == STAB:
         return l.aut, GenWord.empty()
     if sig.p >= 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Signature, Word, letter_str, order_rank
-from .errors import NotACandidate
+from .errors import CosetViolation, NotACandidate
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,14 @@ def forest_check_dfs(graph: ExtendedWhiteheadGraph) -> bool:
 
 
 def chain_line(graph: ExtendedWhiteheadGraph) -> list[int]:
-    """Vertex sequence of the single line of a Zieschang graph."""
+    """Vertex sequence of the single line of a Zieschang graph.
+
+    Callers pass graphs of words that passed ``is_zieschang``, so a graph
+    that is not one simple line is an internal fault (``CosetViolation``)."""
     succ = dict(graph.edges)
     pred = {b: a for a, b in graph.edges}
     if len(succ) != len(graph.edges) or len(pred) != len(graph.edges):
-        raise ValueError("graph is not a union of simple chains")
+        raise CosetViolation("graph is not a union of simple chains")
     starts = [v for v in graph.vertices() if v not in pred]
     lines = []
     for s in starts:
@@ -132,7 +135,7 @@ def chain_line(graph: ExtendedWhiteheadGraph) -> list[int]:
             line.append(succ[line[-1]])
         lines.append(line)
     if len(lines) != 1:
-        raise ValueError(f"expected one line, found {len(lines)}")
+        raise CosetViolation(f"expected one line, found {len(lines)}")
     return lines[0]
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from surfaut import Signature, Word
@@ -16,6 +17,10 @@ SMALL_SIGS = [
 ]
 
 SEED = 20260809
+
+# Every run replays the same examples, so tier-1 times compare like with like.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @st.composite

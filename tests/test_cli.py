@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from surfaut import cli
+from surfaut import cli, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
+from surfaut.whitehead import ExtendedWhiteheadGraph
 
 
 def invoke(argv):
@@ -81,6 +82,21 @@ class TestCanonAndReduce:
     def test_canon_rejects_non_zieschang(self):
         code, _, err = invoke(["canon", "--sig", "1,1", "--word", "x1 y1 t1 y1' x1'"])
         assert code == 1 and "NotZieschang" in err
+
+    def test_chain_line_fault_exits_3(self, monkeypatch):
+        # step (vii) fires on this word; a branching graph makes chain_line fail
+        def branching(V, sig):
+            return ExtendedWhiteheadGraph(sig, ((1, 2), (1, 3)), None, None)
+
+        monkeypatch.setattr(groupoid, "build_graph", branching)
+        monkeypatch.setattr(groupoid, "_canonical_cache", {})
+        code, out, err = invoke(
+            ["canon", "--sig", "2,0", "--word", "y2' y1' x2' x1 x2 y2 x1' y1"]
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "internal assertion: CosetViolation: graph is not a union of simple chains\n"
+        )
 
     def test_nielsen_reduce(self):
         code, out, _ = invoke(

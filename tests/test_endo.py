@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from surfaut import (
     conjugate,
     eval_gen_word,
     format_endomorphism,
+    gen_set,
     generator,
     membership,
     outer_equal,
@@ -27,7 +29,7 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from surfaut.endo import aut_from_map
+from surfaut.endo import aut_from_map, swap_letters
 from surfaut.errors import SignatureMismatch
 from surfaut.selftest import random_adl_automorphism, random_gen_word
 
@@ -365,6 +367,123 @@ class TestTrustedKernel:
         a = data.draw(automorphisms())
         u = data.draw(words(sig=a.sig))
         assert apply(a, u.inverse()) == apply(a, u).inverse()
+
+
+@st.composite
+def chain_factors(draw, sig):
+    """One factor of a composition chain, drawn from the kinds the package
+    composes: the identity, sparse moves of one or two letters, ADL
+    generators, dense maps and non-injective maps with empty images."""
+    basis = list(sig.basis_codes())
+    kind = draw(st.sampled_from(["identity", "move", "flip", "swap", "adl", "dense", "collapse"]))
+    if kind == "identity":
+        return Endomorphism.identity(sig)
+    b = draw(st.sampled_from(basis))
+    if kind == "move":
+        u, v = draw(words(sig=sig, max_len=3)), draw(words(sig=sig, max_len=3))
+        return Endomorphism.from_map(sig, {b: u * Word(sig, (b,)) * v})
+    if kind == "flip":
+        return Endomorphism.from_map(sig, {b: Word(sig, (-b,))})
+    if kind == "swap":
+        c = draw(st.sampled_from(basis))
+        return swap_letters(sig, b, draw(st.sampled_from([c, -c]))).fwd
+    if kind == "adl":
+        a = generator(draw(st.sampled_from(gen_set(sig))), sig)
+        return draw(st.sampled_from([a.fwd, a.inv]))
+    if kind == "dense":
+        return draw(endomorphisms(sig=sig))
+    killed = draw(st.sets(st.sampled_from(basis), min_size=1))
+    images = [
+        Word.identity(sig) if c in killed else draw(words(sig=sig, max_len=4)) for c in basis
+    ]
+    return Endomorphism(sig, tuple(images))
+
+
+@st.composite
+def inverse_heavy_words(draw, sig):
+    """Words mostly of inverse letters, with repeats, so that the lazily built
+    inverse images are reused within one call."""
+    neg = st.sampled_from([-c for c in sig.basis_codes()])
+    letters = st.one_of(neg, neg, neg, st.sampled_from(list(sig.basis_codes())))
+    return Word(sig, tuple(draw(st.lists(letters, min_size=1, max_size=24))))
+
+
+class TestSubstitutionKernel:
+    """The right fold and the single substitution primitive against the naive
+    left fold of letter-by-letter substitution."""
+
+    @given(st.data())
+    def test_chain_matches_naive_left_fold(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        chain = data.draw(st.lists(chain_factors(sig), min_size=1, max_size=10))
+        composite = compose(*chain)
+        assert composite == reduce(naive_compose, chain)
+        u = data.draw(inverse_heavy_words(sig))
+        assert apply(composite, u) == reduce(lambda w, e: naive_apply(e, w), chain, u)
+
+    @given(st.data())
+    def test_automorphism_chain_matches_naive(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        names = gen_set(sig)
+        chain = [
+            generator(n, sig) if e > 0 else generator(n, sig).inverse()
+            for n, e in data.draw(
+                st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1])),
+                         min_size=1, max_size=10)
+            )
+        ]
+        composite = compose(*chain)
+        assert composite.fwd == reduce(naive_compose, [a.fwd for a in chain])
+        assert composite.inv == reduce(naive_compose, [a.inv for a in reversed(chain)])
+        assert witnessed(composite)
+
+    @given(st.data())
+    def test_apply_inverse_heavy_words(self, data):
+        phi = data.draw(st.one_of(endomorphisms(), automorphisms().map(lambda a: a.fwd)))
+        u = data.draw(inverse_heavy_words(phi.sig))
+        image = phi.apply(u)
+        assert image == naive_apply(phi, u)
+        assert Word(image.sig, image.codes).codes == image.codes
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_identity_automorphism_is_witnessed(self, sig):
+        ident = Automorphism.identity(sig)
+        assert ident == Automorphism(Endomorphism.identity(sig), Endomorphism.identity(sig))
+        assert witnessed(ident) and ident.is_identity()
+
+
+FWD_INV = "witness failure: fwd * inv is not the identity"
+
+
+class TestWitnessFailures:
+    """Pairs that break a witness identity at one basis letter only.  (A pair
+    that passes fwd * inv but fails inv * fwd does not exist: if inv undoes
+    fwd, inv is onto, and a free group of finite rank is Hopfian.)"""
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_fails_only_at_last_letter(self, sig):
+        last = sig.rank
+        bad = Endomorphism.from_map(sig, {last: Word(sig, (last, 1))})
+        ident = Endomorphism.identity(sig)
+        for fwd, inv in ((ident, bad), (bad, ident)):
+            with pytest.raises(ValueError) as exc:
+                Automorphism(fwd, inv)
+            assert str(exc.value) == FWD_INV
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_inverse_at_every_letter_but_the_last(self, sig):
+        # a true automorphism with the witness image of the last letter spoiled
+        a = eval_gen_word(random_gen_word(sig, random.Random(sig.rank), 6), sig)
+        last = sig.rank
+        spoiled = list(a.inv.images)
+        spoiled[last - 1] = spoiled[last - 1] * Word(sig, (last,))
+        for fwd, inv in (
+            (a.fwd, Endomorphism(sig, tuple(spoiled))),
+            (Endomorphism(sig, tuple(spoiled)), a.fwd),
+        ):
+            with pytest.raises(ValueError) as exc:
+                Automorphism(fwd, inv)
+            assert str(exc.value) == FWD_INV
 
 
 class TestBoundary:

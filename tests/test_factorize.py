@@ -24,7 +24,15 @@ from surfaut import (
     peel_special,
     relator,
 )
-from surfaut.factorize import STAB, STAB_SPECIAL, BaseLoop, _bracket, _tag_of
+from surfaut.errors import SignatureMismatch
+from surfaut.factorize import (
+    STAB,
+    STAB_SPECIAL,
+    BaseLoop,
+    _bracket,
+    _special_generator,
+    _tag_of,
+)
 from surfaut.groupoid import GroupoidEdge
 from surfaut.selftest import random_adl_automorphism, random_zieschang
 
@@ -115,6 +123,16 @@ class TestPeelSpecial:
         else:
             reassembled = stab
         assert reassembled.fwd == a2.fwd
+
+    def test_loop_over_another_signature(self):
+        loop = BaseLoop(gen("s", 2, S02), STAB_SPECIAL)
+        with pytest.raises(SignatureMismatch):
+            peel_special(loop, S10)
+
+    def test_no_special_generator_at_p0(self):
+        # callers reach the special generator only for p >= 1
+        with pytest.raises(CosetViolation):
+            _special_generator(S10)
 
     def test_special_reassembly_p2(self, rng):
         sig = Signature(1, 2)

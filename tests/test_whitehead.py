@@ -1,6 +1,7 @@
 import pytest
 
 from surfaut import (
+    CosetViolation,
     NotACandidate,
     Signature,
     Word,
@@ -11,7 +12,7 @@ from surfaut import (
     to_dot,
 )
 from surfaut.selftest import random_candidate, random_candidate_word
-from surfaut.whitehead import chain_line, forest_check_dfs
+from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs
 
 from conftest import SMALL_SIGS
 
@@ -44,6 +45,16 @@ class TestBuildGraph:
         graph = build_graph(parse_word(sig, "t1 t2"), sig)
         assert chain_line(graph) == [-1, 1, -2, 2]
         assert graph.is_forest()
+
+    def test_branching_graph_is_internal_fault(self):
+        graph = ExtendedWhiteheadGraph(S10, ((1, 2), (1, -2)), None, None)
+        with pytest.raises(CosetViolation, match="not a union of simple chains"):
+            chain_line(graph)
+
+    def test_several_lines_is_internal_fault(self):
+        graph = ExtendedWhiteheadGraph(S10, ((1, 2),), None, None)
+        with pytest.raises(CosetViolation, match="expected one line, found 3"):
+            chain_line(graph)
 
     def test_degree_bounds(self, rng):
         for sig in SMALL_SIGS:
