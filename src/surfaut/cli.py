@@ -253,6 +253,8 @@ def _cmd_selftest(args, out: TextIO) -> int:
         for i in indices:
             if not 1 <= i <= len(st.CRITERIA):
                 raise ParseError(f"criterion index {i} out of range")
+    if args.samples is not None and args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     results = st.run_all(args.seed, args.samples, indices)
     if args.json:
         payload = {

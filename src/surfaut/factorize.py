@@ -178,10 +178,10 @@ def nielsen_to_base_loops(
     """
     sig = e.sig
     if sig.p <= 1 and sig.g < 1:
-        raise ValueError(f"no case table applies at {sig}")
+        raise CosetViolation(f"no case table applies at {sig}")
     kind = e.kind or classify_nielsen(e)
     if kind is None:
-        raise ValueError("edge is not a Nielsen edge")
+        raise CosetViolation("edge is not a Nielsen edge")
     if sig.p >= 2:
         loops = _loops_p_ge2(e, kind, audit)
     elif sig.p == 1:

@@ -11,7 +11,7 @@ is the deterministic normalization of a Zieschang word onto the relator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import Signature, Word, _word, letter_str, order_rank, relator
 from .endo import (
@@ -180,9 +180,11 @@ class PreOrderKey:
 
     @staticmethod
     def of(words: list[Word]) -> "PreOrderKey":
-        keys = sorted(_balanced_key(w) for w in words)
-        ordered = tuple(sorted(words, key=_balanced_key))
-        return PreOrderKey(ordered, tuple(keys))
+        # the index breaks ties, so this is the stable sort of the words by key
+        keyed = sorted((_balanced_key(w), i) for i, w in enumerate(words))
+        return PreOrderKey(
+            tuple(words[i] for _, i in keyed), tuple(k for k, _ in keyed)
+        )
 
     def __lt__(self, other: "PreOrderKey") -> bool:
         return self.keys < other.keys
@@ -207,12 +209,12 @@ def mu_key(phi) -> PreOrderKey:
 @dataclass(frozen=True)
 class ReductionState:
     """Snapshot of one engine iteration: current map, current source word,
-    the common-prefix words A_k, the cores w_k, and the measure."""
+    the letter images phi(v_k), the common-prefix words A_k, and the measure."""
 
     phi: Endomorphism
     word: Word
+    imgs: tuple[Word, ...]
     A: tuple[Word, ...]
-    w: tuple[Word, ...]
     mu: PreOrderKey
 
 
@@ -226,26 +228,18 @@ def _lcp(u: Word, v: Word) -> Word:
 
 
 def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
-    sig = endo.sig
-    n = len(V.codes)
-    imgs = [endo.images[abs(c) - 1] if c > 0 else endo.images[abs(c) - 1].inverse()
-            for c in V.codes]
-    eps = Word.identity(sig)
-    A = [eps] * (n + 1)
-    for k in range(1, n):
+    images = endo.images
+    imgs = tuple(images[c - 1] if c > 0 else images[-c - 1].inverse() for c in V.codes)
+    A = [Word.identity(endo.sig)] * (len(imgs) + 1)
+    for k in range(1, len(imgs)):
         A[k] = _lcp(imgs[k - 1].inverse(), imgs[k])
-    w = [A[k - 1].inverse() * imgs[k - 1] * A[k] for k in range(1, n + 1)]
-    return ReductionState(endo, V, tuple(A), tuple(w), mu_key(endo))
+    return ReductionState(endo, V, imgs, tuple(A), mu_key(endo))
 
 
 _MAX_ITER_BASE = 10000
 
 
-def nielsen_reduce(
-    V: Word,
-    phi,
-    on_step: Optional[Callable[[GroupoidEdge, ReductionState, ReductionState], None]] = None,
-) -> tuple[list[GroupoidEdge], GroupoidEdge]:
+def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     """Factor phi as Nielsen edges from V followed by a letter-permutation
     remainder; the measure strictly decreases at every applied move.
 
@@ -262,41 +256,34 @@ def nielsen_reduce(
     if _t_class_permutation(endo) is None:
         raise HypothesisViolated("map does not permute the puncture classes")
 
-    cur, cur_V = endo, V
     edges: list[GroupoidEdge] = []
-    n = sig.chain_len
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
+    state = _state_of(endo, V)
     for _ in range(budget):
-        state = _state_of(cur, cur_V)
         if len({w.codes for w in state.mu.words}) != len(state.mu.words):
             raise ReductionStuck("basis images are not distinct")
         move = _find_violation(state)
         if move is None:
-            return edges, _finish_n1(cur, cur_V, W)
-        edge = nielsen_edge(cur_V, move[0], move[1])
-        nxt = _compose_endos([edge.aut.inv, cur])
-        nxt_state = _state_of(nxt, edge.target)
+            return edges, _finish_n1(state.phi, state.word, W)
+        edge = nielsen_edge(state.word, move[0], move[1])
+        nxt_state = _state_of(_compose_endos([edge.aut.inv, state.phi]), edge.target)
         if not nxt_state.mu < state.mu:
             raise ReductionStuck(
                 f"measure failed to decrease at {move[0]} k={move[1]}",
                 k=move[1],
                 triple=move[2],
             )
-        if on_step is not None:
-            on_step(edge, state, nxt_state)
         edges.append(edge)
-        cur, cur_V = nxt, edge.target
+        state = nxt_state
     raise ReductionStuck("iteration budget exhausted")
 
 
 def _find_violation(state: ReductionState):
     """Smallest k where A_k fails to be below both neighbours, with the move."""
     sig = state.phi.sig
-    n = len(state.word.codes)
     codes = state.word.codes
-    imgs = [state.phi.images[abs(c) - 1] if c > 0
-            else state.phi.images[abs(c) - 1].inverse() for c in codes]
-    for k in range(1, n):
+    imgs = state.imgs
+    for k in range(1, len(codes)):
         A = state.A[k]
         B = imgs[k - 1] * A
         C = imgs[k].inverse() * A

@@ -28,7 +28,7 @@ from .gens import (
     humphries_rewrite,
     zeta_lift,
 )
-from .groupoid import canonical_edge, certify_automorphism, nielsen_reduce
+from .groupoid import canonical_edge, certify_automorphism, mu_key, nielsen_reduce
 from .whitehead import build_graph, forest_check_dfs, is_zieschang
 
 #: Signatures exercised by the randomized criteria.
@@ -206,13 +206,14 @@ def criterion_4_reduction(seed: int, samples: Optional[int] = None) -> tuple[boo
         v0 = relator(sig)
         for trial in range(n_samples):
             a = random_adl_automorphism(sig, rng, 12)
-            mus = []
-            edges, n1 = nielsen_reduce(
-                v0, a.fwd, on_step=lambda e, st, nxt: mus.append((st.mu, nxt.mu))
-            )
-            for before, after in mus:
-                if not after < before:
+            edges, n1 = nielsen_reduce(v0, a.fwd)
+            # recomputed from the returned edges, not read back from the engine
+            cur = a.fwd
+            for e in edges:
+                nxt = compose(e.aut.inv, cur)
+                if not mu_key(nxt) < mu_key(cur):
                     return False, f"measure failed to decrease at {sig} trial {trial}"
+                cur = nxt
             parts = [e.aut for e in edges] + [n1.aut]
             if compose(*parts).fwd != a.fwd:
                 return False, f"recomposition failed at {sig} trial {trial}"

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import json
+import pathlib
 
 import pytest
 
-from surfaut import cli, groupoid
+from surfaut import cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.whitehead import ExtendedWhiteheadGraph
@@ -146,6 +148,39 @@ class TestCertifyFactorize:
         assert code == 3 and out == ""
         assert err == f"internal assertion: {kind.__name__}: forced\n"
 
+    def test_non_nielsen_edge_exits_3(self, monkeypatch):
+        # edges stripped of their kind, and a classifier that matches nothing
+        real = factorize.nielsen_reduce
+
+        def unlabelled(V, phi):
+            edges, n1 = real(V, phi)
+            return [dataclasses.replace(e, kind=None) for e in edges], n1
+
+        monkeypatch.setattr(factorize, "nielsen_reduce", unlabelled)
+        monkeypatch.setattr(factorize, "classify_nielsen", lambda e: None)
+        factorize._factorize_cached.cache_clear()
+        code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
+        assert code == 3 and out == ""
+        assert err == "internal assertion: CosetViolation: edge is not a Nielsen edge\n"
+
+
+_AUDIT_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "factorize_audit.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize("case", _AUDIT_GOLDEN, ids=lambda c: c["sig"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_factorize_audit_golden(case, as_json):
+    code, aut, _ = invoke(["eval", "--sig", case["sig"], "--genword", case["genword"]])
+    assert code == 0
+    argv = ["factorize", "--sig", case["sig"], "--aut", aut, "--audit"]
+    code, out, err = invoke(["--json"] + argv if as_json else argv)
+    assert code == 0 and err == ""
+    assert out == case["json" if as_json else "text"]
+
 
 class TestWhitehead:
     def test_dot_to_stdout(self):
@@ -199,3 +234,8 @@ class TestSelftest:
     def test_non_integer_criterion_is_usage_error(self):
         code, _, err = invoke(["selftest", "--criteria", "1,x"])
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_below_one_is_usage_error(self, samples):
+        code, out, err = invoke(["selftest", "--samples", samples, "--criteria", "9"])
+        assert code == 2 and out == "" and err.startswith("error:")

@@ -91,6 +91,20 @@ class TestBaseLoops:
         with pytest.raises(CosetViolation):
             BaseLoop(gen("b", 1, S10), STAB)  # beta_1 moves x1'
 
+    def test_no_case_table_is_coset_violation(self):
+        sig = Signature(0, 1)  # 2g + p <= 1: factorisation returns before telescoping
+        v0 = relator(sig)
+        e = GroupoidEdge(v0, v0, Automorphism.identity(sig))
+        with pytest.raises(CosetViolation, match="no case table applies at"):
+            nielsen_to_base_loops(e)
+
+    def test_non_nielsen_edge_is_coset_violation(self):
+        # alpha_1 beta_1 fixes the relator but moves both letters: no template
+        v0 = relator(S10)
+        e = GroupoidEdge(v0, v0, compose(gen("a", 1, S10), gen("b", 1, S10)))
+        with pytest.raises(CosetViolation, match="edge is not a Nielsen edge"):
+            nielsen_to_base_loops(e)
+
 
 class TestPeelSpecial:
     def test_sigma_p_itself(self):

@@ -23,8 +23,9 @@ from surfaut import (
     parse_word,
     relator,
 )
+from surfaut import groupoid
 from surfaut.groupoid import N1, N2_LEFT, N2_RIGHT, N3_RIGHT, nielsen_edge
-from surfaut.selftest import random_adl_automorphism, random_zieschang
+from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
 
 from conftest import SMALL_SIGS
 
@@ -129,14 +130,16 @@ class TestNielsenReduce:
         assert compose(*([e.aut for e in edges] + [n1.aut])).fwd == a.fwd
 
     def test_mu_strictly_decreases(self, rng):
+        # recomputed from the returned edges, not read back from the engine
         for sig in SMALL_SIGS:
             a = random_adl_automorphism(sig, rng, 10)
-            seen = []
-            nielsen_reduce(
-                relator(sig), a.fwd, on_step=lambda e, st, nx: seen.append((st.mu, nx.mu))
-            )
-            for before, after in seen:
+            edges, _ = nielsen_reduce(relator(sig), a.fwd)
+            cur = a.fwd
+            for e in edges:
+                nxt = compose(e.aut.inv, cur)
+                before, after = mu_key(cur), mu_key(nxt)
                 assert after < before and not before < after
+                cur = nxt
 
     def test_not_zieschang_source(self):
         with pytest.raises(NotZieschang):
@@ -160,16 +163,45 @@ class TestNielsenReduce:
         with pytest.raises(ReductionStuck):
             nielsen_reduce(relator(S10), phi)
 
-    def test_states_expose_prefixes(self):
-        a = generator(GenName("b", 1), S10)
-        states = []
-        nielsen_reduce(relator(S10), a.fwd, on_step=lambda e, st, nx: states.append(st))
-        for st in states:
-            n = len(st.word.codes)
-            assert st.A[0] == Word.identity(S10) and st.A[n] == Word.identity(S10)
-            for k in range(1, n + 1):
-                img = apply(st.phi, Word(S10, (st.word.codes[k - 1],)))
-                assert st.A[k - 1] * st.w[k - 1] * st.A[k].inverse() == img
+    def test_states_expose_prefixes(self, rng):
+        autos = [generator(GenName("b", 1), S10)]
+        autos += [random_adl_automorphism(sig, rng, 8) for sig in SMALL_SIGS]
+        for a in autos:
+            sig = a.sig
+            edges, _ = nielsen_reduce(relator(sig), a.fwd)
+            phi, V = a.fwd, relator(sig)
+            states = [groupoid._state_of(phi, V)]
+            for e in edges:
+                phi, V = compose(e.aut.inv, phi), e.target
+                states.append(groupoid._state_of(phi, V))
+            for st in states:
+                codes, n = st.word.codes, len(st.word.codes)
+                assert st.imgs == tuple(apply(st.phi, Word(sig, (c,))) for c in codes)
+                assert len(st.A) == n + 1
+                assert st.A[0] == Word.identity(sig) and st.A[n] == Word.identity(sig)
+                for k in range(1, n):
+                    left, right = st.imgs[k - 1].inverse().codes, st.imgs[k].codes
+                    m = len(st.A[k])
+                    # A_k is the longest common prefix of phi(v_k)' and phi(v_(k+1))
+                    assert left[:m] == right[:m] == st.A[k].codes
+                    assert m == min(len(left), len(right)) or left[m] != right[m]
+
+    def test_each_state_built_once(self, rng, monkeypatch):
+        calls = []
+        real = groupoid._state_of
+
+        def counted(endo, V):
+            calls.append(V)
+            return real(endo, V)
+
+        monkeypatch.setattr(groupoid, "_state_of", counted)
+        for sig in GRID:
+            for a in [Automorphism.identity(sig)] + [
+                random_adl_automorphism(sig, rng, 10) for _ in range(3)
+            ]:
+                calls.clear()
+                edges, _ = nielsen_reduce(relator(sig), a.fwd)
+                assert len(calls) == len(edges) + 1
 
 
 class TestCanonicalEdge:
