@@ -4,14 +4,12 @@ normalization, certification, and factorization into mapping-class
 generators."""
 
 from .core import (
-    CyclicWord,
     GroupRingElement,
     Letter,
     Signature,
     Word,
     commutator,
     conjugate,
-    cyclic_class,
     fox_derivative,
     free_reduce,
     invert,

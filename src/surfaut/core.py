@@ -8,8 +8,7 @@ is -b.  The fixed total order on signed letters is
     t1 < t1' < t2 < t2' < .. < x1 < x1' < y1 < y1' < x2 < ..
 
 where the apostrophe marks the inverse.  Words are immutable and always
-freely reduced; cyclic words are stored in a canonical rotation so that
-conjugacy testing is plain equality.
+freely reduced.
 
 ``Word(sig, codes)`` validates: it reduces the codes and range-checks every
 letter.  Results built from words that are already valid (products, inverses,
@@ -266,38 +265,6 @@ def parse_word(sig: Signature, text: str) -> Word:
         return Word.from_letters(sig, letters)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class CyclicWord:
-    """Conjugacy class of a word, stored as the lexicographically least
-    rotation of its cyclic reduction under the fixed letter order."""
-
-    sig: Signature
-    codes: tuple[int, ...]
-
-    @staticmethod
-    def of(u: Word) -> "CyclicWord":
-        core, _ = u.cyclic_reduction()
-        codes = core.codes
-        if not codes:
-            return CyclicWord(u.sig, ())
-        rotations = [codes[r:] + codes[:r] for r in range(len(codes))]
-        best = min(rotations, key=lambda cs: tuple(order_rank(c) for c in cs))
-        return CyclicWord(u.sig, best)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __str__(self) -> str:
-        if not self.codes:
-            return "1"
-        return "[" + " ".join(letter_str(self.sig, c) for c in self.codes) + "]"
-
-
-def cyclic_class(u: Word) -> CyclicWord:
-    """Two words map to equal CyclicWord iff they are conjugate."""
-    return CyclicWord.of(u)
 
 
 def relator(sig: Signature) -> Word:

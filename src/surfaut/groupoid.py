@@ -6,10 +6,27 @@ aut class-permuting.  ``nielsen_reduce`` factors any admissible map into
 Nielsen edges followed by a letter-permutation remainder, with a strictly
 decreasing termination measure checked at every step.  ``canonical_edge``
 is the deterministic normalization of a Zieschang word onto the relator.
+
+The engine builds its first ``ReductionState`` in full (``_state_of``) and
+carries it across the moves (``_Carry``).  A Nielsen move changes the image
+of one basis letter b, so the next state recomputes only what reads phi(b):
+b's entries of the measure, re-inserted into the sorted order by bisection;
+the distinct-images check, kept as a set of image codes; and A_k and the
+verdict of each letter pair (v_k, v_(k+1)) that involves b or b'.  Every
+other pair keeps its memo for the rest of the call.  Each carried state is
+the same value ``_state_of`` would build.
+
+Each edge end is checked once.  Public edges (``GroupoidEdge``,
+``nielsen_edge``) check their source; the engine's Nielsen edges are built
+by the trusted ``_edge``, because their source is the checked input or the
+previous target, and check only their target, the apply identity and the
+class permutation.  ``canonical_edge`` collects its steps and witnesses one
+composite per call.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,10 +79,13 @@ class GroupoidEdge:
     kind: Optional[NielsenKind] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        sig = self.source.sig
-        if not is_zieschang(self.source, sig):
+        if not is_zieschang(self.source, self.source.sig):
             raise NotZieschang(f"edge source {self.source} is not Zieschang")
-        if not is_zieschang(self.target, sig):
+        self._check_from_source()
+
+    def _check_from_source(self) -> None:
+        """Every edge check but the one on the source."""
+        if not is_zieschang(self.target, self.source.sig):
             raise NotZieschang(f"edge target {self.target} is not Zieschang")
         if self.aut.apply(self.source) != self.target:
             raise ValueError("edge automorphism does not carry source to target")
@@ -79,6 +99,22 @@ class GroupoidEdge:
     def inverse(self) -> "GroupoidEdge":
         kind = classify_nielsen_map(self.target, self.aut.inverse())
         return GroupoidEdge(self.target, self.source, self.aut.inverse(), kind)
+
+
+def _edge(
+    source: Word, target: Word, aut: Automorphism, kind: Optional[NielsenKind]
+) -> GroupoidEdge:
+    """Trusted constructor for an edge whose source is already known to be
+    Zieschang (a checked input or the target of a checked edge); it runs
+    every other check of ``GroupoidEdge``."""
+    e = object.__new__(GroupoidEdge)
+    setf = object.__setattr__  # the dataclass is frozen
+    setf(e, "source", source)
+    setf(e, "target", target)
+    setf(e, "aut", aut)
+    setf(e, "kind", kind)
+    e._check_from_source()
+    return e
 
 
 def _single_letter_aut(
@@ -126,10 +162,17 @@ def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
 
 def nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     """Construct the Nielsen edge of the given kind with source V."""
+    if not is_zieschang(V, V.sig):
+        raise NotZieschang(f"edge source {V} is not Zieschang")
+    return _nielsen_edge(V, tag, k)
+
+
+def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
+    """``nielsen_edge`` for a source V already known to be Zieschang."""
     aut = _template_aut(V, tag, k)
     if aut is None:
-        raise ValueError(f"no {tag} template at k={k} for {V}")
-    return GroupoidEdge(V, aut.apply(V), aut, NielsenKind(tag, k))
+        raise CosetViolation(f"no {tag} template at k={k} for {V}")
+    return _edge(V, aut.apply(V), aut, NielsenKind(tag, k))
 
 
 def classify_nielsen_map(V: Word, aut: Automorphism) -> Optional[NielsenKind]:
@@ -160,7 +203,7 @@ def enumerate_nielsen_from(V: Word) -> list[GroupoidEdge]:
         for k in range(1, n + 1):
             aut = _template_aut(V, tag, k)
             if aut is not None:
-                out.append(GroupoidEdge(V, aut.apply(V), aut, NielsenKind(tag, k)))
+                out.append(_edge(V, aut.apply(V), aut, NielsenKind(tag, k)))
     return out
 
 
@@ -173,17 +216,22 @@ def _balanced_key(w: Word) -> tuple[int, tuple[int, ...]]:
 @dataclass(frozen=True)
 class PreOrderKey:
     """Multiset measure of the basis images: puncture letters contribute one
-    image, handle letters both signs.  Ordered by the sorted balanced keys."""
+    image, handle letters both signs.  Ordered by the sorted balanced keys;
+    ``order`` holds the position in the measured word list of each sorted
+    entry."""
 
     words: tuple[Word, ...]
     keys: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False)
+    order: tuple[int, ...] = field(compare=False)
 
     @staticmethod
     def of(words: list[Word]) -> "PreOrderKey":
         # the index breaks ties, so this is the stable sort of the words by key
         keyed = sorted((_balanced_key(w), i) for i, w in enumerate(words))
         return PreOrderKey(
-            tuple(words[i] for _, i in keyed), tuple(k for k, _ in keyed)
+            tuple(words[i] for _, i in keyed),
+            tuple(k for k, _ in keyed),
+            tuple(i for _, i in keyed),
         )
 
     def __lt__(self, other: "PreOrderKey") -> bool:
@@ -197,13 +245,18 @@ def mu_key(phi) -> PreOrderKey:
     """The termination measure of the reduction engine."""
     endo = _fwd(phi)
     sig = endo.sig
-    words = [endo.images[sig.t_code(j) - 1] for j in range(1, sig.p + 1)]
-    for b in sig.basis_codes():
+    words = []
+    for b, w in enumerate(endo.images, 1):
+        words.append(w)
         if not sig.is_t_code(b):
-            w = endo.images[b - 1]
-            words.append(w)
             words.append(w.inverse())
     return PreOrderKey.of(words)
+
+
+def _measure_position(sig: Signature, b: int) -> int:
+    """Position of phi(b) in the word list ``mu_key`` measures; for a handle
+    letter, phi(b)' follows at the next position."""
+    return b - 1 if sig.is_t_code(b) else sig.p + 2 * (b - sig.p - 1)
 
 
 @dataclass(frozen=True)
@@ -236,6 +289,88 @@ def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
     return ReductionState(endo, V, imgs, tuple(A), mu_key(endo))
 
 
+class _Carry:
+    """What ``nielsen_reduce`` carries from one state to the next, for one
+    call.  A Nielsen move changes the image of one basis letter b only, so
+    ``advance`` recomputes only the values that read phi(b) or phi(b'):
+
+    - ``images`` and ``inv``: the basis images of the current map, and
+      phi(c) of the negative letters c met so far;
+    - ``prefixes`` and ``verdicts``: A_k and the verdict of position k, per
+      letter pair (v_k, v_(k+1)) met so far; both depend only on the pair
+      and the two letters' images;
+    - ``seen`` and ``distinct``: the codes of the measure words, and whether
+      they are pairwise distinct.
+    """
+
+    def __init__(self, state: ReductionState) -> None:
+        codes = state.word.codes
+        self.images = state.phi.images
+        self.inv = {c: w for c, w in zip(codes, state.imgs) if c < 0}
+        self.prefixes = {
+            (codes[k - 1], codes[k]): state.A[k] for k in range(1, len(codes))
+        }
+        self.verdicts: dict[tuple[int, int], tuple] = {}
+        self.seen = {w.codes for w in state.mu.words}
+        self.distinct = len(self.seen) == len(state.mu.words)
+
+    def letter(self, c: int) -> Word:
+        """phi(c) for a signed letter c."""
+        if c > 0:
+            return self.images[c - 1]
+        w = self.inv.get(c)
+        if w is None:
+            w = self.inv[c] = self.images[-c - 1].inverse()
+        return w
+
+    def advance(self, state: ReductionState, edge: GroupoidEdge) -> ReductionState:
+        """The state after ``edge``: the same value as ``_state_of`` of
+        ``compose(edge.aut.inv, state.phi)`` and ``edge.target``."""
+        phi = _compose_endos([edge.aut.inv, state.phi])
+        sig = phi.sig
+        self.images = phi.images
+        slots: list[tuple[int, Word]] = []
+        for b in edge.aut.inv.moved_codes():
+            self.inv.pop(-b, None)
+            # every pair with a verdict has a prefix word
+            stale = [pr for pr in self.prefixes if abs(pr[0]) == b or abs(pr[1]) == b]
+            for pair in stale:
+                del self.prefixes[pair]
+                self.verdicts.pop(pair, None)
+            pos = _measure_position(sig, b)
+            slots.append((pos, self.letter(b)))
+            if not sig.is_t_code(b):
+                slots.append((pos + 1, self.letter(-b)))
+
+        # the measure: b's entries leave the (key, position) order, the new
+        # ones go in by bisection
+        mu = state.mu
+        drop = {i for i, _ in slots}
+        entries, gone = [], []
+        for e in zip(mu.keys, mu.order, mu.words):
+            (gone if e[1] in drop else entries).append(e)
+        for _, _, w in gone:
+            self.seen.discard(w.codes)  # exact: the words were distinct
+        for i, w in slots:
+            if w.codes in self.seen:
+                self.distinct = False
+            self.seen.add(w.codes)
+            insort(entries, (_balanced_key(w), i, w))  # (key, i) is unique
+        keys, order, words = zip(*entries)
+
+        V = edge.target
+        codes = V.codes
+        imgs = tuple([self.letter(c) for c in codes])
+        A = [Word.identity(sig)] * (len(codes) + 1)
+        for k in range(1, len(codes)):
+            pair = (codes[k - 1], codes[k])
+            a = self.prefixes.get(pair)
+            if a is None:
+                a = self.prefixes[pair] = _lcp(self.letter(-pair[0]), imgs[k])
+            A[k] = a
+        return ReductionState(phi, V, imgs, tuple(A), PreOrderKey(words, keys, order))
+
+
 _MAX_ITER_BASE = 10000
 
 
@@ -259,14 +394,16 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     edges: list[GroupoidEdge] = []
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
     state = _state_of(endo, V)
+    carry = _Carry(state)
     for _ in range(budget):
-        if len({w.codes for w in state.mu.words}) != len(state.mu.words):
+        if not carry.distinct:
             raise ReductionStuck("basis images are not distinct")
-        move = _find_violation(state)
+        move = _find_violation(state, carry)
         if move is None:
             return edges, _finish_n1(state.phi, state.word, W)
-        edge = nielsen_edge(state.word, move[0], move[1])
-        nxt_state = _state_of(_compose_endos([edge.aut.inv, state.phi]), edge.target)
+        # the source is V or the previous target, both checked
+        edge = _nielsen_edge(state.word, move[0], move[1])
+        nxt_state = carry.advance(state, edge)
         if not nxt_state.mu < state.mu:
             raise ReductionStuck(
                 f"measure failed to decrease at {move[0]} k={move[1]}",
@@ -278,29 +415,44 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     raise ReductionStuck("iteration budget exhausted")
 
 
-def _find_violation(state: ReductionState):
+def _verdict(img: Word, next_inv: Word, A: Word) -> tuple:
+    """Verdict of position k from phi(v_k), phi(v_(k+1))' and A_k: () when A_k
+    is below both B = phi(v_k) A_k and C = phi(v_(k+1))' A_k in lenlex order,
+    else ((A_k, B, C), whether the three are distinct, whether B < C)."""
+    B = img * A
+    C = next_inv * A
+    ka, kb, kc = A.lenlex_key(), B.lenlex_key(), C.lenlex_key()
+    if ka < kb and ka < kc:
+        return ()
+    return ((A, B, C), len({ka, kb, kc}) == 3, kb < kc)
+
+
+def _find_violation(state: ReductionState, carry: _Carry):
     """Smallest k where A_k fails to be below both neighbours, with the move."""
     sig = state.phi.sig
     codes = state.word.codes
-    imgs = state.imgs
+    verdicts = carry.verdicts
     for k in range(1, len(codes)):
-        A = state.A[k]
-        B = imgs[k - 1] * A
-        C = imgs[k].inverse() * A
-        ka, kb, kc = A.lenlex_key(), B.lenlex_key(), C.lenlex_key()
-        if ka < kb and ka < kc:
-            continue
-        if len({ka, kb, kc}) != 3:
-            raise ReductionStuck(
-                f"prefix words not distinct at k={k}", k=k, triple=(A, B, C)
+        pair = (codes[k - 1], codes[k])
+        verdict = verdicts.get(pair)
+        if verdict is None:
+            verdict = verdicts[pair] = _verdict(
+                state.imgs[k - 1], carry.letter(-codes[k]), state.A[k]
             )
-        if kb < kc:
+        if not verdict:
+            continue
+        triple, distinct, left = verdict
+        if not distinct:
+            raise ReductionStuck(
+                f"prefix words not distinct at k={k}", k=k, triple=triple
+            )
+        if left:
             moved = codes[k]  # v_{k+1}
             tag = N3_LEFT if sig.is_t_code(moved) else N2_LEFT
-            return (tag, k + 1, (A, B, C))
+            return (tag, k + 1, triple)
         moved = codes[k - 1]  # v_k
         tag = N3_RIGHT if sig.is_t_code(moved) else N2_RIGHT
-        return (tag, k, (A, B, C))
+        return (tag, k, triple)
     return None
 
 
@@ -351,14 +503,14 @@ def _canonical_edge_impl(V: Word):
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
     steps: list[StepRecord] = []
-    acc = Automorphism.identity(sig)
+    auts: list[Automorphism] = []
     cur = V
 
     def fire(aut: Automorphism, kind: str, level: int) -> None:
-        nonlocal acc, cur
+        nonlocal cur
         before = cur
         cur = aut.apply(cur)
-        acc = compose(acc, aut)
+        auts.append(aut)
         if not is_zieschang(cur, sig):
             raise NotZieschang(f"canonical step ({kind}, {level}) left {cur}")
         steps.append(StepRecord(kind, level, before, cur))
@@ -422,6 +574,8 @@ def _canonical_edge_impl(V: Word):
 
     if cur != relator(sig):
         raise CosetViolation(f"canonical normalization ended at {cur}")
+    # one witness check, on the whole composite
+    acc = compose(*auts) if auts else Automorphism.identity(sig)
     if acc.apply(V) != relator(sig):
         raise CosetViolation("canonical composite does not carry V to the relator")
     return acc, tuple(steps)

@@ -100,6 +100,16 @@ class TestCanonAndReduce:
             "internal assertion: CosetViolation: graph is not a union of simple chains\n"
         )
 
+    def test_missing_template_exits_3(self, monkeypatch):
+        monkeypatch.setattr(groupoid, "_template_aut", lambda V, tag, k: None)
+        argv = ["nielsen-reduce", "--sig", "1,0", "--aut", "x1 -> y1' x1"]
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "internal assertion: CosetViolation: no N2_right template at k=1"
+            " for x1' y1' x1 y1\n"
+        )
+
     def test_nielsen_reduce(self):
         code, out, _ = invoke(
             ["nielsen-reduce", "--sig", "1,0", "--aut", "x1 -> y1' x1"]

@@ -10,7 +10,6 @@ from surfaut import (
     Word,
     commutator,
     conjugate,
-    cyclic_class,
     fox_derivative,
     free_reduce,
     invert,
@@ -68,24 +67,6 @@ class TestGroupOps:
     @given(words())
     def test_double_inverse(self, u):
         assert invert(invert(u)) == u
-
-
-class TestCyclicWords:
-    def test_conjugate_of_letter(self):
-        sig = Signature(1, 1)
-        assert cyclic_class(w(sig, "x1' t1 x1")) == cyclic_class(w(sig, "t1"))
-
-    def test_distinct_basis_letters(self):
-        sig = Signature(0, 2)
-        assert cyclic_class(w(sig, "t1")) != cyclic_class(w(sig, "t2"))
-
-    def test_rotation(self):
-        assert cyclic_class(w(S10, "y1 x1")) == cyclic_class(w(S10, "x1 y1"))
-
-    @given(word_pairs())
-    def test_conjugation_invariance(self, pair):
-        u, v = pair
-        assert cyclic_class(u) == cyclic_class(conjugate(u, v))
 
 
 class TestRelator:

@@ -1,7 +1,11 @@
+import json
+import pathlib
+
 import pytest
 
 from surfaut import (
     Automorphism,
+    CosetViolation,
     Endomorphism,
     GenName,
     GroupoidEdge,
@@ -9,6 +13,7 @@ from surfaut import (
     NotZieschang,
     ReductionStuck,
     Signature,
+    SurfautError,
     TargetTooLong,
     Word,
     apply,
@@ -32,6 +37,13 @@ from conftest import SMALL_SIGS
 S10 = Signature(1, 0)
 S11 = Signature(1, 1)
 S02 = Signature(0, 2)
+OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
+
+_REDUCE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "reduce_outcomes.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 
 class TestClassify:
@@ -187,24 +199,108 @@ class TestNielsenReduce:
                     assert m == min(len(left), len(right)) or left[m] != right[m]
 
     def test_each_state_built_once(self, rng, monkeypatch):
-        calls = []
-        real = groupoid._state_of
+        # one full build per reduction, then one carried update per edge
+        full, carried = [], []
+        real_full, real_advance = groupoid._state_of, groupoid._Carry.advance
 
-        def counted(endo, V):
-            calls.append(V)
-            return real(endo, V)
+        def counted_full(endo, V):
+            full.append(V)
+            return real_full(endo, V)
 
-        monkeypatch.setattr(groupoid, "_state_of", counted)
+        def counted_advance(carry, state, edge):
+            carried.append(edge)
+            return real_advance(carry, state, edge)
+
+        monkeypatch.setattr(groupoid, "_state_of", counted_full)
+        monkeypatch.setattr(groupoid._Carry, "advance", counted_advance)
         for sig in GRID:
             for a in [Automorphism.identity(sig)] + [
                 random_adl_automorphism(sig, rng, 10) for _ in range(3)
             ]:
-                calls.clear()
+                full.clear()
+                carried.clear()
                 edges, _ = nielsen_reduce(relator(sig), a.fwd)
-                assert len(calls) == len(edges) + 1
+                assert len(full) == 1 and carried == edges
+
+    def test_carried_states_match_full_rebuild(self, rng, monkeypatch):
+        carried = []
+        real = groupoid._Carry.advance
+
+        def recording(carry, state, edge):
+            nxt = real(carry, state, edge)
+            carried.append((edge, nxt))
+            return nxt
+
+        monkeypatch.setattr(groupoid._Carry, "advance", recording)
+        moves = 0
+        for sig in list(GRID) + OFF_GRID:
+            tokens = 10 if sig.g <= 2 else 5
+            for _ in range(4):
+                a = random_adl_automorphism(sig, rng, tokens)
+                # from the relator, and from a random Zieschang source V:
+                # canonical_edge(V) carries V to the relator, so the image is short
+                V = random_zieschang(sig, rng)
+                c, _ = canonical_edge(V)
+                for source, phi in ((relator(sig), a.fwd), (V, compose(c, a).fwd)):
+                    carried.clear()
+                    edges, _ = nielsen_reduce(source, phi)
+                    assert [e for e, _ in carried] == edges
+                    for e, st in carried:
+                        phi = compose(e.aut.inv, phi)
+                        full = groupoid._state_of(phi, e.target)
+                        assert st.phi == full.phi and st.word == full.word == e.target
+                        assert st.imgs == full.imgs and st.A == full.A
+                        assert st.mu.words == full.mu.words
+                        assert st.mu.keys == full.mu.keys
+                        assert st.mu.order == full.mu.order
+                    moves += len(edges)
+        assert moves > 500
+
+    @pytest.mark.parametrize(
+        "case", _REDUCE_GOLDEN, ids=lambda c: f"{c['sig']}:{c['images']}"
+    )
+    def test_outcome_matches_golden(self, case):
+        # outcomes on random maps, most of them not automorphisms, captured
+        # before the reduction state was carried across moves
+        sig = Signature(*map(int, case["sig"].split(",")))
+        phi = Endomorphism(sig, tuple(Word(sig, tuple(c)) for c in case["images"]))
+        want = case["outcome"]
+        if "error" in want:
+            with pytest.raises(SurfautError) as info:
+                nielsen_reduce(relator(sig), phi)
+            exc = info.value
+            triple = getattr(exc, "triple", None)
+            if triple is not None:
+                triple = [list(w.codes) for w in triple]
+            assert type(exc).__name__ == want["error"] and str(exc) == want["message"]
+            assert getattr(exc, "k", None) == want["k"] and triple == want["triple"]
+        else:
+            edges, n1 = nielsen_reduce(relator(sig), phi)
+            assert [[str(e.kind), list(e.target.codes)] for e in edges] == want["edges"]
+            assert [list(w.codes) for w in n1.aut.fwd.images] == want["remainder"]
 
 
 class TestCanonicalEdge:
+    def test_one_composite_per_call(self, rng, monkeypatch):
+        calls = []
+        real = groupoid.compose
+
+        def counted(*maps):
+            calls.append(len(maps))
+            return real(*maps)
+
+        monkeypatch.setattr(groupoid, "compose", counted)
+        monkeypatch.setattr(groupoid, "_canonical_cache", {})
+        for sig in SMALL_SIGS:
+            for _ in range(5):
+                V = random_zieschang(sig, rng)
+                calls.clear()
+                groupoid._canonical_cache.clear()
+                phi, steps = canonical_edge(V)
+                assert calls == ([len(steps)] if steps else [])
+                assert apply(phi, V) == relator(sig)
+                assert compose(phi, phi.inverse()).is_identity()
+
     def test_relator_is_fixed_point(self):
         phi, steps = canonical_edge(relator(S10))
         assert phi.is_identity() and steps == ()
@@ -289,6 +385,28 @@ class TestEdgeInvariants:
         other = parse_word(S10, "x1 y1 x1' y1'")
         with pytest.raises(ValueError):
             GroupoidEdge(v0, other, generator(GenName("b", 1), S10))
+
+    def test_missing_template_is_coset_violation(self):
+        # x1' heads the relator, so no puncture (N3) template applies at k=1
+        with pytest.raises(CosetViolation, match="no N3_right template at k=1"):
+            nielsen_edge(relator(S10), N3_RIGHT, 1)
+
+    def test_nielsen_edge_checks_its_source(self):
+        V = parse_word(S10, "x1 y1 x1 y1")
+        with pytest.raises(NotZieschang, match="edge source x1 y1 x1 y1 is not"):
+            nielsen_edge(V, N2_RIGHT, 1)
+
+    def test_trusted_edge_keeps_its_other_checks(self, monkeypatch):
+        v0 = relator(S10)
+        b1 = generator(GenName("b", 1), S10)
+        with pytest.raises(NotZieschang, match="edge target"):
+            groupoid._edge(v0, parse_word(S10, "x1 y1 x1 y1"), b1, None)
+        with pytest.raises(ValueError, match="does not carry source to target"):
+            groupoid._edge(v0, parse_word(S10, "x1 y1 x1' y1'"), b1, None)
+        a1 = generator(GenName("a", 1), S10)
+        monkeypatch.setattr(groupoid, "_t_class_permutation", lambda endo: None)
+        with pytest.raises(ValueError, match="does not permute the puncture classes"):
+            groupoid._edge(v0, apply(a1, v0), a1, None)
 
     def test_template_edges_witnessed(self):
         e = nielsen_edge(relator(S10), N2_RIGHT, 1)
