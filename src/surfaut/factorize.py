@@ -7,6 +7,16 @@ the stabilizer part is restricted to a smaller signature and factored
 recursively.  Every case-table step is verified concretely: endpoint words,
 loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
+
+Each checked value is computed once and passed on.  ``nielsen_to_base_loops``
+brackets its edge once; the case tables take that bracket, and a table that
+recurses on the inverse edge passes its inverse.  ``_loop`` computes each
+loop's coset tag once and stores it.  ``_factorize_impl`` factors each
+distinct stabilizer once per call (every loop, in order, when auditing), and
+``_stab_word`` returns its word with the value it checked.  Evaluation is a
+homomorphism, so the end-to-end check composes those checked piece values
+and compares the result with the input, which is the same predicate as
+evaluating the whole word.
 """
 
 from __future__ import annotations
@@ -88,24 +98,33 @@ class BaseLoop:
     coset_tag: str
 
     def __post_init__(self) -> None:
-        sig = self.aut.sig
-        v0 = relator(sig)
-        if self.aut.apply(v0) != v0:
-            raise CosetViolation("base loop does not fix the relator")
-        if _tag_of(self.aut, sig) != self.coset_tag:
+        self._check_fixes_relator()
+        if _tag_of(self.aut, self.aut.sig) != self.coset_tag:
             raise CosetViolation(
                 f"loop distinguished image does not match tag {self.coset_tag}"
             )
 
+    def _check_fixes_relator(self) -> None:
+        v0 = relator(self.aut.sig)
+        if self.aut.apply(v0) != v0:
+            raise CosetViolation("base loop does not fix the relator")
+
 
 def _loop(aut: Automorphism, expect: Optional[str] = None) -> BaseLoop:
+    """Trusted constructor: runs the coset checks and ``BaseLoop``'s relator
+    check once, and stores the tag it computed instead of recomputing it."""
     sig = aut.sig
     tag = _tag_of(aut, sig)
     if tag is None:
         raise CosetViolation("loop lands outside every admissible coset")
     if expect is not None and sig.p >= 1 and tag != expect:
         raise CosetViolation(f"expected a {expect} loop, found {tag}")
-    return BaseLoop(aut, tag)
+    loop = object.__new__(BaseLoop)
+    setf = object.__setattr__  # the dataclass is frozen
+    setf(loop, "aut", aut)
+    setf(loop, "coset_tag", tag)
+    loop._check_fixes_relator()
+    return loop
 
 
 @dataclass(frozen=True)
@@ -182,16 +201,23 @@ def nielsen_to_base_loops(
     kind = e.kind or classify_nielsen(e)
     if kind is None:
         raise CosetViolation("edge is not a Nielsen edge")
+    br = _bracket(e)
     if sig.p >= 2:
-        loops = _loops_p_ge2(e, kind, audit)
+        loops = _loops_p_ge2(e, kind, br, audit)
     elif sig.p == 1:
-        loops = _loops_p1(e, kind, audit)
+        loops = _loops_p1(e, kind, br, audit)
     else:
-        loops = _loops_p0(e, kind, audit)
-    comp = compose(*(l.aut for l in loops)) if loops else Automorphism.identity(sig)
-    if comp.fwd != _bracket(e).fwd:
+        loops = _loops_p0(e, kind, br, audit)
+    if _compose_all([l.aut for l in loops], sig).fwd != br.fwd:
         raise CosetViolation("base loops do not recompose the telescoped edge")
     return loops
+
+
+def _compose_all(auts: list[Automorphism], sig: Signature) -> Automorphism:
+    """Left-to-right composite of ``auts``; the identity when there are none."""
+    if not auts:
+        return Automorphism.identity(sig)
+    return auts[0] if len(auts) == 1 else compose(*auts)
 
 
 def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:
@@ -216,10 +242,12 @@ def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:
 # -- case p >= 2 -------------------------------------------------------------
 
 
-def _loops_p_ge2(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
+def _loops_p_ge2(
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+) -> list[BaseLoop]:
     sig = e.sig
     if kind.tag == N1:
-        return [_loop(_bracket(e), STAB)]
+        return [_loop(br, STAB)]
     if kind.tag in (N3_RIGHT, N3_LEFT) and sig.p == 2:
         k = kind.k
         conj = e.source.codes[k - 2] if kind.tag == N3_LEFT else e.source.codes[k]
@@ -227,11 +255,11 @@ def _loops_p_ge2(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
             # adjacent puncture pair: the direct bracket lands in the special
             # coset (left) or its inverse (right)
             expect = STAB_SPECIAL if kind.tag == N3_LEFT else STAB_SPECIAL_INV
-            return [_loop(_bracket(e), expect)]
+            return [_loop(br, expect)]
     jc = _untouched_t(e.aut, sig)
     if jc is None:
         raise CosetViolation("no untouched puncture letter for the chunked square")
-    return _loops_chunked_square(e, jc, audit)
+    return _loops_chunked_square(e, jc, br, audit)
 
 
 def _untouched_t(aut: Automorphism, sig: Signature) -> Optional[int]:
@@ -249,9 +277,13 @@ def _untouched_t(aut: Automorphism, sig: Signature) -> Optional[int]:
     return None
 
 
-def _loops_chunked_square(e: GroupoidEdge, jc: int, audit) -> list[BaseLoop]:
+def _loops_chunked_square(
+    e: GroupoidEdge, jc: int, br: Automorphism, audit
+) -> list[BaseLoop]:
     """Split source and target at an untouched puncture letter, move it to the
-    front on both sides, and read off the commuting bottom loop."""
+    front on both sides, and read off the commuting bottom loop.  With the
+    letter in front on both sides the bottom is ``e`` itself, whose bracket
+    is ``br``."""
     sig = e.sig
     d_v = _conj_t_to_front(e.source, e.source.codes.index(jc))
     d_w = _conj_t_to_front(e.target, e.target.codes.index(jc))
@@ -271,7 +303,7 @@ def _loops_chunked_square(e: GroupoidEdge, jc: int, audit) -> list[BaseLoop]:
             moves.append((d_w.aut.inverse(), mid_tgt, e.target))
         audit.append(EdgeScript(tuple(moves), e.aut))
     loops = _loops_move_front(d_v, audit)
-    loops.append(_loop(_bracket(tau), STAB))
+    loops.append(_loop(br if d_v is None and d_w is None else _bracket(tau), STAB))
     loops.extend(_invert_loops(_loops_move_front(d_w, audit), sig))
     return loops
 
@@ -363,14 +395,17 @@ def _split_contract_holds(e: GroupoidEdge) -> bool:
     return e.aut.apply(lhs) == rhs
 
 
-def _loops_p1(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
+def _loops_p1(
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+) -> list[BaseLoop]:
+    """Case table at p = 1; ``br`` is the bracket of ``e``."""
     sig = e.sig
     if kind.tag in (N1, N3_RIGHT, N3_LEFT):
         if not _split_contract_holds(e):
             raise CosetViolation(f"{kind} edge violates the direct-square contract")
-        return [_loop(_bracket(e), STAB)]
+        return [_loop(br, STAB)]
     if _split_contract_holds(e):
-        return [_loop(_bracket(e), STAB)]
+        return [_loop(br, STAB)]
     t1 = sig.t_code(1)
     V = e.source
     k = kind.k
@@ -379,12 +414,12 @@ def _loops_p1(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
         if V.codes.index(-moved) > k - 1:
             return _loops_hexagon_left(e, audit)
         inv = e.inverse()
-        return _invert_loops(_loops_p1(inv, inv.kind, audit), sig)
+        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
     if kind.tag == N2_RIGHT and V.codes[k] == t1:
         if V.codes.index(-moved) > k:
             return _loops_hexagon_right(e, audit)
         inv = e.inverse()
-        return _invert_loops(_loops_p1(inv, inv.kind, audit), sig)
+        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
     raise CosetViolation(f"unhandled p=1 edge shape {kind}")
 
 
@@ -462,7 +497,7 @@ def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
             )
         )
     loops = [_loop(_bracket(e_l), STAB)]
-    loops.extend(_loops_p1(bottom, bkind, audit))
+    loops.extend(_loops_p1(bottom, bkind, _bracket(bottom), audit))
     loops.extend(_invert_loops([_loop(_bracket(e_r), STAB)], sig))
     return loops
 
@@ -470,17 +505,20 @@ def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
 # -- case p == 0 -------------------------------------------------------------
 
 
-def _loops_p0(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
+def _loops_p0(
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+) -> list[BaseLoop]:
+    """Case table at p = 0; ``br`` is the bracket of ``e``."""
     sig = e.sig
     V, W = e.source, e.target
     if kind.tag == N1:
-        return [_loop(_bracket(e))]
+        return [_loop(br)]
     a1 = V.codes[0]
     img = e.aut.apply(Word(sig, (a1,)))
     if len(img) == 1 and img.codes[0] == W.codes[0]:
-        return [_loop(_bracket(e))]
+        return [_loop(br)]
     if kind.tag == N2_RIGHT and kind.k == 1:
-        return [_loop(_bracket(e), STAB)]
+        return [_loop(br, STAB)]
     if kind.tag == N2_LEFT and kind.k == 2:
         nu1 = nielsen_edge(V, N2_RIGHT, 1)
         nu2_aut = compose(nu1.aut.inverse(), e.aut)
@@ -497,7 +535,7 @@ def _loops_p0(e: GroupoidEdge, kind: NielsenKind, audit) -> list[BaseLoop]:
             )
         return [_loop(_bracket(nu1), STAB), _loop(_bracket(nu2))]
     inv = e.inverse()
-    return _invert_loops(_loops_p0(inv, inv.kind, audit), sig)
+    return _invert_loops(_loops_p0(inv, inv.kind, br.inverse(), audit), sig)
 
 
 # -- peeling and the recursion ------------------------------------------------
@@ -552,24 +590,31 @@ def _alpha1_power(delta: Automorphism, sig: Signature) -> int:
     return -m
 
 
-def _stab_word(stab: Automorphism, sig: Signature, audit) -> GenWord:
+def _stab_word(
+    stab: Automorphism, sig: Signature, audit
+) -> tuple[GenWord, Automorphism]:
+    """A word for ``stab`` and the value it was checked at: the evaluation of
+    the word, whose ``fwd`` equals ``stab.fwd``."""
     if sig.p >= 1:
         inner = _factorize_rec(restrict_drop_tp(stab), audit)
-        if eval_gen_word(inner, sig).fwd != stab.fwd:
+        value = eval_gen_word(inner, sig)
+        if value.fwd != stab.fwd:
             raise CosetViolation("re-included stabilizer word failed to recompose")
-        return inner
+        return inner, value
     inner = _factorize_rec(restrict_relabel_K(stab), audit)
     if any(n.family == "s" for n, _ in inner.tokens):
         raise CosetViolation("relabeled recursion produced a puncture move")
     shifted = inner.shifted(1)
-    delta = compose(stab, eval_gen_word(shifted, sig).inverse())
+    shifted_value = eval_gen_word(shifted, sig)
+    delta = compose(stab, shifted_value.inverse())
     k = _alpha1_power(delta, sig)
     a1 = GenName("a", 1)
     prefix = GenWord(tuple((a1, 1 if k > 0 else -1) for _ in range(abs(k))))
-    word = prefix * shifted
-    if eval_gen_word(word, sig).fwd != stab.fwd:
+    # evaluation is a homomorphism: eval(prefix shifted) = eval(prefix) eval(shifted)
+    value = compose(eval_gen_word(prefix, sig), shifted_value) if k else shifted_value
+    if value.fwd != stab.fwd:
         raise CosetViolation("alpha_1 correction failed to recompose")
-    return word
+    return prefix * shifted, value
 
 
 def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
@@ -606,21 +651,34 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
     for e in edges:
         loops.extend(nielsen_to_base_loops(e, audit))
     loops.extend(nielsen_to_base_loops(n1, audit))
+    # per call, each distinct stabilizer (keyed by its forward map, which
+    # determines it) is factored and checked once, unless an audit records
+    # every loop's scripts in order
+    stab_words: dict[Endomorphism, tuple[GenWord, Automorphism]] = {}
+    special_values: dict[GenWord, Automorphism] = {}
     tokens: list[tuple[GenName, int]] = []
+    pieces: list[Automorphism] = []  # the checked value of each part, in order
     for loop in loops:
         stab, special = peel_special(loop, sig)
-        inner = _stab_word(stab, sig, audit)
-        if sig.p == 0 and special.tokens:
-            tokens.extend(special.inverse().tokens)
-            tokens.extend(inner.tokens)
-            tokens.extend(special.tokens)
-        else:
-            tokens.extend(inner.tokens)
-            tokens.extend(special.tokens)
-    word = GenWord(tuple(tokens))
-    if eval_gen_word(word, sig).fwd != a.fwd:
+        found = stab_words.get(stab.fwd) if audit is None else None
+        if found is None:
+            found = stab_words[stab.fwd] = _stab_word(stab, sig, audit)
+        parts = [found]
+        if special.tokens:
+            sp = special_values.get(special)
+            if sp is None:
+                sp = special_values[special] = eval_gen_word(special, sig)
+            parts.append((special, sp))
+            if sig.p == 0:
+                parts.insert(0, (special.inverse(), sp.inverse()))
+        for word, value in parts:
+            if word.tokens:
+                tokens.extend(word.tokens)
+                pieces.append(value)
+    # the word's value is the composite of its checked pieces' values
+    if _compose_all(pieces, sig).fwd != a.fwd:
         raise CosetViolation("factorization failed to recompose the input")
-    return word
+    return GenWord(tuple(tokens))
 
 
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:

@@ -88,9 +88,11 @@ class GroupoidEdge:
         if not is_zieschang(self.target, self.source.sig):
             raise NotZieschang(f"edge target {self.target} is not Zieschang")
         if self.aut.apply(self.source) != self.target:
-            raise ValueError("edge automorphism does not carry source to target")
+            raise CosetViolation("edge automorphism does not carry source to target")
         if _t_class_permutation(self.aut.fwd) is None:
-            raise ValueError("edge automorphism does not permute the puncture classes")
+            raise CosetViolation(
+                "edge automorphism does not permute the puncture classes"
+            )
 
     @property
     def sig(self) -> Signature:
@@ -466,7 +468,8 @@ def _finish_n1(endo: Endomorphism, V: Word, W: Word) -> GroupoidEdge:
         c = endo.images[b - 1].codes[0]
         inv_map[abs(c)] = Word(sig, (b if c > 0 else -b,))
     aut = Automorphism(endo, Endomorphism.from_map(sig, inv_map))
-    return GroupoidEdge(V, W, aut, NielsenKind(N1))
+    # V is the checked input or the last move's target
+    return _edge(V, W, aut, NielsenKind(N1))
 
 
 @dataclass(frozen=True)

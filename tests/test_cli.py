@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from surfaut import cli, factorize, groupoid
+from surfaut import Automorphism, cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.whitehead import ExtendedWhiteheadGraph
@@ -172,6 +172,25 @@ class TestCertifyFactorize:
         code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
         assert code == 3 and out == ""
         assert err == "internal assertion: CosetViolation: edge is not a Nielsen edge\n"
+
+    def test_edge_check_failure_exits_3(self, monkeypatch):
+        # the telescoping edges carry nothing, so their apply check fails
+        real = groupoid.GroupoidEdge
+
+        def carrying_nothing(source, target, aut, kind=None):
+            return real(source, target, Automorphism.identity(source.sig), kind)
+
+        code, aut, _ = invoke(["eval", "--sig", "1,1", "--genword", "g1"])
+        assert code == 0
+        monkeypatch.setattr(factorize, "GroupoidEdge", carrying_nothing)
+        factorize._factorize_cached.cache_clear()
+        argv = ["factorize", "--sig", "1,1", "--aut", aut.strip().replace("\n", "; ")]
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "internal assertion: CosetViolation: edge automorphism does not carry"
+            " source to target\n"
+        )
 
 
 _AUDIT_GOLDEN = json.loads(

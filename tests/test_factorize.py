@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -20,10 +22,12 @@ from surfaut import (
     factorize_adlh,
     generator,
     nielsen_to_base_loops,
+    parse_gen_word,
     parse_word,
     peel_special,
     relator,
 )
+from surfaut import factorize as F
 from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
@@ -34,7 +38,7 @@ from surfaut.factorize import (
     _tag_of,
 )
 from surfaut.groupoid import GroupoidEdge
-from surfaut.selftest import random_adl_automorphism, random_zieschang
+from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
 
 from conftest import SMALL_SIGS
 
@@ -243,3 +247,150 @@ class TestFactorizeAdlh:
         monkeypatch.setattr(factorize, "factorize_adl", lambda a, audit=None: GenWord.of(GenName("a", 3)))
         with pytest.raises(CosetViolation, match="ADLH factorization failed"):
             factorize_adlh(gen("a", 4, Signature(4, 0)))
+
+
+_WORDS_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "factorize_words.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    _WORDS_GOLDEN,
+    ids=[f"{i}-{c['variant']}-{c['sig']}" for i, c in enumerate(_WORDS_GOLDEN)],
+)
+def test_factorize_words_golden(case):
+    sig = Signature(*map(int, case["sig"].split(",")))
+    a = eval_gen_word(parse_gen_word(case["genword"]), sig)
+    fn = factorize_adl if case["variant"] == "adl" else factorize_adlh
+    assert str(fn(a)) == case["word"]
+
+
+def _short(sig):
+    # inputs shrink as the cost grows
+    return 6 if sig.g + sig.p <= 2 else 3
+
+
+@pytest.fixture
+def fresh_cache():
+    F._factorize_cached.cache_clear()
+    yield
+    F._factorize_cached.cache_clear()
+
+
+class TestComputedOnce:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
+    def test_audit_and_plain_words_agree(self, sig, seed):
+        # the audit path reuses nothing; the plain path reuses checked values
+        a = random_adl_automorphism(sig, random.Random(seed), _short(sig))
+        assert factorize_adl(a, []) == factorize_adl(a)
+
+    def test_bracket_of_inverse_edge(self, rng):
+        for sig in GRID:
+            if sig.p <= 1 and sig.g < 1:
+                continue
+            V = random_zieschang(sig, rng)
+            for e in enumerate_nielsen_from(V):
+                assert _bracket(e.inverse()).fwd == _bracket(e).inverse().fwd
+
+    def test_each_value_computed_once(self, rng, monkeypatch, fresh_cache):
+        # per plain _factorize_impl call: the stabilizers peeled and those
+        # factored; per nielsen_to_base_loops call: brackets of its edge
+        levels, done_levels, tops, done_tops = [], [], [], []
+        real_impl, real_peel, real_stab = F._factorize_impl, F.peel_special, F._stab_word
+        real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
+
+        def impl(a, audit):
+            levels.append(([], []))
+            try:
+                return real_impl(a, audit)
+            finally:
+                done_levels.append(levels.pop())
+
+        def peel(loop, sig):
+            stab, special = real_peel(loop, sig)
+            levels[-1][0].append(stab.fwd)
+            return stab, special
+
+        def stab_word(stab, sig, audit):
+            levels[-1][1].append(stab.fwd)
+            return real_stab(stab, sig, audit)
+
+        def loops(e, audit=None):
+            tops.append([e, 0])
+            try:
+                return real_loops(e, audit)
+            finally:
+                done_tops.append(tops.pop())
+
+        def bracket(e):
+            for top in tops:
+                top[1] += top[0] is e
+            return real_bracket(e)
+
+        for name, fn in [("_factorize_impl", impl), ("peel_special", peel),
+                         ("_stab_word", stab_word), ("nielsen_to_base_loops", loops),
+                         ("_bracket", bracket)]:
+            monkeypatch.setattr(F, name, fn)
+        for sig in GRID:
+            for _ in range(3):
+                factorize_adl(random_adl_automorphism(sig, rng, _short(sig) + 2))
+        assert done_tops
+        # some level peels one stabilizer more than once
+        assert any(len(peeled) > len(set(peeled)) for peeled, _ in done_levels)
+        for peeled, factored in done_levels:
+            assert len(set(factored)) == len(factored)
+            assert set(factored) == set(peeled)
+        assert all(count == 1 for _, count in done_tops)
+
+
+class TestChecksStillFire:
+    def test_wrong_inner_word(self, monkeypatch, fresh_cache):
+        # (1,1) re-includes words factored at (1,0)
+        real = F._factorize_rec
+
+        def wrong_inner(a, audit):
+            w = real(a, audit)
+            return w * GenWord.of(GenName("a", 1)) if a.sig == S10 else w
+
+        monkeypatch.setattr(F, "_factorize_rec", wrong_inner)
+        with pytest.raises(CosetViolation, match="re-included stabilizer word failed"):
+            factorize_adl(gen("g", 1, Signature(1, 1)))
+
+    def test_wrong_alpha1_power(self, monkeypatch, fresh_cache):
+        real = F._alpha1_power
+        monkeypatch.setattr(F, "_alpha1_power", lambda delta, sig: real(delta, sig) + 1)
+        with pytest.raises(CosetViolation, match="alpha_1 correction failed"):
+            factorize_adl(gen("b", 1, S10))
+
+    def test_wrong_special_token(self, monkeypatch, fresh_cache):
+        real = F.peel_special
+
+        def flipped(loop, sig):
+            stab, special = real(loop, sig)
+            return stab, special.inverse()
+
+        monkeypatch.setattr(F, "peel_special", flipped)
+        with pytest.raises(CosetViolation, match="factorization failed to recompose"):
+            factorize_adl(gen("s", 2, S02))
+
+    def test_wrong_bracket(self, rng, monkeypatch):
+        # at p = 2 an N2 edge's loops come from other edges' brackets
+        sig = Signature(1, 2)
+        real = F._bracket
+        twist = gen("s", 2, sig)
+        checked = 0
+        for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+            if len(nielsen_to_base_loops(e)) < 2:
+                continue
+            monkeypatch.setattr(
+                F, "_bracket", lambda d, e=e: compose(real(d), twist) if d is e else real(d)
+            )
+            with pytest.raises(CosetViolation, match="base loops do not recompose"):
+                nielsen_to_base_loops(e)
+            monkeypatch.setattr(F, "_bracket", real)
+            checked += 1
+        assert checked

@@ -383,7 +383,7 @@ class TestEdgeInvariants:
     def test_bad_target_rejected(self):
         v0 = relator(S10)
         other = parse_word(S10, "x1 y1 x1' y1'")
-        with pytest.raises(ValueError):
+        with pytest.raises(CosetViolation, match="does not carry source to target"):
             GroupoidEdge(v0, other, generator(GenName("b", 1), S10))
 
     def test_missing_template_is_coset_violation(self):
@@ -401,11 +401,11 @@ class TestEdgeInvariants:
         b1 = generator(GenName("b", 1), S10)
         with pytest.raises(NotZieschang, match="edge target"):
             groupoid._edge(v0, parse_word(S10, "x1 y1 x1 y1"), b1, None)
-        with pytest.raises(ValueError, match="does not carry source to target"):
+        with pytest.raises(CosetViolation, match="does not carry source to target"):
             groupoid._edge(v0, parse_word(S10, "x1 y1 x1' y1'"), b1, None)
         a1 = generator(GenName("a", 1), S10)
         monkeypatch.setattr(groupoid, "_t_class_permutation", lambda endo: None)
-        with pytest.raises(ValueError, match="does not permute the puncture classes"):
+        with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
             groupoid._edge(v0, apply(a1, v0), a1, None)
 
     def test_template_edges_witnessed(self):
