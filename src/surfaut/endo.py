@@ -7,8 +7,11 @@ inverse; the constructor checks both composites against the identity.
 
 The public constructors validate.  Images computed here from valid maps
 (``apply``, the composites of ``compose``), the swapped pair of
-``Automorphism.inverse`` and the identity pair of ``Automorphism.identity``
-are built with the trusted constructors ``_endo`` and ``_aut``.
+``Automorphism.inverse``, the identity pair of ``Automorphism.identity`` and
+the one-letter moves of ``letter_move`` are built with the trusted
+constructors ``_endo`` and ``_aut``.  A one-letter move c -> u c v is
+witnessed by checking that u and v avoid the letter of c: both maps then fix
+u and v, so the inverse c -> u' c v' undoes it without a substitution.
 
 One primitive, ``_substitute``, does all the substitution: it replaces each
 letter of a word by its image from an image list and cancels at the seams.
@@ -240,16 +243,38 @@ def _undoes(first: Endomorphism, then: Endomorphism) -> bool:
     return True
 
 
-def invert(a: Automorphism) -> Automorphism:
-    return a.inverse()
-
-
 def aut_from_map(
     sig: Signature, moved: dict[int, Word], moved_inv: dict[int, Word]
 ) -> Automorphism:
     """Witnessed automorphism from explicit forward and inverse basis maps."""
     return Automorphism(
         Endomorphism.from_map(sig, moved), Endomorphism.from_map(sig, moved_inv)
+    )
+
+
+def letter_move(sig: Signature, code: int, left: Word, right: Word) -> Automorphism:
+    """The automorphism sending the signed letter ``code`` to ``left code
+    right`` and fixing every other basis letter; its inverse sends ``code``
+    to ``left' code right'``.
+
+    ``left`` and ``right`` must not mention the letter of ``code``
+    (``CosetViolation`` otherwise).  Both maps then fix them, so each map
+    undoes the other on ``code`` and the pair is witnessed by construction.
+    """
+    b = abs(code)
+    if any(abs(c) == b for c in left.codes + right.codes):
+        raise CosetViolation(
+            f"one-letter move of {letter_str(sig, code)} mentions its own letter"
+        )
+    letter = Word(sig, (code,))
+    fwd = left * letter * right
+    inv = left.inverse() * letter * right.inverse()
+    if code < 0:
+        fwd, inv = fwd.inverse(), inv.inverse()
+    fixed = Endomorphism.identity(sig).images
+    return _aut(
+        _endo(sig, fixed[: b - 1] + (fwd,) + fixed[b:]),
+        _endo(sig, fixed[: b - 1] + (inv,) + fixed[b:]),
     )
 
 

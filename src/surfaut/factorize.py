@@ -30,6 +30,7 @@ from .endo import (
     Automorphism,
     Endomorphism,
     compose,
+    letter_move,
     membership,
     restrict_drop_tp,
     restrict_relabel_K,
@@ -165,19 +166,11 @@ def _conj_t_to_front(V: Word, pos: int) -> Optional[GroupoidEdge]:
     sig = V.sig
     tj = V.codes[pos]
     P = Word(sig, V.codes[:pos])
-    t_word = Word(sig, (tj,))
-    aut = Automorphism(
-        _moved_endo(sig, tj, P.inverse() * t_word * P),
-        _moved_endo(sig, tj, P * t_word * P.inverse()),
-    )
+    aut = letter_move(sig, tj, P.inverse(), P)
     target = aut.apply(V)
     if target.codes[: pos + 1] != (tj,) + V.codes[:pos]:
         raise CosetViolation("front conjugation produced an unexpected word")
     return GroupoidEdge(V, target, aut)
-
-
-def _moved_endo(sig: Signature, code: int, image: Word) -> Endomorphism:
-    return Endomorphism.from_map(sig, {code: image})
 
 
 def _first_t_pos(codes: tuple[int, ...], sig: Signature) -> Optional[int]:
@@ -343,17 +336,10 @@ def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
     j1 = prefix[t1_pos]
     p0 = Word(sig, prefix[:t1_pos])
     q0 = Word(sig, prefix[t1_pos + 1 :])
-    t_word = Word(sig, (jc,))
-    nu1_aut = Automorphism(
-        _moved_endo(sig, jc, t_word.conjugate_by(q0)),
-        _moved_endo(sig, jc, t_word.conjugate_by(q0.inverse())),
-    )
+    nu1_aut = letter_move(sig, jc, q0.inverse(), q0)
     nu1 = GroupoidEdge(V, nu1_aut.apply(V), nu1_aut)
     conj2 = p0 * Word(sig, (j1,))
-    nu2_aut = Automorphism(
-        _moved_endo(sig, jc, t_word.conjugate_by(conj2)),
-        _moved_endo(sig, jc, t_word.conjugate_by(conj2.inverse())),
-    )
+    nu2_aut = letter_move(sig, jc, conj2.inverse(), conj2)
     nu2 = GroupoidEdge(nu1.target, nu2_aut.apply(nu1.target), nu2_aut)
     if nu2.target != d.target:
         raise CosetViolation("front conjugation cascade missed its target")
@@ -433,11 +419,7 @@ def _loops_hexagon_left(e: GroupoidEdge, audit) -> list[BaseLoop]:
     a = e.source.codes[e.source.codes.index(t1) + 1]
     a_pos = w1.codes.index(a)
     p_word = Word(sig, w1.codes[1:a_pos])
-    a_word = Word(sig, (a,))
-    pull_aut = Automorphism(
-        _moved_endo(sig, abs(a), _oriented(p_word.inverse() * a_word, a)),
-        _moved_endo(sig, abs(a), _oriented(p_word * a_word, a)),
-    )
+    pull_aut = letter_move(sig, a, p_word.inverse(), Word.identity(sig))
     e_pull = GroupoidEdge(w1, pull_aut.apply(w1), pull_aut)
     w2 = e_pull.target
     phi_v, _ = canonical_edge(e.source)
@@ -460,27 +442,15 @@ def _loops_hexagon_left(e: GroupoidEdge, audit) -> list[BaseLoop]:
     return loops
 
 
-def _oriented(w: Word, code: int) -> Word:
-    """Image word for the basis letter under a single-letter map phrased on the
-    possibly inverted letter ``code``."""
-    if code > 0:
-        return w
-    return w.inverse()
-
-
 def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
-    """Edge P a t1 Q a' R -> P a Q t1 a' R: conjugate t1 past a on both sides,
-    landing on the left-hexagon shape."""
+    """Edge P a t1 Q a' R -> P a Q t1 a' R: conjugate t1 past a on both sides.
+    The bottom edge is then P t1 a Q a' R -> P a Q a' t1 R, the left-hexagon
+    shape."""
     sig = e.sig
     t1 = sig.t_code(1)
     V, W = e.source, e.target
-    a = V.codes[V.codes.index(t1) - 1]
-    t_word = Word(sig, (t1,))
-    a_word = Word(sig, (a,))
-    psi = Automorphism(
-        _moved_endo(sig, t1, t_word.conjugate_by(a_word)),
-        _moved_endo(sig, t1, t_word.conjugate_by(a_word.inverse())),
-    )
+    a = Word(sig, (V.codes[V.codes.index(t1) - 1],))
+    psi = letter_move(sig, t1, a.inverse(), a)
     e_l = GroupoidEdge(V, psi.apply(V), psi)
     e_r = GroupoidEdge(W, psi.apply(W), psi)
     chi = compose(psi.inverse(), e.aut, psi)
@@ -497,7 +467,7 @@ def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
             )
         )
     loops = [_loop(_bracket(e_l), STAB)]
-    loops.extend(_loops_p1(bottom, bkind, _bracket(bottom), audit))
+    loops.extend(_loops_hexagon_left(bottom, audit))
     loops.extend(_invert_loops([_loop(_bracket(e_r), STAB)], sig))
     return loops
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Signature, Word, commutator
-from .endo import Automorphism, Endomorphism, aut_from_map, compose
+from .endo import Automorphism, Endomorphism, aut_from_map, compose, letter_move
 from .errors import CosetViolation, IndexOutOfRange, ParseError
 
 _FAMILIES = ("s", "a", "b", "g")
@@ -124,11 +124,9 @@ def generator(name: GenName, sig: Signature) -> Automorphism:
             {tk: W(tj), tj: W(tj, tk, -tj)},
         )
     if name.family == "a":
-        x, y = sig.x_code(i), sig.y_code(i)
-        return aut_from_map(sig, {x: W(-y, x)}, {x: W(y, x)})
+        return letter_move(sig, sig.x_code(i), W(-sig.y_code(i)), W())
     if name.family == "b":
-        x, y = sig.x_code(i), sig.y_code(i)
-        return aut_from_map(sig, {y: W(x, y)}, {y: W(-x, y)})
+        return letter_move(sig, sig.y_code(i), W(sig.x_code(i)), W())
     # gamma
     x_i, y_i = sig.x_code(i), sig.y_code(i)
     if i >= 2:

@@ -19,8 +19,10 @@ the same value ``_state_of`` would build.
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
 ``nielsen_edge``) check their source; the engine's Nielsen edges are built
 by the trusted ``_edge``, because their source is the checked input or the
-previous target, and check only their target, the apply identity and the
-class permutation.  ``canonical_edge`` collects its steps and witnesses one
+previous target.  ``_edge`` computes the target as the image of the source,
+so it checks only that target and the class permutation.  The Nielsen
+templates are one-letter moves (``letter_move``), witnessed by
+construction.  ``canonical_edge`` collects its steps and witnesses one
 composite per call.
 """
 
@@ -40,6 +42,7 @@ from .endo import (
     aut_from_map,
     classify_letters,
     compose,
+    letter_move,
     swap_letters,
 )
 from .errors import (
@@ -56,6 +59,8 @@ N2_RIGHT = "N2_right"
 N2_LEFT = "N2_left"
 N3_RIGHT = "N3_right"
 N3_LEFT = "N3_left"
+
+_NOT_CARRIED = "edge automorphism does not carry source to target"
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,15 @@ class GroupoidEdge:
     def __post_init__(self) -> None:
         if not is_zieschang(self.source, self.source.sig):
             raise NotZieschang(f"edge source {self.source} is not Zieschang")
-        self._check_from_source()
+        if self.aut.apply(self.source) != self.target:
+            raise CosetViolation(_NOT_CARRIED)
+        self._check_target()
 
-    def _check_from_source(self) -> None:
-        """Every edge check but the one on the source."""
+    def _check_target(self) -> None:
+        """The checks left once the target is known to be the image of the
+        source: the target is Zieschang and the map permutes the classes."""
         if not is_zieschang(self.target, self.source.sig):
             raise NotZieschang(f"edge target {self.target} is not Zieschang")
-        if self.aut.apply(self.source) != self.target:
-            raise CosetViolation("edge automorphism does not carry source to target")
         if _t_class_permutation(self.aut.fwd) is None:
             raise CosetViolation(
                 "edge automorphism does not permute the puncture classes"
@@ -103,34 +109,18 @@ class GroupoidEdge:
         return GroupoidEdge(self.target, self.source, self.aut.inverse(), kind)
 
 
-def _edge(
-    source: Word, target: Word, aut: Automorphism, kind: Optional[NielsenKind]
-) -> GroupoidEdge:
-    """Trusted constructor for an edge whose source is already known to be
-    Zieschang (a checked input or the target of a checked edge); it runs
-    every other check of ``GroupoidEdge``."""
+def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
+    """Trusted constructor for the edge from a source already known to be
+    Zieschang (a checked input or the target of a checked edge) to its image
+    under ``aut``; it runs ``GroupoidEdge``'s checks on that target."""
     e = object.__new__(GroupoidEdge)
     setf = object.__setattr__  # the dataclass is frozen
     setf(e, "source", source)
-    setf(e, "target", target)
+    setf(e, "target", aut.apply(source))
     setf(e, "aut", aut)
     setf(e, "kind", kind)
-    e._check_from_source()
+    e._check_target()
     return e
-
-
-def _single_letter_aut(
-    sig: Signature, code: int, image: tuple[int, ...], inv_image: tuple[int, ...]
-) -> Automorphism:
-    """Automorphism moving only the basis letter of ``code``; when the template
-    is phrased on an inverse letter, both maps are flipped to the basis."""
-    b = abs(code)
-    if code > 0:
-        fwd, inv = image, inv_image
-    else:
-        fwd = tuple(-c for c in reversed(image))
-        inv = tuple(-c for c in reversed(inv_image))
-    return aut_from_map(sig, {b: Word(sig, fwd)}, {b: Word(sig, inv)})
 
 
 def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
@@ -139,27 +129,30 @@ def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
     sig = V.sig
     n = len(V.codes)
     v = V.codes
+    one = Word.identity(sig)
     if tag in (N2_RIGHT, N3_RIGHT):
         if not 1 <= k <= n - 1:
             return None
         u, c = v[k - 1], v[k]
+        cw = _word(sig, (c,))
         if tag == N2_RIGHT:
             if sig.is_t_code(u):
                 return None
-            return _single_letter_aut(sig, u, (u, -c), (u, c))
+            return letter_move(sig, u, one, cw.inverse())
         if not sig.is_t_code(u):
             return None
-        return _single_letter_aut(sig, u, (c, u, -c), (-c, u, c))
+        return letter_move(sig, u, cw, cw.inverse())
     if not 2 <= k <= n:
         return None
     u, c = v[k - 1], v[k - 2]
+    cw = _word(sig, (c,))
     if tag == N2_LEFT:
         if sig.is_t_code(u):
             return None
-        return _single_letter_aut(sig, u, (-c, u), (c, u))
+        return letter_move(sig, u, cw.inverse(), one)
     if not sig.is_t_code(u):
         return None
-    return _single_letter_aut(sig, u, (-c, u, c), (c, u, -c))
+    return letter_move(sig, u, cw.inverse(), cw)
 
 
 def nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
@@ -174,7 +167,7 @@ def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     aut = _template_aut(V, tag, k)
     if aut is None:
         raise CosetViolation(f"no {tag} template at k={k} for {V}")
-    return _edge(V, aut.apply(V), aut, NielsenKind(tag, k))
+    return _edge(V, aut, NielsenKind(tag, k))
 
 
 def classify_nielsen_map(V: Word, aut: Automorphism) -> Optional[NielsenKind]:
@@ -205,7 +198,7 @@ def enumerate_nielsen_from(V: Word) -> list[GroupoidEdge]:
         for k in range(1, n + 1):
             aut = _template_aut(V, tag, k)
             if aut is not None:
-                out.append(_edge(V, aut.apply(V), aut, NielsenKind(tag, k)))
+                out.append(_edge(V, aut, NielsenKind(tag, k)))
     return out
 
 
@@ -469,7 +462,10 @@ def _finish_n1(endo: Endomorphism, V: Word, W: Word) -> GroupoidEdge:
         inv_map[abs(c)] = Word(sig, (b if c > 0 else -b,))
     aut = Automorphism(endo, Endomorphism.from_map(sig, inv_map))
     # V is the checked input or the last move's target
-    return _edge(V, W, aut, NielsenKind(N1))
+    e = _edge(V, aut, NielsenKind(N1))
+    if e.target != W:
+        raise CosetViolation(_NOT_CARRIED)
+    return e
 
 
 @dataclass(frozen=True)
@@ -526,15 +522,7 @@ def _canonical_edge_impl(V: Word):
         ti = rest[m]
         if m > 0:
             P = Word(sig, rest[:m])
-            fire(
-                aut_from_map(
-                    sig,
-                    {ti: P.inverse() * Word(sig, (ti,)) * P},
-                    {ti: P * Word(sig, (ti,)) * P.inverse()},
-                ),
-                "i",
-                j,
-            )
+            fire(letter_move(sig, ti, P.inverse(), P), "i", j)
         if ti != sig.t_code(j):
             fire(swap_letters(sig, ti, sig.t_code(j)), "ii", j)
 
@@ -553,16 +541,7 @@ def _canonical_edge_impl(V: Word):
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
             P1, P2 = Word(sig, P[:b_idx]), Word(sig, P[b_idx + 1 :])
-            fire(
-                _single_letter_aut(
-                    sig,
-                    b,
-                    (P1.inverse() * Word(sig, (b,)) * P2.inverse()).codes,
-                    (P1 * Word(sig, (b,)) * P2).codes,
-                ),
-                "v",
-                i,
-            )
+            fire(letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i)
             rest = cur.codes[done:]
             mpos = rest.index(xi)
             P = rest[1:mpos]

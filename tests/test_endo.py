@@ -29,8 +29,8 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from surfaut.endo import aut_from_map, swap_letters
-from surfaut.errors import SignatureMismatch
+from surfaut.endo import aut_from_map, letter_move, swap_letters
+from surfaut.errors import CosetViolation, SignatureMismatch
 from surfaut.selftest import random_adl_automorphism, random_gen_word
 
 from conftest import SMALL_SIGS, words
@@ -367,6 +367,37 @@ class TestTrustedKernel:
         a = data.draw(automorphisms())
         u = data.draw(words(sig=a.sig))
         assert apply(a, u.inverse()) == apply(a, u).inverse()
+
+
+class TestLetterMove:
+    """``letter_move`` writes the inverse itself and skips the witness
+    substitution; the validating constructor must accept every pair it builds."""
+
+    @given(st.data())
+    def test_pair_is_witnessed(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        b = data.draw(st.sampled_from(list(sig.basis_codes())))
+        code = data.draw(st.sampled_from([b, -b]))
+        others = st.sampled_from(
+            [c for c in range(-sig.rank, sig.rank + 1) if abs(c) not in (0, b)]
+        )
+        avoiding = st.lists(others, max_size=6).map(lambda cs: Word(sig, tuple(cs)))
+        left, right = data.draw(avoiding), data.draw(avoiding)
+        a = letter_move(sig, code, left, right)
+        assert Automorphism(a.fwd, a.inv) == a
+        assert witnessed(a)
+        assert apply(a, Word(sig, (code,))) == Word(sig, left.codes + (code,) + right.codes)
+        assert a.fwd.moved_codes() in ([], [b]) and a.inv.moved_codes() in ([], [b])
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_own_letter_rejected(self, sig):
+        b, one = sig.rank, Word.identity(sig)
+        for code in (b, -b):
+            for own in (Word(sig, (b, b)), Word(sig, (-b,)), Word(sig, (1, -b, 1))):
+                with pytest.raises(CosetViolation, match="mentions its own letter"):
+                    letter_move(sig, code, own, one)
+                with pytest.raises(CosetViolation, match="mentions its own letter"):
+                    letter_move(sig, code, one, own)
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from surfaut import (
@@ -10,6 +13,7 @@ from surfaut import (
     compose,
     eta,
     eval_gen_word,
+    format_endomorphism,
     gen_set,
     generator,
     humphries_rewrite,
@@ -24,6 +28,12 @@ from surfaut.gens import HUMPHRIES_CHAIN, parse_gen_word
 
 S10 = Signature(1, 0)
 S30 = Signature(3, 0)
+
+_GENERATOR_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "canon_outputs.json").read_text(
+        encoding="utf-8"
+    )
+)["generators"]
 
 
 class TestGeneratorImages:
@@ -55,6 +65,18 @@ class TestGeneratorImages:
         w1 = parse_word(sig, "t1 x1' y1' x1")
         assert apply(c, parse_word(sig, "t1")) == w1.inverse() * parse_word(sig, "t1") * w1
         assert apply(c, parse_word(sig, "x1")) == parse_word(sig, "x1") * w1
+
+    @pytest.mark.parametrize("sig", sorted({c["sig"] for c in _GENERATOR_GOLDEN}))
+    def test_images_match_golden(self, sig):
+        # captured before alpha_i and beta_i were built by letter_move
+        s = Signature(*map(int, sig.split(",")))
+        cases = [c for c in _GENERATOR_GOLDEN if c["sig"] == sig]
+        names = gen_set(s, "adl")
+        assert [c["name"] for c in cases] == [str(n) for n in names]
+        for name, case in zip(names, cases):
+            a = generator(name, s)
+            assert format_endomorphism(a.fwd).splitlines() == case["fwd"]
+            assert format_endomorphism(a.inv).splitlines() == case["inv"]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):

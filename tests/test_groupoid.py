@@ -22,6 +22,7 @@ from surfaut import (
     classify_nielsen,
     compose,
     enumerate_nielsen_from,
+    format_endomorphism,
     generator,
     mu_key,
     nielsen_reduce,
@@ -29,6 +30,7 @@ from surfaut import (
     relator,
 )
 from surfaut import groupoid
+from surfaut.endo import letter_move
 from surfaut.groupoid import N1, N2_LEFT, N2_RIGHT, N3_RIGHT, nielsen_edge
 from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
 
@@ -39,6 +41,11 @@ S11 = Signature(1, 1)
 S02 = Signature(0, 2)
 OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
 
+_CANON_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "canon_outputs.json").read_text(
+        encoding="utf-8"
+    )
+)["canonical"]
 _REDUCE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "reduce_outcomes.json").read_text(
         encoding="utf-8"
@@ -331,6 +338,19 @@ class TestCanonicalEdge:
         with pytest.raises(NotZieschang):
             canonical_edge(parse_word(S10, "x1 y1 x1 y1"))
 
+    @pytest.mark.parametrize("sig", sorted({c["sig"] for c in _CANON_GOLDEN}))
+    def test_matches_golden(self, sig):
+        # seeded words at the grid and off it, captured before the canonical
+        # steps (i) and (v) were built by letter_move
+        cases = [c for c in _CANON_GOLDEN if c["sig"] == sig]
+        assert len(cases) == 25
+        s = Signature(*map(int, sig.split(",")))
+        for case in cases:
+            phi, steps = canonical_edge(parse_word(s, case["word"]))
+            assert format_endomorphism(phi.fwd).splitlines() == case["fwd"]
+            assert format_endomorphism(phi.inv).splitlines() == case["inv"]
+            assert [str(r) for r in steps] == case["steps"]
+
     def test_random_normalization(self, rng):
         from surfaut import is_zieschang
 
@@ -398,15 +418,21 @@ class TestEdgeInvariants:
 
     def test_trusted_edge_keeps_its_other_checks(self, monkeypatch):
         v0 = relator(S10)
-        b1 = generator(GenName("b", 1), S10)
+        # x1 -> x1 y1 sends the relator to a word of length 6
+        y1 = parse_word(S10, "y1")
+        lengthens = letter_move(S10, S10.x_code(1), Word.identity(S10), y1)
         with pytest.raises(NotZieschang, match="edge target"):
-            groupoid._edge(v0, parse_word(S10, "x1 y1 x1 y1"), b1, None)
+            groupoid._edge(v0, lengthens, None)
+        b1 = generator(GenName("b", 1), S10)
+        assert groupoid._edge(v0, b1, None).target == apply(b1, v0)
+        # the N1 remainder compares the computed target with the expected one
+        ident = Endomorphism.identity(S10)
         with pytest.raises(CosetViolation, match="does not carry source to target"):
-            groupoid._edge(v0, parse_word(S10, "x1 y1 x1' y1'"), b1, None)
+            groupoid._finish_n1(ident, v0, parse_word(S10, "x1 y1 x1' y1'"))
         a1 = generator(GenName("a", 1), S10)
         monkeypatch.setattr(groupoid, "_t_class_permutation", lambda endo: None)
         with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
-            groupoid._edge(v0, apply(a1, v0), a1, None)
+            groupoid._edge(v0, a1, None)
 
     def test_template_edges_witnessed(self):
         e = nielsen_edge(relator(S10), N2_RIGHT, 1)
