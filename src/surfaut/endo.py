@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -66,13 +67,17 @@ class Endomorphism:
                 raise SignatureMismatch(f"image {w} not over {self.sig}")
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(sig: Signature) -> "Endomorphism":
+        """One shared value per signature, so the fixed images of every map
+        built from it share their words."""
         return _endo(sig, tuple([_word(sig, (b,)) for b in sig.basis_codes()]))
 
     @staticmethod
     def from_map(sig: Signature, moved: dict[int, Word]) -> "Endomorphism":
         """Build from a map of basis codes to images; unlisted letters are fixed."""
-        images = [moved[b] if b in moved else _word(sig, (b,)) for b in sig.basis_codes()]
+        fixed = Endomorphism.identity(sig).images
+        images = [moved.get(b, w) for b, w in zip(sig.basis_codes(), fixed)]
         return Endomorphism(sig, tuple(images))
 
     def apply(self, u: Word) -> Word:

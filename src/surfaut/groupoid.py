@@ -63,7 +63,7 @@ N3_LEFT = "N3_left"
 _NOT_CARRIED = "edge automorphism does not carry source to target"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NielsenKind:
     """Tag plus the 1-based chain position of the moved letter (None for N1)."""
 
@@ -171,11 +171,19 @@ def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
 
 
 def classify_nielsen_map(V: Word, aut: Automorphism) -> Optional[NielsenKind]:
+    """N1 when ``aut`` permutes the letters, else the first N2/N3 kind, in
+    tag-then-k order, whose template on V has the forward map of ``aut``;
+    None when there is none."""
     if classify_letters(aut.fwd) is not None:
         return NielsenKind(N1)
-    n = len(V.codes)
+    # the template at chain position k moves exactly the basis letter |v_k|,
+    # so only the positions of the one letter aut moves can match
+    moved = aut.fwd.moved_codes()
+    if len(moved) != 1:
+        return None
+    positions = [k for k, c in enumerate(V.codes, 1) if abs(c) == moved[0]]
     for tag in (N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT):
-        for k in range(1, n + 1):
+        for k in positions:
             cand = _template_aut(V, tag, k)
             if cand is not None and cand.fwd == aut.fwd:
                 return NielsenKind(tag, k)
@@ -468,7 +476,7 @@ def _finish_n1(endo: Endomorphism, V: Word, W: Word) -> GroupoidEdge:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One fired move of the canonical normalization."""
 

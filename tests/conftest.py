@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from surfaut import Signature, Word
+from surfaut import Signature, Word, factorize, gens, groupoid
 
 SMALL_SIGS = [
     Signature(0, 2),
@@ -40,3 +40,15 @@ def word_pairs(draw, max_len=10):
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty package memos, so an entry left by an
+    earlier test cannot hide a fault that this test patches in."""
+    factorize._telescoped.clear()
+    factorize._factorize_cached.cache_clear()
+    groupoid._canonical_cache.clear()
+    gens.generator.cache_clear()
+    gens.humphries_rewrite.cache_clear()
+    gens.eta.cache_clear()

@@ -91,7 +91,6 @@ class TestCanonAndReduce:
             return ExtendedWhiteheadGraph(sig, ((1, 2), (1, 3)), None, None)
 
         monkeypatch.setattr(groupoid, "build_graph", branching)
-        monkeypatch.setattr(groupoid, "_canonical_cache", {})
         code, out, err = invoke(
             ["canon", "--sig", "2,0", "--word", "y2' y1' x2' x1 x2 y2 x1' y1"]
         )
@@ -168,7 +167,6 @@ class TestCertifyFactorize:
 
         monkeypatch.setattr(factorize, "nielsen_reduce", unlabelled)
         monkeypatch.setattr(factorize, "classify_nielsen", lambda e: None)
-        factorize._factorize_cached.cache_clear()
         code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
         assert code == 3 and out == ""
         assert err == "internal assertion: CosetViolation: edge is not a Nielsen edge\n"
@@ -183,7 +181,6 @@ class TestCertifyFactorize:
         code, aut, _ = invoke(["eval", "--sig", "1,1", "--genword", "g1"])
         assert code == 0
         monkeypatch.setattr(factorize, "GroupoidEdge", carrying_nothing)
-        factorize._factorize_cached.cache_clear()
         argv = ["factorize", "--sig", "1,1", "--aut", aut.strip().replace("\n", "; ")]
         code, out, err = invoke(argv)
         assert code == 3 and out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -21,6 +22,7 @@ from surfaut import (
     factorize_adl,
     factorize_adlh,
     generator,
+    nielsen_reduce,
     nielsen_to_base_loops,
     parse_gen_word,
     parse_word,
@@ -273,13 +275,6 @@ def _short(sig):
     return 6 if sig.g + sig.p <= 2 else 3
 
 
-@pytest.fixture
-def fresh_cache():
-    F._factorize_cached.cache_clear()
-    yield
-    F._factorize_cached.cache_clear()
-
-
 class TestComputedOnce:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
@@ -296,9 +291,10 @@ class TestComputedOnce:
             for e in enumerate_nielsen_from(V):
                 assert _bracket(e.inverse()).fwd == _bracket(e).inverse().fwd
 
-    def test_each_value_computed_once(self, rng, monkeypatch, fresh_cache):
+    def test_each_value_computed_once(self, rng, monkeypatch):
         # per plain _factorize_impl call: the stabilizers peeled and those
-        # factored; per nielsen_to_base_loops call: brackets of its edge
+        # factored; over the run: each distinct edge is bracketed once, by
+        # the call that telescopes it, and a memo hit brackets nothing
         levels, done_levels, tops, done_tops = [], [], [], []
         real_impl, real_peel, real_stab = F._factorize_impl, F.peel_special, F._stab_word
         real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
@@ -320,16 +316,18 @@ class TestComputedOnce:
             return real_stab(stab, sig, audit)
 
         def loops(e, audit=None):
-            tops.append([e, 0])
+            # the edge, brackets of the edge itself, brackets of any edge
+            tops.append([e, 0, 0])
             try:
                 return real_loops(e, audit)
             finally:
                 done_tops.append(tops.pop())
 
-        def bracket(e):
+        def bracket(d):
             for top in tops:
-                top[1] += top[0] is e
-            return real_bracket(e)
+                top[1] += top[0] is d
+                top[2] += 1
+            return real_bracket(d)
 
         for name, fn in [("_factorize_impl", impl), ("peel_special", peel),
                          ("_stab_word", stab_word), ("nielsen_to_base_loops", loops),
@@ -344,11 +342,20 @@ class TestComputedOnce:
         for peeled, factored in done_levels:
             assert len(set(factored)) == len(factored)
             assert set(factored) == set(peeled)
-        assert all(count == 1 for _, count in done_tops)
+        seen, hits = set(), 0
+        for e, own, brackets in done_tops:
+            key = (e.source, e.target, e.aut.fwd, e.kind)
+            if key in seen:
+                hits += 1
+                assert brackets == 0
+            else:
+                seen.add(key)
+                assert own == 1
+        assert hits and len(seen) <= F.MEMO_SIZE
 
 
 class TestChecksStillFire:
-    def test_wrong_inner_word(self, monkeypatch, fresh_cache):
+    def test_wrong_inner_word(self, monkeypatch):
         # (1,1) re-includes words factored at (1,0)
         real = F._factorize_rec
 
@@ -360,13 +367,13 @@ class TestChecksStillFire:
         with pytest.raises(CosetViolation, match="re-included stabilizer word failed"):
             factorize_adl(gen("g", 1, Signature(1, 1)))
 
-    def test_wrong_alpha1_power(self, monkeypatch, fresh_cache):
+    def test_wrong_alpha1_power(self, monkeypatch):
         real = F._alpha1_power
         monkeypatch.setattr(F, "_alpha1_power", lambda delta, sig: real(delta, sig) + 1)
         with pytest.raises(CosetViolation, match="alpha_1 correction failed"):
             factorize_adl(gen("b", 1, S10))
 
-    def test_wrong_special_token(self, monkeypatch, fresh_cache):
+    def test_wrong_special_token(self, monkeypatch):
         real = F.peel_special
 
         def flipped(loop, sig):
@@ -378,19 +385,104 @@ class TestChecksStillFire:
             factorize_adl(gen("s", 2, S02))
 
     def test_wrong_bracket(self, rng, monkeypatch):
-        # at p = 2 an N2 edge's loops come from other edges' brackets
+        # at p = 2 an N2 edge's loops come from other edges' brackets; the
+        # uncached telescoping picks the edges, so the memo stays cold
         sig = Signature(1, 2)
         real = F._bracket
         twist = gen("s", 2, sig)
         checked = 0
         for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-            if len(nielsen_to_base_loops(e)) < 2:
+            if len(F._telescope(e, None)) < 2:
                 continue
             monkeypatch.setattr(
                 F, "_bracket", lambda d, e=e: compose(real(d), twist) if d is e else real(d)
             )
+            assert not F._telescoped
             with pytest.raises(CosetViolation, match="base loops do not recompose"):
                 nielsen_to_base_loops(e)
             monkeypatch.setattr(F, "_bracket", real)
             checked += 1
         assert checked
+
+
+def _loop_values(loops):
+    return [(l.aut.fwd, l.coset_tag) for l in loops]
+
+
+def _distinct_edges(sig, rng, count):
+    """``count`` edges from one Zieschang word, with pairwise distinct maps."""
+    edges = {}
+    while len(edges) < count:
+        for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+            edges.setdefault((e.source, e.aut.fwd), e)
+    return list(edges.values())[:count]
+
+
+class TestTelescopeMemo:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
+    def test_memo_matches_uncached(self, sig, seed):
+        # engine edges (the N1 remainder included), enumerated edges, and
+        # the enumerated edges without their kind, which share one source
+        F._telescoped.clear()  # the examples of one test share its fixture
+        rng = random.Random(seed)
+        a = random_adl_automorphism(sig, rng, _short(sig))
+        steps, n1 = nielsen_reduce(relator(sig), a.fwd)
+        moves = enumerate_nielsen_from(random_zieschang(sig, rng))
+        edges = steps + [n1] + moves + [dataclasses.replace(e, kind=None) for e in moves]
+        want = [_loop_values(F._telescope(e, None)) for e in edges]
+        for _ in ("cold", "warm"):
+            assert [_loop_values(nielsen_to_base_loops(e)) for e in edges] == want
+
+    def test_audit_after_warm_memo(self, rng):
+        # the audit path telescopes every edge itself, in order
+        for sig in GRID:
+            a = random_adl_automorphism(sig, rng, _short(sig))
+            cold: list = []
+            word = factorize_adl(a, cold)
+            assert factorize_adl(a) == word
+            warm: list = []
+            assert factorize_adl(a, warm) == word
+            assert warm == cold
+
+    def test_raising_telescope_is_not_stored(self, rng, monkeypatch):
+        e = _distinct_edges(Signature(1, 2), rng, 1)[0]
+
+        def fail(*args):
+            raise CosetViolation("forced")
+
+        monkeypatch.setattr(F, "_loops_p_ge2", fail)
+        with pytest.raises(CosetViolation, match="forced"):
+            nielsen_to_base_loops(e)
+        assert not F._telescoped
+        monkeypatch.undo()
+        assert _loop_values(nielsen_to_base_loops(e)) == _loop_values(
+            F._telescope(e, None)
+        )
+        assert len(F._telescoped) == 1
+
+    def test_least_recently_used_goes_first(self, rng, monkeypatch):
+        a, b, c = _distinct_edges(Signature(1, 2), rng, 3)
+        runs = []
+        real = F._telescope
+
+        def telescope(e, audit):
+            runs.append(e)
+            return real(e, audit)
+
+        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(F, "_telescope", telescope)
+        for e in (a, b, a, c, a, b):
+            nielsen_to_base_loops(e)
+            assert len(F._telescoped) <= 2
+        # a is used again before c arrives, so b goes; then c goes for b
+        assert runs == [a, b, c, b]
+
+    def test_memos_are_bounded(self, rng, monkeypatch):
+        assert F._factorize_cached.cache_info().maxsize == F.MEMO_SIZE
+        monkeypatch.setattr(F, "MEMO_SIZE", 5)
+        edges = _distinct_edges(Signature(1, 2), rng, 12)
+        for e in edges + edges:
+            nielsen_to_base_loops(e)
+            assert len(F._telescoped) <= 5
+        assert len(F._telescoped) == 5

@@ -217,11 +217,7 @@ class TestHumphries:
         # the flat word stays alpha_(>=3)-free, so only the value check can fail
         bad = (GenName("b", 2),) + HUMPHRIES_CHAIN[1:]
         monkeypatch.setattr(gens, "HUMPHRIES_CHAIN", bad)
-        humphries_rewrite.cache_clear()
-        try:
-            with pytest.raises(CosetViolation, match="failed evaluation"):
-                humphries_rewrite(3, S30)
-            with pytest.raises(CosetViolation, match="failed evaluation"):
-                humphries_rewrite(5, Signature(5, 0))
-        finally:
-            humphries_rewrite.cache_clear()
+        with pytest.raises(CosetViolation, match="failed evaluation"):
+            humphries_rewrite(3, S30)
+        with pytest.raises(CosetViolation, match="failed evaluation"):
+            humphries_rewrite(5, Signature(5, 0))

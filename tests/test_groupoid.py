@@ -1,7 +1,10 @@
 import json
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaut import (
     Automorphism,
@@ -30,9 +33,18 @@ from surfaut import (
     relator,
 )
 from surfaut import groupoid
-from surfaut.endo import letter_move
-from surfaut.groupoid import N1, N2_LEFT, N2_RIGHT, N3_RIGHT, nielsen_edge
-from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
+from surfaut.endo import classify_letters, letter_move
+from surfaut.groupoid import (
+    N1,
+    N2_LEFT,
+    N2_RIGHT,
+    N3_LEFT,
+    N3_RIGHT,
+    NielsenKind,
+    classify_nielsen_map,
+    nielsen_edge,
+)
+from surfaut.selftest import GRID, random_adl_automorphism, random_word, random_zieschang
 
 from conftest import SMALL_SIGS
 
@@ -81,6 +93,43 @@ class TestClassify:
         v0 = relator(sig)
         a = compose(generator(GenName("a", 1), sig), generator(GenName("b", 2), sig))
         assert classify_nielsen(GroupoidEdge(v0, apply(a, v0), a)) is None
+
+
+def _classify_exhaustive(V, aut):
+    """The classifier that builds the template at every (tag, k), kept as
+    the reference for the one that tries only the positions that can match."""
+    if classify_letters(aut.fwd) is not None:
+        return NielsenKind(N1)
+    for tag in (N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT):
+        for k in range(1, len(V.codes) + 1):
+            cand = groupoid._template_aut(V, tag, k)
+            if cand is not None and cand.fwd == aut.fwd:
+                return NielsenKind(tag, k)
+    return None
+
+
+class TestClassifyAgainstExhaustive:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
+    def test_same_kind_as_every_position(self, sig, seed):
+        rng = random.Random(seed)
+        V = random_zieschang(sig, rng)
+        maps = []
+        for e in enumerate_nielsen_from(V):
+            assert classify_nielsen_map(V, e.aut) == e.kind
+            maps += [(V, e.aut), (e.target, e.aut.inverse())]
+        # random maps, and one-letter moves that are mostly not templates
+        for _ in range(4):
+            maps.append((V, random_adl_automorphism(sig, rng, 3)))
+            code = rng.choice([c for c in range(-sig.rank, sig.rank + 1) if c])
+            left, right = (
+                Word(sig, tuple(c for c in random_word(sig, rng, 3).codes
+                                if abs(c) != abs(code)))
+                for _ in range(2)
+            )
+            maps.append((V, letter_move(sig, code, left, right)))
+        for W, aut in maps:
+            assert classify_nielsen_map(W, aut) == _classify_exhaustive(W, aut)
 
 
 class TestEnumerate:
@@ -297,7 +346,6 @@ class TestCanonicalEdge:
             return real(*maps)
 
         monkeypatch.setattr(groupoid, "compose", counted)
-        monkeypatch.setattr(groupoid, "_canonical_cache", {})
         for sig in SMALL_SIGS:
             for _ in range(5):
                 V = random_zieschang(sig, rng)
