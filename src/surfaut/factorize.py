@@ -17,10 +17,16 @@ telescoping brackets its edge once; the case tables take that bracket, and
 a table that recurses on the inverse edge passes its inverse.  ``_loop``
 computes each loop's coset tag once and stores it.  ``_factorize_impl``
 factors each distinct stabilizer once per call (every loop, in order, when
-auditing), and ``_stab_word`` returns its word with the value it checked.  Evaluation is a
-homomorphism, so the end-to-end check composes those checked piece values
-and compares the result with the input, which is the same predicate as
-evaluating the whole word.
+auditing), and ``_stab_word`` returns its word with the value it checked.
+Evaluation is a homomorphism, so the end-to-end check composes those
+checked piece values and compares the result with the input, which is the
+same predicate as evaluating the whole word.
+
+Every move of a case table is one ``GroupoidEdge``, built once by the
+trusted ``groupoid._edge`` from a source that is an end of a checked edge,
+with the image of that source as its target.  The same edges serve the
+telescoping and the audit: an ``EdgeScript`` is a chain of them, checked
+for chaining and against the composite of the edge it rewrites.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import Signature, Word, relator
+from .core import MEMO_SIZE, Signature, Word, _word, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -50,9 +56,10 @@ from .groupoid import (
     N3_RIGHT,
     GroupoidEdge,
     NielsenKind,
+    _edge,
+    _nielsen_edge,
     canonical_edge,
     classify_nielsen,
-    nielsen_edge,
     nielsen_reduce,
 )
 
@@ -62,12 +69,10 @@ STAB_SPECIAL_INV = "stab_special_inv"
 
 
 def _distinguished(sig: Signature) -> Word:
-    if sig.p >= 2:
-        return Word(sig, (sig.t_code(sig.p),))
-    if sig.p == 1:
-        return Word(sig, (sig.t_code(1),))
-    x1, y1 = sig.x_code(1), sig.y_code(1)
-    return Word(sig, (-x1, -y1, x1))
+    if sig.p >= 1:
+        return _word(sig, (sig.t_code(sig.p),))
+    x1, y1 = sig.x_code(1), sig.y_code(1)  # these check that g >= 1
+    return _word(sig, (-x1, -y1, x1))
 
 
 def _special_generator(sig: Signature) -> Automorphism:
@@ -135,26 +140,22 @@ def _loop(aut: Automorphism, expect: Optional[str] = None) -> BaseLoop:
 
 @dataclass(frozen=True)
 class EdgeScript:
-    """A cascade of moves rewriting one edge; endpoints are re-checked and the
-    composite is compared against the edge being rewritten."""
+    """A cascade of edges rewriting one edge: each edge starts where the one
+    before it ends, and their composite is the edge being rewritten."""
 
-    moves: tuple[tuple[Automorphism, Word, Word], ...]
+    moves: tuple[GroupoidEdge, ...]
     expected: Automorphism
 
     def __post_init__(self) -> None:
-        prev_end: Optional[Word] = None
-        for aut, src, tgt in self.moves:
-            if prev_end is not None and src != prev_end:
+        for prev, move in zip(self.moves, self.moves[1:]):
+            if move.source != prev.target:
                 raise CosetViolation("edge script endpoints do not chain")
-            if aut.apply(src) != tgt:
-                raise CosetViolation("edge script move endpoint mismatch")
-            prev_end = tgt
-        comp = compose(*(aut for aut, _, _ in self.moves))
+        comp = compose(*(m.aut for m in self.moves))
         if comp.fwd != self.expected.fwd:
             raise CosetViolation("edge script composite differs from its edge")
 
     def lines(self) -> list[str]:
-        return [f"{src} => {tgt}" for _, src, tgt in self.moves]
+        return [f"{m.source} => {m.target}" for m in self.moves]
 
 
 def _bracket(e: GroupoidEdge) -> Automorphism:
@@ -165,17 +166,17 @@ def _bracket(e: GroupoidEdge) -> Automorphism:
 
 def _conj_t_to_front(V: Word, pos: int) -> Optional[GroupoidEdge]:
     """Edge P t_j Q -> t_j P Q moving the puncture letter at ``pos`` by
-    conjugation over its prefix; None when it is already in front."""
+    conjugation over its prefix; None when it is already in front.  V is an
+    end of a checked edge."""
     if pos == 0:
         return None
     sig = V.sig
     tj = V.codes[pos]
     P = Word(sig, V.codes[:pos])
-    aut = letter_move(sig, tj, P.inverse(), P)
-    target = aut.apply(V)
-    if target.codes[: pos + 1] != (tj,) + V.codes[:pos]:
+    d = _edge(V, letter_move(sig, tj, P.inverse(), P), None)
+    if d.target.codes[: pos + 1] != (tj,) + V.codes[:pos]:
         raise CosetViolation("front conjugation produced an unexpected word")
-    return GroupoidEdge(V, target, aut)
+    return d
 
 
 def _first_t_pos(codes: tuple[int, ...], sig: Signature) -> Optional[int]:
@@ -184,14 +185,6 @@ def _first_t_pos(codes: tuple[int, ...], sig: Signature) -> Optional[int]:
             return idx
     return None
 
-
-#: Entries kept by each memo of this module, the telescoping memo and
-#: ``_factorize_cached``; the least recently used entry leaves first.  Sized
-#: from distinct counts: the 1,000-case ``adl-grid`` benchmark pool
-#: telescopes 3,516 distinct edges, the 1,200-case ``adlh-high-genus`` pool
-#: 1,158 and selftest criterion 7 2,393 (they factor 1,088, 702 and 741
-#: distinct automorphisms).
-MEMO_SIZE = 4096
 
 _telescoped: OrderedDict[tuple, tuple[BaseLoop, ...]] = OrderedDict()
 
@@ -315,38 +308,38 @@ def _loops_chunked_square(
     front on both sides, and read off the commuting bottom loop.  With the
     letter in front on both sides the bottom is ``e`` itself, whose bracket
     is ``br``."""
-    sig = e.sig
-    d_v = _conj_t_to_front(e.source, e.source.codes.index(jc))
-    d_w = _conj_t_to_front(e.target, e.target.codes.index(jc))
-    mid_src = d_v.target if d_v else e.source
-    mid_tgt = d_w.target if d_w else e.target
-    tau_aut = _sandwich(d_v, e.aut, d_w)
-    t_word = Word(sig, (jc,))
-    if tau_aut.apply(t_word) != t_word:
-        raise CosetViolation("bottom of the chunked square moves the split letter")
-    tau = GroupoidEdge(mid_src, mid_tgt, tau_aut)
+    d_v, tau, d_w = _square(e, jc)
     if audit is not None:
-        moves = []
-        if d_v:
-            moves.append((d_v.aut, d_v.source, d_v.target))
-        moves.append((tau_aut, mid_src, mid_tgt))
-        if d_w:
-            moves.append((d_w.aut.inverse(), mid_tgt, e.target))
-        audit.append(EdgeScript(tuple(moves), e.aut))
+        moves = (d_v, tau, d_w.inverse() if d_w else None)
+        audit.append(EdgeScript(tuple(m for m in moves if m is not None), e.aut))
     loops = _loops_move_front(d_v, audit)
-    loops.append(_loop(br if d_v is None and d_w is None else _bracket(tau), STAB))
-    loops.extend(_invert_loops(_loops_move_front(d_w, audit), sig))
+    loops.append(_loop(br if tau is e else _bracket(tau), STAB))
+    loops.extend(_invert_loops(_loops_move_front(d_w, audit), e.sig))
     return loops
 
 
-def _sandwich(left: Optional[GroupoidEdge], mid: Automorphism, right) -> Automorphism:
-    parts: list[Automorphism] = []
-    if left is not None:
-        parts.append(left.aut.inverse())
-    parts.append(mid)
-    if right is not None:
-        parts.append(right.aut)
-    return compose(*parts) if len(parts) > 1 else parts[0]
+def _square(
+    e: GroupoidEdge, jc: int
+) -> tuple[Optional[GroupoidEdge], GroupoidEdge, Optional[GroupoidEdge]]:
+    """The square over ``e`` at the puncture letter ``jc``: the front
+    conjugations d_v, d_w of its ends (None when ``jc`` is already in front)
+    and the bottom tau = d_v' e d_w, which fixes ``jc``; tau is ``e`` when
+    both are None."""
+    d_v = _conj_t_to_front(e.source, e.source.codes.index(jc))
+    d_w = _conj_t_to_front(e.target, e.target.codes.index(jc))
+    tau = e
+    if d_v or d_w:
+        parts = [d_v.aut.inverse()] if d_v else []
+        parts.append(e.aut)
+        if d_w:
+            parts.append(d_w.aut)
+        # d_v' carries d_v's target back to e's source, so tau ends where d_w
+        # does (at e's target when d_w is None)
+        tau = _edge(d_v.target if d_v else e.source, compose(*parts), None)
+    t_word = Word(e.sig, (jc,))
+    if tau.aut.apply(t_word) != t_word:
+        raise CosetViolation("bottom of the square moves its split letter")
+    return d_v, tau, d_w
 
 
 def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
@@ -366,41 +359,24 @@ def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
     prefix = V.codes[:pos]
     t1_pos = _first_t_pos(prefix, sig)
     if t1_pos is None:
-        br = _bracket(d)
-        if not br.is_identity():
+        if not _bracket(d).is_identity():
             raise CosetViolation("front conjugation over a puncture-free prefix "
                                  "should telescope to the identity")
         return []
     j1 = prefix[t1_pos]
-    p0 = Word(sig, prefix[:t1_pos])
     q0 = Word(sig, prefix[t1_pos + 1 :])
-    nu1_aut = letter_move(sig, jc, q0.inverse(), q0)
-    nu1 = GroupoidEdge(V, nu1_aut.apply(V), nu1_aut)
-    conj2 = p0 * Word(sig, (j1,))
-    nu2_aut = letter_move(sig, jc, conj2.inverse(), conj2)
-    nu2 = GroupoidEdge(nu1.target, nu2_aut.apply(nu1.target), nu2_aut)
+    nu1 = _edge(V, letter_move(sig, jc, q0.inverse(), q0), None)
+    conj2 = Word(sig, prefix[: t1_pos + 1])
+    nu2 = _edge(nu1.target, letter_move(sig, jc, conj2.inverse(), conj2), None)
     if nu2.target != d.target:
         raise CosetViolation("front conjugation cascade missed its target")
     if audit is not None:
-        audit.append(
-            EdgeScript(
-                ((nu1_aut, V, nu1.target), (nu2_aut, nu1.target, nu2.target)),
-                d.aut,
-            )
-        )
+        audit.append(EdgeScript((nu1, nu2), d.aut))
     # nu1 fixes t_{j1}; its own square has puncture-free verticals
-    d1_v = _conj_t_to_front(nu1.source, t1_pos)
-    d1_w = _conj_t_to_front(nu1.target, t1_pos)
+    d1_v, tau, d1_w = _square(nu1, j1)
     for vert in (d1_v, d1_w):
         if vert is not None and not _bracket(vert).is_identity():
             raise CosetViolation("puncture-free vertical failed to telescope away")
-    tau_aut = _sandwich(d1_v, nu1_aut, d1_w)
-    mid_src = d1_v.target if d1_v else nu1.source
-    mid_tgt = d1_w.target if d1_w else nu1.target
-    j1_word = Word(sig, (j1,))
-    if tau_aut.apply(j1_word) != j1_word:
-        raise CosetViolation("inner square bottom moves its split letter")
-    tau = GroupoidEdge(mid_src, mid_tgt, tau_aut)
     return [_loop(_bracket(tau), STAB), _loop(_bracket(nu2), STAB_SPECIAL)]
 
 
@@ -457,22 +433,13 @@ def _loops_hexagon_left(e: GroupoidEdge, audit) -> list[BaseLoop]:
     a = e.source.codes[e.source.codes.index(t1) + 1]
     a_pos = w1.codes.index(a)
     p_word = Word(sig, w1.codes[1:a_pos])
-    pull_aut = letter_move(sig, a, p_word.inverse(), Word.identity(sig))
-    e_pull = GroupoidEdge(w1, pull_aut.apply(w1), pull_aut)
-    w2 = e_pull.target
+    e_pull = _edge(w1, letter_move(sig, a, p_word.inverse(), Word.identity(sig)), None)
     phi_v, _ = canonical_edge(e.source)
-    phi_w2, _ = canonical_edge(w2)
-    big = compose(phi_v.inverse(), e.aut, e_back.aut, pull_aut, phi_w2)
+    phi_w2, _ = canonical_edge(e_pull.target)
+    big = compose(phi_v.inverse(), e.aut, e_back.aut, e_pull.aut, phi_w2)
     if audit is not None:
         audit.append(
-            EdgeScript(
-                (
-                    (e.aut, e.source, W),
-                    (e_back.aut, W, w1),
-                    (pull_aut, w1, w2),
-                ),
-                compose(e.aut, e_back.aut, pull_aut),
-            )
+            EdgeScript((e, e_back, e_pull), compose(e.aut, e_back.aut, e_pull.aut))
         )
     loops = [_loop(big, STAB_SPECIAL)]
     loops.extend(_invert_loops([_loop(_bracket(e_pull), STAB)], sig))
@@ -489,21 +456,15 @@ def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
     V, W = e.source, e.target
     a = Word(sig, (V.codes[V.codes.index(t1) - 1],))
     psi = letter_move(sig, t1, a.inverse(), a)
-    e_l = GroupoidEdge(V, psi.apply(V), psi)
-    e_r = GroupoidEdge(W, psi.apply(W), psi)
-    chi = compose(psi.inverse(), e.aut, psi)
-    bottom = GroupoidEdge(e_l.target, e_r.target, chi)
+    e_l = _edge(V, psi, None)
+    e_r = _edge(W, psi, None)
+    # psi' carries e_l's target back to V, so the bottom ends at e_r's
+    bottom = _edge(e_l.target, compose(psi.inverse(), e.aut, psi), None)
     bkind = classify_nielsen(bottom)
     if bkind is None or bkind.tag != N2_LEFT:
         raise CosetViolation("hexagon bottom is not the expected left move")
     if audit is not None:
-        audit.append(
-            EdgeScript(
-                ((psi, V, e_l.target), (chi, e_l.target, e_r.target),
-                 (psi.inverse(), e_r.target, W)),
-                e.aut,
-            )
-        )
+        audit.append(EdgeScript((e_l, bottom, e_r.inverse()), e.aut))
     loops = [_loop(_bracket(e_l), STAB)]
     loops.extend(_loops_hexagon_left(bottom, audit))
     loops.extend(_invert_loops([_loop(_bracket(e_r), STAB)], sig))
@@ -528,19 +489,15 @@ def _loops_p0(
     if kind.tag == N2_RIGHT and kind.k == 1:
         return [_loop(br, STAB)]
     if kind.tag == N2_LEFT and kind.k == 2:
-        nu1 = nielsen_edge(V, N2_RIGHT, 1)
-        nu2_aut = compose(nu1.aut.inverse(), e.aut)
-        nu2 = GroupoidEdge(nu1.target, W, nu2_aut)
-        first = nu2_aut.apply(Word(sig, (nu1.target.codes[0],)))
+        nu1 = _nielsen_edge(V, N2_RIGHT, 1)
+        # nu1' carries nu1's target back to V, so nu2 ends at W
+        nu2 = _edge(nu1.target, compose(nu1.aut.inverse(), e.aut), None)
+        first = nu2.aut.apply(Word(sig, (nu1.target.codes[0],)))
         if len(first) != 1 or first.codes[0] != W.codes[0]:
             raise CosetViolation("second leg of the first-letter split is not "
                                  "a first-letter map")
         if audit is not None:
-            audit.append(
-                EdgeScript(
-                    ((nu1.aut, V, nu1.target), (nu2_aut, nu1.target, W)), e.aut
-                )
-            )
+            audit.append(EdgeScript((nu1, nu2), e.aut))
         return [_loop(_bracket(nu1), STAB), _loop(_bracket(nu2))]
     inv = e.inverse()
     return _invert_loops(_loops_p0(inv, inv.kind, br.inverse(), audit), sig)

@@ -17,22 +17,24 @@ other pair keeps its memo for the rest of the call.  Each carried state is
 the same value ``_state_of`` would build.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
-``nielsen_edge``) check their source; the engine's Nielsen edges are built
-by the trusted ``_edge``, because their source is the checked input or the
-previous target.  ``_edge`` computes the target as the image of the source,
-so it checks only that target and the class permutation.  The Nielsen
-templates are one-letter moves (``letter_move``), witnessed by
+``nielsen_edge``) check their source; the engine's Nielsen edges, the
+factorisation case tables' edges and ``GroupoidEdge.inverse`` are built by
+the trusted ``_edge``, because their source is the checked input or the
+end of a checked edge.  ``_edge`` computes the target as the image of the
+source, so it checks only that target and the class permutation.  The
+Nielsen templates are one-letter moves (``letter_move``), witnessed by
 construction.  ``canonical_edge`` collects its steps and witnesses one
-composite per call.
+composite per call, and keeps its results in a bounded LRU memo.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
-from .core import Signature, Word, _word, letter_str, order_rank, relator
+from .core import MEMO_SIZE, Signature, Word, _word, letter_str, order_rank, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -105,8 +107,9 @@ class GroupoidEdge:
         return self.source.sig
 
     def inverse(self) -> "GroupoidEdge":
-        kind = classify_nielsen_map(self.target, self.aut.inverse())
-        return GroupoidEdge(self.target, self.source, self.aut.inverse(), kind)
+        # the target is a checked end, and the inverse map carries it back
+        inv = self.aut.inverse()
+        return _edge(self.target, inv, classify_nielsen_map(self.target, inv))
 
 
 def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
@@ -489,23 +492,14 @@ class StepRecord:
         return f"({self.kind} k={self.level}) {self.before} => {self.after}"
 
 
-_canonical_cache: dict[tuple[Signature, tuple[int, ...]], tuple[Automorphism, tuple[StepRecord, ...]]] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     """The deterministic edge carrying a Zieschang word onto the relator.
 
-    Returns the composite automorphism and the log of fired moves.
+    Returns the composite automorphism and the log of fired moves.  Results
+    are kept in a bounded LRU memo keyed on the word, that is on its
+    signature and codes.
     """
-    key = (V.sig, V.codes)
-    hit = _canonical_cache.get(key)
-    if hit is None:
-        hit = _canonical_edge_impl(V)
-        _canonical_cache[key] = hit
-    return hit
-
-
-def _canonical_edge_impl(V: Word):
     sig = V.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")

@@ -48,7 +48,7 @@ def cold_memos():
     earlier test cannot hide a fault that this test patches in."""
     factorize._telescoped.clear()
     factorize._factorize_cached.cache_clear()
-    groupoid._canonical_cache.clear()
+    groupoid.canonical_edge.cache_clear()
     gens.generator.cache_clear()
     gens.humphries_rewrite.cache_clear()
     gens.eta.cache_clear()

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from surfaut import Automorphism, cli, factorize, groupoid
+from surfaut import cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.whitehead import ExtendedWhiteheadGraph
@@ -172,21 +172,24 @@ class TestCertifyFactorize:
         assert err == "internal assertion: CosetViolation: edge is not a Nielsen edge\n"
 
     def test_edge_check_failure_exits_3(self, monkeypatch):
-        # the telescoping edges carry nothing, so their apply check fails
-        real = groupoid.GroupoidEdge
+        # the case tables' edges see maps that permute no puncture classes,
+        # so the class check of their constructor fails
+        real = factorize._edge
 
-        def carrying_nothing(source, target, aut, kind=None):
-            return real(source, target, Automorphism.identity(source.sig), kind)
+        def unpermuting(source, aut, kind):
+            with monkeypatch.context() as m:
+                m.setattr(groupoid, "_t_class_permutation", lambda endo: None)
+                return real(source, aut, kind)
 
         code, aut, _ = invoke(["eval", "--sig", "1,1", "--genword", "g1"])
         assert code == 0
-        monkeypatch.setattr(factorize, "GroupoidEdge", carrying_nothing)
+        monkeypatch.setattr(factorize, "_edge", unpermuting)
         argv = ["factorize", "--sig", "1,1", "--aut", aut.strip().replace("\n", "; ")]
         code, out, err = invoke(argv)
         assert code == 3 and out == ""
         assert err == (
-            "internal assertion: CosetViolation: edge automorphism does not carry"
-            " source to target\n"
+            "internal assertion: CosetViolation: edge automorphism does not permute"
+            " the puncture classes\n"
         )
 
 

@@ -35,6 +35,7 @@ from surfaut.factorize import (
     STAB,
     STAB_SPECIAL,
     BaseLoop,
+    EdgeScript,
     _bracket,
     _special_generator,
     _tag_of,
@@ -92,6 +93,34 @@ class TestBaseLoops:
         assert audit, "expected at least one cascade script"
         for script in audit:
             assert script.lines()
+
+    def test_edge_script_checks_chain_and_composite(self, rng):
+        V = random_zieschang(Signature(1, 2), rng)
+        e, f = [d for d in enumerate_nielsen_from(V) if d.target != V][:2]
+        script = EdgeScript((e, e.inverse()), Automorphism.identity(V.sig))
+        assert script.lines() == [f"{V} => {e.target}", f"{e.target} => {V}"]
+        with pytest.raises(CosetViolation, match="endpoints do not chain"):
+            EdgeScript((e, f), compose(e.aut, f.aut))
+        with pytest.raises(CosetViolation, match="composite differs from its edge"):
+            EdgeScript((e,), f.aut)
+
+    def test_case_tables_build_no_checked_edge(self, rng, monkeypatch):
+        # every case-table edge comes from the trusted constructor
+        checked = []
+        real = GroupoidEdge.__post_init__
+
+        def counted(self):
+            checked.append(self)
+            real(self)
+
+        monkeypatch.setattr(GroupoidEdge, "__post_init__", counted)
+        telescoped = 0
+        for sig in GRID:
+            for _ in range(3):
+                for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+                    nielsen_to_base_loops(e, [])
+                    telescoped += 1
+        assert telescoped and not checked
 
     def test_bad_loop_rejected(self):
         with pytest.raises(CosetViolation):

@@ -33,6 +33,7 @@ from surfaut import (
     relator,
 )
 from surfaut import groupoid
+from surfaut.core import MEMO_SIZE
 from surfaut.endo import classify_letters, letter_move
 from surfaut.groupoid import (
     N1,
@@ -337,6 +338,13 @@ class TestNielsenReduce:
 
 
 class TestCanonicalEdge:
+    def test_memo_is_bounded(self, rng):
+        info = canonical_edge.cache_info
+        assert info().maxsize == MEMO_SIZE
+        V = random_zieschang(Signature(1, 2), rng)
+        assert canonical_edge(V) is canonical_edge(Word(V.sig, V.codes))
+        assert (info().hits, info().currsize) == (1, 1)
+
     def test_one_composite_per_call(self, rng, monkeypatch):
         calls = []
         real = groupoid.compose
@@ -350,7 +358,7 @@ class TestCanonicalEdge:
             for _ in range(5):
                 V = random_zieschang(sig, rng)
                 calls.clear()
-                groupoid._canonical_cache.clear()
+                groupoid.canonical_edge.cache_clear()
                 phi, steps = canonical_edge(V)
                 assert calls == ([len(steps)] if steps else [])
                 assert apply(phi, V) == relator(sig)
