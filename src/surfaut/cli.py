@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional, TextIO
 
@@ -55,8 +56,9 @@ def _parse_sig(text: str) -> Signature:
 
 def _load_endo(sig: Signature, arg: str) -> Endomorphism:
     """Accept an automorphism inline ('x1 -> y1' x1', ';'-separated lines,
-    header optional) or as a path to a file in the same format."""
-    if "->" in arg:
+    header optional; a lone header is the identity) or as a path to a file in
+    the same format."""
+    if "->" in arg or re.match(r"\s*sig\s", arg):
         text = arg.replace(";", "\n")
         if not text.lstrip().startswith("sig"):
             text = f"sig g={sig.g} p={sig.p}\n" + text

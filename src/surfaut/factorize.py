@@ -343,12 +343,11 @@ def _square(
 
 
 def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
-    """Loops for a front conjugation P t_j Q -> t_j P Q.
-
-    With no puncture letter in P this is the first canonical move, so the
-    telescoped loop is trivial; otherwise it splits into a square at the
-    first puncture letter of P followed by an adjacent-transposition move.
-    """
+    """Loops for a front conjugation P t_j Q -> t_j P Q: none when P has no
+    puncture letter, as it is then the first canonical move (bracket 1).
+    Otherwise it is nu1 then nu2, split at the first puncture letter t_k of P;
+    nu1 fixes t_k and the verticals of its square at t_k are first canonical
+    moves, so the bottom of that square has the bracket of nu1."""
     if d is None:
         return []
     sig = d.sig
@@ -359,11 +358,7 @@ def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
     prefix = V.codes[:pos]
     t1_pos = _first_t_pos(prefix, sig)
     if t1_pos is None:
-        if not _bracket(d).is_identity():
-            raise CosetViolation("front conjugation over a puncture-free prefix "
-                                 "should telescope to the identity")
         return []
-    j1 = prefix[t1_pos]
     q0 = Word(sig, prefix[t1_pos + 1 :])
     nu1 = _edge(V, letter_move(sig, jc, q0.inverse(), q0), None)
     conj2 = Word(sig, prefix[: t1_pos + 1])
@@ -372,12 +367,7 @@ def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
         raise CosetViolation("front conjugation cascade missed its target")
     if audit is not None:
         audit.append(EdgeScript((nu1, nu2), d.aut))
-    # nu1 fixes t_{j1}; its own square has puncture-free verticals
-    d1_v, tau, d1_w = _square(nu1, j1)
-    for vert in (d1_v, d1_w):
-        if vert is not None and not _bracket(vert).is_identity():
-            raise CosetViolation("puncture-free vertical failed to telescope away")
-    return [_loop(_bracket(tau), STAB), _loop(_bracket(nu2), STAB_SPECIAL)]
+    return [_loop(_bracket(nu1), STAB), _loop(_bracket(nu2), STAB_SPECIAL)]
 
 
 # -- case p == 1 -------------------------------------------------------------
@@ -412,19 +402,22 @@ def _loops_p1(
     moved = V.codes[k - 1]
     if kind.tag == N2_LEFT and V.codes[k - 2] == t1:
         if V.codes.index(-moved) > k - 1:
-            return _loops_hexagon_left(e, audit)
+            return _loops_hexagon_left(e, br, audit)
         inv = e.inverse()
         return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
     if kind.tag == N2_RIGHT and V.codes[k] == t1:
         if V.codes.index(-moved) > k:
-            return _loops_hexagon_right(e, audit)
+            return _loops_hexagon_right(e, br, audit)
         inv = e.inverse()
         return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
     raise CosetViolation(f"unhandled p=1 edge shape {kind}")
 
 
-def _loops_hexagon_left(e: GroupoidEdge, audit) -> list[BaseLoop]:
-    """Edge P t1 a Q a' R -> P a Q a' t1 R: the special-coset hexagon."""
+def _loops_hexagon_left(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseLoop]:
+    """Edge P t1 a Q a' R -> P a Q a' t1 R: the special-coset hexagon; ``br``
+    is the bracket of ``e``.  ``e_back`` is the target's first canonical move,
+    whose bracket is the identity, so the special loop, the bracket of
+    e e_back e_pull, is ``br`` followed by the bracket of ``e_pull``."""
     sig = e.sig
     t1 = sig.t_code(1)
     W = e.target
@@ -434,41 +427,37 @@ def _loops_hexagon_left(e: GroupoidEdge, audit) -> list[BaseLoop]:
     a_pos = w1.codes.index(a)
     p_word = Word(sig, w1.codes[1:a_pos])
     e_pull = _edge(w1, letter_move(sig, a, p_word.inverse(), Word.identity(sig)), None)
-    phi_v, _ = canonical_edge(e.source)
-    phi_w2, _ = canonical_edge(e_pull.target)
-    big = compose(phi_v.inverse(), e.aut, e_back.aut, e_pull.aut, phi_w2)
     if audit is not None:
         audit.append(
             EdgeScript((e, e_back, e_pull), compose(e.aut, e_back.aut, e_pull.aut))
         )
-    loops = [_loop(big, STAB_SPECIAL)]
-    loops.extend(_invert_loops([_loop(_bracket(e_pull), STAB)], sig))
-    loops.extend(_invert_loops([_loop(_bracket(e_back), STAB)], sig))
+    pull = _bracket(e_pull)
+    loops = [_loop(compose(br, pull), STAB_SPECIAL)]
+    loops.extend(_invert_loops([_loop(pull, STAB)], sig))
     return loops
 
 
-def _loops_hexagon_right(e: GroupoidEdge, audit) -> list[BaseLoop]:
-    """Edge P a t1 Q a' R -> P a Q t1 a' R: conjugate t1 past a on both sides.
-    The bottom edge is then P t1 a Q a' R -> P a Q a' t1 R, the left-hexagon
-    shape."""
+def _loops_hexagon_right(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseLoop]:
+    """Edge P a t1 Q a' R -> P a Q t1 a' R: conjugate t1 past a on both sides
+    by psi: t1 -> a' t1 a, leaving the left-hexagon bottom
+    P t1 a Q a' R -> P a Q a' t1 R.  The first canonical move of P a t1 Q is
+    psi then that of P t1 a Q, so the sides have identity brackets and the
+    bottom has the bracket ``br`` of ``e``."""
     sig = e.sig
     t1 = sig.t_code(1)
-    V, W = e.source, e.target
+    V = e.source
     a = Word(sig, (V.codes[V.codes.index(t1) - 1],))
     psi = letter_move(sig, t1, a.inverse(), a)
     e_l = _edge(V, psi, None)
-    e_r = _edge(W, psi, None)
-    # psi' carries e_l's target back to V, so the bottom ends at e_r's
+    # psi' carries e_l's target back to V, so the bottom ends at psi(W)
     bottom = _edge(e_l.target, compose(psi.inverse(), e.aut, psi), None)
     bkind = classify_nielsen(bottom)
     if bkind is None or bkind.tag != N2_LEFT:
         raise CosetViolation("hexagon bottom is not the expected left move")
     if audit is not None:
+        e_r = _edge(e.target, psi, None)
         audit.append(EdgeScript((e_l, bottom, e_r.inverse()), e.aut))
-    loops = [_loop(_bracket(e_l), STAB)]
-    loops.extend(_loops_hexagon_left(bottom, audit))
-    loops.extend(_invert_loops([_loop(_bracket(e_r), STAB)], sig))
-    return loops
+    return _loops_hexagon_left(bottom, br, audit)
 
 
 # -- case p == 0 -------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from surfaut import cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
+from surfaut.selftest import GRID
 from surfaut.whitehead import ExtendedWhiteheadGraph
 
 
@@ -134,6 +135,15 @@ class TestCertifyFactorize:
             ["eval", "--sig", "0,2", "--genword", out.strip(), "--apply", "t2"]
         )
         assert code2 == 0 and out2.strip() == "t1"
+
+    @pytest.mark.parametrize("sig", GRID, ids=lambda s: f"{s.g},{s.p}")
+    def test_identity_from_eval_reads_back_inline(self, sig):
+        # eval prints the identity as its signature header alone
+        arg = f"{sig.g},{sig.p}"
+        code, aut, _ = invoke(["eval", "--sig", arg, "--genword", "1"])
+        assert code == 0 and "->" not in aut
+        code, out, err = invoke(["factorize", "--sig", arg, "--aut", aut])
+        assert code == 0 and out == "1\n" and err == ""
 
     def test_factorize_adlh(self):
         # alpha_3 written only with ADLH names

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import pathlib
 import random
@@ -515,3 +516,161 @@ class TestTelescopeMemo:
             nielsen_to_base_loops(e)
             assert len(F._telescoped) <= 5
         assert len(F._telescoped) == 5
+
+
+@dataclasses.dataclass
+class _Call:
+    name: str
+    parent: "_Call | None"  # the innermost traced call this one ran in
+    args: tuple
+    result: object = None
+    scripts: list = dataclasses.field(default_factory=list)  # audit scripts it appended
+
+
+def _trace(monkeypatch, names):
+    """Wrap the named ``factorize`` functions; every call is logged in order.
+    A call whose last argument is an audit list records the scripts appended
+    while it ran, its own first."""
+    calls, stack = [], []
+    for name in names:
+        real = getattr(F, name)
+
+        def wrapped(*args, real=real, name=name):
+            call = _Call(name, stack[-1] if stack else None, args)
+            calls.append(call)
+            audit = args[-1] if args and isinstance(args[-1], list) else []
+            start = len(audit)
+            stack.append(call)
+            try:
+                call.result = real(*args)
+            finally:
+                stack.pop()
+            call.scripts = audit[start:]
+            return call.result
+
+        monkeypatch.setattr(F, name, wrapped)
+    return calls
+
+
+def _called_from(call, name):
+    return call.parent is not None and call.parent.name == name
+
+
+_TABLES = ["_loops_chunked_square", "_loops_move_front", "_loops_hexagon_left",
+           "_loops_hexagon_right", "_loops_p1", "_loops_p0"]
+
+
+def _telescope_enumerated(rng, words=8):
+    """Audited, uncached telescoping of every Nielsen edge from seeded
+    Zieschang words at each grid signature with a case table and at (3,1)."""
+    audit: list = []
+    for sig in [s for s in GRID if s.p >= 2 or s.g >= 1] + [Signature(3, 1)]:
+        for _ in range(words):
+            for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+                F._telescope(e, audit)
+
+
+def _has_t_before(d):
+    """Is there a puncture letter before the one the front conjugation moves?"""
+    V = d.source
+    return any(V.sig.is_t_code(c) for c in V.codes[: V.codes.index(d.target.codes[0])])
+
+
+class TestBracketsByConstruction:
+    """The brackets the case tables leave out, by functoriality of the bracket
+    and the first canonical move, are checked here instead of at run time."""
+
+    def test_left_out_brackets(self, rng, monkeypatch):
+        calls = _trace(monkeypatch, _TABLES)
+        _telescope_enumerated(rng)
+        seen = dict.fromkeys(["free front", "vertical", "e_back", "side"], 0)
+        for call in calls:
+            if call.name == "_loops_move_front" and call.args[0] is not None:
+                d = call.args[0]
+                if not _has_t_before(d):
+                    # (a) a front conjugation over a puncture-free prefix
+                    assert _bracket(d).is_identity()
+                    seen["free front"] += 1
+                    continue
+                nu1 = call.scripts[0].moves[0]
+                sig = d.sig
+                j1 = next(c for c in d.source.codes if sig.is_t_code(c))
+                d1_v, tau, d1_w = F._square(nu1, j1)
+                for vert in (d1_v, d1_w):
+                    if vert is not None:
+                        assert _bracket(vert).is_identity()
+                        seen["vertical"] += 1
+                assert _bracket(tau).fwd == _bracket(nu1).fwd
+            elif call.name == "_loops_hexagon_left":
+                e, br, _ = call.args
+                _, e_back, e_pull = call.scripts[0].moves
+                assert _bracket(e_back).is_identity()
+                seen["e_back"] += 1
+                # from the right hexagon, e is its bottom and br its bracket
+                assert br.fwd == _bracket(e).fwd
+                phi_v, _ = F.canonical_edge(e.source)
+                phi_w2, _ = F.canonical_edge(e_pull.target)
+                big = compose(phi_v.inverse(), e.aut, e_back.aut, e_pull.aut, phi_w2)
+                assert big.fwd == compose(br, _bracket(e_pull)).fwd
+            elif call.name == "_loops_hexagon_right":
+                # (b) the sides conjugate t1 past the letter before it
+                e, br, _ = call.args
+                e_l, bottom, e_r_inv = call.scripts[0].moves
+                for side in (e_l, e_r_inv.inverse()):
+                    assert _bracket(side).is_identity()
+                    seen["side"] += 1
+                assert _bracket(bottom).fwd == _bracket(e).fwd == br.fwd
+        assert all(seen.values()), seen
+
+    def test_no_bracket_by_construction_is_computed(self, rng, monkeypatch):
+        calls = _trace(monkeypatch, _TABLES + ["_bracket", "_conj_t_to_front",
+                                               "_edge", "canonical_edge"])
+        _telescope_enumerated(rng)
+        fronts = [c.result for c in calls
+                  if c.name == "_conj_t_to_front" and c.result is not None]
+        # e_l, the bottom and, under audit, e_r
+        sides = [c.result for c in calls
+                 if c.name == "_edge" and _called_from(c, "_loops_hexagon_right")]
+        bracketed = {id(c.args[0]) for c in calls if c.name == "_bracket"}
+        assert fronts and sides and bracketed
+        assert not bracketed & {id(d) for d in fronts + sides}
+        assert any(c.name == "_loops_hexagon_left" for c in calls)
+        assert not [c for c in calls if c.name == "canonical_edge"
+                    and _called_from(c, "_loops_hexagon_left")]
+
+
+def _audit_golden_cases():
+    path = pathlib.Path(__file__).parent / "golden" / "make_factorize_audit.py"
+    spec = importlib.util.spec_from_file_location("make_factorize_audit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
+def test_audit_golden_enters_every_case_table(monkeypatch):
+    # the --audit golden pins the case tables only where its cases reach
+    calls = _trace(monkeypatch, _TABLES)
+    for sig, genword in _audit_golden_cases():
+        s = Signature(*map(int, sig.split(",")))
+        factorize_adl(eval_gen_word(parse_gen_word(genword), s), [])
+
+    def children(call):
+        return [c for c in calls if c.parent is call]
+
+    entered = {
+        "chunked square": [c for c in calls if c.name == "_loops_chunked_square"],
+        "move-front with a puncture in its prefix": [
+            c for c in calls if c.name == "_loops_move_front"
+            and c.args[0] is not None and _has_t_before(c.args[0])],
+        "left hexagon": [c for c in calls if c.name == "_loops_hexagon_left"],
+        "right hexagon": [c for c in calls if c.name == "_loops_hexagon_right"],
+        # a p = 0 table that writes a script without recursing
+        "p = 0 split": [c for c in calls if c.name == "_loops_p0"
+                        and c.scripts and not children(c)],
+        "p = 1 inverse edge": [c for c in calls if c.name == "_loops_p1"
+                               and _called_from(c, "_loops_p1")],
+        "p = 0 inverse edge": [c for c in calls if c.name == "_loops_p0"
+                               and _called_from(c, "_loops_p0")],
+    }
+    missing = [name for name, hits in entered.items() if not hits]
+    assert not missing, missing
