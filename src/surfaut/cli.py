@@ -38,7 +38,7 @@ from .errors import (
     TargetTooLong,
 )
 from .factorize import factorize_adl, factorize_adlh
-from .gens import eval_gen_word, parse_gen_word
+from .gens import _eval_fwd, parse_gen_word
 from .groupoid import canonical_edge, certify_automorphism, nielsen_reduce
 from .whitehead import build_graph, is_zieschang, to_dot
 
@@ -218,13 +218,13 @@ def _cmd_eval(args, out: TextIO) -> int:
     word = parse_gen_word(args.genword)
     for name, _ in word.tokens:
         name.validate(sig)
-    aut = eval_gen_word(word, sig)
+    fwd = _eval_fwd(word, sig)
     if args.apply:
-        image = aut.apply(parse_word(sig, args.apply))
+        image = fwd.apply(parse_word(sig, args.apply))
         _emit(out, args.json, {"command": "eval", "image": str(image)}, str(image))
         return 0
-    payload = {"command": "eval", "automorphism": format_endomorphism(aut.fwd)}
-    _emit(out, args.json, payload, format_endomorphism(aut.fwd))
+    payload = {"command": "eval", "automorphism": format_endomorphism(fwd)}
+    _emit(out, args.json, payload, format_endomorphism(fwd))
     return 0
 
 

@@ -20,7 +20,9 @@ factors each distinct stabilizer once per call (every loop, in order, when
 auditing), and ``_stab_word`` returns its word with the value it checked.
 Evaluation is a homomorphism, so the end-to-end check composes those
 checked piece values and compares the result with the input, which is the
-same predicate as evaluating the whole word.
+same predicate as evaluating the whole word.  Every recomposition check
+compares forward maps, so it folds forward maps only (``_compose_endos``
+and ``gens._eval_fwd``) and builds no inverse for it.
 
 Every move of a case table is one ``GroupoidEdge``, built once by the
 trusted ``groupoid._edge`` from a source that is an end of a checked edge,
@@ -40,6 +42,7 @@ from .core import MEMO_SIZE, Signature, Word, _word, relator
 from .endo import (
     Automorphism,
     Endomorphism,
+    _compose_endos,
     compose,
     letter_move,
     membership,
@@ -47,7 +50,7 @@ from .endo import (
     restrict_relabel_K,
 )
 from .errors import CosetViolation, NotInA, SignatureMismatch
-from .gens import GenName, GenWord, _splice, eval_gen_word, generator
+from .gens import GenName, GenWord, _eval_fwd, _splice, generator
 from .groupoid import (
     N1,
     N2_LEFT,
@@ -232,16 +235,17 @@ def _telescope(e: GroupoidEdge, audit: Optional[list]) -> list[BaseLoop]:
         loops = _loops_p1(e, kind, br, audit)
     else:
         loops = _loops_p0(e, kind, br, audit)
-    if _compose_all([l.aut for l in loops], sig).fwd != br.fwd:
+    if _compose_all([l.aut.fwd for l in loops], sig) != br.fwd:
         raise CosetViolation("base loops do not recompose the telescoped edge")
     return loops
 
 
-def _compose_all(auts: list[Automorphism], sig: Signature) -> Automorphism:
-    """Left-to-right composite of ``auts``; the identity when there are none."""
-    if not auts:
-        return Automorphism.identity(sig)
-    return auts[0] if len(auts) == 1 else compose(*auts)
+def _compose_all(endos: list[Endomorphism], sig: Signature) -> Endomorphism:
+    """Left-to-right composite of the forward maps ``endos``; the identity
+    when there are none."""
+    if not endos:
+        return Endomorphism.identity(sig)
+    return _compose_endos(endos)
 
 
 def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:
@@ -525,14 +529,16 @@ def peel_special(l: BaseLoop, sig: Signature) -> tuple[Automorphism, GenWord]:
     return stab, special
 
 
-def _alpha1_power(delta: Automorphism, sig: Signature) -> int:
-    """Exponent k with delta = alpha_1^k; the kernel of the relabeling
-    restriction is generated by alpha_1."""
+def _alpha1_power(delta: Endomorphism, sig: Signature) -> int:
+    """Exponent k with the forward map ``delta`` = alpha_1^k, which sends x1
+    to y1^(-k) x1 and fixes every other letter; the kernel of the relabeling
+    restriction is generated by alpha_1.  ``_stab_word`` passes the forward
+    map of the inverse discrepancy and negates the exponent."""
     x1, y1 = sig.x_code(1), sig.y_code(1)
-    moved = delta.fwd.moved_codes()
+    moved = delta.moved_codes()
     if moved not in ([], [x1]):
         raise CosetViolation("relabeling discrepancy moves more than x1")
-    img = delta.fwd.images[x1 - 1].codes
+    img = delta.images[x1 - 1].codes
     if not img or img[-1] != x1:
         raise CosetViolation("relabeling discrepancy has the wrong x1 image")
     head = img[:-1]
@@ -546,27 +552,31 @@ def _alpha1_power(delta: Automorphism, sig: Signature) -> int:
 
 def _stab_word(
     stab: Automorphism, sig: Signature, audit
-) -> tuple[GenWord, Automorphism]:
-    """A word for ``stab`` and the value it was checked at: the evaluation of
-    the word, whose ``fwd`` equals ``stab.fwd``."""
+) -> tuple[GenWord, Endomorphism]:
+    """A word for ``stab`` and the value it was checked at: the forward map
+    of the word, which equals ``stab.fwd``.
+
+    At p = 0 the word is alpha_1^k followed by the shifted recursive word,
+    where the discrepancy delta = stab shifted' is alpha_1^k.  Its inverse
+    shifted stab' needs no inverse of the word, and delta = alpha_1^k exactly
+    when delta' = alpha_1^(-k), so k is read off delta' and negated."""
     if sig.p >= 1:
         inner = _factorize_rec(restrict_drop_tp(stab), audit)
-        value = eval_gen_word(inner, sig)
-        if value.fwd != stab.fwd:
+        value = _eval_fwd(inner, sig)
+        if value != stab.fwd:
             raise CosetViolation("re-included stabilizer word failed to recompose")
         return inner, value
     inner = _factorize_rec(restrict_relabel_K(stab), audit)
     if any(n.family == "s" for n, _ in inner.tokens):
         raise CosetViolation("relabeled recursion produced a puncture move")
     shifted = inner.shifted(1)
-    shifted_value = eval_gen_word(shifted, sig)
-    delta = compose(stab, shifted_value.inverse())
-    k = _alpha1_power(delta, sig)
+    shifted_value = _eval_fwd(shifted, sig)
+    k = -_alpha1_power(_compose_endos([shifted_value, stab.inv]), sig)
     a1 = GenName("a", 1)
     prefix = GenWord(tuple((a1, 1 if k > 0 else -1) for _ in range(abs(k))))
     # evaluation is a homomorphism: eval(prefix shifted) = eval(prefix) eval(shifted)
-    value = compose(eval_gen_word(prefix, sig), shifted_value) if k else shifted_value
-    if value.fwd != stab.fwd:
+    value = _compose_endos([_eval_fwd(prefix, sig), shifted_value]) if k else shifted_value
+    if value != stab.fwd:
         raise CosetViolation("alpha_1 correction failed to recompose")
     return prefix * shifted, value
 
@@ -608,10 +618,9 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
     # per call, each distinct stabilizer (keyed by its forward map, which
     # determines it) is factored and checked once, unless an audit records
     # every loop's scripts in order
-    stab_words: dict[Endomorphism, tuple[GenWord, Automorphism]] = {}
-    special_values: dict[GenWord, Automorphism] = {}
+    stab_words: dict[Endomorphism, tuple[GenWord, Endomorphism]] = {}
     tokens: list[tuple[GenName, int]] = []
-    pieces: list[Automorphism] = []  # the checked value of each part, in order
+    pieces: list[Endomorphism] = []  # the forward map of each part, in order
     for loop in loops:
         stab, special = peel_special(loop, sig)
         found = stab_words.get(stab.fwd) if audit is None else None
@@ -619,18 +628,16 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
             found = stab_words[stab.fwd] = _stab_word(stab, sig, audit)
         parts = [found]
         if special.tokens:
-            sp = special_values.get(special)
-            if sp is None:
-                sp = special_values[special] = eval_gen_word(special, sig)
-            parts.append((special, sp))
+            parts.append((special, _eval_fwd(special, sig)))
             if sig.p == 0:
-                parts.insert(0, (special.inverse(), sp.inverse()))
+                inv = special.inverse()
+                parts.insert(0, (inv, _eval_fwd(inv, sig)))
         for word, value in parts:
             if word.tokens:
                 tokens.extend(word.tokens)
                 pieces.append(value)
     # the word's value is the composite of its checked pieces' values
-    if _compose_all(pieces, sig).fwd != a.fwd:
+    if _compose_all(pieces, sig) != a.fwd:
         raise CosetViolation("factorization failed to recompose the input")
     return GenWord(tuple(tokens))
 
@@ -638,12 +645,13 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
     ADLH names.  Each rewrite is checked once, so the recomposition check
-    evaluates the ADL word rather than the much longer flat word."""
+    folds the forward map of the ADL word rather than of the much longer
+    flat word, and compares it with the input's."""
     sig = a.sig
     base = factorize_adl(a, audit)
     word = _splice(base, sig)
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    if eval_gen_word(base, sig).fwd != a.fwd:
+    if _eval_fwd(base, sig) != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word

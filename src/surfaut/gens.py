@@ -4,6 +4,12 @@ generator words over them, and the Humphries rewriting of alpha_i (i >= 3).
 Generator word tokens are `s<j>`, `a<i>`, `b<i>`, `g<i>`, with a trailing
 apostrophe for the inverse and `1` for the empty word.  Evaluation is
 left-to-right composition, matching the right-action convention.
+
+One fold, ``_eval_fwd``, evaluates every generator word: it composes the
+forward maps of the tokens (a generator's witnessed inverse map for a
+negative token) and builds no inverse.  The checks of the package compare
+forward maps only, so they call it directly; the public ``eval_gen_word``
+runs it on the word and on its inverse word and witnesses the pair.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Signature, Word, commutator
-from .endo import Automorphism, Endomorphism, aut_from_map, compose, letter_move
+from .endo import Automorphism, Endomorphism, _compose_endos, aut_from_map, letter_move
 from .errors import CosetViolation, IndexOutOfRange, ParseError
 
 _FAMILIES = ("s", "a", "b", "g")
@@ -156,15 +162,25 @@ def gen_set(sig: Signature, variant: str = "adl") -> list[GenName]:
     return names
 
 
-def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:
-    """Left-to-right composition of the named generators."""
-    auts = [
-        generator(n, sig) if e > 0 else generator(n, sig).inverse()
+def _eval_fwd(w: GenWord, sig: Signature) -> Endomorphism:
+    """Forward map of ``w``: the right fold of the forward maps of its
+    generators, taking a generator's inverse map for a negative token."""
+    endos = [
+        generator(n, sig).fwd if e > 0 else generator(n, sig).inv
         for n, e in w.tokens
     ]
-    if not auts:
+    if not endos:
+        return Endomorphism.identity(sig)
+    return _compose_endos(endos)
+
+
+def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:
+    """Left-to-right composition of the named generators, witnessed: the
+    forward fold of ``w`` paired with the forward fold of its inverse word,
+    and both witness identities checked on the pair."""
+    if not w.tokens:
         return Automorphism.identity(sig)
-    return compose(*auts)
+    return Automorphism(_eval_fwd(w, sig), _eval_fwd(w.inverse(), sig))
 
 
 _ETA_SIG = Signature(3, 0)
@@ -225,18 +241,19 @@ def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     the index-shifted 16-step chain, then recursively rewrite any alpha_(>=3)
     token the shift has introduced.
 
-    Correctness is checked by evaluating the 33-token unexpanded form, whose
-    alpha_(>=3) tokens are generators whose own rewrites were checked first
-    (by the recursion in ``_splice``).  Evaluation is a homomorphism, so this
-    is the same predicate as evaluating the flat word, which grows about 3.7
-    times per genus and is built for output only."""
+    Correctness is checked by comparing the forward fold of the 33-token
+    unexpanded form with alpha_i, whose alpha_(>=3) tokens are generators
+    whose own rewrites were checked first (by the recursion in ``_splice``).
+    Evaluation is a homomorphism, so this is the same predicate as evaluating
+    the flat word, which grows about 3.7 times per genus and is built for
+    output only."""
     if not 3 <= i <= sig.g:
         raise IndexOutOfRange(f"humphries_rewrite needs 3 <= i <= g, got i={i} at {sig}")
     shift = i - 3
     chain = GenWord.of(*(n.shifted(shift) for n in HUMPHRIES_CHAIN))
     raw = chain.inverse() * GenWord.of(GenName("a", i - 2)) * chain
     word = _splice(raw, sig)
-    if eval_gen_word(raw, sig).fwd != generator(GenName("a", i), sig).fwd:
+    if _eval_fwd(raw, sig) != generator(GenName("a", i), sig).fwd:
         raise CosetViolation(f"Humphries rewriting failed evaluation for alpha_{i} at {sig}")
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation(f"Humphries rewriting for alpha_{i} still uses alpha_(>=3)")

@@ -90,13 +90,14 @@ class GroupoidEdge:
             raise NotZieschang(f"edge source {self.source} is not Zieschang")
         if self.aut.apply(self.source) != self.target:
             raise CosetViolation(_NOT_CARRIED)
-        self._check_target()
+        self._check_target(NotZieschang)
 
-    def _check_target(self) -> None:
+    def _check_target(self, not_zieschang: type[Exception]) -> None:
         """The checks left once the target is known to be the image of the
-        source: the target is Zieschang and the map permutes the classes."""
+        source: the target is Zieschang (``not_zieschang`` is raised
+        otherwise) and the map permutes the classes."""
         if not is_zieschang(self.target, self.source.sig):
-            raise NotZieschang(f"edge target {self.target} is not Zieschang")
+            raise not_zieschang(f"edge target {self.target} is not Zieschang")
         if _t_class_permutation(self.aut.fwd) is None:
             raise CosetViolation(
                 "edge automorphism does not permute the puncture classes"
@@ -115,14 +116,16 @@ class GroupoidEdge:
 def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
     """Trusted constructor for the edge from a source already known to be
     Zieschang (a checked input or the target of a checked edge) to its image
-    under ``aut``; it runs ``GroupoidEdge``'s checks on that target."""
+    under ``aut``; it runs ``GroupoidEdge``'s checks on that target.  The
+    engine built ``aut``, so a target that is not Zieschang is an engine
+    fault and raises ``CosetViolation``, not ``NotZieschang``."""
     e = object.__new__(GroupoidEdge)
     setf = object.__setattr__  # the dataclass is frozen
     setf(e, "source", source)
     setf(e, "target", aut.apply(source))
     setf(e, "aut", aut)
     setf(e, "kind", kind)
-    e._check_target()
+    e._check_target(CosetViolation)
     return e
 
 

@@ -21,6 +21,7 @@ from .gens import (
     HUMPHRIES_CHAIN,
     GenName,
     GenWord,
+    _eval_fwd,
     eta,
     eval_gen_word,
     gen_set,
@@ -156,13 +157,13 @@ def criterion_2_humphries(seed: int, samples: Optional[int] = None) -> tuple[boo
     word = humphries_rewrite(3, sig)
     if len(word.tokens) != 33:
         return False, f"rewriting word has {len(word.tokens)} tokens, wanted 33"
-    if eval_gen_word(word, sig).fwd != generator(GenName("a", 3), sig).fwd:
+    if _eval_fwd(word, sig) != generator(GenName("a", 3), sig).fwd:
         return False, "rewriting word does not evaluate to alpha_3"
     for g in (4, 5):
         big = Signature(g, 0)
         for i in range(3, g + 1):
             w = humphries_rewrite(i, big)
-            if eval_gen_word(w, big).fwd != generator(GenName("a", i), big).fwd:
+            if _eval_fwd(w, big) != generator(GenName("a", i), big).fwd:
                 return False, f"shifted rewriting fails for alpha_{i} at {big}"
             if any(n.family == "a" and n.index >= 3 for n, _ in w.tokens):
                 return False, f"alpha_(>=3) survives in the rewriting of alpha_{i}"
@@ -302,12 +303,12 @@ def criterion_7_factorization(seed: int, samples: Optional[int] = None) -> tuple
         for trial in range(n_samples):
             a = random_adl_automorphism(sig, rng, 12)
             w = factorize_adl(a)
-            if eval_gen_word(w, sig).fwd != a.fwd:
+            if _eval_fwd(w, sig) != a.fwd:
                 return False, f"ADL recomposition failed at {sig} trial {trial}"
             wh = factorize_adlh(a)
             if any(n.family == "a" and n.index >= 3 for n, _ in wh.tokens):
                 return False, f"alpha_(>=3) token at {sig} trial {trial}"
-            if eval_gen_word(wh, sig).fwd != a.fwd:
+            if _eval_fwd(wh, sig) != a.fwd:
                 return False, f"ADLH recomposition failed at {sig} trial {trial}"
             total_tokens += len(w.tokens)
     return True, (

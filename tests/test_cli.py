@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from surfaut import cli, factorize, groupoid
+from surfaut import Word, cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.selftest import GRID
@@ -200,6 +200,25 @@ class TestCertifyFactorize:
         assert err == (
             "internal assertion: CosetViolation: edge automorphism does not permute"
             " the puncture classes\n"
+        )
+
+
+    def test_bad_edge_target_exits_3(self, monkeypatch):
+        # case-table moves that drop their right factor carry a checked word
+        # to one that is not Zieschang: an engine fault, not a rejected input
+        real = factorize.letter_move
+
+        def no_right_factor(sig, code, left, right):
+            return real(sig, code, left, Word.identity(sig))
+
+        code, aut, _ = invoke(["eval", "--sig", "1,1", "--genword", "g1"])
+        assert code == 0
+        monkeypatch.setattr(factorize, "letter_move", no_right_factor)
+        code, out, err = invoke(["factorize", "--sig", "1,1", "--aut", aut])
+        assert code == 3 and out == ""
+        assert err == (
+            "internal assertion: CosetViolation: edge target t1 y1' x1 y1 is not"
+            " Zieschang\n"
         )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
 import pathlib
 import random
@@ -31,6 +32,7 @@ from surfaut import (
     relator,
 )
 from surfaut import factorize as F
+from surfaut import selftest
 from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
@@ -44,7 +46,7 @@ from surfaut.factorize import (
 from surfaut.groupoid import GroupoidEdge
 from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
 
-from conftest import SMALL_SIGS
+from conftest import SEED, SMALL_SIGS
 
 S10 = Signature(1, 0)
 S02 = Signature(0, 2)
@@ -433,6 +435,47 @@ class TestChecksStillFire:
             monkeypatch.setattr(F, "_bracket", real)
             checked += 1
         assert checked
+
+    @pytest.mark.parametrize("bad_call,check", [(0, "ADL"), (1, "ADLH")])
+    def test_criterion_7_with_corrupted_evaluator(self, bad_call, check, monkeypatch):
+        # each trial folds its ADL word, then its ADLH word; one of the two
+        # folds drops the word's last token
+        real, calls = selftest._eval_fwd, itertools.count()
+
+        def corrupted(w, sig):
+            if next(calls) % 2 == bad_call:
+                w = GenWord(w.tokens[:-1])
+            return real(w, sig)
+
+        monkeypatch.setattr(selftest, "_eval_fwd", corrupted)
+        ok, detail = selftest.criterion_7_factorization(SEED, samples=2)
+        assert not ok and detail.startswith(f"{check} recomposition failed at ")
+
+    def test_recomposition_checks_build_no_automorphism(self, rng, monkeypatch):
+        # the loops of each telescoping and the pieces of each factorisation
+        # are recomposed as forward maps, without a witnessed inverse
+        real_compose_all, real_post_init = F._compose_all, Automorphism.__post_init__
+        sizes, inside, built = [], [False], [0]
+
+        def post_init(self):
+            built[0] += inside[0]
+            real_post_init(self)
+
+        def compose_all(endos, sig):
+            inside[0] = True
+            try:
+                return real_compose_all(endos, sig)
+            finally:
+                inside[0] = False
+                sizes.append(len(endos))
+
+        monkeypatch.setattr(Automorphism, "__post_init__", post_init)
+        monkeypatch.setattr(F, "_compose_all", compose_all)
+        for sig in GRID:
+            for _ in range(3):
+                a = random_adl_automorphism(sig, rng, _short(sig) + 2)
+                assert eval_gen_word(factorize_adl(a), sig).fwd == a.fwd
+        assert max(sizes) > 1 and built == [0]
 
 
 def _loop_values(loops):

@@ -1,7 +1,11 @@
+import io
 import json
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaut import (
     GenName,
@@ -23,8 +27,10 @@ from surfaut import (
     zeta_lift,
 )
 from surfaut import gens
+from surfaut.cli import run
 from surfaut.errors import CosetViolation
-from surfaut.gens import HUMPHRIES_CHAIN, parse_gen_word
+from surfaut.gens import HUMPHRIES_CHAIN, _eval_fwd, _splice, parse_gen_word
+from surfaut.selftest import GRID, random_gen_word
 
 S10 = Signature(1, 0)
 S30 = Signature(3, 0)
@@ -138,6 +144,78 @@ class TestEvalGenWord:
         assert str(parse_gen_word(text)) == text
         with pytest.raises(ParseError):
             parse_gen_word("q1")
+
+
+def _single_tokens():
+    return [
+        (sig, GenWord(((name, exp),)))
+        for sig in GRID
+        for name in gen_set(sig, "adl")
+        for exp in (1, -1)
+    ]
+
+
+def _eval_output(sig, word, before=(), after=()):
+    out, err = io.StringIO(), io.StringIO()
+    argv = [*before, "eval", "--sig", f"{sig.g},{sig.p}", "--genword", str(word), *after]
+    assert run(argv, out, err) == 0 and err.getvalue() == ""
+    return out.getvalue()
+
+
+class TestForwardFold:
+    """``_eval_fwd`` is the forward half of ``eval_gen_word``, and the forward
+    fold of the inverse word is its inverse half."""
+
+    @staticmethod
+    def check(w, sig):
+        aut = eval_gen_word(w, sig)
+        assert _eval_fwd(w, sig) == aut.fwd
+        assert _eval_fwd(w.inverse(), sig) == aut.inv
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
+    def test_random_adl_words(self, sig, seed):
+        self.check(random_gen_word(sig, random.Random(seed), 16), sig)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([S30, Signature(4, 0)]), st.integers(0, 2**32 - 1))
+    def test_flat_adlh_words(self, sig, seed):
+        w = _splice(random_gen_word(sig, random.Random(seed), 4), sig)
+        assert not any(n.family == "a" and n.index >= 3 for n, _ in w.tokens)
+        self.check(w, sig)
+
+    def test_single_tokens_and_empty_word(self):
+        for sig, w in _single_tokens():
+            self.check(w, sig)
+            name, exp = w.tokens[0]
+            gen_aut = generator(name, sig)
+            assert _eval_fwd(w, sig) == (gen_aut.fwd if exp > 0 else gen_aut.inv)
+        for sig in GRID:
+            self.check(GenWord.empty(), sig)
+            assert _eval_fwd(GenWord.empty(), sig).is_identity()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
+    def test_eval_output_is_the_witnessed_forward_map(self, sig, seed):
+        # `surfaut eval` prints what the witnessed evaluator's forward map
+        # formats to, in text and in JSON, and applies that map
+        w = random_gen_word(sig, random.Random(seed), 12)
+        text = format_endomorphism(eval_gen_word(w, sig).fwd)
+        assert _eval_output(sig, w) == text
+        payload = {"command": "eval", "automorphism": text}
+        assert json.loads(_eval_output(sig, w, before=["--json"])) == payload
+        probe = relator(sig)
+        image = apply(eval_gen_word(w, sig), probe)
+        assert _eval_output(sig, w, after=["--apply", str(probe)]) == f"{image}\n"
+
+    def test_eval_output_on_flat_and_single_words(self):
+        words = [(sig, w) for sig, w in _single_tokens()]
+        words += [(sig, GenWord.empty()) for sig in GRID]
+        words += [(S30, humphries_rewrite(3, S30))]
+        words += [(Signature(4, 0), humphries_rewrite(4, Signature(4, 0)).inverse())]
+        for sig, w in words:
+            text = format_endomorphism(eval_gen_word(w, sig).fwd)
+            assert _eval_output(sig, w) == text
 
 
 class TestEta:

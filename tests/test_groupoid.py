@@ -477,8 +477,12 @@ class TestEdgeInvariants:
         # x1 -> x1 y1 sends the relator to a word of length 6
         y1 = parse_word(S10, "y1")
         lengthens = letter_move(S10, S10.x_code(1), Word.identity(S10), y1)
-        with pytest.raises(NotZieschang, match="edge target"):
+        # the engine built the map, so a bad target is an engine fault
+        with pytest.raises(CosetViolation, match="edge target .* is not Zieschang"):
             groupoid._edge(v0, lengthens, None)
+        # a caller-supplied edge with that target is a rejected input
+        with pytest.raises(NotZieschang, match="edge target .* is not Zieschang"):
+            GroupoidEdge(v0, apply(lengthens, v0), lengthens)
         b1 = generator(GenName("b", 1), S10)
         assert groupoid._edge(v0, b1, None).target == apply(b1, v0)
         # the N1 remainder compares the computed target with the expected one
