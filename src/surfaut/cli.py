@@ -65,8 +65,11 @@ def _load_endo(sig: Signature, arg: str) -> Endomorphism:
     else:
         if not os.path.exists(arg):
             raise ParseError(f"no such automorphism file: {arg}")
-        with open(arg, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read automorphism file {arg}: {exc}") from exc
     endo = parse_endomorphism(text)
     if endo.sig != sig:
         raise ParseError(f"automorphism signature {endo.sig} does not match {sig}")
@@ -131,8 +134,11 @@ def _cmd_whitehead(args, out: TextIO) -> int:
         raise ParseError(f"not a candidate word: {exc}") from exc
     dot = to_dot(graph)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.dot}: {exc}") from exc
         _emit(
             out,
             args.json,
@@ -247,14 +253,16 @@ def _cmd_outer_equal(args, out: TextIO) -> int:
 
 def _cmd_selftest(args, out: TextIO) -> int:
     indices = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             indices = [int(tok) for tok in args.criteria.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad criterion list {args.criteria!r}") from exc
-        for i in indices:
+        for n, i in enumerate(indices):
             if not 1 <= i <= len(st.CRITERIA):
                 raise ParseError(f"criterion index {i} out of range")
+            if i in indices[:n]:
+                raise ParseError(f"criterion {i} listed twice")
     if args.samples is not None and args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     results = st.run_all(args.seed, args.samples, indices)

@@ -20,8 +20,13 @@ the images of the last factor and, going leftwards, recomputes only the
 basis letters each factor moves, so a named generator or a Nielsen move
 costs work on its 1-3 moved letters, not on all ``rank`` of them.  The
 witness check substitutes letter by letter and stops at the first letter
-that is not undone; ``compose`` of automorphisms still checks the witness
-of every composite it builds.
+that is not undone; a letter that the first map fixes costs one comparison
+of the other map's image instead of a substitution.  ``compose`` of
+automorphisms still checks the witness of every composite it builds.
+``letter_move`` and ``swap_letters`` range-check their letters and build
+their one-letter images with ``_word``; ``swap_letters`` still hands its
+involution to the witness check.  The puncture-class check reads code
+tuples and builds no words.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
+    MEMO_SIZE,
     Signature,
     Word,
     _word,
@@ -67,10 +73,12 @@ class Endomorphism:
                 raise SignatureMismatch(f"image {w} not over {self.sig}")
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=MEMO_SIZE)
     def identity(sig: Signature) -> "Endomorphism":
-        """One shared value per signature, so the fixed images of every map
-        built from it share their words."""
+        """One shared value per signature (while it stays in the bounded
+        memo), so the fixed images of every map built from it share their
+        words.  Sharing saves memory only: no code compares images by
+        identity."""
         return _endo(sig, tuple([_word(sig, (b,)) for b in sig.basis_codes()]))
 
     @staticmethod
@@ -243,7 +251,12 @@ def _undoes(first: Endomorphism, then: Endomorphism) -> bool:
     images = then.images
     inv: dict[int, tuple[int, ...]] = {}
     for b, w in enumerate(first.images, 1):
-        if _substitute(images, w.codes, inv) != (b,):
+        img = w.codes
+        if len(img) == 1 and img[0] == b:
+            # ``first`` fixes b, so the composite sends b to then(b)
+            if images[b - 1].codes != img:
+                return False
+        elif _substitute(images, img, inv) != (b,):
             return False
     return True
 
@@ -267,11 +280,13 @@ def letter_move(sig: Signature, code: int, left: Word, right: Word) -> Automorph
     undoes the other on ``code`` and the pair is witnessed by construction.
     """
     b = abs(code)
+    if not 1 <= b <= sig.rank:
+        raise ValueError(f"letter code {code} out of range for {sig}")
     if any(abs(c) == b for c in left.codes + right.codes):
         raise CosetViolation(
             f"one-letter move of {letter_str(sig, code)} mentions its own letter"
         )
-    letter = Word(sig, (code,))
+    letter = _word(sig, (code,))
     fwd = left * letter * right
     inv = left.inverse() * letter * right.inverse()
     if code < 0:
@@ -288,16 +303,19 @@ def swap_letters(sig: Signature, a: int, b: int) -> Automorphism:
 
     When a and b share a basis letter this is the sign flip of that letter.
     """
+    if a == b:
+        return Automorphism.identity(sig)
+    for c in (a, b):
+        if not 1 <= abs(c) <= sig.rank:
+            raise ValueError(f"letter code {c} out of range for {sig}")
+    images = list(Endomorphism.identity(sig).images)
     if abs(a) == abs(b):
-        if a == b:
-            return Automorphism.identity(sig)
-        img = {abs(a): Word(sig, (-abs(a),))}
-        return aut_from_map(sig, img, img)
-    moved = {
-        abs(a): Word(sig, (b if a > 0 else -b,)),
-        abs(b): Word(sig, (a if b > 0 else -a,)),
-    }
-    return aut_from_map(sig, moved, moved)
+        images[abs(a) - 1] = _word(sig, (-abs(a),))
+    else:
+        images[abs(a) - 1] = _word(sig, (b if a > 0 else -b,))
+        images[abs(b) - 1] = _word(sig, (a if b > 0 else -a,))
+    e = _endo(sig, tuple(images))
+    return Automorphism(e, e)
 
 
 @dataclass(frozen=True)
@@ -381,13 +399,20 @@ def membership(phi) -> Membership:
 
 
 def _t_class_permutation(endo: Endomorphism) -> Optional[TPermutation]:
+    """The permutation j -> k when each phi(t_j) is a conjugate r t_k r' of a
+    puncture letter, else None."""
     sig = endo.sig
+    p = sig.p
     images = []
-    for j in range(1, sig.p + 1):
-        core, _ = endo.images[sig.t_code(j) - 1].cyclic_reduction()
-        if len(core) != 1 or core.codes[0] <= 0 or not sig.is_t_code(core.codes[0]):
+    for j in range(1, p + 1):
+        codes = endo.images[sig.t_code(j) - 1].codes
+        # the cyclic core is one letter exactly when the word is r c r' for
+        # reduced r, that is of odd length and read backwards inverted
+        m, odd = divmod(len(codes), 2)
+        c = codes[m] if odd else 0
+        if not 1 <= c <= p or codes[:m] != tuple([-d for d in codes[:m:-1]]):
             return None
-        images.append(core.codes[0])
+        images.append(c)
     if sorted(images) != list(range(1, sig.p + 1)):
         return None
     return TPermutation(tuple(images))

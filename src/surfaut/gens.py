@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Signature, Word, commutator
+from .core import MEMO_SIZE, Signature, Word, commutator
 from .endo import Automorphism, Endomorphism, _compose_endos, aut_from_map, letter_move
 from .errors import CosetViolation, IndexOutOfRange, ParseError
 
@@ -116,7 +116,7 @@ def parse_gen_word(text: str) -> GenWord:
     return GenWord(tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def generator(name: GenName, sig: Signature) -> Automorphism:
     """Witnessed automorphism for a generator name; inverses are closed-form."""
     name.validate(sig)
@@ -235,7 +235,7 @@ HUMPHRIES_CHAIN = tuple(
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     """Rewrite alpha_i (i >= 3) over the ADLH names: conjugate alpha_(i-2) by
     the index-shifted 16-step chain, then recursively rewrite any alpha_(>=3)

@@ -12,19 +12,23 @@ carries it across the moves (``_Carry``).  A Nielsen move changes the image
 of one basis letter b, so the next state recomputes only what reads phi(b):
 b's entries of the measure, re-inserted into the sorted order by bisection;
 the distinct-images check, kept as a set of image codes; and A_k and the
-verdict of each letter pair (v_k, v_(k+1)) that involves b or b'.  Every
-other pair keeps its memo for the rest of the call.  Each carried state is
-the same value ``_state_of`` would build.
+verdict of each letter pair (v_k, v_(k+1)) that involves b or b'.  The pair
+memos are indexed by basis letter, so the move drops b's pairs without
+scanning the others, which keep their memos for the rest of the call.  A
+verdict slices B and C off the two images instead of multiplying (A_k
+cancels completely in both products) and compares lengths before letters.
+Each carried state is the same value ``_state_of`` would build.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
 ``nielsen_edge``) check their source; the engine's Nielsen edges, the
 factorisation case tables' edges and ``GroupoidEdge.inverse`` are built by
 the trusted ``_edge``, because their source is the checked input or the
 end of a checked edge.  ``_edge`` computes the target as the image of the
-source, so it checks only that target and the class permutation.  The
-Nielsen templates are one-letter moves (``letter_move``), witnessed by
-construction.  ``canonical_edge`` collects its steps and witnesses one
-composite per call, and keeps its results in a bounded LRU memo.
+source, so it checks only that target (``is_zieschang``, a walk along the
+chain) and the class permutation.  The Nielsen templates are one-letter
+moves (``letter_move``), witnessed by construction.  ``canonical_edge``
+collects its steps and witnesses one composite per call, and keeps its
+results in a bounded LRU memo.
 """
 
 from __future__ import annotations
@@ -308,6 +312,8 @@ class _Carry:
     - ``prefixes`` and ``verdicts``: A_k and the verdict of position k, per
       letter pair (v_k, v_(k+1)) met so far; both depend only on the pair
       and the two letters' images;
+    - ``pairs``: for each basis letter, the pairs memoised since it last
+      moved that involve it, so that a move drops only its letter's pairs;
     - ``seen`` and ``distinct``: the codes of the measure words, and whether
       they are pairwise distinct.
     """
@@ -316,12 +322,18 @@ class _Carry:
         codes = state.word.codes
         self.images = state.phi.images
         self.inv = {c: w for c, w in zip(codes, state.imgs) if c < 0}
-        self.prefixes = {
-            (codes[k - 1], codes[k]): state.A[k] for k in range(1, len(codes))
-        }
+        self.prefixes: dict[tuple[int, int], Word] = {}
+        self.pairs: dict[int, list[tuple[int, int]]] = {}
+        for k in range(1, len(codes)):
+            self._memo_prefix((codes[k - 1], codes[k]), state.A[k])
         self.verdicts: dict[tuple[int, int], tuple] = {}
         self.seen = {w.codes for w in state.mu.words}
         self.distinct = len(self.seen) == len(state.mu.words)
+
+    def _memo_prefix(self, pair: tuple[int, int], a: Word) -> None:
+        self.prefixes[pair] = a
+        for b in (abs(pair[0]), abs(pair[1])):
+            self.pairs.setdefault(b, []).append(pair)
 
     def letter(self, c: int) -> Word:
         """phi(c) for a signed letter c."""
@@ -341,10 +353,12 @@ class _Carry:
         slots: list[tuple[int, Word]] = []
         for b in edge.aut.inv.moved_codes():
             self.inv.pop(-b, None)
-            # every pair with a verdict has a prefix word
-            stale = [pr for pr in self.prefixes if abs(pr[0]) == b or abs(pr[1]) == b]
-            for pair in stale:
-                del self.prefixes[pair]
+            # every pair with a verdict has a prefix word and is listed under
+            # both its letters; a list may still name a pair dropped through
+            # its other letter, or memoised again since, and dropping that
+            # pair is right: it involves b
+            for pair in self.pairs.pop(b, ()):
+                self.prefixes.pop(pair, None)
                 self.verdicts.pop(pair, None)
             pos = _measure_position(sig, b)
             slots.append((pos, self.letter(b)))
@@ -375,7 +389,8 @@ class _Carry:
             pair = (codes[k - 1], codes[k])
             a = self.prefixes.get(pair)
             if a is None:
-                a = self.prefixes[pair] = _lcp(self.letter(-pair[0]), imgs[k])
+                a = _lcp(self.letter(-pair[0]), imgs[k])
+                self._memo_prefix(pair, a)
             A[k] = a
         return ReductionState(phi, V, imgs, tuple(A), PreOrderKey(words, keys, order))
 
@@ -424,16 +439,33 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     raise ReductionStuck("iteration budget exhausted")
 
 
+def _lenlex_less(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """u < v in length-lexicographic order: shorter first, then by
+    ``order_rank`` at the first letter where they differ."""
+    if len(u) != len(v):
+        return len(u) < len(v)
+    for a, b in zip(u, v):
+        if a != b:
+            return order_rank(a) < order_rank(b)
+    return False
+
+
 def _verdict(img: Word, next_inv: Word, A: Word) -> tuple:
     """Verdict of position k from phi(v_k), phi(v_(k+1))' and A_k: () when A_k
     is below both B = phi(v_k) A_k and C = phi(v_(k+1))' A_k in lenlex order,
-    else ((A_k, B, C), whether the three are distinct, whether B < C)."""
-    B = img * A
-    C = next_inv * A
-    ka, kb, kc = A.lenlex_key(), B.lenlex_key(), C.lenlex_key()
-    if ka < kb and ka < kc:
+    else ((A_k, B, C), whether the three are distinct, whether B < C).
+
+    A_k is a common prefix of phi(v_k)' and phi(v_(k+1)), so it cancels
+    completely in both products: B and C are the words with A_k' cut off the
+    end of phi(v_k) and of phi(v_(k+1))'."""
+    a = A.codes
+    b = img.codes[: len(img.codes) - len(a)]
+    c = next_inv.codes[: len(next_inv.codes) - len(a)]
+    if _lenlex_less(a, b) and _lenlex_less(a, c):
         return ()
-    return ((A, B, C), len({ka, kb, kc}) == 3, kb < kc)
+    sig = A.sig
+    triple = (A, _word(sig, b), _word(sig, c))  # slices of reduced words
+    return (triple, a != b and a != c and b != c, _lenlex_less(b, c))
 
 
 def _find_violation(state: ReductionState, carry: _Carry):

@@ -289,7 +289,8 @@ def criterion_6_recognition(seed: int, samples: Optional[int] = None) -> tuple[b
         for _ in range(n_samples):
             w = random_candidate_word(sig, rng)
             graph = build_graph(w, sig)
-            if graph.is_forest() != forest_check_dfs(graph):
+            forest = graph.is_forest()
+            if forest != forest_check_dfs(graph) or forest != is_zieschang(w, sig):
                 return False, f"oracles disagree at {sig} on {w}"
             agree += 1
     return True, f"{agree} candidates, union-find and DFS verdicts identical"

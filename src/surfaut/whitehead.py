@@ -6,14 +6,25 @@ with v_k -> inverse(v_{k+1}).  V is a Zieschang element when the graph is
 a forest; for (g, p) != (0, 0) the forest is then a single line with
 4g + 2p - 1 edges.  The two ghost edges that book-end the chain are kept
 as endpoint annotations, not graph edges.
+
+``is_zieschang`` builds no graph.  It compares the letter set of V with the
+signature's candidate letters, then walks the chain.  In a candidate every
+letter occurs once, so the tails of the 4g + 2p - 1 edges are distinct and
+so are their heads: the graph is a union of directed paths and cycles with
+one edge fewer than vertices, that is one path plus any number of cycles.
+The one vertex with no predecessor is v_1', so the graph is a forest exactly
+when the walk from v_1' visits all 4g + 2p vertices.  ``build_graph`` with
+its union-find check (``is_forest``) and ``forest_check_dfs`` are the two
+independent oracles of that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .core import Signature, Word, letter_str, order_rank
+from .core import MEMO_SIZE, Signature, Word, letter_str, order_rank
 from .errors import CosetViolation, NotACandidate
 
 
@@ -36,17 +47,24 @@ class ExtendedWhiteheadGraph:
         return _forest_union_find(self.vertices(), self.edges)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _candidate_letters(sig: Signature) -> frozenset[int]:
+    """The letters of a candidate word: t_1 .. t_p and both signs of every
+    handle letter, 4g + p in all."""
+    need = {sig.t_code(j) for j in range(1, sig.p + 1)}
+    for i in range(1, sig.g + 1):
+        need.update({sig.x_code(i), -sig.x_code(i), sig.y_code(i), -sig.y_code(i)})
+    return frozenset(need)
+
+
 def _check_candidate(V: Word, sig: Signature) -> None:
     n = sig.chain_len
     if V.sig != sig:
         raise NotACandidate(f"word signature {V.sig} != {sig}")
     if len(V) != n:
         raise NotACandidate(f"length {len(V)} != 4g+p = {n}")
-    need = {sig.t_code(j) for j in range(1, sig.p + 1)}
-    for i in range(1, sig.g + 1):
-        need.update({sig.x_code(i), -sig.x_code(i), sig.y_code(i), -sig.y_code(i)})
     have = set(V.codes)
-    if len(have) != n or have != need:
+    if len(have) != n or have != _candidate_letters(sig):
         for j in range(1, sig.p + 1):
             if -sig.t_code(j) in have:
                 raise NotACandidate(f"t{j} occurs inverted")
@@ -66,11 +84,24 @@ def build_graph(V: Word, sig: Signature) -> ExtendedWhiteheadGraph:
 
 def is_zieschang(V: Word, sig: Signature) -> bool:
     """True iff V is a candidate and its extended graph is a forest."""
-    try:
-        graph = build_graph(V, sig)
-    except NotACandidate:
+    if V.sig is not sig and V.sig != sig:
         return False
-    return graph.is_forest()
+    codes = V.codes
+    n = len(codes)
+    # n letters forming the n-element candidate set: each occurs once
+    if n != sig.chain_len or frozenset(codes) != _candidate_letters(sig):
+        return False
+    if not n:
+        return True  # (0, 0): no vertices, the empty forest
+    # successors: v_k -> v_(k+1)' along the word, and t_j' -> t_j
+    succ = dict(zip(codes, [-c for c in codes[1:]]))
+    for j in range(1, sig.p + 1):
+        succ[-j] = j
+    v, seen = -codes[0], 1
+    while v in succ:  # v_1' has no predecessor, so the walk cannot close up
+        v = succ[v]
+        seen += 1
+    return seen == n + sig.p
 
 
 def _forest_union_find(vertices: list[int], edges) -> bool:

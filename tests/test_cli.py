@@ -261,6 +261,36 @@ class TestWhitehead:
         assert "digraph" in target.read_text(encoding="utf-8")
 
 
+class TestUnusablePaths:
+    """File errors are malformed input: exit 2 with one ``error:`` line."""
+
+    @staticmethod
+    def assert_usage_error(argv):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_aut_directory(self, tmp_path):
+        self.assert_usage_error(["verify", "--sig", "1,0", "--aut", str(tmp_path)])
+
+    def test_aut_not_utf8(self, tmp_path):
+        path = tmp_path / "aut.txt"
+        path.write_bytes(b"sig g=1 p=0\nx1 -> y1\xff x1\n")
+        self.assert_usage_error(["certify", "--sig", "1,0", "--aut", str(path)])
+
+    def test_other_directory(self, tmp_path):
+        self.assert_usage_error(
+            ["outer-equal", "--sig", "1,0", "--aut", "x1 -> x1", "--other", str(tmp_path)]
+        )
+
+    @pytest.mark.parametrize("target", ["", "no/such/dir/x.dot"], ids=["dir", "no-dir"])
+    def test_dot_unwritable(self, tmp_path, target):
+        dot = str(tmp_path / target) if target else str(tmp_path)
+        self.assert_usage_error(
+            ["whitehead", "--sig", "0,2", "--word", "t2 t1", "--dot", dot]
+        )
+
+
 class TestOuterEqual:
     def test_equal_to_self(self):
         code, out, _ = invoke(
@@ -299,6 +329,15 @@ class TestSelftest:
     def test_non_integer_criterion_is_usage_error(self):
         code, _, err = invoke(["selftest", "--criteria", "1,x"])
         assert code == 2 and err.startswith("error:")
+
+    def test_empty_criterion_list_is_usage_error(self):
+        code, out, err = invoke(["selftest", "--samples", "1", "--criteria", ""])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_repeated_criterion_is_usage_error(self):
+        code, out, err = invoke(["selftest", "--samples", "1", "--criteria", "9,9"])
+        assert code == 2 and out == ""
+        assert err == "error: criterion 9 listed twice\n"
 
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_samples_below_one_is_usage_error(self, samples):

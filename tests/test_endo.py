@@ -2,7 +2,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaut import (
@@ -29,7 +29,14 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from surfaut.endo import aut_from_map, letter_move, swap_letters
+from surfaut.endo import (
+    _substitute,
+    _t_class_permutation,
+    _undoes,
+    aut_from_map,
+    letter_move,
+    swap_letters,
+)
 from surfaut.errors import CosetViolation, SignatureMismatch
 from surfaut.selftest import random_adl_automorphism, random_gen_word
 
@@ -561,3 +568,149 @@ class TestBoundary:
     def test_apply_across_signatures(self):
         with pytest.raises(SignatureMismatch):
             apply(gen("a", 1, S10), parse_word(S12, "x1"))
+
+
+def parent_undoes(first, then):
+    """``_undoes`` as first written: every basis letter is substituted."""
+    images, inv = then.images, {}
+    return all(
+        _substitute(images, w.codes, inv) == (b,) for b, w in enumerate(first.images, 1)
+    )
+
+
+def parent_t_class_permutation(endo):
+    """``_t_class_permutation`` as first written, on cyclic reductions."""
+    sig = endo.sig
+    images = []
+    for j in range(1, sig.p + 1):
+        core, _ = endo.images[sig.t_code(j) - 1].cyclic_reduction()
+        if len(core) != 1 or core.codes[0] <= 0 or not sig.is_t_code(core.codes[0]):
+            return None
+        images.append(core.codes[0])
+    if sorted(images) != list(range(1, sig.p + 1)):
+        return None
+    return TPermutation(tuple(images))
+
+
+def parent_swap_letters(sig, a, b):
+    """``swap_letters`` as first written, through the validating constructors."""
+    if abs(a) == abs(b):
+        if a == b:
+            return Automorphism.identity(sig)
+        img = {abs(a): Word(sig, (-abs(a),))}
+        return aut_from_map(sig, img, img)
+    moved = {
+        abs(a): Word(sig, (b if a > 0 else -b,)),
+        abs(b): Word(sig, (a if b > 0 else -a,)),
+    }
+    return aut_from_map(sig, moved, moved)
+
+
+@st.composite
+def witness_candidates(draw, sig):
+    """(first, then, is_witness): true witness pairs of ADL automorphisms in
+    either order, and wrong pairs: the witness of another automorphism, the
+    map itself, a witness spoiled at one letter, and two random factors,
+    which mostly fix letters that the other map may move."""
+    kind = draw(st.sampled_from(["witness", "other", "self", "spoiled", "factors"]))
+    if kind == "factors":
+        return draw(chain_factors(sig)), draw(chain_factors(sig)), None
+    a = draw(automorphisms(sig=sig, max_tokens=6))
+    first, then = (a.fwd, a.inv) if draw(st.booleans()) else (a.inv, a.fwd)
+    if kind == "witness":
+        return first, then, True
+    if kind == "other":
+        return first, draw(automorphisms(sig=sig, max_tokens=6)).inv, None
+    if kind == "self":
+        return first, first, None
+    b = draw(st.sampled_from(list(sig.basis_codes())))
+    spoiled = list(then.images)
+    spoiled[b - 1] = spoiled[b - 1] * draw(words(sig=sig, max_len=2))
+    return first, Endomorphism(sig, tuple(spoiled)), None
+
+
+@st.composite
+def puncture_maps(draw, sig):
+    """Maps whose puncture images are conjugates r t_k r' of puncture letters,
+    with k running through a permutation or, now and then, drawn freely; one
+    puncture image may be a near miss instead: r t_k' r', a handle letter,
+    two letters, r t_k s', or the empty word."""
+    p = sig.p
+    if draw(st.integers(0, 3)):
+        ks = draw(st.permutations(range(1, p + 1)))
+    else:
+        ks = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+    spoiled = draw(st.integers(1, p))
+    images = []
+    for b in sig.basis_codes():
+        if not sig.is_t_code(b):
+            images.append(draw(words(sig=sig, max_len=4)))
+            continue
+        k = ks[b - 1]
+        kind = "conj"
+        if b == spoiled:
+            kind = draw(st.sampled_from(
+                ["conj", "inverse", "handle", "two", "unbalanced", "empty"]
+            ))
+        r = draw(words(sig=sig, max_len=3))
+        core = {
+            "conj": (k,),
+            "inverse": (-k,),
+            "handle": (draw(st.integers(1, sig.rank)),),
+            "two": (k, draw(st.integers(1, p))),
+            "unbalanced": (k,),
+            "empty": (),
+        }[kind]
+        right = draw(words(sig=sig, max_len=3)) if kind == "unbalanced" else r
+        images.append(r * Word(sig, core) * right.inverse())
+    return Endomorphism(sig, tuple(images))
+
+
+class TestConstructionChecks:
+    """The construction checks decide what their first versions decided."""
+
+    @given(st.data())
+    def test_undoes_matches_full_substitution(self, data):
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        first, then, is_witness = data.draw(witness_candidates(sig))
+        verdict = _undoes(first, then)
+        assert verdict == parent_undoes(first, then)
+        if is_witness:
+            assert verdict and _undoes(then, first)
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_undoes_on_fixed_letters(self, sig):
+        # ``first`` fixes every letter, so only ``then``'s images decide
+        ident = Endomorphism.identity(sig)
+        assert _undoes(ident, ident)
+        for b in sig.basis_codes():
+            moved = Endomorphism.from_map(sig, {b: Word(sig, (-b,))})
+            assert not _undoes(ident, moved) and not parent_undoes(ident, moved)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_t_class_permutation_matches_cyclic_reduction(self, data):
+        sig = data.draw(st.sampled_from([s for s in SMALL_SIGS if s.p]))
+        endo = data.draw(puncture_maps(sig))
+        assert _t_class_permutation(endo) == parent_t_class_permutation(endo)
+
+    @given(st.data())
+    def test_t_class_permutation_of_automorphisms(self, data):
+        a = data.draw(automorphisms(max_tokens=8))
+        perm = _t_class_permutation(a.fwd)
+        assert perm is not None and perm == parent_t_class_permutation(a.fwd)
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_swap_letters_matches_validating_build(self, sig):
+        letters = [c for b in sig.basis_codes() for c in (b, -b)]
+        for a in letters:
+            for b in letters:
+                assert swap_letters(sig, a, b) == parent_swap_letters(sig, a, b)
+
+    @pytest.mark.parametrize("code", [0, 3, -3, 7])
+    def test_moves_reject_letters_out_of_range(self, code):
+        one = Word.identity(S10)
+        with pytest.raises(ValueError, match=f"letter code {code} out of range"):
+            letter_move(S10, code, one, one)
+        with pytest.raises(ValueError, match="out of range"):
+            swap_letters(S10, code, 1)

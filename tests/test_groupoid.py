@@ -47,7 +47,7 @@ from surfaut.groupoid import (
 )
 from surfaut.selftest import GRID, random_adl_automorphism, random_word, random_zieschang
 
-from conftest import SMALL_SIGS
+from conftest import SMALL_SIGS, word_pairs
 
 S10 = Signature(1, 0)
 S11 = Signature(1, 1)
@@ -182,6 +182,16 @@ class TestMuKey:
         assert length == 3 and len(left) == 2
 
 
+def reference_verdict(img, next_inv, A):
+    """The verdict of a position as first written: both products built, then
+    compared by their lenlex keys."""
+    B, C = img * A, next_inv * A
+    ka, kb, kc = A.lenlex_key(), B.lenlex_key(), C.lenlex_key()
+    if ka < kb and ka < kc:
+        return ()
+    return ((A, B, C), len({ka, kb, kc}) == 3, kb < kc)
+
+
 class TestNielsenReduce:
     def test_identity(self):
         edges, n1 = nielsen_reduce(relator(S10), Endomorphism.identity(S10))
@@ -312,6 +322,56 @@ class TestNielsenReduce:
                         assert st.mu.order == full.mu.order
                     moves += len(edges)
         assert moves > 500
+
+    @given(word_pairs(max_len=8))
+    def test_verdict_matches_reference(self, pair):
+        # any two images, the empty word among them, with their A_k
+        img, nxt = pair
+        A = groupoid._lcp(img.inverse(), nxt)
+        assert groupoid._verdict(img, nxt.inverse(), A) == reference_verdict(
+            img, nxt.inverse(), A
+        )
+
+    def test_carried_memos_match_reference(self, rng, monkeypatch):
+        """Before each search for a violation, so after every move: each kept
+        prefix is the _lcp of the current images, and each kept verdict is
+        the verdict built from both products and their lenlex keys."""
+        counts = {"prefixes": 0, "verdicts": 0, "violations": 0}
+        real = groupoid._find_violation
+
+        def checking(state, carry):
+            phi = state.phi
+            image = lambda c: apply(phi, Word(phi.sig, (c,)))  # noqa: E731
+            for (a, b), prefix in carry.prefixes.items():
+                assert prefix == groupoid._lcp(image(-a), image(b))
+                counts["prefixes"] += 1
+            try:
+                return real(state, carry)
+            finally:
+                for (a, b), verdict in carry.verdicts.items():
+                    A = groupoid._lcp(image(-a), image(b))
+                    assert verdict == reference_verdict(image(a), image(-b), A)
+                    counts["verdicts"] += 1
+                    counts["violations"] += bool(verdict)
+
+        monkeypatch.setattr(groupoid, "_find_violation", checking)
+        for sig in list(GRID) + OFF_GRID:
+            tokens = 10 if sig.g <= 2 else 5
+            for _ in range(4):
+                a = random_adl_automorphism(sig, rng, tokens)
+                V = random_zieschang(sig, rng)
+                c, _ = canonical_edge(V)
+                nielsen_reduce(relator(sig), a.fwd)
+                nielsen_reduce(V, compose(c, a).fwd)
+        for case in _REDUCE_GOLDEN:  # maps that get stuck, with their payloads
+            sig = Signature(*map(int, case["sig"].split(",")))
+            phi = Endomorphism(sig, tuple(Word(sig, tuple(c)) for c in case["images"]))
+            try:
+                nielsen_reduce(relator(sig), phi)
+            except SurfautError:
+                pass
+        assert counts["violations"] > 1000 and counts["verdicts"] > 6000
+        assert counts["prefixes"] > 12000
 
     @pytest.mark.parametrize(
         "case", _REDUCE_GOLDEN, ids=lambda c: f"{c['sig']}:{c['images']}"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaut import (
     CosetViolation,
@@ -11,7 +13,7 @@ from surfaut import (
     relator,
     to_dot,
 )
-from surfaut.selftest import random_candidate, random_candidate_word
+from surfaut.selftest import candidate_letters, random_candidate, random_candidate_word
 from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs
 
 from conftest import SMALL_SIGS
@@ -117,12 +119,82 @@ class TestIsZieschang:
         assert not is_zieschang(Word.identity(S10), S10)
 
 
+#: Every signature with 2g + p <= 8, (0, 0), (0, 1) and (1, 0) among them.
+ORACLE_SIGS = [Signature(g, p) for g in range(5) for p in range(9 - 2 * g)]
+
+_CHANGES = (
+    "none", "swap", "drop", "duplicate", "invert", "t_inverse", "extra", "other_sig"
+)
+
+
+@st.composite
+def recogniser_inputs(draw, sig):
+    """A word and the signature to test it at: the relator or a shuffle of
+    the candidate letters, either as it is or changed into a near-candidate
+    (two letters swapped, a letter dropped, duplicated over another or
+    inverted, a t_j inverted, a letter too many, another signature)."""
+    if draw(st.booleans()):
+        codes = list(relator(sig).codes)
+    else:
+        codes = list(draw(st.permutations(candidate_letters(sig))))
+    change = draw(st.sampled_from(_CHANGES))
+    n = len(codes)
+    position = st.integers(0, max(n - 1, 0))
+    if change == "swap" and n >= 2:
+        i, j = draw(position), draw(position)
+        codes[i], codes[j] = codes[j], codes[i]
+    elif change == "drop" and n:
+        del codes[draw(position)]
+    elif change == "duplicate" and n >= 2:
+        codes[draw(position)] = codes[draw(position)]
+    elif change == "invert" and n:
+        i = draw(position)
+        codes[i] = -codes[i]
+    elif change == "t_inverse" and sig.p:
+        t = draw(st.integers(1, sig.p))
+        codes[codes.index(t)] = -t
+    elif change == "extra" and sig.rank:
+        letter = draw(st.integers(1, sig.rank)) * draw(st.sampled_from((1, -1)))
+        codes.insert(draw(st.integers(0, n)), letter)
+    at = sig
+    if change == "other_sig":
+        at = draw(st.sampled_from([s for s in ORACLE_SIGS if s != sig]))
+    return Word(sig, tuple(codes)), at
+
+
+def oracle_verdicts(V, sig):
+    """(union-find, DFS) verdicts on the extended graph; no graph is False."""
+    try:
+        graph = build_graph(V, sig)
+    except NotACandidate:
+        return False, False
+    return graph.is_forest(), forest_check_dfs(graph)
+
+
 class TestOracleAgreement:
     def test_union_find_vs_dfs(self, rng):
-        for sig in SMALL_SIGS:
-            for _ in range(400):
-                graph = build_graph(random_candidate_word(sig, rng), sig)
-                assert graph.is_forest() == forest_check_dfs(graph)
+        """The relator and 400 reduced shuffles of its letters get one verdict
+        from all three checks at every signature with 2g + p <= 8.  The
+        shuffles are all accepted at g = 0, where the graph is one line
+        whatever the order, and at (1, 0); every other signature rejects
+        some."""
+        for sig in ORACLE_SIGS:
+            verdicts = set()
+            for V in [relator(sig)] + [random_candidate_word(sig, rng) for _ in range(400)]:
+                graph = build_graph(V, sig)
+                verdict = is_zieschang(V, sig)
+                assert graph.is_forest() == forest_check_dfs(graph) == verdict
+                verdicts.add(verdict)
+            rejects = sig.g >= 1 and sig != S10
+            assert verdicts == ({True, False} if rejects else {True})
+
+    @pytest.mark.parametrize("sig", ORACLE_SIGS, ids=str)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_chain_walk_matches_forest_checks(self, sig, data):
+        V, at = data.draw(recogniser_inputs(sig))
+        verdict = is_zieschang(V, at)
+        assert oracle_verdicts(V, at) == (verdict, verdict)
 
 
 class TestClosure:
