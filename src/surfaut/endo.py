@@ -7,26 +7,30 @@ inverse; the constructor checks both composites against the identity.
 
 The public constructors validate.  Images computed here from valid maps
 (``apply``, the composites of ``compose``), the swapped pair of
-``Automorphism.inverse``, the identity pair of ``Automorphism.identity`` and
-the one-letter moves of ``letter_move`` are built with the trusted
-constructors ``_endo`` and ``_aut``.  A one-letter move c -> u c v is
-witnessed by checking that u and v avoid the letter of c: both maps then fix
-u and v, so the inverse c -> u' c v' undoes it without a substitution.
+``Automorphism.inverse``, the identity pair of ``Automorphism.identity``, the
+one-letter moves of ``letter_move`` and the involutions of ``swap_letters``
+are built with the trusted constructors ``_endo`` and ``_aut``.  A
+one-letter move c -> u c v is witnessed by checking that u and v avoid the
+letter of c: both maps then fix u and v, so the inverse c -> u' c v' undoes
+it without a substitution.  A swap of two signed letters, or the sign flip
+of one, is an involution, so it is its own witness.
 
-One primitive, ``_substitute``, does all the substitution: it replaces each
-letter of a word by its image from an image list and cancels at the seams.
-``apply`` is one substitution.  Composition is a right fold: it starts from
-the images of the last factor and, going leftwards, recomputes only the
-basis letters each factor moves, so a named generator or a Nielsen move
-costs work on its 1-3 moved letters, not on all ``rank`` of them.  The
-witness check substitutes letter by letter and stops at the first letter
-that is not undone; a letter that the first map fixes costs one comparison
-of the other map's image instead of a substitution.  ``compose`` of
-automorphisms still checks the witness of every composite it builds.
-``letter_move`` and ``swap_letters`` range-check their letters and build
-their one-letter images with ``_word``; ``swap_letters`` still hands its
-involution to the witness check.  The puncture-class check reads code
-tuples and builds no words.
+``_substitute`` replaces each letter of a word by its image from an image
+list and cancels at the seams; ``apply`` is one substitution.  Its sparse
+path ``_splice`` serves a map whose moved letters the caller knows by
+construction (a Nielsen template, a canonical step): it copies the runs
+between the occurrences of those letters as slices and cancels only at
+their seams, so the work in Python is per occurrence, not per letter.
+Composition is a right fold: it starts from the images of the last factor
+and, going leftwards, recomputes only the basis letters each factor moves,
+so a named generator or a Nielsen move costs work on its 1-3 moved letters,
+not on all ``rank`` of them.  The witness check substitutes letter by letter
+and stops at the first letter that is not undone; a letter that the first
+map fixes costs one comparison of the other map's image instead of a
+substitution.  ``compose`` of automorphisms still checks the witness of
+every composite it builds.  ``letter_move`` and ``swap_letters``
+range-check their letters and build their one-letter images with
+``_word``.  The puncture-class check reads code tuples and builds no words.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     MEMO_SIZE,
@@ -145,6 +149,45 @@ def _substitute(
             extend(img[k:])
         else:
             extend(img)
+    return tuple(out)
+
+
+def _splice(
+    images: Sequence[Word], codes: tuple[int, ...], moved: Iterable[int]
+) -> tuple[int, ...]:
+    """``_substitute`` for a map known to fix every basis letter outside
+    ``moved``, a collection of distinct basis letters.  The runs of
+    ``codes`` between the occurrences of the moved letters are copied as
+    slices, and each run and each image is cancelled only at its seam, as
+    ``_substitute`` cancels each image.  ``codes`` must be reduced, so that
+    every run is reduced; a run or an image may cancel completely, and the
+    next one then cancels against what is left before it."""
+    at = []
+    for b in moved:
+        for c in (b, -b):
+            i = -1
+            for _ in range(codes.count(c)):
+                i = codes.index(c, i + 1)
+                at.append(i)
+    at.sort()
+    segments = []
+    start = 0
+    for i in at:
+        c = codes[i]
+        img = images[abs(c) - 1].codes
+        if c < 0:
+            img = tuple([-d for d in reversed(img)])
+        segments += (codes[start:i], img)
+        start = i + 1
+    segments.append(codes[start:])
+    out: list[int] = []
+    pop, extend = out.pop, out.extend
+    for seg in segments:
+        k, m = 0, len(seg)
+        while k < m and out and out[-1] == -seg[k]:
+            pop()
+            k += 1
+        extend(seg[k:])
     return tuple(out)
 
 
@@ -302,6 +345,9 @@ def swap_letters(sig: Signature, a: int, b: int) -> Automorphism:
     """The involution exchanging the signed letters a and b (and their inverses).
 
     When a and b share a basis letter this is the sign flip of that letter.
+    The map exchanges a and b (a flip sends c to c' and back) and fixes
+    every other letter, so it is its own inverse: the pair is witnessed by
+    construction.
     """
     if a == b:
         return Automorphism.identity(sig)
@@ -315,7 +361,7 @@ def swap_letters(sig: Signature, a: int, b: int) -> Automorphism:
         images[abs(a) - 1] = _word(sig, (b if a > 0 else -b,))
         images[abs(b) - 1] = _word(sig, (a if b > 0 else -a,))
     e = _endo(sig, tuple(images))
-    return Automorphism(e, e)
+    return _aut(e, e)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,19 @@ Nielsen edges followed by a letter-permutation remainder, with a strictly
 decreasing termination measure checked at every step.  ``canonical_edge``
 is the deterministic normalization of a Zieschang word onto the relator.
 
-The engine builds its first ``ReductionState`` in full (``_state_of``) and
-carries it across the moves (``_Carry``).  A Nielsen move changes the image
-of one basis letter b, so the next state recomputes only what reads phi(b):
-b's entries of the measure, re-inserted into the sorted order by bisection;
-the distinct-images check, kept as a set of image codes; and A_k and the
-verdict of each letter pair (v_k, v_(k+1)) that involves b or b'.  The pair
-memos are indexed by basis letter, so the move drops b's pairs without
-scanning the others, which keep their memos for the rest of the call.  A
+The engine builds its first ``ReductionState`` (``_state_of``: the map, the
+word and the measure) and carries it across the moves (``_Carry``).  A
+Nielsen move changes the image of one basis letter b, the letter of v_k, so
+the next state recomputes only what reads phi(b): the new phi(b), one
+substitution into the old images (no composition over the rank); b's
+entries of the measure, deleted from and re-inserted into the sorted
+measure lists by bisection; the distinct-images check, kept as a set of
+image codes; and A_k and the verdict of each letter pair (v_k, v_(k+1))
+that involves b or b'.  The pair memos are indexed by basis letter, so the
+move drops b's pairs without scanning the others, which keep their memos
+for the rest of the call.  The violation search reads phi(v_k) and A_k from
+the carry and builds a missing A_k on demand, so a state never materialises
+its ``imgs`` and ``A``; they are derived when something else reads them.  A
 verdict slices B and C off the two images instead of multiplying (A_k
 cancels completely in both products) and compares lengths before letters.
 Each carried state is the same value ``_state_of`` would build.
@@ -26,16 +31,20 @@ the trusted ``_edge``, because their source is the checked input or the
 end of a checked edge.  ``_edge`` computes the target as the image of the
 source, so it checks only that target (``is_zieschang``, a walk along the
 chain) and the class permutation.  The Nielsen templates are one-letter
-moves (``letter_move``), witnessed by construction.  ``canonical_edge``
-collects its steps and witnesses one composite per call, and keeps its
-results in a bounded LRU memo.
+moves (``letter_move``), witnessed by construction; a template moves only
+the letter of v_k, so its target is spliced (``endo._splice``) from the
+source's runs between that letter's occurrences.  ``canonical_edge``
+splices the words of steps (i), (ii), (iv), (v) and (vi) the same way from
+the letters each step moves, applies step (vii), collects its steps and
+witnesses one composite per call, and keeps its results in a bounded LRU
+memo.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .core import MEMO_SIZE, Signature, Word, _word, letter_str, order_rank, relator
@@ -43,7 +52,10 @@ from .endo import (
     Automorphism,
     Endomorphism,
     _compose_endos,
+    _endo,
     _fwd,
+    _splice,
+    _substitute,
     _t_class_permutation,
     aut_from_map,
     classify_letters,
@@ -123,14 +135,33 @@ def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> Group
     under ``aut``; it runs ``GroupoidEdge``'s checks on that target.  The
     engine built ``aut``, so a target that is not Zieschang is an engine
     fault and raises ``CosetViolation``, not ``NotZieschang``."""
+    return _edge_to(source, aut.apply(source), aut, kind)
+
+
+def _edge_to(
+    source: Word, target: Word, aut: Automorphism, kind: Optional[NielsenKind]
+) -> GroupoidEdge:
+    """``_edge`` with the image of the source already computed."""
     e = object.__new__(GroupoidEdge)
     setf = object.__setattr__  # the dataclass is frozen
     setf(e, "source", source)
-    setf(e, "target", aut.apply(source))
+    setf(e, "target", target)
     setf(e, "aut", aut)
     setf(e, "kind", kind)
     e._check_target(CosetViolation)
     return e
+
+
+def _spliced(aut: Automorphism, V: Word, moved) -> Word:
+    """The image of V under ``aut``, which moves no basis letter outside the
+    distinct letters ``moved``."""
+    return _word(V.sig, _splice(aut.fwd.images, V.codes, moved))
+
+
+def _template_edge(V: Word, aut: Automorphism, kind: NielsenKind) -> GroupoidEdge:
+    """The edge of the Nielsen template ``aut`` at ``kind`` from V; the
+    template moves only the letter of v_k, so its target is spliced."""
+    return _edge_to(V, _spliced(aut, V, (abs(V.codes[kind.k - 1]),)), aut, kind)
 
 
 def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
@@ -177,7 +208,7 @@ def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     aut = _template_aut(V, tag, k)
     if aut is None:
         raise CosetViolation(f"no {tag} template at k={k} for {V}")
-    return _edge(V, aut, NielsenKind(tag, k))
+    return _template_edge(V, aut, NielsenKind(tag, k))
 
 
 def classify_nielsen_map(V: Word, aut: Automorphism) -> Optional[NielsenKind]:
@@ -216,7 +247,7 @@ def enumerate_nielsen_from(V: Word) -> list[GroupoidEdge]:
         for k in range(1, n + 1):
             aut = _template_aut(V, tag, k)
             if aut is not None:
-                out.append(_edge(V, aut, NielsenKind(tag, k)))
+                out.append(_template_edge(V, aut, NielsenKind(tag, k)))
     return out
 
 
@@ -274,14 +305,29 @@ def _measure_position(sig: Signature, b: int) -> int:
 
 @dataclass(frozen=True)
 class ReductionState:
-    """Snapshot of one engine iteration: current map, current source word,
-    the letter images phi(v_k), the common-prefix words A_k, and the measure."""
+    """Snapshot of one engine iteration: current map, current source word
+    and the measure.  The letter images phi(v_k) (``imgs``) and the
+    common-prefix words A_k (``A``) are derived from ``phi`` and ``word``
+    when first read; the engine reads them from its carried memos instead."""
 
     phi: Endomorphism
     word: Word
-    imgs: tuple[Word, ...]
-    A: tuple[Word, ...]
     mu: PreOrderKey
+
+    @cached_property
+    def imgs(self) -> tuple[Word, ...]:
+        images, codes = self.phi.images, self.word.codes
+        return tuple(
+            images[c - 1] if c > 0 else images[-c - 1].inverse() for c in codes
+        )
+
+    @cached_property
+    def A(self) -> tuple[Word, ...]:
+        imgs = self.imgs
+        A = [Word.identity(self.phi.sig)] * (len(imgs) + 1)
+        for k in range(1, len(imgs)):
+            A[k] = _lcp(imgs[k - 1].inverse(), imgs[k])
+        return tuple(A)
 
 
 def _lcp(u: Word, v: Word) -> Word:
@@ -294,12 +340,7 @@ def _lcp(u: Word, v: Word) -> Word:
 
 
 def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
-    images = endo.images
-    imgs = tuple(images[c - 1] if c > 0 else images[-c - 1].inverse() for c in V.codes)
-    A = [Word.identity(endo.sig)] * (len(imgs) + 1)
-    for k in range(1, len(imgs)):
-        A[k] = _lcp(imgs[k - 1].inverse(), imgs[k])
-    return ReductionState(endo, V, imgs, tuple(A), mu_key(endo))
+    return ReductionState(endo, V, mu_key(endo))
 
 
 class _Carry:
@@ -310,30 +351,30 @@ class _Carry:
     - ``images`` and ``inv``: the basis images of the current map, and
       phi(c) of the negative letters c met so far;
     - ``prefixes`` and ``verdicts``: A_k and the verdict of position k, per
-      letter pair (v_k, v_(k+1)) met so far; both depend only on the pair
-      and the two letters' images;
+      letter pair (v_k, v_(k+1)), built when ``_find_violation`` first needs
+      them; both depend only on the pair and the two letters' images;
     - ``pairs``: for each basis letter, the pairs memoised since it last
       moved that involve it, so that a move drops only its letter's pairs;
+    - ``ranks`` and ``words``: the measure as sorted lists of (key, position)
+      and of the word at each entry, in ``PreOrderKey.of``'s order, with
+      ``key_at``, the key at each position of the measured word list; a move
+      deletes b's one or two entries and inserts the new ones by bisection;
     - ``seen`` and ``distinct``: the codes of the measure words, and whether
       they are pairwise distinct.
     """
 
     def __init__(self, state: ReductionState) -> None:
-        codes = state.word.codes
+        mu = state.mu
         self.images = state.phi.images
-        self.inv = {c: w for c, w in zip(codes, state.imgs) if c < 0}
+        self.inv: dict[int, Word] = {}
         self.prefixes: dict[tuple[int, int], Word] = {}
-        self.pairs: dict[int, list[tuple[int, int]]] = {}
-        for k in range(1, len(codes)):
-            self._memo_prefix((codes[k - 1], codes[k]), state.A[k])
         self.verdicts: dict[tuple[int, int], tuple] = {}
-        self.seen = {w.codes for w in state.mu.words}
-        self.distinct = len(self.seen) == len(state.mu.words)
-
-    def _memo_prefix(self, pair: tuple[int, int], a: Word) -> None:
-        self.prefixes[pair] = a
-        for b in (abs(pair[0]), abs(pair[1])):
-            self.pairs.setdefault(b, []).append(pair)
+        self.pairs: dict[int, list[tuple[int, int]]] = {}
+        self.ranks = list(zip(mu.keys, mu.order))
+        self.words = list(mu.words)
+        self.key_at = dict(zip(mu.order, mu.keys))
+        self.seen = {w.codes for w in mu.words}
+        self.distinct = len(self.seen) == len(mu.words)
 
     def letter(self, c: int) -> Word:
         """phi(c) for a signed letter c."""
@@ -344,55 +385,57 @@ class _Carry:
             w = self.inv[c] = self.images[-c - 1].inverse()
         return w
 
+    def prefix(self, pair: tuple[int, int]) -> Word:
+        """A_k of the letter pair (v_k, v_(k+1)): the longest common prefix
+        of phi(v_k)' and phi(v_(k+1))."""
+        a = self.prefixes.get(pair)
+        if a is None:
+            a = self.prefixes[pair] = _lcp(self.letter(-pair[0]), self.letter(pair[1]))
+            for b in (abs(pair[0]), abs(pair[1])):
+                self.pairs.setdefault(b, []).append(pair)
+        return a
+
     def advance(self, state: ReductionState, edge: GroupoidEdge) -> ReductionState:
-        """The state after ``edge``: the same value as ``_state_of`` of
-        ``compose(edge.aut.inv, state.phi)`` and ``edge.target``."""
-        phi = _compose_endos([edge.aut.inv, state.phi])
-        sig = phi.sig
-        self.images = phi.images
-        slots: list[tuple[int, Word]] = []
-        for b in edge.aut.inv.moved_codes():
-            self.inv.pop(-b, None)
-            # every pair with a verdict has a prefix word and is listed under
-            # both its letters; a list may still name a pair dropped through
-            # its other letter, or memoised again since, and dropping that
-            # pair is right: it involves b
-            for pair in self.pairs.pop(b, ()):
-                self.prefixes.pop(pair, None)
-                self.verdicts.pop(pair, None)
-            pos = _measure_position(sig, b)
-            slots.append((pos, self.letter(b)))
-            if not sig.is_t_code(b):
-                slots.append((pos + 1, self.letter(-b)))
+        """The state after the Nielsen ``edge``: the same value as
+        ``_state_of`` of ``compose(edge.aut.inv, state.phi)`` and
+        ``edge.target``."""
+        sig = state.phi.sig
+        # the template at chain position k moves only the letter b of v_k, so
+        # the composite differs from phi at b alone: phi(inv(b))
+        b = abs(edge.source.codes[edge.kind.k - 1])
+        img = _word(sig, _substitute(self.images, edge.aut.inv.images[b - 1].codes, {}))
+        self.images = self.images[: b - 1] + (img,) + self.images[b:]
+        self.inv.pop(-b, None)
+        # every pair with a verdict has a prefix word and is listed under
+        # both its letters; a list may still name a pair dropped through its
+        # other letter, or memoised again since, and dropping that pair is
+        # right: it involves b
+        for pair in self.pairs.pop(b, ()):
+            self.prefixes.pop(pair, None)
+            self.verdicts.pop(pair, None)
+        pos = _measure_position(sig, b)
+        slots = [(pos, img)]
+        if not sig.is_t_code(b):
+            slots.append((pos + 1, self.letter(-b)))
 
         # the measure: b's entries leave the (key, position) order, the new
-        # ones go in by bisection
-        mu = state.mu
-        drop = {i for i, _ in slots}
-        entries, gone = [], []
-        for e in zip(mu.keys, mu.order, mu.words):
-            (gone if e[1] in drop else entries).append(e)
-        for _, _, w in gone:
-            self.seen.discard(w.codes)  # exact: the words were distinct
+        # ones go in by bisection; (key, position) is unique
+        ranks, words, key_at, seen = self.ranks, self.words, self.key_at, self.seen
+        for i, _ in slots:
+            j = bisect_left(ranks, (key_at[i], i))
+            seen.discard(words[j].codes)  # exact: the words were distinct
+            del ranks[j], words[j]
         for i, w in slots:
-            if w.codes in self.seen:
+            if w.codes in seen:
                 self.distinct = False
-            self.seen.add(w.codes)
-            insort(entries, (_balanced_key(w), i, w))  # (key, i) is unique
-        keys, order, words = zip(*entries)
-
-        V = edge.target
-        codes = V.codes
-        imgs = tuple([self.letter(c) for c in codes])
-        A = [Word.identity(sig)] * (len(codes) + 1)
-        for k in range(1, len(codes)):
-            pair = (codes[k - 1], codes[k])
-            a = self.prefixes.get(pair)
-            if a is None:
-                a = _lcp(self.letter(-pair[0]), imgs[k])
-                self._memo_prefix(pair, a)
-            A[k] = a
-        return ReductionState(phi, V, imgs, tuple(A), PreOrderKey(words, keys, order))
+            seen.add(w.codes)
+            key = key_at[i] = _balanced_key(w)
+            j = bisect_left(ranks, (key, i))
+            ranks.insert(j, (key, i))
+            words.insert(j, w)
+        keys, order = zip(*ranks)
+        mu = PreOrderKey(tuple(words), keys, order)
+        return ReductionState(_endo(sig, self.images), edge.target, mu)
 
 
 _MAX_ITER_BASE = 10000
@@ -478,7 +521,7 @@ def _find_violation(state: ReductionState, carry: _Carry):
         verdict = verdicts.get(pair)
         if verdict is None:
             verdict = verdicts[pair] = _verdict(
-                state.imgs[k - 1], carry.letter(-codes[k]), state.A[k]
+                carry.letter(pair[0]), carry.letter(-pair[1]), carry.prefix(pair)
             )
         if not verdict:
             continue
@@ -542,10 +585,12 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     auts: list[Automorphism] = []
     cur = V
 
-    def fire(aut: Automorphism, kind: str, level: int) -> None:
+    def fire(aut: Automorphism, kind: str, level: int, moved) -> None:
+        # ``moved``: the basis letters the step moves, when known by
+        # construction, so that the new word is spliced
         nonlocal cur
         before = cur
-        cur = aut.apply(cur)
+        cur = aut.apply(cur) if moved is None else _spliced(aut, cur, moved)
         auts.append(aut)
         if not is_zieschang(cur, sig):
             raise NotZieschang(f"canonical step ({kind}, {level}) left {cur}")
@@ -559,9 +604,9 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
         ti = rest[m]
         if m > 0:
             P = Word(sig, rest[:m])
-            fire(letter_move(sig, ti, P.inverse(), P), "i", j)
+            fire(letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),))
         if ti != sig.t_code(j):
-            fire(swap_letters(sig, ti, sig.t_code(j)), "ii", j)
+            fire(swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j})
 
     # handle phase: establish [x_i, y_i] blocks left to right
     for i in range(1, sig.g + 1):
@@ -569,7 +614,7 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
         xi, yi = sig.x_code(i), sig.y_code(i)
         a = cur.codes[done]
         if a != -xi:
-            fire(swap_letters(sig, a, -xi), "iv", i)
+            fire(swap_letters(sig, a, -xi), "iv", i, {abs(a), xi})
         rest = cur.codes[done:]
         mpos = rest.index(xi)
         P, Q = rest[1:mpos], rest[mpos + 1 :]
@@ -578,18 +623,18 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
             P1, P2 = Word(sig, P[:b_idx]), Word(sig, P[b_idx + 1 :])
-            fire(letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i)
+            fire(letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i, (abs(b),))
             rest = cur.codes[done:]
             mpos = rest.index(xi)
             P = rest[1:mpos]
         b = P[0]
         if b != -yi:
-            fire(swap_letters(sig, b, -yi), "vi", i)
+            fire(swap_letters(sig, b, -yi), "vi", i, {abs(b), yi})
         rest = cur.codes[done:]
         qpos = rest.index(yi)
         mid = rest[3:qpos]
         if mid:
-            fire(_whitehead_step(cur, sig, i, done), "vii", i)
+            fire(_whitehead_step(cur, sig, i, done), "vii", i, None)
 
     if cur != relator(sig):
         raise CosetViolation(f"canonical normalization ended at {cur}")

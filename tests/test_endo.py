@@ -30,6 +30,7 @@ from surfaut import (
     restrict_relabel_K,
 )
 from surfaut.endo import (
+    _splice,
     _substitute,
     _t_class_permutation,
     _undoes,
@@ -38,11 +39,12 @@ from surfaut.endo import (
     swap_letters,
 )
 from surfaut.errors import CosetViolation, SignatureMismatch
-from surfaut.selftest import random_adl_automorphism, random_gen_word
+from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word
 
 from conftest import SMALL_SIGS, words
 
 S10 = Signature(1, 0)
+OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
 S03 = Signature(0, 3)
 S12 = Signature(1, 2)
 
@@ -490,6 +492,82 @@ class TestSubstitutionKernel:
         assert witnessed(ident) and ident.is_identity()
 
 
+@st.composite
+def splice_cases(draw):
+    """(images, codes, moved): a reduced word over two or three basis
+    letters, so that letters repeat and moved letters stand side by side,
+    and a map that moves 1-3 basis letters, mostly letters of the word.  A
+    moved letter's image is a random word, the empty word, or built to
+    cancel into its neighbours at one occurrence: the inverse of up to the
+    whole stretch of the word before it, a short middle, and the inverse of
+    up to the whole stretch after it, so that cancellation runs across the
+    seams and can swallow a whole neighbouring segment."""
+    sig = draw(st.sampled_from([s for s in SMALL_SIGS if s.rank >= 2]))
+    basis = list(sig.basis_codes())
+    alphabet = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=3, unique=True))
+    letters = st.sampled_from(alphabet + [-c for c in alphabet])
+    codes = Word(sig, tuple(draw(st.lists(letters, max_size=16)))).codes
+    moved = draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True))
+    if draw(st.booleans()):
+        moved += draw(st.lists(st.sampled_from(basis), max_size=1))
+    moved = list(dict.fromkeys(moved))[:3]
+    images = list(Endomorphism.identity(sig).images)
+    for b in moved:
+        at = [i for i, c in enumerate(codes) if abs(c) == b]
+        kind = draw(st.sampled_from(["random", "empty", "cancel", "cancel"]))
+        if kind == "random" or (kind == "cancel" and not at):
+            img = draw(words(sig=sig, max_len=5))
+        elif kind == "empty":
+            img = Word.identity(sig)
+        else:
+            i = draw(st.sampled_from(at))
+            lo, hi = draw(st.integers(0, i)), draw(st.integers(i + 1, len(codes)))
+            w = (
+                Word(sig, codes[lo:i]).inverse()
+                * draw(words(sig=sig, max_len=2))
+                * Word(sig, codes[i + 1 : hi]).inverse()
+            )
+            img = w if codes[i] > 0 else w.inverse()
+        images[b - 1] = img
+    return tuple(images), codes, moved
+
+
+class TestSplice:
+    """The sparse path copies the runs between moved letters as slices and
+    cancels only at the seams; it must give ``_substitute``'s result."""
+
+    @settings(max_examples=400)
+    @given(splice_cases())
+    def test_matches_substitute(self, case):
+        images, codes, moved = case
+        assert _splice(images, codes, moved) == _substitute(images, codes, {})
+
+    @pytest.mark.parametrize(
+        "codes, moved, want",
+        [
+            # two adjacent moved positions, the second image cancelling the
+            # first and then the whole run after it
+            ((1, 2, 3), {1: (3,), 2: (-3, -3)}, ()),
+            # an image cancelling a whole run before it and the image before
+            # that run
+            ((1, 2, 3), {1: (2,), 3: (-2, -2)}, ()),
+            # cancellation across the seam through the whole run after an
+            # image; the next image then joins what is left before the run
+            ((2, 1, -3, -2, 1), {1: (2, 3)}, (2, 2, 3)),
+            # an empty image joins the runs on both sides, which cancel
+            ((2, 1, -2, 3), {1: ()}, (3,)),
+            # a moved letter that the word does not contain
+            ((2, 3), {1: (2, 2)}, (2, 3)),
+        ],
+    )
+    def test_seam_cascades(self, codes, moved, want):
+        images = list(Endomorphism.identity(S03).images)
+        for b, img in moved.items():
+            images[b - 1] = Word(S03, img)
+        assert _splice(images, codes, moved) == want
+        assert _substitute(images, codes, {}) == want
+
+
 FWD_INV = "witness failure: fwd * inv is not the identity"
 
 
@@ -706,6 +784,15 @@ class TestConstructionChecks:
         for a in letters:
             for b in letters:
                 assert swap_letters(sig, a, b) == parent_swap_letters(sig, a, b)
+
+    @pytest.mark.parametrize("sig", list(GRID) + OFF_GRID)
+    def test_swap_letters_is_its_own_witness(self, sig):
+        # built by the trusted constructor: each swap or flip is an involution
+        letters = [c for b in sig.basis_codes() for c in (b, -b)]
+        for a in letters:
+            for b in letters:
+                e = swap_letters(sig, a, b)
+                assert e.fwd == e.inv and _undoes(e.fwd, e.fwd)
 
     @pytest.mark.parametrize("code", [0, 3, -3, 7])
     def test_moves_reject_letters_out_of_range(self, code):

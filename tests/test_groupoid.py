@@ -313,6 +313,9 @@ class TestNielsenReduce:
                     edges, _ = nielsen_reduce(source, phi)
                     assert [e for e, _ in carried] == edges
                     for e, st in carried:
+                        # the engine reads images and prefixes from its memos,
+                        # so a carried state never builds its own
+                        assert "imgs" not in vars(st) and "A" not in vars(st)
                         phi = compose(e.aut.inv, phi)
                         full = groupoid._state_of(phi, e.target)
                         assert st.phi == full.phi and st.word == full.word == e.target
@@ -355,9 +358,11 @@ class TestNielsenReduce:
                     counts["violations"] += bool(verdict)
 
         monkeypatch.setattr(groupoid, "_find_violation", checking)
+        # a prefix is built only when a search reads its position, so the
+        # inputs are sized to check more than 12,000 of them
         for sig in list(GRID) + OFF_GRID:
             tokens = 10 if sig.g <= 2 else 5
-            for _ in range(4):
+            for _ in range(12):
                 a = random_adl_automorphism(sig, rng, tokens)
                 V = random_zieschang(sig, rng)
                 c, _ = canonical_edge(V)
@@ -395,6 +400,51 @@ class TestNielsenReduce:
             edges, n1 = nielsen_reduce(relator(sig), phi)
             assert [[str(e.kind), list(e.target.codes)] for e in edges] == want["edges"]
             assert [list(w.codes) for w in n1.aut.fwd.images] == want["remainder"]
+
+
+class TestSplicedTargets:
+    """Template edges and canonical steps (i)-(vi) splice their targets from
+    the moved letters; each target must be the image under ``apply``."""
+
+    def test_engine_edges_match_apply(self, rng):
+        edges_seen = 0
+        for sig in list(GRID) + OFF_GRID:
+            tokens = 10 if sig.g <= 2 else 5
+            for _ in range(4):
+                a = random_adl_automorphism(sig, rng, tokens)
+                V = random_zieschang(sig, rng)
+                c, _ = canonical_edge(V)
+                for source, phi in ((relator(sig), a.fwd), (V, compose(c, a).fwd)):
+                    edges, n1 = nielsen_reduce(source, phi)
+                    for e in edges + [n1]:
+                        assert e.target == e.aut.apply(e.source)
+                    edges_seen += len(edges)
+                for e in enumerate_nielsen_from(V):
+                    assert e.target == e.aut.apply(e.source)
+                    edges_seen += 1
+        assert edges_seen > 1000
+
+    def test_canonical_steps_match_apply(self, rng, monkeypatch):
+        # each step builds its map with exactly one of these, in step order
+        maps = []
+        for name in ("letter_move", "swap_letters", "_whitehead_step"):
+
+            def recording(*args, real=getattr(groupoid, name)):
+                maps.append(real(*args))
+                return maps[-1]
+
+            monkeypatch.setattr(groupoid, name, recording)
+        kinds = set()
+        for sig in list(GRID) + OFF_GRID:
+            for _ in range(12):
+                maps.clear()
+                canonical_edge.cache_clear()
+                _, steps = canonical_edge(random_zieschang(sig, rng))
+                assert len(maps) == len(steps)
+                for aut, step in zip(maps, steps):
+                    assert step.after == aut.apply(step.before)
+                    kinds.add(step.kind)
+        assert kinds == {"i", "ii", "iv", "v", "vi", "vii"}
 
 
 class TestCanonicalEdge:
