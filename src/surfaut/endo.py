@@ -3,7 +3,10 @@
 Composition follows the right-action convention: ``compose(phi, psi)``
 applies ``phi`` first, so ``apply(compose(phi, psi), u) ==
 apply(psi, apply(phi, u))``.  Automorphisms always carry a witness
-inverse; the constructor checks both composites against the identity.
+inverse; the constructor checks that applying ``fwd`` and then ``inv``
+fixes every basis letter.  That one identity is the whole witness: it
+makes ``inv`` onto, a free group of finite rank is Hopfian, so ``inv`` is
+an automorphism and ``fwd`` is its inverse.
 
 The public constructors validate.  Images computed here from valid maps
 (``apply``, the composites of ``compose``), the swapped pair of
@@ -12,8 +15,11 @@ one-letter moves of ``letter_move`` and the involutions of ``swap_letters``
 are built with the trusted constructors ``_endo`` and ``_aut``.  A
 one-letter move c -> u c v is witnessed by checking that u and v avoid the
 letter of c: both maps then fix u and v, so the inverse c -> u' c v' undoes
-it without a substitution.  A swap of two signed letters, or the sign flip
-of one, is an involution, so it is its own witness.
+it without a substitution, and u c v is reduced as written.  A swap of two
+signed letters, or the sign flip of one, is an involution, so it is its own
+witness.  ``compose`` of witnessed pairs is witnessed by algebra, since
+(a b)(b' a') = 1, and so is the restriction of a witnessed pair to a free
+factor that both of its maps preserve.
 
 ``_substitute`` replaces each letter of a word by its image from an image
 list and cancels at the seams; ``apply`` is one substitution.  Its sparse
@@ -27,10 +33,11 @@ so a named generator or a Nielsen move costs work on its 1-3 moved letters,
 not on all ``rank`` of them.  The witness check substitutes letter by letter
 and stops at the first letter that is not undone; a letter that the first
 map fixes costs one comparison of the other map's image instead of a
-substitution.  ``compose`` of automorphisms still checks the witness of
-every composite it builds.  ``letter_move`` and ``swap_letters``
-range-check their letters and build their one-letter images with
-``_word``.  The puncture-class check reads code tuples and builds no words.
+substitution.  ``whitehead.is_onto`` is the independent oracle of the
+witness: it decides by Stallings folding whether a map is onto.
+``letter_move`` and ``swap_letters`` range-check their letters and build
+their one-letter images with ``_word``.  The puncture-class check reads
+code tuples and builds no words.
 """
 
 from __future__ import annotations
@@ -208,9 +215,10 @@ def compose(*maps) -> "Endomorphism | Automorphism":
     if not maps:
         raise ValueError("compose needs at least one map")
     if all(isinstance(m, Automorphism) for m in maps):
+        # witnessed by algebra: (a b)(b' a') = 1
         fwd = _compose_endos([m.fwd for m in maps])
         inv = _compose_endos([m.inv for m in reversed(maps)])
-        return Automorphism(fwd, inv)
+        return _aut(fwd, inv)
     return _compose_endos([_fwd(m) for m in maps])
 
 
@@ -238,7 +246,11 @@ def _compose_endos(endos: list[Endomorphism]) -> Endomorphism:
 
 @dataclass(frozen=True, slots=True)
 class Automorphism:
-    """Endomorphism with a witness inverse, both checked at construction."""
+    """Endomorphism with a witness inverse, checked at construction.
+
+    Only ``fwd * inv`` (``fwd`` first) is checked: when it is the identity,
+    ``inv`` is onto, hence an automorphism (free groups of finite rank are
+    Hopfian), and ``inv * fwd`` is the identity as well."""
 
     fwd: Endomorphism
     inv: Endomorphism
@@ -248,8 +260,6 @@ class Automorphism:
             raise SignatureMismatch(f"{self.fwd.sig} vs {self.inv.sig}")
         if not _undoes(self.fwd, self.inv):
             raise ValueError("witness failure: fwd * inv is not the identity")
-        if not _undoes(self.inv, self.fwd):
-            raise ValueError("witness failure: inv * fwd is not the identity")
 
     @property
     def sig(self) -> Signature:
@@ -265,7 +275,8 @@ class Automorphism:
         return self.fwd.apply(u)
 
     def inverse(self) -> "Automorphism":
-        # the swapped pair satisfies the same two witness identities
+        # the swapped pair is witnessed: each map of a witnessed pair undoes
+        # the other
         return _aut(self.inv, self.fwd)
 
     def is_identity(self) -> bool:
@@ -321,19 +332,24 @@ def letter_move(sig: Signature, code: int, left: Word, right: Word) -> Automorph
     ``left`` and ``right`` must not mention the letter of ``code``
     (``CosetViolation`` otherwise).  Both maps then fix them, so each map
     undoes the other on ``code`` and the pair is witnessed by construction.
+    Nothing cancels next to ``code`` either, so the images are the reduced
+    code tuples concatenated as they stand.
     """
     b = abs(code)
+    u, v = left.codes, right.codes
     if not 1 <= b <= sig.rank:
         raise ValueError(f"letter code {code} out of range for {sig}")
-    if any(abs(c) == b for c in left.codes + right.codes):
+    if any(abs(c) == b for c in u + v):
         raise CosetViolation(
             f"one-letter move of {letter_str(sig, code)} mentions its own letter"
         )
-    letter = _word(sig, (code,))
-    fwd = left * letter * right
-    inv = left.inverse() * letter * right.inverse()
-    if code < 0:
-        fwd, inv = fwd.inverse(), inv.inverse()
+    ui = tuple([-c for c in reversed(u)])
+    vi = tuple([-c for c in reversed(v)])
+    if code > 0:
+        fwd, inv = _word(sig, u + (b,) + v), _word(sig, ui + (b,) + vi)
+    else:
+        # the image of b is the inverse of u b' v, and of u' b' v'
+        fwd, inv = _word(sig, vi + (b,) + ui), _word(sig, v + (b,) + u)
     fixed = Endomorphism.identity(sig).images
     return _aut(
         _endo(sig, fixed[: b - 1] + (fwd,) + fixed[b:]),
@@ -564,12 +580,12 @@ def restrict_drop_tp(a: Automorphism) -> Automorphism:
         raise NotInStabilizer(f"t{sig.p} is not fixed")
     small = Signature(sig.g, sig.p - 1)
 
-    def recode(w: Word, who: str) -> Word:
+    def recode(w: Word, old: int) -> Word:
         out = []
         for c in w.codes:
             b = abs(c)
             if b == sig.p:
-                raise ImageEscapes(f"image of {who} mentions t{sig.p}")
+                raise ImageEscapes(f"image of {letter_str(sig, old)} mentions t{sig.p}")
             out.append(c if b < sig.p else c - (1 if c > 0 else -1))
         # a one-to-one relabeling that keeps inverse pairs keeps w reduced
         return _word(small, tuple(out))
@@ -578,10 +594,11 @@ def restrict_drop_tp(a: Automorphism) -> Automorphism:
         images = []
         for b in small.basis_codes():
             old = b if b < sig.p else b + 1
-            images.append(recode(endo.images[old - 1], letter_str(sig, old)))
-        return Endomorphism(small, tuple(images))
+            images.append(recode(endo.images[old - 1], old))
+        return _endo(small, tuple(images))
 
-    return Automorphism(restrict(a.fwd), restrict(a.inv))
+    # both maps keep the free factor, so their restrictions undo each other
+    return _aut(restrict(a.fwd), restrict(a.inv))
 
 
 def restrict_relabel_K(a: Automorphism) -> Automorphism:
@@ -601,12 +618,14 @@ def restrict_relabel_K(a: Automorphism) -> Automorphism:
         code_map[sig.x_code(i)] = small.x_code(i - 1)
         code_map[sig.y_code(i)] = small.y_code(i - 1)
 
-    def recode(w: Word, who: str) -> Word:
+    def recode(w: Word, old: int) -> Word:
         out = []
         for c in w.codes:
             b = abs(c)
             if b not in code_map:
-                raise ImageEscapes(f"image of {who} leaves the x1-free factor")
+                raise ImageEscapes(
+                    f"image of {letter_str(sig, old)} leaves the x1-free factor"
+                )
             out.append(code_map[b] if c > 0 else -code_map[b])
         # a one-to-one relabeling that keeps inverse pairs keeps w reduced
         return _word(small, tuple(out))
@@ -614,10 +633,11 @@ def restrict_relabel_K(a: Automorphism) -> Automorphism:
     def restrict(endo: Endomorphism) -> Endomorphism:
         images: list[Word] = [Word.identity(small)] * small.rank
         for old, new in code_map.items():
-            images[new - 1] = recode(endo.images[old - 1], letter_str(sig, old))
-        return Endomorphism(small, tuple(images))
+            images[new - 1] = recode(endo.images[old - 1], old)
+        return _endo(small, tuple(images))
 
-    return Automorphism(restrict(a.fwd), restrict(a.inv))
+    # both maps keep the free factor, so their restrictions undo each other
+    return _aut(restrict(a.fwd), restrict(a.inv))
 
 
 def format_endomorphism(endo: Endomorphism) -> str:

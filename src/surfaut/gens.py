@@ -9,7 +9,9 @@ One fold, ``_eval_fwd``, evaluates every generator word: it composes the
 forward maps of the tokens (a generator's witnessed inverse map for a
 negative token) and builds no inverse.  The checks of the package compare
 forward maps only, so they call it directly; the public ``eval_gen_word``
-runs it on the word and on its inverse word and witnesses the pair.
+runs it on the word and on its inverse word.  That pair is witnessed by
+algebra: each generator's pair is witnessed, and the fold of the inverse
+word composes the inverses in the reverse order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import MEMO_SIZE, Signature, Word, commutator
-from .endo import Automorphism, Endomorphism, _compose_endos, aut_from_map, letter_move
+from .endo import (
+    Automorphism,
+    Endomorphism,
+    _aut,
+    _compose_endos,
+    aut_from_map,
+    letter_move,
+)
 from .errors import CosetViolation, IndexOutOfRange, ParseError
 
 _FAMILIES = ("s", "a", "b", "g")
@@ -177,10 +186,10 @@ def _eval_fwd(w: GenWord, sig: Signature) -> Endomorphism:
 def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:
     """Left-to-right composition of the named generators, witnessed: the
     forward fold of ``w`` paired with the forward fold of its inverse word,
-    and both witness identities checked on the pair."""
+    which undoes it token by token."""
     if not w.tokens:
         return Automorphism.identity(sig)
-    return Automorphism(_eval_fwd(w, sig), _eval_fwd(w.inverse(), sig))
+    return _aut(_eval_fwd(w, sig), _eval_fwd(w.inverse(), sig))
 
 
 _ETA_SIG = Signature(3, 0)
@@ -266,8 +275,11 @@ def _splice(w: GenWord, sig: Signature) -> GenWord:
     tokens: list[tuple[GenName, int]] = []
     for name, exp in w.tokens:
         if name.family == "a" and name.index >= 3:
-            sub = humphries_rewrite(name.index, sig)
-            tokens.extend((sub if exp > 0 else sub.inverse()).tokens)
+            sub = humphries_rewrite(name.index, sig).tokens
+            if exp > 0:
+                tokens.extend(sub)
+            else:
+                tokens.extend((n, -e) for n, e in reversed(sub))
         else:
             tokens.append((name, exp))
     return GenWord(tuple(tokens))

@@ -35,9 +35,10 @@ moves (``letter_move``), witnessed by construction; a template moves only
 the letter of v_k, so its target is spliced (``endo._splice``) from the
 source's runs between that letter's occurrences.  ``canonical_edge``
 splices the words of steps (i), (ii), (iv), (v) and (vi) the same way from
-the letters each step moves, applies step (vii), collects its steps and
-witnesses one composite per call, and keeps its results in a bounded LRU
-memo.
+the letters each step moves, applies step (vii), collects its steps,
+composes them once per call (witnessed by algebra, see ``endo.compose``)
+and checks that the composite carries the word to the relator; it keeps its
+results in a bounded LRU memo.
 """
 
 from __future__ import annotations
@@ -638,7 +639,7 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
 
     if cur != relator(sig):
         raise CosetViolation(f"canonical normalization ended at {cur}")
-    # one witness check, on the whole composite
+    # one composite per call, checked on the word it must carry
     acc = compose(*auts) if auts else Automorphism.identity(sig)
     if acc.apply(V) != relator(sig):
         raise CosetViolation("canonical composite does not carry V to the relator")

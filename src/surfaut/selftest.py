@@ -30,7 +30,7 @@ from .gens import (
     zeta_lift,
 )
 from .groupoid import canonical_edge, certify_automorphism, mu_key, nielsen_reduce
-from .whitehead import build_graph, forest_check_dfs, is_zieschang
+from .whitehead import build_graph, forest_check_dfs, is_onto, is_zieschang
 
 #: Signatures exercised by the randomized criteria.
 GRID = tuple(
@@ -330,6 +330,9 @@ def criterion_8_certification(seed: int, samples: Optional[int] = None) -> tuple
                 return False, f"certification refused a true automorphism at {sig}"
             if cert.fwd != a.fwd or not compose(cert, cert.inverse()).is_identity():
                 return False, f"certification produced a bad witness at {sig}"
+            # the Stallings-folding oracle shares no code with peak reduction
+            if not (is_onto(cert.fwd) and is_onto(cert.inv)):
+                return False, f"folding oracle refused a certified automorphism at {sig}"
             certified += 1
         bad = zeta_lift(sig).fwd
         try:

@@ -16,6 +16,14 @@ The one vertex with no predecessor is v_1', so the graph is a forest exactly
 when the walk from v_1' visits all 4g + 2p vertices.  ``build_graph`` with
 its union-find check (``is_forest``) and ``forest_check_dfs`` are the two
 independent oracles of that walk.
+
+``is_onto`` is the independent oracle of automorphism-ness (Stallings,
+*Topology of finite graphs*, 1983; Kapovich and Myasnikov, *Stallings
+foldings and subgroups of free groups*, 2002).  It folds the bouquet of the
+basis images of a map: the images generate the whole free group exactly
+when the folded graph is the rose, one vertex with a loop for every letter.
+A free group of finite rank is Hopfian, so an onto endomorphism is an
+automorphism.  The fold shares no code with substitution or peak reduction.
 """
 
 from __future__ import annotations
@@ -121,6 +129,74 @@ def _forest_union_find(vertices: list[int], edges) -> bool:
             return False
         parent[ra] = rb
     return True
+
+
+def is_onto(endo) -> bool:
+    """True iff the basis images of ``endo`` (an ``Endomorphism``) generate
+    the free group of its signature, decided by Stallings folding.
+
+    Vertex 0 is the base of the bouquet; each image of length m adds a closed
+    path of m edges through it.  ``out[v]`` maps a signed letter to the
+    vertex its edge leaves v for, and every edge is entered under both
+    directions.  Two edges with one label at one vertex are folded by
+    merging their far ends (union-find); the merged vertex takes the union
+    of both label tables, which may fold further."""
+    parent: list[int] = [0]
+    out: list[Optional[dict[int, int]]] = [{}]
+    merges: list[tuple[int, int]] = []
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:  # path compression
+            parent[v], v = root, parent[v]
+        return root
+
+    def enter(v: int, c: int, u: int) -> None:
+        # the edge v -c-> u, and u -c'-> v
+        for a, lab, b in ((v, c, u), (u, -c, v)):
+            table = out[find(a)]
+            t = table.get(lab)
+            if t is None:
+                table[lab] = b
+            else:
+                merges.append((t, b))
+        while merges:
+            a, b = merges.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if len(out[a]) < len(out[b]):
+                a, b = b, a
+            parent[b] = a
+            table, gone = out[a], out[b]
+            out[b] = None
+            for lab, t in gone.items():
+                s = table.get(lab)
+                if s is None:
+                    table[lab] = t
+                else:
+                    merges.append((s, t))
+
+    for w in endo.images:
+        codes = w.codes
+        v = 0
+        for k, c in enumerate(codes):
+            if k == len(codes) - 1:
+                u = 0
+            else:
+                u = len(parent)
+                parent.append(u)
+                out.append({})
+            enter(v, c, u)
+            v = u
+    root = find(0)
+    if any(find(v) != root for v in range(len(parent))):
+        return False
+    # one folded vertex: every label occurs at most once, so all 2 * rank
+    # signed letters label a loop exactly when the table has 2 * rank entries
+    return len(out[root]) == 2 * endo.sig.rank
 
 
 def forest_check_dfs(graph: ExtendedWhiteheadGraph) -> bool:

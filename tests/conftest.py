@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from surfaut import Signature, Word, factorize, gens, groupoid
+from surfaut import Endomorphism, Signature, Word, factorize, gens, groupoid, whitehead
 
 SMALL_SIGS = [
     Signature(0, 2),
@@ -42,13 +42,21 @@ def rng():
     return random.Random(SEED)
 
 
-@pytest.fixture(autouse=True)
-def cold_memos():
-    """Every test starts with empty package memos, so an entry left by an
-    earlier test cannot hide a fault that this test patches in."""
+def clear_memos():
+    """Empty every memo of the package (``test_conftest`` checks that no
+    ``lru_cache`` is missing here)."""
     factorize._telescoped.clear()
     factorize._factorize_cached.cache_clear()
     groupoid.canonical_edge.cache_clear()
     gens.generator.cache_clear()
     gens.humphries_rewrite.cache_clear()
     gens.eta.cache_clear()
+    Endomorphism.identity.cache_clear()
+    whitehead._candidate_letters.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty package memos, so an entry left by an
+    earlier test cannot hide a fault that this test patches in."""
+    clear_memos()

@@ -380,11 +380,12 @@ class TestTrustedKernel:
 
 class TestLetterMove:
     """``letter_move`` writes the inverse itself and skips the witness
-    substitution; the validating constructor must accept every pair it builds."""
+    substitution; the validating constructor must accept every pair it builds,
+    and its concatenated code tuples must be what ``Word`` arithmetic gives."""
 
     @given(st.data())
     def test_pair_is_witnessed(self, data):
-        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        sig = data.draw(st.sampled_from(GRID))
         b = data.draw(st.sampled_from(list(sig.basis_codes())))
         code = data.draw(st.sampled_from([b, -b]))
         others = st.sampled_from(
@@ -397,6 +398,14 @@ class TestLetterMove:
         assert witnessed(a)
         assert apply(a, Word(sig, (code,))) == Word(sig, left.codes + (code,) + right.codes)
         assert a.fwd.moved_codes() in ([], [b]) and a.inv.moved_codes() in ([], [b])
+        letter = Word(sig, (code,))
+        fwd = left * letter * right
+        inv = left.inverse() * letter * right.inverse()
+        if code < 0:
+            fwd, inv = fwd.inverse(), inv.inverse()
+        fixed = Endomorphism.identity(sig).images
+        assert a.fwd.images == fixed[: b - 1] + (fwd,) + fixed[b:]
+        assert a.inv.images == fixed[: b - 1] + (inv,) + fixed[b:]
 
     @pytest.mark.parametrize("sig", SMALL_SIGS)
     def test_own_letter_rejected(self, sig):
@@ -753,6 +762,8 @@ class TestConstructionChecks:
         first, then, is_witness = data.draw(witness_candidates(sig))
         verdict = _undoes(first, then)
         assert verdict == parent_undoes(first, then)
+        # free groups of finite rank are Hopfian: one identity implies the other
+        assert verdict == _undoes(then, first)
         if is_witness:
             assert verdict and _undoes(then, first)
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -717,3 +718,48 @@ def test_audit_golden_enters_every_case_table(monkeypatch):
     }
     missing = [name for name, hits in entered.items() if not hits]
     assert not missing, missing
+
+
+class TestWitnessedByAlgebra:
+    """``compose`` of automorphisms, the two restrictions and
+    ``eval_gen_word`` build their pairs with the trusted constructor, because
+    algebra witnesses them; every pair they build while factorising must
+    still pass both witness identities and the folding oracle."""
+
+    MAKERS = ("compose", "restrict_drop_tp", "restrict_relabel_K", "eval_gen_word")
+
+    def test_every_built_pair_is_witnessed(self, rng, monkeypatch):
+        import surfaut
+        from surfaut import endo, gens
+        from surfaut.endo import _undoes
+        from surfaut.whitehead import is_onto
+
+        real = {name: getattr(endo if name != "eval_gen_word" else gens, name)
+                for name in self.MAKERS}
+        built = {name: set() for name in self.MAKERS}
+
+        def recording(name):
+            def wrapped(*args):
+                out = real[name](*args)
+                if isinstance(out, Automorphism):
+                    built[name].add((out.fwd, out.inv))
+                return out
+            return wrapped
+
+        # every module that binds one of the makers calls it through its own name
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "surfaut"]
+        for mod in modules:
+            for name in self.MAKERS:
+                if getattr(mod, name, None) is real[name]:
+                    monkeypatch.setattr(mod, name, recording(name))
+        for sig in list(GRID) + [Signature(2, 4), Signature(3, 2), Signature(4, 0),
+                                 Signature(5, 1)]:
+            for _ in range(3):
+                a = selftest.random_adl_automorphism(sig, rng, _short(sig) + 2)
+                word = factorize_adl(a)
+                assert surfaut.eval_gen_word(word, sig).fwd == a.fwd
+        for name, pairs in built.items():
+            assert pairs, name
+            for fwd, inv in pairs:
+                assert _undoes(fwd, inv) and _undoes(inv, fwd), name
+                assert is_onto(fwd) and is_onto(inv), name

@@ -1,0 +1,51 @@
+"""The ``cold_memos`` fixture of ``conftest`` empties every memo of the
+package, so that no test sees an entry left by an earlier one."""
+
+import importlib
+import pkgutil
+
+import surfaut
+
+from conftest import clear_memos
+
+
+def package_caches():
+    """Every ``lru_cache``-wrapped function defined in a ``surfaut`` module,
+    at module level or in a class body (``staticmethod`` included), by
+    qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(surfaut.__path__):
+        mod = importlib.import_module(f"surfaut.{info.name}")
+        for obj in list(vars(mod).values()):
+            members = [obj]
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                members += list(vars(obj).values())
+            for fn in members:
+                if isinstance(fn, (staticmethod, classmethod)):
+                    fn = fn.__func__
+                if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def test_finds_the_known_caches():
+    names = set(package_caches())
+    assert {
+        "surfaut.endo.Endomorphism.identity",
+        "surfaut.gens.generator",
+        "surfaut.whitehead._candidate_letters",
+    } <= names
+
+
+def test_fixture_clears_every_lru_cache(monkeypatch):
+    caches = package_caches()
+    cleared = []
+    for name, fn in caches.items():
+        monkeypatch.setattr(fn, "cache_clear", lambda name=name: cleared.append(name))
+    clear_memos()
+    assert sorted(cleared) == sorted(caches)
+
+
+def test_every_test_starts_with_empty_caches():
+    for name, fn in package_caches().items():
+        assert fn.cache_info().currsize == 0, name

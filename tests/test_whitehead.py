@@ -1,20 +1,35 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaut import (
     CosetViolation,
+    Endomorphism,
     NotACandidate,
     Signature,
     Word,
     build_graph,
+    certify_automorphism,
+    compose,
+    fox_derivative,
     is_zieschang,
+    membership,
     parse_word,
     relator,
     to_dot,
 )
-from surfaut.selftest import candidate_letters, random_candidate, random_candidate_word
-from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs
+from surfaut.selftest import (
+    GRID,
+    candidate_letters,
+    random_adl_automorphism,
+    random_candidate,
+    random_candidate_word,
+)
+from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs, is_onto
 
 from conftest import SMALL_SIGS
 
@@ -242,3 +257,181 @@ class TestDot:
         a = to_dot(build_graph(relator(sig), sig))
         b = to_dot(build_graph(relator(sig), sig))
         assert a == b
+
+
+OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+def _map(sig, images):
+    """The map sending basis code b to the word of codes ``images[b]``
+    (unlisted letters fixed)."""
+    return Endomorphism.from_map(sig, {b: Word(sig, w) for b, w in images.items()})
+
+
+def _reduced_words(letters, max_len):
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (c,) for w in frontier for c in letters if not w or w[-1] != -c]
+        out += frontier
+    return out
+
+
+def _precondition_maps(sig, conj_len, handle_len):
+    """Every map that fixes the relator and sends each t_j to r_j t_k r_j'
+    (k running through a permutation), with r_j of length <= ``conj_len``
+    and handle images of length <= ``handle_len``: the maps on which
+    certification decides automorphism-ness."""
+    v0 = relator(sig)
+    letters = [c for b in sig.basis_codes() for c in (b, -b)]
+    conj = _reduced_words(letters, conj_len)
+    handles = [b for b in sig.basis_codes() if not sig.is_t_code(b)]
+    images = _reduced_words(letters, handle_len)
+    for perm in itertools.permutations(range(1, sig.p + 1)):
+        for rs in itertools.product(conj, repeat=sig.p):
+            moved = {
+                sig.t_code(j): r + (sig.t_code(k),) + tuple(-c for c in reversed(r))
+                for j, k, r in zip(range(1, sig.p + 1), perm, rs)
+            }
+            for hs in itertools.product(images, repeat=len(handles)):
+                moved.update(zip(handles, hs))
+                e = _map(sig, moved)
+                if e.apply(v0) == v0:
+                    yield e
+
+
+def _fox_jacobian_units(endo):
+    """Determinants of the abelianised Fox Jacobian (d phi(b) / d c) of
+    ``endo``, evaluated exactly at every letter = 1 and at letter c = the
+    c-th prime; for an automorphism the first is +-1 and the second is a
+    unit of the Laurent ring evaluated there, +- a product of powers of
+    those primes."""
+    sig = endo.sig
+
+    def value(w, at):
+        out = Fraction(1)
+        for c in w.codes:
+            out *= at[abs(c) - 1] if c > 0 else 1 / Fraction(at[abs(c) - 1])
+        return out
+
+    dets = []
+    for at in ([1] * sig.rank, PRIMES[: sig.rank]):
+        rows = [
+            [sum(k * value(w, at) for w, k in fox_derivative(img, c).terms.items())
+             for c in sig.basis_codes()]
+            for img in endo.images
+        ]
+        dets.append(_det(rows))
+    return dets
+
+
+def _det(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(rows), Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if rows[r][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, n):
+            f = rows[r][i] / rows[i][i]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    return det
+
+
+def _is_prime_monomial(x, primes):
+    """Is x = +- a product of integer powers of ``primes``?"""
+    num, den = abs(x.numerator), x.denominator
+    for q in primes:
+        while num % q == 0:
+            num //= q
+        while den % q == 0:
+            den //= q
+    return num == den == 1
+
+
+class TestStallingsOracle:
+    """``is_onto`` folds the bouquet of the basis images; the images generate
+    the free group exactly when the folded graph is the rose."""
+
+    @pytest.mark.parametrize("sig", list(GRID) + OFF_GRID)
+    def test_accepts_both_maps_of_automorphisms(self, sig, rng):
+        for _ in range(30):
+            a = random_adl_automorphism(sig, rng, 10)
+            assert is_onto(a.fwd) and is_onto(a.inv)
+
+    @pytest.mark.parametrize(
+        "images, onto",
+        [
+            ({1: (2,)}, False),  # x1 -> y1: the image of y1 twice
+            ({1: (1, 1)}, False),  # x1 -> x1^2
+            ({1: (1, 2, 1)}, False),  # x1 -> x1 y1 x1
+            ({1: (1, 2, -1)}, False),  # x1 -> x1 y1 x1': x1 is missing
+            ({1: ()}, False),  # x1 killed
+            ({1: (2, 1), 2: (1, 2)}, False),  # abelianised determinant 0
+            ({1: (2, 1, -2)}, True),  # conjugation of x1 by y1
+            ({1: (1, 2)}, True),  # a transvection
+            ({1: (2,), 2: (1,)}, True),  # the swap
+            ({1: (-1,), 2: (-2, -1)}, True),
+        ],
+    )
+    def test_literal_maps(self, images, onto):
+        assert is_onto(_map(S10, images)) is onto
+
+    @pytest.mark.parametrize("sig", [Signature(0, 0), Signature(0, 1)])
+    def test_small_ranks(self, sig):
+        assert is_onto(Endomorphism.identity(sig))
+        if sig.rank:
+            assert not is_onto(_map(sig, {1: (1, 1)}))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_invariant_under_automorphisms(self, data):
+        # a phi b is onto exactly when phi is, for automorphisms a and b
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        images = {
+            b: tuple(data.draw(st.lists(st.sampled_from(
+                [c for c in range(-sig.rank, sig.rank + 1) if c]), max_size=4)))
+            for b in data.draw(st.sets(st.sampled_from(list(sig.basis_codes())), max_size=2))
+        }
+        phi = _map(sig, images)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        a, b = (random_adl_automorphism(sig, random.Random(seed + k), 6) for k in (0, 1))
+        assert is_onto(compose(a.fwd, phi, b.fwd)) is is_onto(phi)
+
+    @pytest.mark.parametrize("sig", list(GRID))
+    def test_agrees_with_certification_on_positives(self, sig, rng):
+        for _ in range(10):
+            endo = random_adl_automorphism(sig, rng, 10).fwd  # witness stripped
+            assert is_onto(endo)
+            assert certify_automorphism(endo) is not None
+            assert membership(endo).in_A
+
+    @pytest.mark.parametrize(
+        "sig, conj_len, handle_len",
+        [(Signature(0, 2), 3, 0), (Signature(0, 3), 1, 0), (S10, 0, 3), (S11, 0, 3)],
+    )
+    def test_agrees_with_certification_on_searched_maps(self, sig, conj_len, handle_len):
+        # Every map found so far that fixes the relator and permutes the
+        # puncture classes is an automorphism, so the search yields no
+        # negative here; each map found must get one verdict from all three.
+        found = 0
+        for endo in _precondition_maps(sig, conj_len, handle_len):
+            onto = is_onto(endo)
+            assert (certify_automorphism(endo) is not None) is onto
+            assert membership(endo).in_A is onto
+            found += 1
+        assert found >= 8
+
+    @pytest.mark.parametrize("sig", list(GRID) + OFF_GRID)
+    def test_fox_jacobian_is_a_unit_on_positives(self, sig, rng):
+        for _ in range(4):
+            a = random_adl_automorphism(sig, rng, 8)
+            for endo in (a.fwd, a.inv):
+                at_one, at_primes = _fox_jacobian_units(endo)
+                assert at_one in (1, -1)
+                assert _is_prime_monomial(at_primes, PRIMES[: sig.rank])
