@@ -186,9 +186,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __bool__(self) -> bool:
-        return bool(self.codes)
-
     def __mul__(self, other: "Word") -> "Word":
         sig = self.sig
         if other.sig is not sig and other.sig != sig:

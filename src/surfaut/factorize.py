@@ -8,21 +8,35 @@ recursively.  Every case-table step is verified concretely: endpoint words,
 loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
-Each checked value is computed once and passed on.  ``nielsen_to_base_loops``
-telescopes each distinct edge once: outside an audit it keeps the checked
-loops in a bounded LRU memo keyed on the signature, the source codes, the
-forward image codes and the kind, which determine everything the
-telescoping reads.  An audit telescopes every edge itself, in order.  The
-telescoping brackets its edge once; the case tables take that bracket, and
-a table that recurses on the inverse edge passes its inverse.  ``_loop``
-computes each loop's coset tag once and stores it.  ``_factorize_impl``
-factors each distinct stabilizer once per call (every loop, in order, when
-auditing), and ``_stab_word`` returns its word with the value it checked.
-Evaluation is a homomorphism, so the end-to-end check composes those
-checked piece values and compares the result with the input, which is the
-same predicate as evaluating the whole word.  Every recomposition check
-compares forward maps, so it folds forward maps only (``_compose_endos``
-and ``gens._eval_fwd``) and builds no inverse for it.
+Each checked value is computed once per process while its memo keeps it.
+Outside an audit three bounded LRU memos (``MEMO_SIZE`` entries each) hold
+checked values, and a raise stores nothing:
+
+- ``_telescoped`` keeps each Nielsen edge's loops;
+- ``_factored`` keeps, under the same key, the edge's tokens with the
+  composite of the forward values of its checked parts;
+- ``_peeled`` keeps, keyed on a loop's forward map, the parts the loop peels
+  into (``peel_special``, ``_stab_word`` and the special generator's words),
+  each with the forward value it was checked at.
+
+The key of an edge is what its telescoping reads: the signature, the source
+codes, the forward image codes and the kind; the target and the inverse are
+functions of the source and the forward map.  A loop's forward map
+determines its inverse and its coset tag, so it determines the parts.  A hit
+therefore returns the values that every check passed on an equal edge or
+loop, and every part's value is the value of its word.  Evaluation is a
+homomorphism, so the end-to-end check of a level composes one value per
+edge and compares the result with the input: the same predicate as
+evaluating the whole word, so a word that fails to recompose the input is
+caught whether its parts came from a memo or not.  An audit reuses
+nothing: it telescopes every edge, in order, then peels every loop, so its
+scripts keep their order.
+
+The telescoping brackets its edge once; the case tables take that bracket,
+and a table that recurses on the inverse edge passes its inverse.
+``_loop`` computes each loop's coset tag once and stores it.  Every
+recomposition check compares forward maps, so it folds forward maps only
+(``_compose_endos`` and ``gens._eval_fwd``) and builds no inverse for it.
 
 Every move of a case table is one ``GroupoidEdge``, built once by the
 trusted ``groupoid._edge`` from a source that is an end of a checked edge,
@@ -189,6 +203,26 @@ def _first_t_pos(codes: tuple[int, ...], sig: Signature) -> Optional[int]:
     return None
 
 
+def _lru(memo: OrderedDict, key, build):
+    """The entry of ``key`` in the bounded LRU ``memo``, made by ``build()``
+    on a miss.  A build that raises stores nothing."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
+
+
+def _edge_key(e: GroupoidEdge) -> tuple:
+    """What the telescoping of ``e`` reads: the signature, the source codes,
+    the forward image codes and the kind.  The target and the inverse are
+    functions of the source and the forward map."""
+    return (e.sig, e.source.codes, tuple([w.codes for w in e.aut.fwd.images]), e.kind)
+
+
 _telescoped: OrderedDict[tuple, tuple[BaseLoop, ...]] = OrderedDict()
 
 
@@ -201,22 +235,12 @@ def nielsen_to_base_loops(
     compose(invert(canonical(source)), e.aut, canonical(target)).
 
     Without an audit the loops come from a bounded memo keyed on what the
-    telescoping reads: the signature, the source codes, the forward image
-    codes and the kind.  The target and the inverse are functions of the
-    source and the forward map, so a hit returns loops that every check
-    passed on an equal edge.  A telescoping that raises is not stored.
+    telescoping reads (``_edge_key``), so a hit returns loops that every
+    check passed on an equal edge.  A telescoping that raises is not stored.
     """
     if audit is not None:
         return _telescope(e, audit)
-    key = (e.sig, e.source.codes, tuple([w.codes for w in e.aut.fwd.images]), e.kind)
-    loops = _telescoped.get(key)
-    if loops is None:
-        loops = _telescoped[key] = tuple(_telescope(e, None))
-        if len(_telescoped) > MEMO_SIZE:
-            _telescoped.popitem(last=False)
-    else:
-        _telescoped.move_to_end(key)
-    return list(loops)
+    return list(_lru(_telescoped, _edge_key(e), lambda: tuple(_telescope(e, None))))
 
 
 def _telescope(e: GroupoidEdge, audit: Optional[list]) -> list[BaseLoop]:
@@ -610,36 +634,74 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
             raise NotInA(f"the group at {sig} is trivial")
         return GenWord.empty()
     v0 = relator(sig)
-    edges, n1 = nielsen_reduce(v0, a.fwd)
-    loops: list[BaseLoop] = []
-    for e in edges:
-        loops.extend(nielsen_to_base_loops(e, audit))
-    loops.extend(nielsen_to_base_loops(n1, audit))
-    # per call, each distinct stabilizer (keyed by its forward map, which
-    # determines it) is factored and checked once, unless an audit records
-    # every loop's scripts in order
-    stab_words: dict[Endomorphism, tuple[GenWord, Endomorphism]] = {}
+    steps, n1 = nielsen_reduce(v0, a.fwd)
+    edges = steps + [n1]
     tokens: list[tuple[GenName, int]] = []
-    pieces: list[Endomorphism] = []  # the forward map of each part, in order
-    for loop in loops:
-        stab, special = peel_special(loop, sig)
-        found = stab_words.get(stab.fwd) if audit is None else None
-        if found is None:
-            found = stab_words[stab.fwd] = _stab_word(stab, sig, audit)
-        parts = [found]
-        if special.tokens:
-            parts.append((special, _eval_fwd(special, sig)))
-            if sig.p == 0:
-                inv = special.inverse()
-                parts.insert(0, (inv, _eval_fwd(inv, sig)))
-        for word, value in parts:
-            if word.tokens:
+    # the forward value of each edge (of each part, when auditing), in order
+    pieces: list[Endomorphism] = []
+    if audit is None:
+        for e in edges:
+            edge_tokens, value = _edge_factors(e)
+            if edge_tokens:
+                tokens.extend(edge_tokens)
+                pieces.append(value)
+    else:
+        # every edge is telescoped before any loop is peeled, so the scripts
+        # keep their order; nothing is reused
+        loops = [loop for e in edges for loop in nielsen_to_base_loops(e, audit)]
+        for loop in loops:
+            for word, value in _peel_parts(loop, sig, audit):
                 tokens.extend(word.tokens)
                 pieces.append(value)
     # the word's value is the composite of its checked pieces' values
     if _compose_all(pieces, sig) != a.fwd:
         raise CosetViolation("factorization failed to recompose the input")
     return GenWord(tuple(tokens))
+
+
+_Tokens = tuple[tuple[GenName, int], ...]
+_Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward value)
+
+#: Per Nielsen edge, keyed like ``_telescoped``: the edge's tokens and the
+#: composite of its checked parts' forward values.
+_factored: OrderedDict[tuple, tuple[_Tokens, Endomorphism]] = OrderedDict()
+#: Per base loop, keyed on its forward map (which determines its inverse and
+#: coset tag): the nonempty parts it peels into.
+_peeled: OrderedDict[Endomorphism, _Parts] = OrderedDict()
+
+
+def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
+    """``_factor_edge`` through the ``_factored`` memo."""
+    return _lru(_factored, _edge_key(e), lambda: _factor_edge(e))
+
+
+def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
+    """The tokens of the parts of the edge's loops, in order, and the
+    composite of the parts' values; each loop's parts come from the
+    ``_peeled`` memo."""
+    tokens: list[tuple[GenName, int]] = []
+    values: list[Endomorphism] = []
+    sig = e.sig
+    for loop in nielsen_to_base_loops(e):
+        parts = _lru(_peeled, loop.aut.fwd, lambda: _peel_parts(loop, sig, None))
+        for word, value in parts:
+            tokens.extend(word.tokens)
+            values.append(value)
+    return tuple(tokens), _compose_all(values, sig)
+
+
+def _peel_parts(loop: BaseLoop, sig: Signature, audit) -> _Parts:
+    """The nonempty parts of one loop, in order, each with its checked
+    forward value: the stabilizer word (``_stab_word``) and the special
+    generator word after it (around it at p = 0, its inverse first)."""
+    stab, special = peel_special(loop, sig)
+    parts = [_stab_word(stab, sig, audit)]
+    if special.tokens:
+        parts.append((special, _eval_fwd(special, sig)))
+        if sig.p == 0:
+            inv = special.inverse()
+            parts.insert(0, (inv, _eval_fwd(inv, sig)))
+    return tuple([part for part in parts if part[0].tokens])
 
 
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:

@@ -14,14 +14,15 @@ the next state recomputes only what reads phi(b): the new phi(b), one
 substitution into the old images (no composition over the rank); b's
 entries of the measure, deleted from and re-inserted into the sorted
 measure lists by bisection; the distinct-images check, kept as a set of
-image codes; and A_k and the verdict of each letter pair (v_k, v_(k+1))
-that involves b or b'.  The pair memos are indexed by basis letter, so the
-move drops b's pairs without scanning the others, which keep their memos
-for the rest of the call.  The violation search reads phi(v_k) and A_k from
-the carry and builds a missing A_k on demand, so a state never materialises
-its ``imgs`` and ``A``; they are derived when something else reads them.  A
-verdict slices B and C off the two images instead of multiplying (A_k
-cancels completely in both products) and compares lengths before letters.
+image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
+involves b or b'.  The verdict memo is indexed by basis letter, so the move
+drops b's pairs without scanning the others, which keep their verdicts for
+the rest of the call.  The violation search reads the verdicts from the
+carry and builds a missing one, with its A_k, from phi(v_k) and
+phi(v_(k+1)), so a state never materialises its ``imgs`` and ``A``; they
+are derived when something else reads them.  A verdict slices B and C off
+the two images instead of multiplying (A_k cancels completely in both
+products) and compares lengths before letters.
 Each carried state is the same value ``_state_of`` would build.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
@@ -351,9 +352,9 @@ class _Carry:
 
     - ``images`` and ``inv``: the basis images of the current map, and
       phi(c) of the negative letters c met so far;
-    - ``prefixes`` and ``verdicts``: A_k and the verdict of position k, per
-      letter pair (v_k, v_(k+1)), built when ``_find_violation`` first needs
-      them; both depend only on the pair and the two letters' images;
+    - ``verdicts``: the verdict of position k, per letter pair
+      (v_k, v_(k+1)), built with its A_k when ``_find_violation`` first
+      needs it; it depends only on the pair and the two letters' images;
     - ``pairs``: for each basis letter, the pairs memoised since it last
       moved that involve it, so that a move drops only its letter's pairs;
     - ``ranks`` and ``words``: the measure as sorted lists of (key, position)
@@ -368,7 +369,6 @@ class _Carry:
         mu = state.mu
         self.images = state.phi.images
         self.inv: dict[int, Word] = {}
-        self.prefixes: dict[tuple[int, int], Word] = {}
         self.verdicts: dict[tuple[int, int], tuple] = {}
         self.pairs: dict[int, list[tuple[int, int]]] = {}
         self.ranks = list(zip(mu.keys, mu.order))
@@ -386,15 +386,16 @@ class _Carry:
             w = self.inv[c] = self.images[-c - 1].inverse()
         return w
 
-    def prefix(self, pair: tuple[int, int]) -> Word:
-        """A_k of the letter pair (v_k, v_(k+1)): the longest common prefix
-        of phi(v_k)' and phi(v_(k+1))."""
-        a = self.prefixes.get(pair)
-        if a is None:
-            a = self.prefixes[pair] = _lcp(self.letter(-pair[0]), self.letter(pair[1]))
-            for b in (abs(pair[0]), abs(pair[1])):
-                self.pairs.setdefault(b, []).append(pair)
-        return a
+    def verdict(self, pair: tuple[int, int]) -> tuple:
+        """Build, memoise and index the verdict of the letter pair
+        (v_k, v_(k+1)) from A_k, the longest common prefix of phi(v_k)' and
+        phi(v_(k+1))."""
+        A = _lcp(self.letter(-pair[0]), self.letter(pair[1]))
+        img, next_inv = self.letter(pair[0]), self.letter(-pair[1])
+        verdict = self.verdicts[pair] = _verdict(img, next_inv, A)
+        for b in (abs(pair[0]), abs(pair[1])):
+            self.pairs.setdefault(b, []).append(pair)
+        return verdict
 
     def advance(self, state: ReductionState, edge: GroupoidEdge) -> ReductionState:
         """The state after the Nielsen ``edge``: the same value as
@@ -407,12 +408,10 @@ class _Carry:
         img = _word(sig, _substitute(self.images, edge.aut.inv.images[b - 1].codes, {}))
         self.images = self.images[: b - 1] + (img,) + self.images[b:]
         self.inv.pop(-b, None)
-        # every pair with a verdict has a prefix word and is listed under
-        # both its letters; a list may still name a pair dropped through its
-        # other letter, or memoised again since, and dropping that pair is
-        # right: it involves b
+        # every pair with a verdict is listed under both its letters; a list
+        # may still name a pair dropped through its other letter, or
+        # memoised again since, and dropping that pair is right: it involves b
         for pair in self.pairs.pop(b, ()):
-            self.prefixes.pop(pair, None)
             self.verdicts.pop(pair, None)
         pos = _measure_position(sig, b)
         slots = [(pos, img)]
@@ -521,9 +520,7 @@ def _find_violation(state: ReductionState, carry: _Carry):
         pair = (codes[k - 1], codes[k])
         verdict = verdicts.get(pair)
         if verdict is None:
-            verdict = verdicts[pair] = _verdict(
-                carry.letter(pair[0]), carry.letter(-pair[1]), carry.prefix(pair)
-            )
+            verdict = carry.verdict(pair)
         if not verdict:
             continue
         triple, distinct, left = verdict

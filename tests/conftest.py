@@ -46,6 +46,8 @@ def clear_memos():
     """Empty every memo of the package (``test_conftest`` checks that no
     ``lru_cache`` is missing here)."""
     factorize._telescoped.clear()
+    factorize._factored.clear()
+    factorize._peeled.clear()
     factorize._factorize_cached.cache_clear()
     groupoid.canonical_edge.cache_clear()
     gens.generator.cache_clear()

@@ -262,16 +262,37 @@ class TestWhitehead:
 
 
 class TestUnusablePaths:
-    """File errors are malformed input: exit 2 with one ``error:`` line."""
+    """File errors and malformed signatures are malformed input: exit 2 with
+    one ``error:`` line and no traceback."""
 
     @staticmethod
-    def assert_usage_error(argv):
+    def assert_usage_error(argv, says=""):
         code, out, err = invoke(argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
 
     def test_aut_directory(self, tmp_path):
         self.assert_usage_error(["verify", "--sig", "1,0", "--aut", str(tmp_path)])
+
+    def test_aut_missing(self, tmp_path):
+        missing = str(tmp_path / "absent.txt")
+        self.assert_usage_error(
+            ["certify", "--sig", "1,0", "--aut", missing],
+            f"no such automorphism file: {missing}",
+        )
+
+    def test_aut_file_of_another_signature(self, tmp_path):
+        path = tmp_path / "aut.txt"
+        path.write_text("sig g=2 p=0\nx1 -> y1' x1\n", encoding="utf-8")
+        self.assert_usage_error(
+            ["verify", "--sig", "1,1", "--aut", str(path)], "does not match"
+        )
+
+    def test_bad_signature(self):
+        self.assert_usage_error(
+            ["verify", "--sig", "x,1", "--aut", "x1 -> x1"], "bad signature 'x,1'"
+        )
 
     def test_aut_not_utf8(self, tmp_path):
         path = tmp_path / "aut.txt"

@@ -68,6 +68,11 @@ class TestGroupOps:
     def test_double_inverse(self, u):
         assert invert(invert(u)) == u
 
+    @given(words())
+    def test_truth_is_nonempty(self, u):
+        # truth comes from __len__: only the empty word is false
+        assert bool(u) == (u.codes != ())
+
 
 class TestRelator:
     def test_genus_one(self):

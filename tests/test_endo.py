@@ -29,7 +29,10 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
+from surfaut import endo
 from surfaut.endo import (
+    _centralizer_root,
+    _power,
     _splice,
     _substitute,
     _t_class_permutation,
@@ -212,6 +215,69 @@ class TestOuterEqual:
         for c in sig.basis_codes():
             u = Word(sig, (c,))
             assert apply(b, u) == conjugate(apply(a, u), w_ba)
+
+
+def _inner(sig, w):
+    """Conjugation u -> w' u w."""
+    basis = [Word(sig, (b,)) for b in sig.basis_codes()]
+    return Automorphism(
+        Endomorphism(sig, tuple(conjugate(u, w) for u in basis)),
+        Endomorphism(sig, tuple(conjugate(u, w.inverse()) for u in basis)),
+    )
+
+
+class TestCentralizerCoset:
+    """When the first witness conjugator w0 fails, ``outer_equal`` searches
+    the coset r^k w0 of the centralizer of the probe's image, with root r,
+    up to a bound kmax on |k|."""
+
+    def test_conjugation_against_identity(self, monkeypatch):
+        # x1 -> (x1 y1)' x1 (x1 y1) = y1' x1 y1, so w0 = y1 and the root is x1
+        roots = []
+        real = endo._centralizer_root
+        monkeypatch.setattr(
+            endo, "_centralizer_root", lambda x: roots.append(x) or real(x)
+        )
+        w = parse_word(S10, "x1 y1")
+        assert outer_equal(_inner(S10, w), Automorphism.identity(S10)) == w
+        assert roots == [parse_word(S10, "x1")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_finds_every_exponent_within_the_bound(self, data):
+        # rank >= 2, so the conjugator is unique: the search must return w
+        sig = data.draw(st.sampled_from(SMALL_SIGS))
+        seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+        if seed is None:
+            b = Automorphism.identity(sig)
+        else:
+            b = random_adl_automorphism(sig, random.Random(seed), 3)
+        root = _centralizer_root(b.fwd.images[0])
+        w0 = data.draw(words(sig=sig, max_len=4))
+        k = data.draw(st.integers(-5, 5))
+        w = _power(root, k) * w0
+        a = compose(b, _inner(sig, w))
+        assert outer_equal(a, b) == w
+
+    def test_search_reaches_large_exponents(self, rng, monkeypatch):
+        # the coset search runs, and some conjugator lies |k| >= 5 steps
+        # along it from the first witness
+        tried = []
+        real = endo._checks_all
+        monkeypatch.setattr(
+            endo, "_checks_all", lambda a, b, w: tried.append(w) or real(a, b, w)
+        )
+        most = 0
+        for sig in SMALL_SIGS:
+            for k in range(-5, 6):
+                b = random_adl_automorphism(sig, rng, 3)
+                root = _centralizer_root(b.fwd.images[0])
+                w = _power(root, k) * Word(sig, (sig.basis_codes()[-1],))
+                del tried[:]
+                assert outer_equal(compose(b, _inner(sig, w)), b) == w
+                most = max(most, len(tried))
+        # the first witness, then +-1, ..., +-4 and +5 at least
+        assert most >= 10
 
 
 class TestRestrictDropTp:

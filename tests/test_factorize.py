@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import io
 import itertools
 import json
 import pathlib
@@ -34,6 +35,8 @@ from surfaut import (
 )
 from surfaut import factorize as F
 from surfaut import selftest
+from surfaut.cli import run
+from surfaut.endo import format_endomorphism
 from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
@@ -47,7 +50,7 @@ from surfaut.factorize import (
 from surfaut.groupoid import GroupoidEdge
 from surfaut.selftest import GRID, random_adl_automorphism, random_zieschang
 
-from conftest import SEED, SMALL_SIGS
+from conftest import SEED, SMALL_SIGS, clear_memos
 
 S10 = Signature(1, 0)
 S02 = Signature(0, 2)
@@ -325,31 +328,40 @@ class TestComputedOnce:
                 assert _bracket(e.inverse()).fwd == _bracket(e).inverse().fwd
 
     def test_each_value_computed_once(self, rng, monkeypatch):
-        # per plain _factorize_impl call: the stabilizers peeled and those
-        # factored; over the run: each distinct edge is bracketed once, by
-        # the call that telescopes it, and a memo hit brackets nothing
-        levels, done_levels, tops, done_tops = [], [], [], []
-        real_impl, real_peel, real_stab = F._factorize_impl, F.peel_special, F._stab_word
+        # over the run: each distinct loop is peeled once and its stabilizer
+        # factored once with it, and a hit of either memo telescopes, peels,
+        # factors and brackets nothing; each distinct edge is bracketed once,
+        # by the call that telescopes it, and a telescoping memo hit brackets
+        # nothing
+        peeled, factored, tops, done_tops = [], [], [], []
+        count = {"telescope": 0, "peel": 0, "stab": 0, "bracket": 0}
+        hits = {"edge": 0, "loop": 0}
+        real_peel, real_stab, real_lru = F.peel_special, F._stab_word, F._lru
         real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
 
-        def impl(a, audit):
-            levels.append(([], []))
-            try:
-                return real_impl(a, audit)
-            finally:
-                done_levels.append(levels.pop())
-
         def peel(loop, sig):
-            stab, special = real_peel(loop, sig)
-            levels[-1][0].append(stab.fwd)
-            return stab, special
+            count["peel"] += 1
+            peeled.append(loop.aut.fwd)
+            return real_peel(loop, sig)
 
         def stab_word(stab, sig, audit):
-            levels[-1][1].append(stab.fwd)
+            # each peel is followed by its stabilizer's word
+            count["stab"] += 1
+            factored.append((peeled[-1], stab.fwd))
             return real_stab(stab, sig, audit)
+
+        def lru(memo, key, build):
+            kind = {id(F._factored): "edge", id(F._peeled): "loop"}.get(id(memo))
+            hit, before = key in memo, dict(count)
+            out = real_lru(memo, key, build)
+            if kind and hit:
+                hits[kind] += 1
+                assert count == before
+            return out
 
         def loops(e, audit=None):
             # the edge, brackets of the edge itself, brackets of any edge
+            count["telescope"] += 1
             tops.append([e, 0, 0])
             try:
                 return real_loops(e, audit)
@@ -357,34 +369,30 @@ class TestComputedOnce:
                 done_tops.append(tops.pop())
 
         def bracket(d):
+            count["bracket"] += 1
             for top in tops:
                 top[1] += top[0] is d
                 top[2] += 1
             return real_bracket(d)
 
-        for name, fn in [("_factorize_impl", impl), ("peel_special", peel),
-                         ("_stab_word", stab_word), ("nielsen_to_base_loops", loops),
-                         ("_bracket", bracket)]:
+        for name, fn in [("peel_special", peel), ("_stab_word", stab_word), ("_lru", lru),
+                         ("nielsen_to_base_loops", loops), ("_bracket", bracket)]:
             monkeypatch.setattr(F, name, fn)
         for sig in GRID:
             for _ in range(3):
                 factorize_adl(random_adl_automorphism(sig, rng, _short(sig) + 2))
-        assert done_tops
-        # some level peels one stabilizer more than once
-        assert any(len(peeled) > len(set(peeled)) for peeled, _ in done_levels)
-        for peeled, factored in done_levels:
-            assert len(set(factored)) == len(factored)
-            assert set(factored) == set(peeled)
-        seen, hits = set(), 0
+        assert done_tops and hits["edge"] and hits["loop"]
+        assert len(set(peeled)) == len(peeled) <= F.MEMO_SIZE
+        assert len(set(factored)) == len(factored) == len(peeled)
+        seen = set()
         for e, own, brackets in done_tops:
             key = (e.source, e.target, e.aut.fwd, e.kind)
             if key in seen:
-                hits += 1
                 assert brackets == 0
             else:
                 seen.add(key)
                 assert own == 1
-        assert hits and len(seen) <= F.MEMO_SIZE
+        assert len(seen) <= F.MEMO_SIZE
 
 
 class TestChecksStillFire:
@@ -560,6 +568,110 @@ class TestTelescopeMemo:
             nielsen_to_base_loops(e)
             assert len(F._telescoped) <= 5
         assert len(F._telescoped) == 5
+
+
+def _single_loop_edges(sig, rng, count):
+    """``count`` edges that telescope into one loop each, with pairwise
+    distinct loop maps."""
+    found = {}
+    while len(found) < count:
+        for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+            loops = F._telescope(e, None)
+            if len(loops) == 1:
+                found.setdefault(loops[0].aut.fwd, e)
+    return list(found.values())[:count]
+
+
+class TestFactorMemos:
+    """Outside an audit each Nielsen edge's tokens and value come from
+    ``_factored`` and each loop's parts from ``_peeled``."""
+
+    def test_cold_and_warm_memos_agree(self, rng):
+        def cli(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            assert run(list(argv), out, err) == 0, err.getvalue()
+            return out.getvalue()
+
+        def outputs(a):
+            sig, aut = f"{a.sig.g},{a.sig.p}", format_endomorphism(a.fwd)
+            # the top level is memoised too; clearing it makes the edge and
+            # loop memos serve
+            F._factorize_cached.cache_clear()
+            return [cli("factorize", "--sig", sig, "--aut", aut, *flags)
+                    for flags in ([], ["--adlh"], ["--audit"])]
+
+        cases = [random_adl_automorphism(sig, rng, _short(sig) + 2)
+                 for sig in GRID for _ in range(3)]
+        cold = []
+        for a in cases:
+            clear_memos()
+            cold.append(outputs(a))
+        for a in cases:
+            outputs(a)
+        assert F._factored and F._peeled
+        assert [outputs(a) for a in cases] == cold
+        assert any("=>" in audit for _, _, audit in cold)
+
+    def test_raising_peel_is_not_stored(self, rng, monkeypatch):
+        # the second loop peeled at the top signature raises: the first
+        # one's parts stay, the raising loop and its edge are not stored
+        sig = Signature(1, 2)
+        a = random_adl_automorphism(sig, rng, 8)
+        real, top = F.peel_special, []
+
+        def second_top_fails(loop, s):
+            if s == sig:
+                top.append(loop.aut.fwd)
+                if len(top) == 2:
+                    raise CosetViolation("forced")
+            return real(loop, s)
+
+        monkeypatch.setattr(F, "peel_special", second_top_fails)
+        with pytest.raises(CosetViolation, match="forced"):
+            factorize_adl(a)
+        assert top[0] in F._peeled and top[1] not in F._peeled
+        assert not [key for key in F._factored
+                    if top[1] in [loop.aut.fwd for loop in F._telescoped[key]]]
+        monkeypatch.undo()
+        assert factorize_adl(a) == factorize_adl(a, [])
+        assert top[1] in F._peeled
+
+    def test_least_recently_used_goes_first(self, rng, monkeypatch):
+        a, b, c = _single_loop_edges(Signature(1, 1), rng, 3)
+        for e in (a, b, c):
+            # the stabilizers' words at (1, 0) are then in the top-level memo,
+            # so peeling these edges again reads no edge or loop memo below
+            F._edge_factors(e)
+        F._factored.clear()
+        F._peeled.clear()
+        edges, loops = [], []
+        real_factor, real_peel = F._factor_edge, F._peel_parts
+
+        def factor_edge(e):
+            edges.append(e)
+            return real_factor(e)
+
+        def peel_parts(loop, sig, audit):
+            loops.append(loop.aut.fwd)
+            return real_peel(loop, sig, audit)
+
+        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(F, "_factor_edge", factor_edge)
+        monkeypatch.setattr(F, "_peel_parts", peel_parts)
+        for e in (a, b, a, c, a, b):
+            F._edge_factors(e)
+            assert len(F._factored) <= 2 and len(F._peeled) <= 2
+        # a is used again before c arrives, so b goes; then c goes for b.
+        # A hit of the edge memo reads no loop, so at the loop memo a goes
+        # for c, and b is still there
+        assert edges == [a, b, c, b]
+        assert loops == [F._telescope(e, None)[0].aut.fwd for e in (a, b, c)]
+        # evictions change no word
+        for sig in GRID:
+            x = random_adl_automorphism(sig, rng, _short(sig))
+            F._factorize_cached.cache_clear()
+            assert factorize_adl(x) == factorize_adl(x, [])
+            assert len(F._factored) <= 2 and len(F._peeled) <= 2
 
 
 @dataclasses.dataclass

@@ -313,7 +313,7 @@ class TestNielsenReduce:
                     edges, _ = nielsen_reduce(source, phi)
                     assert [e for e, _ in carried] == edges
                     for e, st in carried:
-                        # the engine reads images and prefixes from its memos,
+                        # the engine reads images and verdicts from its memos,
                         # so a carried state never builds its own
                         assert "imgs" not in vars(st) and "A" not in vars(st)
                         phi = compose(e.aut.inv, phi)
@@ -337,29 +337,34 @@ class TestNielsenReduce:
 
     def test_carried_memos_match_reference(self, rng, monkeypatch):
         """Before each search for a violation, so after every move: each kept
-        prefix is the _lcp of the current images, and each kept verdict is
-        the verdict built from both products and their lenlex keys."""
-        counts = {"prefixes": 0, "verdicts": 0, "violations": 0}
+        verdict is the verdict built from both products and their lenlex
+        keys, and is indexed under both of its letters, so that a move of
+        either letter drops it; after the search, so are the verdicts it
+        added."""
+        counts = {"kept": 0, "verdicts": 0, "violations": 0}
         real = groupoid._find_violation
+
+        def check(carry, image):
+            for (a, b), verdict in carry.verdicts.items():
+                A = groupoid._lcp(image(-a), image(b))
+                assert verdict == reference_verdict(image(a), image(-b), A)
+                for c in (abs(a), abs(b)):
+                    assert (a, b) in carry.pairs[c]
+            return len(carry.verdicts)
 
         def checking(state, carry):
             phi = state.phi
             image = lambda c: apply(phi, Word(phi.sig, (c,)))  # noqa: E731
-            for (a, b), prefix in carry.prefixes.items():
-                assert prefix == groupoid._lcp(image(-a), image(b))
-                counts["prefixes"] += 1
+            counts["kept"] += check(carry, image)
             try:
                 return real(state, carry)
             finally:
-                for (a, b), verdict in carry.verdicts.items():
-                    A = groupoid._lcp(image(-a), image(b))
-                    assert verdict == reference_verdict(image(a), image(-b), A)
-                    counts["verdicts"] += 1
-                    counts["violations"] += bool(verdict)
+                counts["verdicts"] += check(carry, image)
+                counts["violations"] += sum(map(bool, carry.verdicts.values()))
 
         monkeypatch.setattr(groupoid, "_find_violation", checking)
-        # a prefix is built only when a search reads its position, so the
-        # inputs are sized to check more than 12,000 of them
+        # a verdict is built only when a search reads its position, so the
+        # inputs are sized to check more than 12,000 kept ones
         for sig in list(GRID) + OFF_GRID:
             tokens = 10 if sig.g <= 2 else 5
             for _ in range(12):
@@ -376,7 +381,7 @@ class TestNielsenReduce:
             except SurfautError:
                 pass
         assert counts["violations"] > 1000 and counts["verdicts"] > 6000
-        assert counts["prefixes"] > 12000
+        assert counts["kept"] > 12000
 
     @pytest.mark.parametrize(
         "case", _REDUCE_GOLDEN, ids=lambda c: f"{c['sig']}:{c['images']}"
