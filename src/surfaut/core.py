@@ -24,17 +24,18 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, SignatureMismatch
 
-#: Entries kept by each bounded memo of the package: ``canonical_edge``, and
-#: the telescoping memo and ``_factorize_cached`` of ``factorize``; the least
-#: recently used entry leaves first.  Sized from distinct counts: the
-#: 1,000-case ``adl-grid`` benchmark pool normalises 1,817 distinct words and
-#: telescopes 3,516 distinct edges, the 1,200-case ``adlh-high-genus`` pool
-#: telescopes 1,158 and selftest criterion 7 2,393 (they factor 1,088, 702
-#: and 741 distinct automorphisms).  The per-signature tables
-#: (``Endomorphism.identity``, ``gens.generator``, ``gens.humphries_rewrite``
-#: and the candidate letters of ``whitehead``) are bounded by it too, because
-#: a caller may name any signature; the benchmark workloads use at most 39
-#: entries of any of them.
+#: Entries kept by each bounded memo of the package: ``canonical_edge`` and
+#: the Nielsen edge and template memos of ``groupoid``, and the edge, loop
+#: and top-level memos of ``factorize``; the least recently used entry leaves
+#: first.  Sized from distinct counts: the 1,000-case ``adl-grid`` benchmark
+#: pool normalises 1,817 distinct words and telescopes 3,516 distinct edges,
+#: the 1,200-case ``adlh-high-genus`` pool telescopes 1,158 and selftest
+#: criterion 7 2,393 (they factor 1,088, 702 and 741 distinct automorphisms).
+#: The per-signature tables (``Endomorphism.identity``, ``gens.generator``,
+#: ``gens.humphries_rewrite``, the candidate letters of ``whitehead`` and the
+#: order ranks of ``groupoid``) are bounded by it too, because a caller may
+#: name any signature; the benchmark workloads use at most 39 entries of any
+#: of them.
 MEMO_SIZE = 4096
 
 

@@ -9,12 +9,12 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Outside an audit three bounded LRU memos (``MEMO_SIZE`` entries each) hold
+Outside an audit two bounded LRU memos (``MEMO_SIZE`` entries each) hold
 checked values, and a raise stores nothing:
 
-- ``_telescoped`` keeps each Nielsen edge's loops;
-- ``_factored`` keeps, under the same key, the edge's tokens with the
-  composite of the forward values of its checked parts;
+- ``_factored`` keeps, per Nielsen edge, the edge's tokens with the
+  composite of the forward values of its checked parts, so an edge is
+  telescoped only on a miss;
 - ``_peeled`` keeps, keyed on a loop's forward map, the parts the loop peels
   into (``peel_special``, ``_stab_word`` and the special generator's words),
   each with the forward value it was checked at.
@@ -223,29 +223,16 @@ def _edge_key(e: GroupoidEdge) -> tuple:
     return (e.sig, e.source.codes, tuple([w.codes for w in e.aut.fwd.images]), e.kind)
 
 
-_telescoped: OrderedDict[tuple, tuple[BaseLoop, ...]] = OrderedDict()
-
-
 def nielsen_to_base_loops(
     e: GroupoidEdge, audit: Optional[list] = None
 ) -> list[BaseLoop]:
-    """Telescope one Nielsen edge into base loops at the relator.
+    """Telescope one Nielsen edge into base loops at the relator: classify,
+    bracket, run the case table and check the loops against the bracket.
 
     The loops composed in order equal
     compose(invert(canonical(source)), e.aut, canonical(target)).
-
-    Without an audit the loops come from a bounded memo keyed on what the
-    telescoping reads (``_edge_key``), so a hit returns loops that every
-    check passed on an equal edge.  A telescoping that raises is not stored.
+    Factorisation telescopes an edge only on a miss of ``_factored``.
     """
-    if audit is not None:
-        return _telescope(e, audit)
-    return list(_lru(_telescoped, _edge_key(e), lambda: tuple(_telescope(e, None))))
-
-
-def _telescope(e: GroupoidEdge, audit: Optional[list]) -> list[BaseLoop]:
-    """``nielsen_to_base_loops`` without the memo: classify, bracket, run the
-    case table and check the loops against the bracket."""
     sig = e.sig
     if sig.p <= 1 and sig.g < 1:
         raise CosetViolation(f"no case table applies at {sig}")
@@ -662,8 +649,8 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
 _Tokens = tuple[tuple[GenName, int], ...]
 _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward value)
 
-#: Per Nielsen edge, keyed like ``_telescoped``: the edge's tokens and the
-#: composite of its checked parts' forward values.
+#: Per Nielsen edge, keyed on what its telescoping reads (``_edge_key``): the
+#: edge's tokens and the composite of its checked parts' forward values.
 _factored: OrderedDict[tuple, tuple[_Tokens, Endomorphism]] = OrderedDict()
 #: Per base loop, keyed on its forward map (which determines its inverse and
 #: coset tag): the nonempty parts it peels into.

@@ -7,23 +7,21 @@ Nielsen edges followed by a letter-permutation remainder, with a strictly
 decreasing termination measure checked at every step.  ``canonical_edge``
 is the deterministic normalization of a Zieschang word onto the relator.
 
-The engine builds its first ``ReductionState`` (``_state_of``: the map, the
-word and the measure) and carries it across the moves (``_Carry``).  A
+The engine builds one ``ReductionState`` per call (``_state_of``: the map,
+the word and the measure) and then updates one ``_Carry`` in place.  A
 Nielsen move changes the image of one basis letter b, the letter of v_k, so
-the next state recomputes only what reads phi(b): the new phi(b), one
-substitution into the old images (no composition over the rank); b's
-entries of the measure, deleted from and re-inserted into the sorted
-measure lists by bisection; the distinct-images check, kept as a set of
-image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
-involves b or b'.  The verdict memo is indexed by basis letter, so the move
-drops b's pairs without scanning the others, which keep their verdicts for
-the rest of the call.  The violation search reads the verdicts from the
-carry and builds a missing one, with its A_k, from phi(v_k) and
-phi(v_(k+1)), so a state never materialises its ``imgs`` and ``A``; they
-are derived when something else reads them.  A verdict slices B and C off
-the two images instead of multiplying (A_k cancels completely in both
-products) and compares lengths before letters.
-Each carried state is the same value ``_state_of`` would build.
+a move recomputes only what reads phi(b): the new phi(b), one substitution
+into the old images; b's one or two entries of the sorted measure keys,
+deleted and re-inserted by bisection; the distinct-images check, kept as a
+set of image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
+involves b.  The measure decreases when the sorted keys after the move are
+below those before it, the order of ``PreOrderKey``.  The verdicts are
+memoised per letter pair and indexed by basis letter, so a move drops b's
+pairs without scanning the others.  A verdict reads code tuples only: A_k
+is the longest common prefix of phi(v_k)' and phi(v_(k+1)), it cancels
+completely in B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are
+slices, and lenlex compares lengths first and then ``order_rank`` from a
+per-signature table.  Words are built for the stuck payload only.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
 ``nielsen_edge``) check their source; the engine's Nielsen edges, the
@@ -34,32 +32,40 @@ source, so it checks only that target (``is_zieschang``, a walk along the
 chain) and the class permutation.  The Nielsen templates are one-letter
 moves (``letter_move``), witnessed by construction; a template moves only
 the letter of v_k, so its target is spliced (``endo._splice``) from the
-source's runs between that letter's occurrences.  ``canonical_edge``
-splices the words of steps (i), (ii), (iv), (v) and (vi) the same way from
-the letters each step moves, applies step (vii), collects its steps,
-composes them once per call (witnessed by algebra, see ``endo.compose``)
-and checks that the composite carries the word to the relator; it keeps its
-results in a bounded LRU memo.
+source's runs between that letter's occurrences.  The step (vii) maps of
+``canonical_edge`` and the N1 remainder are witnessed by construction as
+well.  ``canonical_edge`` splices the words of steps (i), (ii), (iv), (v)
+and (vi) the same way from the letters each step moves, applies step (vii),
+collects its steps, composes them once per call (witnessed by algebra, see
+``endo.compose``) and checks that the composite carries the word to the
+relator.
+
+Three bounded LRU memos (``MEMO_SIZE`` entries each) keep pure functions of
+their keys, and a raise stores nothing: ``canonical_edge`` per word;
+``_nielsen_edge`` per (source, tag, k), so a hit returns an edge whose
+target and class permutation were checked on an equal key; and
+``_template_move``, the template pair per (signature, tag, moved letter,
+neighbour letter).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .core import MEMO_SIZE, Signature, Word, _word, letter_str, order_rank, relator
 from .endo import (
     Automorphism,
     Endomorphism,
+    _aut,
     _compose_endos,
     _endo,
     _fwd,
     _splice,
     _substitute,
     _t_class_permutation,
-    aut_from_map,
     classify_letters,
     compose,
     letter_move,
@@ -170,32 +176,32 @@ def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
     """The Nielsen template automorphism at chain position k, or None when the
     position/letter-type constraints fail."""
     sig = V.sig
-    n = len(V.codes)
     v = V.codes
-    one = Word.identity(sig)
     if tag in (N2_RIGHT, N3_RIGHT):
-        if not 1 <= k <= n - 1:
+        if not 1 <= k <= len(v) - 1:
             return None
         u, c = v[k - 1], v[k]
-        cw = _word(sig, (c,))
-        if tag == N2_RIGHT:
-            if sig.is_t_code(u):
-                return None
-            return letter_move(sig, u, one, cw.inverse())
-        if not sig.is_t_code(u):
+    else:
+        if not 2 <= k <= len(v):
             return None
-        return letter_move(sig, u, cw, cw.inverse())
-    if not 2 <= k <= n:
+        u, c = v[k - 1], v[k - 2]
+    # N3 moves a puncture letter, N2 a handle letter
+    if sig.is_t_code(u) != (tag in (N3_RIGHT, N3_LEFT)):
         return None
-    u, c = v[k - 1], v[k - 2]
-    cw = _word(sig, (c,))
-    if tag == N2_LEFT:
-        if sig.is_t_code(u):
-            return None
-        return letter_move(sig, u, cw.inverse(), one)
-    if not sig.is_t_code(u):
-        return None
-    return letter_move(sig, u, cw.inverse(), cw)
+    return _template_move(sig, tag, u, c)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _template_move(sig: Signature, tag: str, u: int, c: int) -> Automorphism:
+    """The template pair moving the letter u past its neighbour c: u -> u c'
+    (N2_right), c u c' (N3_right), c' u (N2_left) or c' u c (N3_left)."""
+    left, right = {
+        N2_RIGHT: ((), (-c,)),
+        N3_RIGHT: ((c,), (-c,)),
+        N2_LEFT: ((-c,), ()),
+        N3_LEFT: ((-c,), (c,)),
+    }[tag]
+    return letter_move(sig, u, _word(sig, left), _word(sig, right))
 
 
 def nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
@@ -205,6 +211,7 @@ def nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     return _nielsen_edge(V, tag, k)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     """``nielsen_edge`` for a source V already known to be Zieschang."""
     aut = _template_aut(V, tag, k)
@@ -253,10 +260,27 @@ def enumerate_nielsen_from(V: Word) -> list[GroupoidEdge]:
     return out
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _rank_table(sig: Signature) -> tuple[int, ...]:
+    """``order_rank`` of every signed letter of ``sig``, indexed by its code;
+    a negative code reads from the end of the tuple."""
+    table = [0] * (2 * sig.rank + 1)
+    for b in sig.basis_codes():
+        table[b], table[-b] = order_rank(b), order_rank(-b)
+    return tuple(table)
+
+
 def _balanced_key(w: Word) -> tuple[int, tuple[int, ...]]:
     """Length-first key on the balanced left half, |left| - |right| in {0, 1}."""
-    left = (len(w.codes) + 1) // 2
-    return (len(w.codes), tuple(order_rank(c) for c in w.codes[:left]))
+    return _key_of(w.codes, _rank_table(w.sig))
+
+
+def _key_of(
+    codes: tuple[int, ...], rank: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """``_balanced_key`` of the word ``codes``, with ``rank`` its signature's
+    ``_rank_table``."""
+    return (len(codes), tuple([rank[c] for c in codes[: (len(codes) + 1) // 2]]))
 
 
 @dataclass(frozen=True)
@@ -307,38 +331,13 @@ def _measure_position(sig: Signature, b: int) -> int:
 
 @dataclass(frozen=True)
 class ReductionState:
-    """Snapshot of one engine iteration: current map, current source word
-    and the measure.  The letter images phi(v_k) (``imgs``) and the
-    common-prefix words A_k (``A``) are derived from ``phi`` and ``word``
-    when first read; the engine reads them from its carried memos instead."""
+    """Snapshot of the reduction: current map, current source word and the
+    measure.  The engine builds one per call, the one its ``_Carry`` starts
+    from."""
 
     phi: Endomorphism
     word: Word
     mu: PreOrderKey
-
-    @cached_property
-    def imgs(self) -> tuple[Word, ...]:
-        images, codes = self.phi.images, self.word.codes
-        return tuple(
-            images[c - 1] if c > 0 else images[-c - 1].inverse() for c in codes
-        )
-
-    @cached_property
-    def A(self) -> tuple[Word, ...]:
-        imgs = self.imgs
-        A = [Word.identity(self.phi.sig)] * (len(imgs) + 1)
-        for k in range(1, len(imgs)):
-            A[k] = _lcp(imgs[k - 1].inverse(), imgs[k])
-        return tuple(A)
-
-
-def _lcp(u: Word, v: Word) -> Word:
-    m = 0
-    for a, b in zip(u.codes, v.codes):
-        if a != b:
-            break
-        m += 1
-    return _word(u.sig, u.codes[:m])  # a prefix of a reduced word is reduced
 
 
 def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
@@ -346,68 +345,84 @@ def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
 
 
 class _Carry:
-    """What ``nielsen_reduce`` carries from one state to the next, for one
-    call.  A Nielsen move changes the image of one basis letter b only, so
-    ``advance`` recomputes only the values that read phi(b) or phi(b'):
+    """The state of one ``nielsen_reduce`` call, built once from a
+    ``ReductionState`` and updated in place by each move.  A Nielsen move
+    changes the image of one basis letter b only, so ``advance`` recomputes
+    only the values that read phi(b) or phi(b'):
 
-    - ``images`` and ``inv``: the basis images of the current map, and
-      phi(c) of the negative letters c met so far;
+    - ``word``: the current source word; ``images``: the basis images of
+      the current map; ``inv``: the codes of phi(c) for the negative letters
+      c read since c's letter last moved;
     - ``verdicts``: the verdict of position k, per letter pair
-      (v_k, v_(k+1)), built with its A_k when ``_find_violation`` first
-      needs it; it depends only on the pair and the two letters' images;
+      (v_k, v_(k+1)), built when ``_find_violation`` first needs it; it
+      depends only on the pair and the two letters' images;
     - ``pairs``: for each basis letter, the pairs memoised since it last
       moved that involve it, so that a move drops only its letter's pairs;
-    - ``ranks`` and ``words``: the measure as sorted lists of (key, position)
-      and of the word at each entry, in ``PreOrderKey.of``'s order, with
-      ``key_at``, the key at each position of the measured word list; a move
-      deletes b's one or two entries and inserts the new ones by bisection;
+    - ``keys`` and ``ranks``: the measure's keys in sorted order, and the
+      same entries as (key, position) pairs, ``PreOrderKey.of``'s order;
+      ``key_at`` and ``codes_at``: the key and the word's codes at each
+      position of the measured word list.  A move deletes b's one or two
+      entries and inserts the new ones by bisection;
     - ``seen`` and ``distinct``: the codes of the measure words, and whether
       they are pairwise distinct.
     """
 
     def __init__(self, state: ReductionState) -> None:
         mu = state.mu
-        self.images = state.phi.images
-        self.inv: dict[int, Word] = {}
+        self.sig = state.phi.sig
+        self.rank = _rank_table(self.sig)
+        self.word = state.word
+        self.images = list(state.phi.images)
+        self.inv: dict[int, tuple[int, ...]] = {}
         self.verdicts: dict[tuple[int, int], tuple] = {}
         self.pairs: dict[int, list[tuple[int, int]]] = {}
+        self.keys = list(mu.keys)
         self.ranks = list(zip(mu.keys, mu.order))
-        self.words = list(mu.words)
-        self.key_at = dict(zip(mu.order, mu.keys))
-        self.seen = {w.codes for w in mu.words}
-        self.distinct = len(self.seen) == len(mu.words)
+        n = len(mu.order)
+        self.key_at: list = [None] * n
+        self.codes_at: list = [None] * n
+        for key, i, w in zip(mu.keys, mu.order, mu.words):
+            self.key_at[i], self.codes_at[i] = key, w.codes
+        self.seen = set(self.codes_at)
+        self.distinct = len(self.seen) == n
 
-    def letter(self, c: int) -> Word:
-        """phi(c) for a signed letter c."""
+    def letter(self, c: int) -> tuple[int, ...]:
+        """The codes of phi(c) for a signed letter c."""
         if c > 0:
-            return self.images[c - 1]
+            return self.images[c - 1].codes
         w = self.inv.get(c)
         if w is None:
-            w = self.inv[c] = self.images[-c - 1].inverse()
+            w = self.inv[c] = tuple([-d for d in reversed(self.images[-c - 1].codes)])
         return w
+
+    def endo(self) -> Endomorphism:
+        """The current map."""
+        return _endo(self.sig, tuple(self.images))
 
     def verdict(self, pair: tuple[int, int]) -> tuple:
         """Build, memoise and index the verdict of the letter pair
-        (v_k, v_(k+1)) from A_k, the longest common prefix of phi(v_k)' and
-        phi(v_(k+1))."""
-        A = _lcp(self.letter(-pair[0]), self.letter(pair[1]))
-        img, next_inv = self.letter(pair[0]), self.letter(-pair[1])
-        verdict = self.verdicts[pair] = _verdict(img, next_inv, A)
-        for b in (abs(pair[0]), abs(pair[1])):
-            self.pairs.setdefault(b, []).append(pair)
+        (v_k, v_(k+1))."""
+        a, b = pair
+        A = _lcp(self.letter(-a), self.letter(b))
+        verdict = self.verdicts[pair] = _verdict(
+            self.letter(a), self.letter(-b), A, self.rank
+        )
+        for c in (abs(a), abs(b)):
+            self.pairs.setdefault(c, []).append(pair)
         return verdict
 
-    def advance(self, state: ReductionState, edge: GroupoidEdge) -> ReductionState:
-        """The state after the Nielsen ``edge``: the same value as
-        ``_state_of`` of ``compose(edge.aut.inv, state.phi)`` and
-        ``edge.target``."""
-        sig = state.phi.sig
+    def advance(self, edge: GroupoidEdge) -> bool:
+        """Move to the target of the Nielsen ``edge``, leaving the values
+        ``_state_of`` would build for ``compose(edge.aut.inv, phi)`` and
+        ``edge.target``; True when the measure strictly decreased."""
+        sig = self.sig
         # the template at chain position k moves only the letter b of v_k, so
         # the composite differs from phi at b alone: phi(inv(b))
-        b = abs(edge.source.codes[edge.kind.k - 1])
-        img = _word(sig, _substitute(self.images, edge.aut.inv.images[b - 1].codes, {}))
-        self.images = self.images[: b - 1] + (img,) + self.images[b:]
+        b = abs(self.word.codes[edge.kind.k - 1])
+        img = _substitute(self.images, edge.aut.inv.images[b - 1].codes, {})
+        self.images[b - 1] = _word(sig, img)
         self.inv.pop(-b, None)
+        self.word = edge.target
         # every pair with a verdict is listed under both its letters; a list
         # may still name a pair dropped through its other letter, or
         # memoised again since, and dropping that pair is right: it involves b
@@ -420,22 +435,24 @@ class _Carry:
 
         # the measure: b's entries leave the (key, position) order, the new
         # ones go in by bisection; (key, position) is unique
-        ranks, words, key_at, seen = self.ranks, self.words, self.key_at, self.seen
+        keys, ranks, key_at, codes_at, seen = (
+            self.keys, self.ranks, self.key_at, self.codes_at, self.seen
+        )
+        before = keys[:]
         for i, _ in slots:
             j = bisect_left(ranks, (key_at[i], i))
-            seen.discard(words[j].codes)  # exact: the words were distinct
-            del ranks[j], words[j]
-        for i, w in slots:
-            if w.codes in seen:
+            del ranks[j], keys[j]
+            seen.discard(codes_at[i])  # exact: the words were distinct
+        for i, codes in slots:
+            if codes in seen:
                 self.distinct = False
-            seen.add(w.codes)
-            key = key_at[i] = _balanced_key(w)
+            seen.add(codes)
+            codes_at[i] = codes
+            key = key_at[i] = _key_of(codes, self.rank)
             j = bisect_left(ranks, (key, i))
             ranks.insert(j, (key, i))
-            words.insert(j, w)
-        keys, order = zip(*ranks)
-        mu = PreOrderKey(tuple(words), keys, order)
-        return ReductionState(_endo(sig, self.images), edge.target, mu)
+            keys.insert(j, key)
+        return keys < before
 
 
 _MAX_ITER_BASE = 10000
@@ -460,61 +477,76 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
 
     edges: list[GroupoidEdge] = []
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
-    state = _state_of(endo, V)
-    carry = _Carry(state)
+    carry = _Carry(_state_of(endo, V))
     for _ in range(budget):
         if not carry.distinct:
             raise ReductionStuck("basis images are not distinct")
-        move = _find_violation(state, carry)
+        move = _find_violation(carry)
         if move is None:
-            return edges, _finish_n1(state.phi, state.word, W)
+            return edges, _finish_n1(carry.endo(), carry.word, W)
+        tag, k, triple = move
         # the source is V or the previous target, both checked
-        edge = _nielsen_edge(state.word, move[0], move[1])
-        nxt_state = carry.advance(state, edge)
-        if not nxt_state.mu < state.mu:
+        edge = _nielsen_edge(carry.word, tag, k)
+        if not carry.advance(edge):
             raise ReductionStuck(
-                f"measure failed to decrease at {move[0]} k={move[1]}",
-                k=move[1],
-                triple=move[2],
+                f"measure failed to decrease at {tag} k={k}",
+                k=k,
+                triple=_words(sig, triple),
             )
         edges.append(edge)
-        state = nxt_state
     raise ReductionStuck("iteration budget exhausted")
 
 
-def _lenlex_less(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _lcp(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The longest common prefix of two code tuples."""
+    m = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        m += 1
+    return u[:m]
+
+
+def _lenlex_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
     """u < v in length-lexicographic order: shorter first, then by
-    ``order_rank`` at the first letter where they differ."""
+    ``order_rank`` (read from ``rank``) at the first letter where they
+    differ."""
     if len(u) != len(v):
         return len(u) < len(v)
     for a, b in zip(u, v):
         if a != b:
-            return order_rank(a) < order_rank(b)
+            return rank[a] < rank[b]
     return False
 
 
-def _verdict(img: Word, next_inv: Word, A: Word) -> tuple:
-    """Verdict of position k from phi(v_k), phi(v_(k+1))' and A_k: () when A_k
-    is below both B = phi(v_k) A_k and C = phi(v_(k+1))' A_k in lenlex order,
-    else ((A_k, B, C), whether the three are distinct, whether B < C).
+def _verdict(
+    img: tuple[int, ...], next_inv: tuple[int, ...], A: tuple[int, ...],
+    rank: tuple[int, ...],
+) -> tuple:
+    """Verdict of position k from the codes of phi(v_k), phi(v_(k+1))' and
+    A_k: () when A_k is below both B = phi(v_k) A_k and C = phi(v_(k+1))' A_k
+    in lenlex order, else ((A_k, B, C), whether the three are distinct,
+    whether B < C), as code tuples.
 
     A_k is a common prefix of phi(v_k)' and phi(v_(k+1)), so it cancels
     completely in both products: B and C are the words with A_k' cut off the
     end of phi(v_k) and of phi(v_(k+1))'."""
-    a = A.codes
-    b = img.codes[: len(img.codes) - len(a)]
-    c = next_inv.codes[: len(next_inv.codes) - len(a)]
-    if _lenlex_less(a, b) and _lenlex_less(a, c):
+    b = img[: len(img) - len(A)]
+    c = next_inv[: len(next_inv) - len(A)]
+    if _lenlex_less(A, b, rank) and _lenlex_less(A, c, rank):
         return ()
-    sig = A.sig
-    triple = (A, _word(sig, b), _word(sig, c))  # slices of reduced words
-    return (triple, a != b and a != c and b != c, _lenlex_less(b, c))
+    return ((A, b, c), A != b and A != c and b != c, _lenlex_less(b, c, rank))
 
 
-def _find_violation(state: ReductionState, carry: _Carry):
+def _words(sig: Signature, triple) -> tuple[Word, ...]:
+    """The words of a verdict's code triple (slices of reduced words)."""
+    return tuple([_word(sig, codes) for codes in triple])
+
+
+def _find_violation(carry: _Carry):
     """Smallest k where A_k fails to be below both neighbours, with the move."""
-    sig = state.phi.sig
-    codes = state.word.codes
+    sig = carry.sig
+    codes = carry.word.codes
     verdicts = carry.verdicts
     for k in range(1, len(codes)):
         pair = (codes[k - 1], codes[k])
@@ -526,7 +558,7 @@ def _find_violation(state: ReductionState, carry: _Carry):
         triple, distinct, left = verdict
         if not distinct:
             raise ReductionStuck(
-                f"prefix words not distinct at k={k}", k=k, triple=triple
+                f"prefix words not distinct at k={k}", k=k, triple=_words(sig, triple)
             )
         if left:
             moved = codes[k]  # v_{k+1}
@@ -539,15 +571,17 @@ def _find_violation(state: ReductionState, carry: _Carry):
 
 
 def _finish_n1(endo: Endomorphism, V: Word, W: Word) -> GroupoidEdge:
+    """The N1 edge of the remainder ``endo`` from V, which must end at W.
+    After the range check, a signed letter permutation b -> c is inverted
+    letter by letter (c -> b), so the pair is witnessed by construction."""
     sig = endo.sig
-    perm = classify_letters(endo)
-    if perm is None:
+    if classify_letters(endo) is None:
         raise ReductionStuck("remainder is not a letter permutation")
-    inv_map: dict[int, Word] = {}
+    inv: list = [None] * sig.rank
     for b in sig.basis_codes():
         c = endo.images[b - 1].codes[0]
-        inv_map[abs(c)] = Word(sig, (b if c > 0 else -b,))
-    aut = Automorphism(endo, Endomorphism.from_map(sig, inv_map))
+        inv[abs(c) - 1] = _word(sig, (b if c > 0 else -b,))
+    aut = _aut(endo, _endo(sig, tuple(inv)))
     # V is the checked input or the last move's target
     e = _edge(V, aut, NielsenKind(N1))
     if e.target != W:
@@ -645,7 +679,8 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
 
 def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphism:
     """Step (vii): push the segment between x_i and y_i' past the block,
-    multiplying exactly the letters whose chain segment sits inside it."""
+    multiplying exactly the letters whose chain segment sits inside it.
+    After the checks on the segment the pair is witnessed by construction."""
     xi, yi = sig.x_code(i), sig.y_code(i)
     rest = cur.codes[done:]
     qpos = rest.index(yi)
@@ -660,17 +695,21 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
             raise CosetViolation(f"segment contains {letter_str(sig, forbidden)}")
     if any(sig.is_t_code(c) for c in segment):
         raise CosetViolation("segment contains a puncture letter")
-    fwd_map: dict[int, Word] = {}
-    inv_map: dict[int, Word] = {}
+    # b -> L b R and back b -> L' b R', with L and R empty or the letter
+    # y_i or y_i': the segment holds neither y_i nor y_i', so both maps fix
+    # y_i, b is not y_i's letter and the images are reduced as written, and
+    # each map undoes the other
+    fwd = list(Endomorphism.identity(sig).images)
+    inv = fwd[:]
     for b in sig.basis_codes():
         left = (yi,) if -b in segment else ()
         right = (-yi,) if b in segment else ()
         if left or right:
-            fwd_map[b] = Word(sig, left + (b,) + right)
-            inv_map[b] = Word(
-                sig, tuple(-c for c in left) + (b,) + tuple(-c for c in right)
+            fwd[b - 1] = _word(sig, left + (b,) + right)
+            inv[b - 1] = _word(
+                sig, tuple([-c for c in left]) + (b,) + tuple([-c for c in right])
             )
-    aut = aut_from_map(sig, fwd_map, inv_map)
+    aut = _aut(_endo(sig, tuple(fwd)), _endo(sig, tuple(inv)))
     mid_word, tail_word = Word(sig, mid), Word(sig, tail)
     y_word = Word(sig, (yi,))
     if aut.apply(tail_word) != tail_word:

@@ -45,11 +45,13 @@ def rng():
 def clear_memos():
     """Empty every memo of the package (``test_conftest`` checks that no
     ``lru_cache`` is missing here)."""
-    factorize._telescoped.clear()
     factorize._factored.clear()
     factorize._peeled.clear()
     factorize._factorize_cached.cache_clear()
     groupoid.canonical_edge.cache_clear()
+    groupoid._nielsen_edge.cache_clear()
+    groupoid._template_move.cache_clear()
+    groupoid._rank_table.cache_clear()
     gens.generator.cache_clear()
     gens.humphries_rewrite.cache_clear()
     gens.eta.cache_clear()

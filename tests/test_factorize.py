@@ -34,6 +34,7 @@ from surfaut import (
     relator,
 )
 from surfaut import factorize as F
+from surfaut import groupoid
 from surfaut import selftest
 from surfaut.cli import run
 from surfaut.endo import format_endomorphism
@@ -426,19 +427,17 @@ class TestChecksStillFire:
             factorize_adl(gen("s", 2, S02))
 
     def test_wrong_bracket(self, rng, monkeypatch):
-        # at p = 2 an N2 edge's loops come from other edges' brackets; the
-        # uncached telescoping picks the edges, so the memo stays cold
+        # at p = 2 an N2 edge's loops come from other edges' brackets
         sig = Signature(1, 2)
         real = F._bracket
         twist = gen("s", 2, sig)
         checked = 0
         for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-            if len(F._telescope(e, None)) < 2:
+            if len(nielsen_to_base_loops(e)) < 2:
                 continue
             monkeypatch.setattr(
                 F, "_bracket", lambda d, e=e: compose(real(d), twist) if d is e else real(d)
             )
-            assert not F._telescoped
             with pytest.raises(CosetViolation, match="base loops do not recompose"):
                 nielsen_to_base_loops(e)
             monkeypatch.setattr(F, "_bracket", real)
@@ -501,20 +500,23 @@ def _distinct_edges(sig, rng, count):
 
 
 class TestTelescopeMemo:
+    """Factorisation telescopes an edge only on a miss of the per-edge memo
+    ``_factored``, which is keyed on what the telescoping reads."""
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
     def test_memo_matches_uncached(self, sig, seed):
         # engine edges (the N1 remainder included), enumerated edges, and
         # the enumerated edges without their kind, which share one source
-        F._telescoped.clear()  # the examples of one test share its fixture
+        F._factored.clear()  # the examples of one test share its fixture
         rng = random.Random(seed)
         a = random_adl_automorphism(sig, rng, _short(sig))
         steps, n1 = nielsen_reduce(relator(sig), a.fwd)
         moves = enumerate_nielsen_from(random_zieschang(sig, rng))
         edges = steps + [n1] + moves + [dataclasses.replace(e, kind=None) for e in moves]
-        want = [_loop_values(F._telescope(e, None)) for e in edges]
+        want = [F._factor_edge(e) for e in edges]
         for _ in ("cold", "warm"):
-            assert [_loop_values(nielsen_to_base_loops(e)) for e in edges] == want
+            assert [F._edge_factors(e) for e in edges] == want
 
     def test_audit_after_warm_memo(self, rng):
         # the audit path telescopes every edge itself, in order
@@ -535,39 +537,46 @@ class TestTelescopeMemo:
 
         monkeypatch.setattr(F, "_loops_p_ge2", fail)
         with pytest.raises(CosetViolation, match="forced"):
-            nielsen_to_base_loops(e)
-        assert not F._telescoped
+            F._edge_factors(e)
+        assert not F._factored
         monkeypatch.undo()
-        assert _loop_values(nielsen_to_base_loops(e)) == _loop_values(
-            F._telescope(e, None)
-        )
-        assert len(F._telescoped) == 1
+        assert F._edge_factors(e) == F._factor_edge(e)
+        # stored now, with the edges of the stabilizers it recursed into
+        assert F._edge_key(e) in F._factored
 
     def test_least_recently_used_goes_first(self, rng, monkeypatch):
-        a, b, c = _distinct_edges(Signature(1, 2), rng, 3)
+        sig = Signature(1, 2)
+        a, b, c = _distinct_edges(sig, rng, 3)
+        for e in (a, b, c):
+            # the stabilizers' words below are then in the top-level memo, so
+            # factoring these edges again telescopes no edge below
+            F._edge_factors(e)
+        F._factored.clear()
         runs = []
-        real = F._telescope
+        real = F.nielsen_to_base_loops
 
-        def telescope(e, audit):
+        def telescope(e, audit=None):
             runs.append(e)
             return real(e, audit)
 
         monkeypatch.setattr(F, "MEMO_SIZE", 2)
-        monkeypatch.setattr(F, "_telescope", telescope)
+        monkeypatch.setattr(F, "nielsen_to_base_loops", telescope)
         for e in (a, b, a, c, a, b):
-            nielsen_to_base_loops(e)
-            assert len(F._telescoped) <= 2
+            F._edge_factors(e)
+            assert len(F._factored) <= 2
         # a is used again before c arrives, so b goes; then c goes for b
         assert runs == [a, b, c, b]
 
     def test_memos_are_bounded(self, rng, monkeypatch):
         assert F._factorize_cached.cache_info().maxsize == F.MEMO_SIZE
+        for memo in (groupoid._nielsen_edge, groupoid._template_move):
+            assert memo.cache_info().maxsize == F.MEMO_SIZE
         monkeypatch.setattr(F, "MEMO_SIZE", 5)
         edges = _distinct_edges(Signature(1, 2), rng, 12)
         for e in edges + edges:
-            nielsen_to_base_loops(e)
-            assert len(F._telescoped) <= 5
-        assert len(F._telescoped) == 5
+            F._edge_factors(e)
+            assert len(F._factored) <= 5
+        assert len(F._factored) == 5
 
 
 def _single_loop_edges(sig, rng, count):
@@ -576,7 +585,7 @@ def _single_loop_edges(sig, rng, count):
     found = {}
     while len(found) < count:
         for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-            loops = F._telescope(e, None)
+            loops = nielsen_to_base_loops(e)
             if len(loops) == 1:
                 found.setdefault(loops[0].aut.fwd, e)
     return list(found.values())[:count]
@@ -626,12 +635,20 @@ class TestFactorMemos:
                     raise CosetViolation("forced")
             return real(loop, s)
 
+        telescoped = {}
+
+        def recording(e, audit=None):
+            loops = telescoped[F._edge_key(e)] = real_telescope(e, audit)
+            return loops
+
+        real_telescope = F.nielsen_to_base_loops
         monkeypatch.setattr(F, "peel_special", second_top_fails)
+        monkeypatch.setattr(F, "nielsen_to_base_loops", recording)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adl(a)
         assert top[0] in F._peeled and top[1] not in F._peeled
         assert not [key for key in F._factored
-                    if top[1] in [loop.aut.fwd for loop in F._telescoped[key]]]
+                    if top[1] in [loop.aut.fwd for loop in telescoped[key]]]
         monkeypatch.undo()
         assert factorize_adl(a) == factorize_adl(a, [])
         assert top[1] in F._peeled
@@ -665,7 +682,7 @@ class TestFactorMemos:
         # A hit of the edge memo reads no loop, so at the loop memo a goes
         # for c, and b is still there
         assert edges == [a, b, c, b]
-        assert loops == [F._telescope(e, None)[0].aut.fwd for e in (a, b, c)]
+        assert loops == [nielsen_to_base_loops(e)[0].aut.fwd for e in (a, b, c)]
         # evictions change no word
         for sig in GRID:
             x = random_adl_automorphism(sig, rng, _short(sig))
@@ -723,7 +740,7 @@ def _telescope_enumerated(rng, words=8):
     for sig in [s for s in GRID if s.p >= 2 or s.g >= 1] + [Signature(3, 1)]:
         for _ in range(words):
             for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-                F._telescope(e, audit)
+                nielsen_to_base_loops(e, audit)
 
 
 def _has_t_before(d):
@@ -833,28 +850,36 @@ def test_audit_golden_enters_every_case_table(monkeypatch):
 
 
 class TestWitnessedByAlgebra:
-    """``compose`` of automorphisms, the two restrictions and
-    ``eval_gen_word`` build their pairs with the trusted constructor, because
-    algebra witnesses them; every pair they build while factorising must
-    still pass both witness identities and the folding oracle."""
+    """``compose`` of automorphisms, the two restrictions, ``eval_gen_word``,
+    canonical step (vii) and the N1 remainder of peak reduction build their
+    pairs with the trusted constructor, because algebra or their
+    construction witnesses them; every pair they build while factorising
+    must still pass both witness identities and the folding oracle."""
 
-    MAKERS = ("compose", "restrict_drop_tp", "restrict_relabel_K", "eval_gen_word")
+    MAKERS = {
+        "compose": "endo",
+        "restrict_drop_tp": "endo",
+        "restrict_relabel_K": "endo",
+        "eval_gen_word": "gens",
+        "_whitehead_step": "groupoid",
+        "_finish_n1": "groupoid",
+    }
 
     def test_every_built_pair_is_witnessed(self, rng, monkeypatch):
         import surfaut
-        from surfaut import endo, gens
         from surfaut.endo import _undoes
         from surfaut.whitehead import is_onto
 
-        real = {name: getattr(endo if name != "eval_gen_word" else gens, name)
-                for name in self.MAKERS}
+        real = {name: getattr(sys.modules[f"surfaut.{home}"], name)
+                for name, home in self.MAKERS.items()}
         built = {name: set() for name in self.MAKERS}
 
         def recording(name):
             def wrapped(*args):
                 out = real[name](*args)
-                if isinstance(out, Automorphism):
-                    built[name].add((out.fwd, out.inv))
+                aut = out.aut if isinstance(out, GroupoidEdge) else out
+                if isinstance(aut, Automorphism):
+                    built[name].add((aut.fwd, aut.inv))
                 return out
             return wrapped
 

@@ -1,3 +1,6 @@
+import copy
+import io
+import itertools
 import json
 import pathlib
 import random
@@ -45,6 +48,7 @@ from surfaut.groupoid import (
     classify_nielsen_map,
     nielsen_edge,
 )
+from surfaut.whitehead import _candidate_letters, is_zieschang
 from surfaut.selftest import GRID, random_adl_automorphism, random_word, random_zieschang
 
 from conftest import SMALL_SIGS, word_pairs
@@ -192,6 +196,36 @@ def reference_verdict(img, next_inv, A):
     return ((A, B, C), len({ka, kb, kc}) == 3, kb < kc)
 
 
+def as_words(sig, verdict):
+    """A verdict of the engine, whose triple is code tuples, with words."""
+    if not verdict:
+        return verdict
+    triple, distinct, left = verdict
+    return (tuple(Word(sig, codes) for codes in triple), distinct, left)
+
+
+def reference_imgs(state):
+    """phi(v_k) for every letter v_k of the state's word."""
+    images = state.phi.images
+    return tuple(images[c - 1] if c > 0 else images[-c - 1].inverse()
+                 for c in state.word.codes)
+
+
+def reference_prefixes(state):
+    """A_0 .. A_n: A_k is the longest common prefix of phi(v_k)' and
+    phi(v_(k+1)) for 0 < k < n, and A_0 and A_n are empty."""
+    imgs = reference_imgs(state)
+    sig = state.phi.sig
+    A = [Word.identity(sig)] * (len(imgs) + 1)
+    for k in range(1, len(imgs)):
+        left, right = imgs[k - 1].inverse().codes, imgs[k].codes
+        m = 0
+        while m < min(len(left), len(right)) and left[m] == right[m]:
+            m += 1
+        A[k] = Word(sig, left[:m])
+    return tuple(A)
+
+
 class TestNielsenReduce:
     def test_identity(self):
         edges, n1 = nielsen_reduce(relator(S10), Endomorphism.identity(S10))
@@ -255,15 +289,18 @@ class TestNielsenReduce:
                 states.append(groupoid._state_of(phi, V))
             for st in states:
                 codes, n = st.word.codes, len(st.word.codes)
-                assert st.imgs == tuple(apply(st.phi, Word(sig, (c,))) for c in codes)
-                assert len(st.A) == n + 1
-                assert st.A[0] == Word.identity(sig) and st.A[n] == Word.identity(sig)
+                imgs, A = reference_imgs(st), reference_prefixes(st)
+                assert imgs == tuple(apply(st.phi, Word(sig, (c,))) for c in codes)
+                assert len(A) == n + 1
+                assert A[0] == Word.identity(sig) and A[n] == Word.identity(sig)
                 for k in range(1, n):
-                    left, right = st.imgs[k - 1].inverse().codes, st.imgs[k].codes
-                    m = len(st.A[k])
+                    left, right = imgs[k - 1].inverse().codes, imgs[k].codes
+                    m = len(A[k])
                     # A_k is the longest common prefix of phi(v_k)' and phi(v_(k+1))
-                    assert left[:m] == right[:m] == st.A[k].codes
+                    assert left[:m] == right[:m] == A[k].codes
                     assert m == min(len(left), len(right)) or left[m] != right[m]
+                    # the engine's prefix of the two letters' codes
+                    assert groupoid._lcp(left, right) == A[k].codes
 
     def test_each_state_built_once(self, rng, monkeypatch):
         # one full build per reduction, then one carried update per edge
@@ -274,9 +311,9 @@ class TestNielsenReduce:
             full.append(V)
             return real_full(endo, V)
 
-        def counted_advance(carry, state, edge):
+        def counted_advance(carry, edge):
             carried.append(edge)
-            return real_advance(carry, state, edge)
+            return real_advance(carry, edge)
 
         monkeypatch.setattr(groupoid, "_state_of", counted_full)
         monkeypatch.setattr(groupoid._Carry, "advance", counted_advance)
@@ -290,13 +327,15 @@ class TestNielsenReduce:
                 assert len(full) == 1 and carried == edges
 
     def test_carried_states_match_full_rebuild(self, rng, monkeypatch):
+        # the carry is updated in place, so each move records a copy of it
         carried = []
         real = groupoid._Carry.advance
 
-        def recording(carry, state, edge):
-            nxt = real(carry, state, edge)
-            carried.append((edge, nxt))
-            return nxt
+        def recording(carry, edge):
+            decreased = real(carry, edge)
+            snapshot = {name: copy.copy(value) for name, value in vars(carry).items()}
+            carried.append((edge, snapshot))
+            return decreased
 
         monkeypatch.setattr(groupoid._Carry, "advance", recording)
         moves = 0
@@ -313,16 +352,22 @@ class TestNielsenReduce:
                     edges, _ = nielsen_reduce(source, phi)
                     assert [e for e, _ in carried] == edges
                     for e, st in carried:
-                        # the engine reads images and verdicts from its memos,
-                        # so a carried state never builds its own
-                        assert "imgs" not in vars(st) and "A" not in vars(st)
                         phi = compose(e.aut.inv, phi)
                         full = groupoid._state_of(phi, e.target)
-                        assert st.phi == full.phi and st.word == full.word == e.target
-                        assert st.imgs == full.imgs and st.A == full.A
-                        assert st.mu.words == full.mu.words
-                        assert st.mu.keys == full.mu.keys
-                        assert st.mu.order == full.mu.order
+                        assert tuple(st["images"]) == full.phi.images
+                        assert st["word"] == full.word == e.target
+                        # the inverse images read since their letter moved
+                        for c, codes in st["inv"].items():
+                            assert codes == phi.images[-c - 1].inverse().codes
+                        # the measure, sorted and by position
+                        assert [st["codes_at"][i] for _, i in st["ranks"]] == [
+                            w.codes for w in full.mu.words]
+                        assert tuple(st["keys"]) == full.mu.keys
+                        assert tuple(i for _, i in st["ranks"]) == full.mu.order
+                        assert [k for k, _ in st["ranks"]] == st["keys"]
+                        assert [st["key_at"][i] for i in full.mu.order] == st["keys"]
+                        assert st["seen"] == {w.codes for w in full.mu.words}
+                        assert st["distinct"]
                     moves += len(edges)
         assert moves > 500
 
@@ -330,9 +375,13 @@ class TestNielsenReduce:
     def test_verdict_matches_reference(self, pair):
         # any two images, the empty word among them, with their A_k
         img, nxt = pair
-        A = groupoid._lcp(img.inverse(), nxt)
-        assert groupoid._verdict(img, nxt.inverse(), A) == reference_verdict(
-            img, nxt.inverse(), A
+        sig = img.sig
+        A = groupoid._lcp(img.inverse().codes, nxt.codes)
+        verdict = groupoid._verdict(
+            img.codes, nxt.inverse().codes, A, groupoid._rank_table(sig)
+        )
+        assert as_words(sig, verdict) == reference_verdict(
+            img, nxt.inverse(), Word(sig, A)
         )
 
     def test_carried_memos_match_reference(self, rng, monkeypatch):
@@ -346,18 +395,20 @@ class TestNielsenReduce:
 
         def check(carry, image):
             for (a, b), verdict in carry.verdicts.items():
-                A = groupoid._lcp(image(-a), image(b))
-                assert verdict == reference_verdict(image(a), image(-b), A)
+                A = groupoid._lcp(image(-a).codes, image(b).codes)
+                assert as_words(carry.sig, verdict) == reference_verdict(
+                    image(a), image(-b), Word(carry.sig, A)
+                )
                 for c in (abs(a), abs(b)):
                     assert (a, b) in carry.pairs[c]
             return len(carry.verdicts)
 
-        def checking(state, carry):
-            phi = state.phi
+        def checking(carry):
+            phi = carry.endo()
             image = lambda c: apply(phi, Word(phi.sig, (c,)))  # noqa: E731
             counts["kept"] += check(carry, image)
             try:
-                return real(state, carry)
+                return real(carry)
             finally:
                 counts["verdicts"] += check(carry, image)
                 counts["violations"] += sum(map(bool, carry.verdicts.values()))
@@ -405,6 +456,133 @@ class TestNielsenReduce:
             edges, n1 = nielsen_reduce(relator(sig), phi)
             assert [[str(e.kind), list(e.target.codes)] for e in edges] == want["edges"]
             assert [list(w.codes) for w in n1.aut.fwd.images] == want["remainder"]
+
+
+def reference_first_violation(phi, V):
+    """The first position k whose verdict is not (), with its (A_k, B, C)
+    and whether B < C, from the full state of phi at V."""
+    state = groupoid._state_of(phi, V)
+    imgs, A = reference_imgs(state), reference_prefixes(state)
+    for k in range(1, len(imgs)):
+        verdict = reference_verdict(imgs[k - 1], imgs[k].inverse(), A[k])
+        if verdict:
+            return k, verdict[0], verdict[2]
+    return None
+
+
+_STUCK_SIG = S11
+#: three moves from the relator, the first N2_right at k = 2
+_STUCK_AUT = "x1 -> y1' x1 y1' x1 x1; y1 -> x1' y1"
+
+
+def _patch_stuck(site, monkeypatch, phi):
+    """Patch one private step of the engine so that the reduction of
+    ``phi`` from the relator raises at ``site``."""
+    if site == "measure":
+        # every measure key equal: the first move cannot decrease it
+        monkeypatch.setattr(groupoid, "_key_of", lambda codes, rank: (0, ()))
+    elif site == "prefixes":
+        real = groupoid._verdict
+
+        def not_distinct(*args):
+            verdict = real(*args)
+            return (verdict[0], False, verdict[2]) if verdict else verdict
+
+        monkeypatch.setattr(groupoid, "_verdict", not_distinct)
+    elif site == "remainder":
+        monkeypatch.setattr(groupoid, "classify_letters", lambda endo: None)
+    else:
+        # a budget of one iteration: one move, and none left to finish
+        total = sum(len(w) for w in phi.images)
+        monkeypatch.setattr(groupoid, "_MAX_ITER_BASE", 1 - 20 * total)
+
+
+class TestStuckRaiseSites:
+    """No input is known to reach these raises of the engine (the relator of
+    a surface group is a test element), so each is reached by patching one
+    private step; the message, the payload and the CLI's exit 3 are pinned."""
+
+    @pytest.mark.parametrize("site", ["measure", "prefixes", "remainder", "budget"])
+    def test_raise_site(self, site, monkeypatch):
+        from surfaut.cli import run
+        from surfaut.endo import parse_endomorphism
+
+        sig, v0 = _STUCK_SIG, relator(_STUCK_SIG)
+        phi = parse_endomorphism(
+            f"sig g={sig.g} p={sig.p}\n" + _STUCK_AUT.replace("; ", "\n")
+        )
+        edges, _ = nielsen_reduce(v0, phi)
+        assert [str(e.kind) for e in edges] == [
+            "N2_right k=2", "N2_right k=2", "N2_left k=5"]
+        k, triple, left = reference_first_violation(phi, v0)
+        assert (k, left) == (2, False)
+        want = {
+            "measure": ("measure failed to decrease at N2_right k=2", k, triple),
+            "prefixes": ("prefix words not distinct at k=2", k, triple),
+            "remainder": ("remainder is not a letter permutation", None, None),
+            "budget": ("iteration budget exhausted", None, None),
+        }[site]
+        _patch_stuck(site, monkeypatch, phi)
+        with pytest.raises(ReductionStuck) as info:
+            nielsen_reduce(v0, phi)
+        assert (str(info.value), info.value.k, info.value.triple) == want
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["nielsen-reduce", "--sig", f"{sig.g},{sig.p}", "--aut", _STUCK_AUT]
+        assert run(argv, out, err) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"internal assertion: ReductionStuck: {want[0]}\n"
+
+
+def zieschang_words(sig):
+    """Every Zieschang word of ``sig``: the orderings of its candidate
+    letters that pass ``is_zieschang``."""
+    letters = sorted(_candidate_letters(sig))
+    for codes in itertools.permutations(letters):
+        V = Word(sig, codes)
+        if is_zieschang(V, sig):
+            yield V
+
+
+class TestEdgeMemos:
+    """``_nielsen_edge`` and ``_template_move`` keep pure functions of their
+    keys in bounded LRU memos; a raise stores nothing."""
+
+    @pytest.mark.parametrize(
+        "sig,stride",
+        [(Signature(0, 3), 1), (S11, 1), (Signature(2, 0), 16)],
+        ids=["0,3", "1,1", "2,0"],
+    )
+    def test_memoised_edges_match_uncached(self, sig, stride, monkeypatch):
+        # every template position of the Zieschang words (of every 16th at
+        # (2,0), which has 8,064 of them)
+        memo, info = groupoid._nielsen_edge, groupoid._nielsen_edge.cache_info
+        tags = (N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT)
+        got, refused = {}, {}
+        for V in itertools.islice(zieschang_words(sig), 0, None, stride):
+            for tag in tags:
+                for k in range(1, sig.chain_len + 1):
+                    size = info().currsize
+                    try:
+                        e = got[V, tag, k] = memo(V, tag, k)
+                    except CosetViolation as exc:
+                        refused[V, tag, k] = str(exc)
+                        assert info().currsize == size  # not stored
+                        with pytest.raises(CosetViolation):
+                            memo(V, tag, k)
+                    else:
+                        assert memo(V, tag, k) is e  # a hit
+        assert got and refused
+        # the reference builds every edge and template afresh
+        uncached = groupoid._template_move.__wrapped__
+        monkeypatch.setattr(groupoid, "_template_move", uncached)
+        for key, e in got.items():
+            want = memo.__wrapped__(*key)
+            assert (e.source, e.target, e.kind) == (want.source, want.target, want.kind)
+            assert (e.aut.fwd, e.aut.inv) == (want.aut.fwd, want.aut.inv)
+        for key, message in refused.items():
+            with pytest.raises(CosetViolation) as exc:
+                memo.__wrapped__(*key)
+            assert str(exc.value) == message
 
 
 class TestSplicedTargets:

@@ -33,6 +33,9 @@ def test_finds_the_known_caches():
     assert {
         "surfaut.endo.Endomorphism.identity",
         "surfaut.gens.generator",
+        "surfaut.groupoid._nielsen_edge",
+        "surfaut.groupoid._rank_table",
+        "surfaut.groupoid._template_move",
         "surfaut.whitehead._candidate_letters",
     } <= names
 
