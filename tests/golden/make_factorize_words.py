@@ -2,7 +2,10 @@
 
 Each case is a seeded generator word, the automorphism it evaluates to, and
 the word ``factorize_adl`` (grid signatures) or ``factorize_adlh`` ((3,0) and
-(4,0)) returns for that automorphism.  Run from the repository root:
+(4,0)) returns for that automorphism.  The last cases are ADLH words that
+cancel across the seams of the Humphries splice: seeded inputs kept when the
+ADLH word is shorter than the ADL word with each alpha_(>=3) token replaced
+by its rewrite.  Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_factorize_words.py \
         > tests/golden/factorize_words.json
@@ -13,7 +16,7 @@ import random
 import sys
 
 from surfaut import GenWord, Signature, eval_gen_word, factorize_adl, factorize_adlh
-from surfaut.gens import gen_set
+from surfaut.gens import gen_set, humphries_rewrite
 from surfaut.selftest import random_gen_word
 
 SEED = 20260809
@@ -24,6 +27,27 @@ PLAN = [(gp, "adl", 10 if gp[0] + gp[1] <= 2 else 7) for gp in GRID] + [
     ((3, 0), "adlh", 2),
     ((4, 0), "adlh", 1),
 ]
+# (signature, tokens per input) of the ADLH cases that cancel across seams
+SEAM_PLAN = [((3, 0), 3), ((4, 0), 2)]
+SEAM_CASES = 4
+
+
+def spliced_len(adl: GenWord, sig: Signature) -> int:
+    """Length of ``adl`` with each alpha_(>=3) token replaced by its
+    Humphries rewrite, before any cancellation."""
+    return sum(
+        len(humphries_rewrite(n.index, sig)) if n.family == "a" and n.index >= 3 else 1
+        for n, _ in adl.tokens
+    )
+
+
+def case(sig: Signature, variant: str, w: GenWord, word: GenWord) -> dict:
+    return {
+        "sig": f"{sig.g},{sig.p}",
+        "variant": variant,
+        "genword": str(w),
+        "word": str(word),
+    }
 
 
 def cases() -> list[dict]:
@@ -38,14 +62,17 @@ def cases() -> list[dict]:
             else:
                 w = random_gen_word(sig, rng, tokens)
             fn = factorize_adl if variant == "adl" else factorize_adlh
-            out.append(
-                {
-                    "sig": f"{g},{p}",
-                    "variant": variant,
-                    "genword": str(w),
-                    "word": str(fn(eval_gen_word(w, sig))),
-                }
-            )
+            out.append(case(sig, variant, w, fn(eval_gen_word(w, sig))))
+    for (g, p), tokens in SEAM_PLAN:
+        sig = Signature(g, p)
+        kept = 0
+        while kept < SEAM_CASES:
+            w = random_gen_word(sig, rng, tokens)
+            a = eval_gen_word(w, sig)
+            word = factorize_adlh(a)
+            if len(word) < spliced_len(factorize_adl(a), sig):
+                out.append(case(sig, "adlh", w, word))
+                kept += 1
     return out
 
 
