@@ -9,15 +9,17 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Outside an audit two bounded LRU memos (``MEMO_SIZE`` entries each) hold
-checked values, and a raise stores nothing:
+Three bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
+and a raise stores nothing:
 
-- ``_factored`` keeps, per Nielsen edge, the edge's tokens with the
+- ``_factored`` keeps, per Nielsen edge, the edge's reduced tokens with the
   composite of the forward values of its checked parts, so an edge is
   telescoped only on a miss;
 - ``_peeled`` keeps, keyed on a loop's forward map, the parts the loop peels
   into (``peel_special``, ``_stab_word`` and the special generator's words),
-  each with the forward value it was checked at.
+  each with the forward value it was checked at;
+- ``_adl_values`` keeps, per ADL word, its forward value, which
+  ``factorize_adlh`` compares with the input's on every call.
 
 The key of an edge is what its telescoping reads: the signature, the source
 codes, the forward image codes and the kind; the target and the inverse are
@@ -28,9 +30,14 @@ loop, and every part's value is the value of its word.  Evaluation is a
 homomorphism, so the end-to-end check of a level composes one value per
 edge and compares the result with the input: the same predicate as
 evaluating the whole word, so a word that fails to recompose the input is
-caught whether its parts came from a memo or not.  An audit reuses
-nothing: it telescopes every edge, in order, then peels every loop, so its
-scripts keep their order.
+caught whether its parts came from a memo or not.  An audit reuses no
+edge or loop: it telescopes every edge, in order, then peels every loop,
+so its scripts keep their order.
+
+Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
+edge's tokens and a level's word are the parts' and edges' token runs
+joined at their seams (``gens._join``) and built by the trusted
+``gens._genword``.
 
 The telescoping brackets its edge once; the case tables take that bracket,
 and a table that recurses on the inverse edge passes its inverse.
@@ -64,7 +71,7 @@ from .endo import (
     restrict_relabel_K,
 )
 from .errors import CosetViolation, NotInA, SignatureMismatch
-from .gens import GenName, GenWord, _eval_fwd, _splice, generator
+from .gens import GenName, GenWord, _eval_fwd, _genword, _join, _splice, _Tokens, generator
 from .groupoid import (
     N1,
     N2_LEFT,
@@ -623,14 +630,15 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
     v0 = relator(sig)
     steps, n1 = nielsen_reduce(v0, a.fwd)
     edges = steps + [n1]
-    tokens: list[tuple[GenName, int]] = []
-    # the forward value of each edge (of each part, when auditing), in order
+    # the reduced tokens and the forward value of each edge (of each part,
+    # when auditing), in order
+    runs: list[_Tokens] = []
     pieces: list[Endomorphism] = []
     if audit is None:
         for e in edges:
             edge_tokens, value = _edge_factors(e)
             if edge_tokens:
-                tokens.extend(edge_tokens)
+                runs.append(edge_tokens)
                 pieces.append(value)
     else:
         # every edge is telescoped before any loop is peeled, so the scripts
@@ -638,23 +646,25 @@ def _factorize_impl(a: Automorphism, audit) -> GenWord:
         loops = [loop for e in edges for loop in nielsen_to_base_loops(e, audit)]
         for loop in loops:
             for word, value in _peel_parts(loop, sig, audit):
-                tokens.extend(word.tokens)
+                runs.append(word.tokens)
                 pieces.append(value)
     # the word's value is the composite of its checked pieces' values
     if _compose_all(pieces, sig) != a.fwd:
         raise CosetViolation("factorization failed to recompose the input")
-    return GenWord(tuple(tokens))
+    return _genword(_join(runs))
 
 
-_Tokens = tuple[tuple[GenName, int], ...]
 _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward value)
 
 #: Per Nielsen edge, keyed on what its telescoping reads (``_edge_key``): the
-#: edge's tokens and the composite of its checked parts' forward values.
+#: edge's reduced tokens and the composite of its checked parts' forward
+#: values.
 _factored: OrderedDict[tuple, tuple[_Tokens, Endomorphism]] = OrderedDict()
 #: Per base loop, keyed on its forward map (which determines its inverse and
 #: coset tag): the nonempty parts it peels into.
 _peeled: OrderedDict[Endomorphism, _Parts] = OrderedDict()
+#: Per ADL word, keyed on (signature, tokens): its forward value.
+_adl_values: OrderedDict[tuple, Endomorphism] = OrderedDict()
 
 
 def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
@@ -663,18 +673,18 @@ def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
 
 
 def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
-    """The tokens of the parts of the edge's loops, in order, and the
-    composite of the parts' values; each loop's parts come from the
+    """The reduced tokens of the parts of the edge's loops, joined in order,
+    and the composite of the parts' values; each loop's parts come from the
     ``_peeled`` memo."""
-    tokens: list[tuple[GenName, int]] = []
+    runs: list[_Tokens] = []
     values: list[Endomorphism] = []
     sig = e.sig
     for loop in nielsen_to_base_loops(e):
         parts = _lru(_peeled, loop.aut.fwd, lambda: _peel_parts(loop, sig, None))
         for word, value in parts:
-            tokens.extend(word.tokens)
+            runs.append(word.tokens)
             values.append(value)
-    return tuple(tokens), _compose_all(values, sig)
+    return _join(runs), _compose_all(values, sig)
 
 
 def _peel_parts(loop: BaseLoop, sig: Signature, audit) -> _Parts:
@@ -693,14 +703,18 @@ def _peel_parts(loop: BaseLoop, sig: Signature, audit) -> _Parts:
 
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
-    ADLH names.  Each rewrite is checked once, so the recomposition check
-    folds the forward map of the ADL word rather than of the much longer
-    flat word, and compares it with the input's."""
+    ADLH names (``gens._splice``, which joins the ADL word's runs with the
+    memoised rewrites at their seams).  Each rewrite is checked once, so the
+    recomposition check compares the input's forward map with the forward
+    map of the ADL word rather than of the much longer flat word.  That
+    value is a function of the word, read from the bounded LRU memo
+    ``_adl_values``; the comparison runs on every call."""
     sig = a.sig
     base = factorize_adl(a, audit)
     word = _splice(base, sig)
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    if _eval_fwd(base, sig) != a.fwd:
+    value = _lru(_adl_values, (sig, base.tokens), lambda: _eval_fwd(base, sig))
+    if value != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word

@@ -12,6 +12,15 @@ forward maps only, so they call it directly; the public ``eval_gen_word``
 runs it on the word and on its inverse word.  That pair is witnessed by
 algebra: each generator's pair is witnessed, and the fold of the inverse
 word composes the inverses in the reverse order.
+
+``GenWord(tokens)`` validates and reduces its tokens.  Words built from
+words that are already reduced (products, inverses, shifts, the factoriser's
+words and the Humphries splice) go through the trusted constructor
+``_genword`` instead, from reduced token runs joined by ``_join``, which
+cancels only at the seams between runs.  ``_splice`` returns a word with no
+alpha_(>=3) token as it is, and otherwise joins the runs between those
+tokens with the memoised runs of their rewrites (``_humphries_run``, either
+sign).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .core import MEMO_SIZE, Signature, Word, commutator
 from .endo import (
@@ -92,13 +102,18 @@ class GenWord:
         return GenWord(tuple((n, 1) for n in names))
 
     def __mul__(self, other: "GenWord") -> "GenWord":
-        return GenWord(self.tokens + other.tokens)
+        if not other.tokens:
+            return self
+        if not self.tokens:
+            return other
+        return _genword(_join((self.tokens, other.tokens)))
 
     def inverse(self) -> "GenWord":
-        return GenWord(tuple((n, -e) for n, e in reversed(self.tokens)))
+        return _genword(tuple([(n, -e) for n, e in reversed(self.tokens)]))
 
     def shifted(self, offset: int) -> "GenWord":
-        return GenWord(tuple((n.shifted(offset), e) for n, e in self.tokens))
+        # a shift is injective on names, so it keeps the word reduced
+        return _genword(tuple([(n.shifted(offset), e) for n, e in self.tokens]))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -107,6 +122,36 @@ class GenWord:
         if not self.tokens:
             return "1"
         return " ".join(f"{n}{'' if e > 0 else chr(39)}" for n, e in self.tokens)
+
+
+_Tokens = tuple[tuple[GenName, int], ...]
+
+
+def _genword(tokens: _Tokens) -> GenWord:
+    """Trusted constructor: ``tokens`` must be a freely reduced tuple of
+    tokens.  Skips the checks and the reduction of ``GenWord.__post_init__``."""
+    w = object.__new__(GenWord)
+    object.__setattr__(w, "tokens", tokens)  # the dataclass is frozen
+    return w
+
+
+def _join(runs: Iterable[_Tokens]) -> _Tokens:
+    """The free reduction of the concatenation of ``runs``, each a freely
+    reduced token tuple.  Each run cancels only at its seam with what is left
+    before it; a run may cancel completely, and the next one then cancels
+    against what is left before that."""
+    out: list[tuple[GenName, int]] = []
+    pop = out.pop
+    for run in runs:
+        j, n = 0, len(run)
+        while out and j < n:
+            name, exp = run[j]
+            if out[-1] != (name, -exp):
+                break
+            pop()
+            j += 1
+        out += run[j:] if j else run
+    return tuple(out)
 
 
 def parse_gen_word(text: str) -> GenWord:
@@ -269,17 +314,27 @@ def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     return word
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _humphries_run(i: int, exp: int, sig: Signature) -> _Tokens:
+    """The tokens of the checked rewrite of alpha_i (``exp`` 1) or of its
+    inverse (``exp`` -1)."""
+    word = humphries_rewrite(i, sig)
+    return word.tokens if exp > 0 else word.inverse().tokens
+
+
 def _splice(w: GenWord, sig: Signature) -> GenWord:
     """Expand every alpha_i (i >= 3) token of ``w``, either sign, into its
-    (checked) Humphries rewrite."""
-    tokens: list[tuple[GenName, int]] = []
-    for name, exp in w.tokens:
-        if name.family == "a" and name.index >= 3:
-            sub = humphries_rewrite(name.index, sig).tokens
-            if exp > 0:
-                tokens.extend(sub)
-            else:
-                tokens.extend((n, -e) for n, e in reversed(sub))
-        else:
-            tokens.append((name, exp))
-    return GenWord(tuple(tokens))
+    (checked) Humphries rewrite: the runs of ``w`` between those tokens and
+    the rewrites' runs are joined at their seams.  ``w`` itself when it has
+    no such token."""
+    tokens = w.tokens
+    runs: list[_Tokens] = []
+    start = 0
+    for at, (name, exp) in enumerate(tokens):
+        if name.index >= 3 and name.family == "a":
+            runs += (tokens[start:at], _humphries_run(name.index, exp, sig))
+            start = at + 1
+    if not runs:
+        return w
+    runs.append(tokens[start:])
+    return _genword(_join(runs))

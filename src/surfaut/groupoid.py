@@ -32,7 +32,9 @@ source, so it checks only that target (``is_zieschang``, a walk along the
 chain) and the class permutation.  The Nielsen templates are one-letter
 moves (``letter_move``), witnessed by construction; a template moves only
 the letter of v_k, so its target is spliced (``endo._splice``) from the
-source's runs between that letter's occurrences.  The step (vii) maps of
+source's runs between that letter's occurrences.  A template fixes or
+conjugates every puncture letter, so it permutes the classes by
+construction, and a template edge checks its target only.  The step (vii) maps of
 ``canonical_edge`` and the N1 remainder are witnessed by construction as
 well.  ``canonical_edge`` splices the words of steps (i), (ii), (iv), (v)
 and (vi) the same way from the letters each step moves, applies step (vii),
@@ -143,20 +145,22 @@ def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> Group
     under ``aut``; it runs ``GroupoidEdge``'s checks on that target.  The
     engine built ``aut``, so a target that is not Zieschang is an engine
     fault and raises ``CosetViolation``, not ``NotZieschang``."""
-    return _edge_to(source, aut.apply(source), aut, kind)
+    e = _edge_to(source, aut.apply(source), aut, kind)
+    e._check_target(CosetViolation)
+    return e
 
 
 def _edge_to(
     source: Word, target: Word, aut: Automorphism, kind: Optional[NielsenKind]
 ) -> GroupoidEdge:
-    """``_edge`` with the image of the source already computed."""
+    """The edge from ``source`` to ``target``, the image of the source under
+    ``aut``, with no check: its caller checks the target."""
     e = object.__new__(GroupoidEdge)
     setf = object.__setattr__  # the dataclass is frozen
     setf(e, "source", source)
     setf(e, "target", target)
     setf(e, "aut", aut)
     setf(e, "kind", kind)
-    e._check_target(CosetViolation)
     return e
 
 
@@ -168,8 +172,13 @@ def _spliced(aut: Automorphism, V: Word, moved) -> Word:
 
 def _template_edge(V: Word, aut: Automorphism, kind: NielsenKind) -> GroupoidEdge:
     """The edge of the Nielsen template ``aut`` at ``kind`` from V; the
-    template moves only the letter of v_k, so its target is spliced."""
-    return _edge_to(V, _spliced(aut, V, (abs(V.codes[kind.k - 1]),)), aut, kind)
+    template moves only the letter of v_k, so its target is spliced.  A
+    template fixes every puncture letter (N2) or conjugates one (N3), so it
+    permutes the classes by construction and only its target is checked."""
+    target = _spliced(aut, V, (abs(V.codes[kind.k - 1]),))
+    if not is_zieschang(target, V.sig):
+        raise CosetViolation(f"edge target {target} is not Zieschang")
+    return _edge_to(V, target, aut, kind)
 
 
 def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:

@@ -43,10 +43,11 @@ def rng():
 
 
 def clear_memos():
-    """Empty every memo of the package (``test_conftest`` checks that no
-    ``lru_cache`` is missing here)."""
+    """Empty every memo of the package (``test_memos`` checks that no
+    ``lru_cache`` or module-level ``OrderedDict`` is missing here)."""
     factorize._factored.clear()
     factorize._peeled.clear()
+    factorize._adl_values.clear()
     factorize._factorize_cached.cache_clear()
     groupoid.canonical_edge.cache_clear()
     groupoid._nielsen_edge.cache_clear()
@@ -54,6 +55,7 @@ def clear_memos():
     groupoid._rank_table.cache_clear()
     gens.generator.cache_clear()
     gens.humphries_rewrite.cache_clear()
+    gens._humphries_run.cache_clear()
     gens.eta.cache_clear()
     Endomorphism.identity.cache_clear()
     whitehead._candidate_letters.cache_clear()

@@ -260,6 +260,13 @@ class TestWhitehead:
         assert code == 0 and target.exists()
         assert "digraph" in target.read_text(encoding="utf-8")
 
+    def test_non_candidate_word_exits_2(self):
+        # a word whose letters are not the signature's candidate letters is
+        # malformed input, with one error line and nothing on stdout
+        code, out, err = invoke(["whitehead", "--sig", "1,0", "--word", "x1 x1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a candidate word") and err.count("\n") == 1
+
 
 class TestUnusablePaths:
     """File errors and malformed signatures are malformed input: exit 2 with

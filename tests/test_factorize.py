@@ -288,6 +288,66 @@ class TestFactorizeAdlh:
             factorize_adlh(gen("a", 4, Signature(4, 0)))
 
 
+S40 = Signature(4, 0)
+
+
+class TestAdlValueMemo:
+    """``factorize_adlh`` reads the ADL word's forward value from the bounded
+    LRU ``_adl_values``, keyed on (signature, tokens), and compares it with
+    the input's on every call."""
+
+    def test_hit_equals_uncached_fold(self, rng, monkeypatch):
+        inputs = [random_adl_automorphism(S30, rng, 3) for _ in range(6)]
+        inputs += [gen("a", 3, S40), gen("b", 4, S40)]
+        words = [factorize_adlh(a) for a in inputs]
+        assert F._adl_values
+        for (sig, tokens), value in F._adl_values.items():
+            assert value == F._eval_fwd(GenWord(tokens), sig)
+        # warm: every value is read from the memo, and the words are unchanged
+        folds = []
+        real = F._eval_fwd
+        monkeypatch.setattr(F, "_eval_fwd", lambda w, sig: folds.append(w) or real(w, sig))
+        assert [factorize_adlh(a) for a in inputs] == words
+        assert folds == []
+
+    def test_raise_stores_nothing(self, monkeypatch):
+        a = gen("a", 3, S40)
+        base = factorize_adl(a)  # the ADL word is memoised; its value is not
+
+        def fail(w, sig):
+            raise CosetViolation("forced")
+
+        monkeypatch.setattr(F, "_eval_fwd", fail)
+        with pytest.raises(CosetViolation, match="forced"):
+            factorize_adlh(a)
+        assert not F._adl_values
+        monkeypatch.undo()
+        factorize_adlh(a)
+        assert list(F._adl_values) == [(S40, base.tokens)]
+
+    def test_warm_entry_of_another_input_still_fails(self, monkeypatch):
+        # the patched ADL word of a4 is the word of a3, whose value is warm:
+        # the hit is a3's value, which is not a4's
+        a3, a4 = gen("a", 3, S40), gen("a", 4, S40)
+        factorize_adlh(a3)
+        warm = dict(F._adl_values)
+        word = factorize_adl(a3)
+        monkeypatch.setattr(F, "factorize_adl", lambda a, audit=None: word)
+        with pytest.raises(CosetViolation, match="ADLH factorization failed"):
+            factorize_adlh(a4)
+        assert F._adl_values == warm
+
+    def test_bounded_least_recently_used_first(self, monkeypatch):
+        inputs = [gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4))]
+        keys = [(S40, factorize_adl(a).tokens) for a in inputs]
+        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        for k in (0, 1, 0, 2):
+            factorize_adlh(inputs[k])
+            assert len(F._adl_values) <= 2
+        # the first input was used again before the third arrived
+        assert list(F._adl_values) == [keys[0], keys[2]]
+
+
 _WORDS_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "factorize_words.json").read_text(
         encoding="utf-8"

@@ -299,3 +299,141 @@ class TestHumphries:
             humphries_rewrite(3, S30)
         with pytest.raises(CosetViolation, match="failed evaluation"):
             humphries_rewrite(5, Signature(5, 0))
+
+
+def reference_splice(w, sig):
+    """``_splice`` as first written: every alpha_(>=3) token expanded in
+    place, then the whole flat word reduced token by token by the checked
+    constructor."""
+    tokens = []
+    for name, exp in w.tokens:
+        if name.family == "a" and name.index >= 3:
+            sub = humphries_rewrite(name.index, sig).tokens
+            tokens.extend(sub if exp > 0 else [(n, -e) for n, e in reversed(sub)])
+        else:
+            tokens.append((name, exp))
+    return GenWord(tuple(tokens))
+
+
+def _flat(runs):
+    return tuple(t for run in runs for t in run)
+
+
+# two indices of three families: short random runs cancel often
+_TOKENS = st.lists(
+    st.tuples(
+        st.builds(GenName, st.sampled_from("abg"), st.integers(1, 2)),
+        st.sampled_from((1, -1)),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def reduced_runs(draw):
+    """Reduced token runs; some start with the inverse of a suffix of the
+    runs before them, so they cancel completely or cascade across several
+    earlier runs."""
+    runs = []
+    for _ in range(draw(st.integers(0, 6))):
+        head = []
+        if runs and draw(st.booleans()):
+            so_far = GenWord(_flat(runs)).tokens
+            cut = draw(st.integers(0, len(so_far)))
+            head = [(n, -e) for n, e in reversed(so_far[cut:])]
+        runs.append(GenWord(tuple(head + draw(_TOKENS))).tokens)
+    return runs
+
+
+class TestSeamJoin:
+    """The package builds its generator words from reduced token runs joined
+    at their seams; that is the checked constructor's reduction of the
+    concatenation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reduced_runs())
+    def test_join_is_the_checked_reduction(self, runs):
+        assert gens._join(runs) == GenWord(_flat(runs)).tokens
+
+    def test_complete_cancellation_and_cascades(self):
+        def runs(*texts):
+            return [parse_gen_word(t).tokens for t in texts]
+
+        # a run that cancels completely, then one that cancels into the run
+        # before it: the cascade crosses three seams
+        assert str(GenWord(gens._join(runs("a1 b1 g2", "g2'", "b1'", "a1' b2")))) == "b2"
+        assert gens._join(runs("a1 b2", "b2' a1'")) == ()
+        assert gens._join(runs("1", "b1", "1")) == runs("b1")[0]
+        assert gens._join([]) == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(reduced_runs())
+    def test_products_inverses_and_shifts(self, runs):
+        words = [gens._genword(run) for run in runs]
+        product = GenWord.empty()
+        for w in words:
+            product = product * w
+        assert product == GenWord(_flat(runs))
+        for w in words:
+            assert w.inverse() == GenWord(tuple((n, -e) for n, e in reversed(w.tokens)))
+            assert w.shifted(2) == GenWord(tuple((n.shifted(2), e) for n, e in w.tokens))
+
+
+_SPLICE_WORDS = [
+    (S30, "b3 a3"),
+    (S30, "a3 b3'"),
+    (S30, "b3 a3' b3'"),
+    (S30, "a3 a3"),
+    (S30, "b3' a3' b3 a3 a3"),
+    (Signature(4, 0), "b4 a4 b4'"),
+    (Signature(4, 0), "b3 a3 a4' b4'"),
+    (Signature(4, 0), "a4 a3' b4 a4'"),
+    (Signature(5, 0), "b3 a3 b4 a4 b3' a3'"),
+    (Signature(5, 0), "a4' b4' a4 a3 b3'"),
+]
+
+
+class TestSplice:
+    """``_splice`` joins the runs between alpha_(>=3) tokens with the
+    memoised rewrite runs at their seams."""
+
+    @pytest.mark.parametrize("sig,text", _SPLICE_WORDS)
+    def test_matches_token_by_token_reference(self, sig, text):
+        w = parse_gen_word(text)
+        spliced = _splice(w, sig)
+        assert spliced == reference_splice(w, sig)
+        assert not any(n.family == "a" and n.index >= 3 for n, _ in spliced.tokens)
+        # each word cancels across a seam of the splice
+        expanded = sum(
+            len(humphries_rewrite(n.index, sig)) if n.family == "a" and n.index >= 3 else 1
+            for n, _ in w.tokens
+        )
+        assert len(spliced) < expanded
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([S30, Signature(4, 0), Signature(5, 0)]),
+        st.lists(
+            st.tuples(
+                st.sampled_from([GenName(f, i) for f in "abg" for i in (2, 3, 4)]),
+                st.sampled_from((1, -1)),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_random_words_match_reference(self, sig, tokens):
+        w = GenWord(tuple((n, e) for n, e in tokens if n.index <= sig.g))
+        assert _splice(w, sig) == reference_splice(w, sig)
+
+    def test_word_without_high_alpha_is_returned_as_is(self):
+        w = parse_gen_word("b3 a2 g3' a1")
+        assert _splice(w, S30) is w
+
+    def test_rewrite_runs_are_memoised_for_both_signs(self):
+        sig = Signature(4, 0)
+        for i in (3, 4):
+            word = humphries_rewrite(i, sig)
+            assert gens._humphries_run(i, 1, sig) == word.tokens
+            assert gens._humphries_run(i, -1, sig) == word.inverse().tokens
+            assert gens._humphries_run(i, -1, sig) is gens._humphries_run(i, -1, sig)
+        assert gens._humphries_run.cache_info().maxsize == gens.MEMO_SIZE

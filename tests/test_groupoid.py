@@ -37,7 +37,7 @@ from surfaut import (
 )
 from surfaut import groupoid
 from surfaut.core import MEMO_SIZE
-from surfaut.endo import classify_letters, letter_move
+from surfaut.endo import _t_class_permutation, classify_letters, letter_move
 from surfaut.groupoid import (
     N1,
     N2_LEFT,
@@ -583,6 +583,49 @@ class TestEdgeMemos:
             with pytest.raises(CosetViolation) as exc:
                 memo.__wrapped__(*key)
             assert str(exc.value) == message
+
+
+class TestTemplateClasses:
+    """A template edge checks its target only: a template fixes every
+    puncture letter (N2) or conjugates one (N3), so it permutes the classes
+    by construction."""
+
+    @pytest.mark.parametrize(
+        "sig",
+        [Signature(0, 3), S11, Signature(1, 2), Signature(2, 0), Signature(2, 1)],
+        ids=["0,3", "1,1", "1,2", "2,0", "2,1"],
+    )
+    def test_every_template_edge_permutes_the_classes(self, sig):
+        # a template is a function of its tag, moved letter and neighbour, so
+        # one position per distinct adjacent letter pair of the Zieschang
+        # words reaches every template their edges use
+        first = {}
+        for V in zieschang_words(sig):
+            v = V.codes
+            for k in range(1, len(v)):
+                first.setdefault((v[k - 1], v[k]), (V, k))
+        templates = set()
+        for V, k in first.values():
+            for tag, pos in ((N2_RIGHT, k), (N3_RIGHT, k), (N2_LEFT, k + 1), (N3_LEFT, k + 1)):
+                aut = groupoid._template_aut(V, tag, pos)
+                if aut is not None:
+                    templates.add(aut)
+                    perm = _t_class_permutation(aut.fwd)
+                    # each puncture letter keeps its class
+                    assert perm is not None and perm.images == tuple(range(1, sig.p + 1))
+        assert templates
+        if sig.p:
+            # some template conjugates a puncture letter
+            assert any(aut.fwd.moved_codes()[0] <= sig.p for aut in templates)
+
+    def test_template_edge_skips_the_class_check(self, monkeypatch):
+        # the class check of a case-table edge still runs; a template's does not
+        V = relator(S11)
+        monkeypatch.setattr(groupoid, "_t_class_permutation", lambda endo: None)
+        e = groupoid._nielsen_edge.__wrapped__(V, N2_RIGHT, 2)
+        assert e.target == e.aut.apply(V)
+        with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
+            groupoid._edge(V, e.aut, None)
 
 
 class TestSplicedTargets:

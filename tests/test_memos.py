@@ -1,8 +1,11 @@
 """The ``cold_memos`` fixture of ``conftest`` empties every memo of the
-package, so that no test sees an entry left by an earlier one."""
+package, so that no test sees an entry left by an earlier one.  The memos
+are found, not listed: every ``lru_cache`` and every module-level
+``OrderedDict`` of a ``surfaut`` module."""
 
 import importlib
 import pkgutil
+from collections import OrderedDict
 
 import surfaut
 
@@ -28,6 +31,18 @@ def package_caches():
     return found
 
 
+def package_dict_memos():
+    """Every module-level ``OrderedDict`` of a ``surfaut`` module (the bounded
+    LRU memos that ``factorize._lru`` keeps), by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(surfaut.__path__):
+        mod = importlib.import_module(f"surfaut.{info.name}")
+        for name, obj in vars(mod).items():
+            if isinstance(obj, OrderedDict):
+                found[f"{mod.__name__}.{name}"] = obj
+    return found
+
+
 def test_finds_the_known_caches():
     names = set(package_caches())
     assert {
@@ -38,6 +53,14 @@ def test_finds_the_known_caches():
         "surfaut.groupoid._template_move",
         "surfaut.whitehead._candidate_letters",
     } <= names
+
+
+def test_finds_the_known_dict_memos():
+    assert {
+        "surfaut.factorize._adl_values",
+        "surfaut.factorize._factored",
+        "surfaut.factorize._peeled",
+    } <= set(package_dict_memos())
 
 
 def test_fixture_clears_every_lru_cache(monkeypatch):
@@ -52,3 +75,20 @@ def test_fixture_clears_every_lru_cache(monkeypatch):
 def test_every_test_starts_with_empty_caches():
     for name, fn in package_caches().items():
         assert fn.cache_info().currsize == 0, name
+
+
+def test_fixture_clears_every_dict_memo():
+    memos = package_dict_memos()
+    try:
+        for memo in memos.values():
+            memo["stale"] = None
+        clear_memos()
+        assert [name for name, memo in memos.items() if memo] == []
+    finally:
+        for memo in memos.values():
+            memo.pop("stale", None)
+
+
+def test_every_test_starts_with_empty_dict_memos():
+    for name, memo in package_dict_memos().items():
+        assert not memo, name
