@@ -34,9 +34,9 @@ from .errors import ParseError, SignatureMismatch
 #: 2,393 (they factor 1,088, 702 and 741 distinct automorphisms).  The
 #: per-signature tables (``Endomorphism.identity``, ``gens.generator``,
 #: ``gens.humphries_rewrite`` and its runs, the candidate letters of
-#: ``whitehead`` and the order ranks of ``groupoid``) are bounded by it too, because a caller may
-#: name any signature; the benchmark workloads use at most 39 entries of any
-#: of them.
+#: ``whitehead`` and the order ranks of ``groupoid``) are bounded by it too,
+#: because a caller may name any signature; the benchmark workloads use at
+#: most 39 entries of any of them.
 MEMO_SIZE = 4096
 
 

@@ -71,7 +71,16 @@ from .endo import (
     restrict_relabel_K,
 )
 from .errors import CosetViolation, NotInA, SignatureMismatch
-from .gens import GenName, GenWord, _eval_fwd, _genword, _join, _splice, _Tokens, generator
+from .gens import (
+    GenName,
+    GenWord,
+    _eval_fwd,
+    _genword,
+    _join,
+    _splice,
+    _Tokens,
+    generator,
+)
 from .groupoid import (
     N1,
     N2_LEFT,
