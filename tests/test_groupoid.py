@@ -627,6 +627,12 @@ class TestTemplateClasses:
         with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
             groupoid._edge(V, e.aut, None)
 
+    def test_template_target_is_still_checked(self, monkeypatch):
+        # the engine built the template, so a bad target is an engine fault
+        monkeypatch.setattr(groupoid, "is_zieschang", lambda V, sig: False)
+        with pytest.raises(CosetViolation, match="edge target .* is not Zieschang"):
+            groupoid._nielsen_edge.__wrapped__(relator(S11), N2_RIGHT, 2)
+
 
 class TestSplicedTargets:
     """Template edges and canonical steps (i)-(vi) splice their targets from
