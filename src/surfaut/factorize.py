@@ -15,9 +15,12 @@ and a raise stores nothing:
 - ``_factored`` keeps, per Nielsen edge, the edge's reduced tokens with the
   composite of the forward values of its checked parts, so an edge is
   telescoped only on a miss;
-- ``_peeled`` keeps, keyed on a loop's forward map, the parts the loop peels
-  into (``peel_special``, ``_stab_word`` and the special generator's words),
-  each with the forward value it was checked at;
+- ``_loop_entries`` keeps, per loop at the relator keyed on its forward
+  image codes (``_loop_key``), a ``_LoopEntry``: the witnessed pair, then
+  the coset tag once ``_loop``'s checks pass, then the parts the loop peels
+  into (``peel_special``, ``_stab_word`` and the special generator's words)
+  once it is peeled outside an audit, each part with the forward value it
+  was checked at;
 - ``_adl_values`` keeps, per ADL word, its forward value, which
   ``factorize_adlh`` compares with the input's on every call.
 
@@ -30,9 +33,10 @@ loop, and every part's value is the value of its word.  Evaluation is a
 homomorphism, so the end-to-end check of a level composes one value per
 edge and compares the result with the input: the same predicate as
 evaluating the whole word, so a word that fails to recompose the input is
-caught whether its parts came from a memo or not.  An audit reuses no
-edge or loop: it telescopes every edge, in order, then peels every loop,
-so its scripts keep their order.
+caught whether its parts came from a memo or not.  An audit shares the
+loop values with the plain path, the bracket pairs and the checked coset
+tags, but no edge and no parts: it telescopes every edge, in order, then
+peels every loop, so its scripts keep their order.
 
 Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
 edge's tokens and a level's word are the parts' and edges' token runs
@@ -40,10 +44,15 @@ joined at their seams (``gens._join``) and built by the trusted
 ``gens._genword``.
 
 The telescoping brackets its edge once; the case tables take that bracket,
-and a table that recurses on the inverse edge passes its inverse.
-``_loop`` computes each loop's coset tag once and stores it.  Every
-recomposition check compares forward maps, so it folds forward maps only
-(``_compose_endos`` and ``gens._eval_fwd``) and builds no inverse for it.
+and a table that recurses on the inverse edge passes its inverse.  Brackets
+take few values (on the ``adl-grid`` benchmark pool, 4,912 brackets take
+293), so a bracket folds its forward map and looks it up in
+``_loop_entries``; only a miss folds the inverse, and since an automorphism
+has one inverse, a hit returns the pair a fresh fold would give.  ``_loop``
+runs the coset and relator checks once per distinct forward map and
+compares the expected tag on every call.  Every recomposition check
+compares forward maps, so it folds forward maps only (``_compose_endos`` and
+``gens._eval_fwd``) and builds no inverse for it.
 
 Every move of a case table is one ``GroupoidEdge``, built once by the
 trusted ``groupoid._edge`` from a source that is an end of a checked edge,
@@ -63,6 +72,7 @@ from .core import MEMO_SIZE, Signature, Word, _word, relator
 from .endo import (
     Automorphism,
     Endomorphism,
+    _aut,
     _compose_endos,
     compose,
     letter_move,
@@ -142,33 +152,48 @@ class BaseLoop:
     coset_tag: str
 
     def __post_init__(self) -> None:
-        self._check_fixes_relator()
+        _check_fixes_relator(self.aut)
         if _tag_of(self.aut, self.aut.sig) != self.coset_tag:
             raise CosetViolation(
                 f"loop distinguished image does not match tag {self.coset_tag}"
             )
 
-    def _check_fixes_relator(self) -> None:
-        v0 = relator(self.aut.sig)
-        if self.aut.apply(v0) != v0:
-            raise CosetViolation("base loop does not fix the relator")
+
+def _check_fixes_relator(aut: Automorphism) -> None:
+    v0 = relator(aut.sig)
+    if aut.apply(v0) != v0:
+        raise CosetViolation("base loop does not fix the relator")
 
 
 def _loop(aut: Automorphism, expect: Optional[str] = None) -> BaseLoop:
-    """Trusted constructor: runs the coset checks and ``BaseLoop``'s relator
-    check once, and stores the tag it computed instead of recomputing it."""
-    sig = aut.sig
-    tag = _tag_of(aut, sig)
-    if tag is None:
-        raise CosetViolation("loop lands outside every admissible coset")
-    if expect is not None and sig.p >= 1 and tag != expect:
-        raise CosetViolation(f"expected a {expect} loop, found {tag}")
+    """Trusted constructor.  The coset checks and ``BaseLoop``'s relator
+    check run once per distinct forward map, on the first call that finds no
+    tag in the map's ``_loop_entries`` entry.  The tag they computed is
+    stored there only when they all pass, the ``expect`` comparison
+    included, and that comparison runs again on every call."""
+    entry = _filled(aut, "tag", lambda: _checked_tag(aut, expect))
+    _check_expected(aut.sig, entry.tag, expect)
     loop = object.__new__(BaseLoop)
     setf = object.__setattr__  # the dataclass is frozen
-    setf(loop, "aut", aut)
-    setf(loop, "coset_tag", tag)
-    loop._check_fixes_relator()
+    setf(loop, "aut", entry.aut)
+    setf(loop, "coset_tag", entry.tag)
     return loop
+
+
+def _checked_tag(aut: Automorphism, expect: Optional[str]) -> str:
+    """The coset tag of a loop, once the coset checks and ``BaseLoop``'s
+    relator check pass."""
+    tag = _tag_of(aut, aut.sig)
+    if tag is None:
+        raise CosetViolation("loop lands outside every admissible coset")
+    _check_expected(aut.sig, tag, expect)
+    _check_fixes_relator(aut)
+    return tag
+
+
+def _check_expected(sig: Signature, tag: str, expect: Optional[str]) -> None:
+    if expect is not None and sig.p >= 1 and tag != expect:
+        raise CosetViolation(f"expected a {expect} loop, found {tag}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +217,19 @@ class EdgeScript:
 
 
 def _bracket(e: GroupoidEdge) -> Automorphism:
+    """The loop canon(V)' e canon(W) at the relator, for e: V -> W.  Only
+    the forward map is folded on every call; the inverse is folded on a miss
+    of ``_loop_entries`` only, since an automorphism has one inverse."""
     phi_src, _ = canonical_edge(e.source)
     phi_tgt, _ = canonical_edge(e.target)
-    return compose(phi_src.inverse(), e.aut, phi_tgt)
+    fwd = _compose_endos([phi_src.inv, e.aut.fwd, phi_tgt.fwd])
+
+    def witnessed() -> _LoopEntry:
+        # witnessed by algebra, as in ``compose``
+        inv = _compose_endos([phi_tgt.inv, e.aut.inv, phi_src.fwd])
+        return _LoopEntry(_aut(fwd, inv))
+
+    return _lru(_loop_entries, _loop_key(fwd), witnessed).aut
 
 
 def _conj_t_to_front(V: Word, pos: int) -> Optional[GroupoidEdge]:
@@ -230,6 +265,12 @@ def _lru(memo: OrderedDict, key, build):
     else:
         memo.move_to_end(key)
     return value
+
+
+def _loop_key(fwd: Endomorphism) -> tuple:
+    """The signature and the image codes of a loop's forward map, which
+    determine its inverse, its coset tag and its parts."""
+    return (fwd.sig, tuple([w.codes for w in fwd.images]))
 
 
 def _edge_key(e: GroupoidEdge) -> tuple:
@@ -669,11 +710,42 @@ _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward valu
 #: edge's reduced tokens and the composite of its checked parts' forward
 #: values.
 _factored: OrderedDict[tuple, tuple[_Tokens, Endomorphism]] = OrderedDict()
-#: Per base loop, keyed on its forward map (which determines its inverse and
-#: coset tag): the nonempty parts it peels into.
-_peeled: OrderedDict[Endomorphism, _Parts] = OrderedDict()
+
+
+class _LoopEntry:
+    """The checked values of one loop at the relator: its witnessed pair,
+    and, once computed, its coset tag and the nonempty parts it peels into
+    (None until then)."""
+
+    __slots__ = ("aut", "tag", "parts")
+
+    def __init__(self, aut: Automorphism) -> None:
+        self.aut = aut
+        self.tag: Optional[str] = None
+        self.parts: Optional[_Parts] = None
+
+
+#: Per loop at the relator, keyed on its forward image codes (``_loop_key``):
+#: its ``_LoopEntry``.  Brackets, ``_loop`` and the peeling of loops outside
+#: an audit share it.
+_loop_entries: OrderedDict[tuple, _LoopEntry] = OrderedDict()
 #: Per ADL word, keyed on (signature, tokens): its forward value.
 _adl_values: OrderedDict[tuple, Endomorphism] = OrderedDict()
+
+
+def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:
+    """The ``_loop_entries`` entry of the loop ``aut``, with ``field`` set:
+    read from the entry, or computed by ``compute()`` when it is unset (the
+    entry may have left the memo meanwhile, so it is looked up again after).
+    A raise stores nothing."""
+    key = _loop_key(aut.fwd)
+    entry = _loop_entries.get(key)
+    value = getattr(entry, field) if entry is not None else None
+    if value is None:
+        value = compute()
+    entry = _lru(_loop_entries, key, lambda: _LoopEntry(aut))
+    setattr(entry, field, value)
+    return entry
 
 
 def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
@@ -683,13 +755,13 @@ def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
 
 def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
     """The reduced tokens of the parts of the edge's loops, joined in order,
-    and the composite of the parts' values; each loop's parts come from the
-    ``_peeled`` memo."""
+    and the composite of the parts' values; each loop's parts are read from
+    its ``_loop_entries`` entry, and peeled only when unset."""
     runs: list[_Tokens] = []
     values: list[Endomorphism] = []
     sig = e.sig
     for loop in nielsen_to_base_loops(e):
-        parts = _lru(_peeled, loop.aut.fwd, lambda: _peel_parts(loop, sig, None))
+        parts = _filled(loop.aut, "parts", lambda: _peel_parts(loop, sig, None)).parts
         for word, value in parts:
             runs.append(word.tokens)
             values.append(value)

@@ -46,7 +46,7 @@ def clear_memos():
     """Empty every memo of the package (``test_memos`` checks that no
     ``lru_cache`` or module-level ``OrderedDict`` is missing here)."""
     factorize._factored.clear()
-    factorize._peeled.clear()
+    factorize._loop_entries.clear()
     factorize._adl_values.clear()
     factorize._factorize_cached.cache_clear()
     groupoid.canonical_edge.cache_clear()

@@ -126,6 +126,21 @@ class TestCertifyFactorize:
         code, _, err = invoke(["certify", "--sig", "1,0", "--aut", "x1 -> x1 y1"])
         assert code == 1 and "HypothesisViolated" in err
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_certify_stuck_reduction_exits_1(self, as_json, monkeypatch):
+        # no known input gets stuck, so the reduction is made to
+        def stuck(V, phi):
+            raise ReductionStuck("forced")
+
+        monkeypatch.setattr(groupoid, "nielsen_reduce", stuck)
+        argv = ["certify", "--sig", "1,0", "--aut", "y1 -> x1 y1"]
+        code, out, err = invoke(["--json"] + argv if as_json else argv)
+        assert code == 1 and err == ""
+        if as_json:
+            assert json.loads(out) == {"command": "certify", "certified": False}
+        else:
+            assert out == "not an automorphism\n"
+
     def test_factorize(self, tmp_path):
         path = tmp_path / "sigma2.txt"
         path.write_text("sig g=0 p=2\nt2 -> t1\nt1 -> t1' t2 t1\n", encoding="utf-8")

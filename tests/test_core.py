@@ -18,6 +18,8 @@ from surfaut import (
     relator,
 )
 
+from surfaut.errors import SignatureMismatch
+
 from conftest import SMALL_SIGS, word_pairs, words
 
 S10 = Signature(1, 0)
@@ -150,6 +152,51 @@ class TestFox:
     def test_positive_letter_required(self):
         with pytest.raises(ValueError):
             fox_derivative(w(S10, "x1"), -1)
+
+
+class TestLetter:
+    @given(words())
+    def test_inverse_negates_the_code(self, u):
+        for code in u.codes:
+            letter = Letter.from_code(u.sig, code)
+            assert letter.inverse.code(u.sig) == -code
+            assert letter.inverse.inverse == letter
+
+    def test_inverse_keeps_kind_and_index(self):
+        assert Letter("y", 2, 1).inverse == Letter("y", 2, -1)
+        assert str(Letter("t", 1, -1).inverse) == "t1"
+
+
+class TestGroupRingElement:
+    def test_zero(self):
+        zero = GroupRingElement.zero(S10)
+        assert zero.is_zero() and str(zero) == "0"
+        # a zero coefficient is dropped
+        assert zero == GroupRingElement.of(w(S10, "x1"), 0)
+        assert zero + GroupRingElement.of(w(S10, "y1")) == GroupRingElement.of(w(S10, "y1"))
+
+    def test_sub(self):
+        x, y = w(S10, "x1"), w(S10, "y1")
+        a = GroupRingElement(S10, {x: 2, y: 1})
+        assert a - GroupRingElement.of(x, 2) == GroupRingElement.of(y)
+        assert a - a == GroupRingElement.zero(S10)
+        assert GroupRingElement.zero(S10) - a == -a
+        with pytest.raises(SignatureMismatch):
+            a - GroupRingElement.zero(S12)
+
+    def test_str_lists_terms_in_lenlex_order(self):
+        e = GroupRingElement(
+            S10, {w(S10, "x1 y1"): -2, w(S10, "y1"): 1, Word.identity(S10): 3}
+        )
+        assert str(e) == repr(e) == "+3*(1) +1*(y1) -2*(x1 y1)"
+
+    def test_hash_agrees_with_equality(self):
+        x, y = w(S10, "x1"), w(S10, "y1")
+        a = GroupRingElement(S10, {x: 1, y: -1})
+        b = GroupRingElement.of(x) - GroupRingElement.of(y)
+        c = GroupRingElement(S10, {y: -1, x: 1, w(S10, "x1 y1"): 0})
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert {a, b, c, GroupRingElement.zero(S10)} == {a, GroupRingElement.zero(S10)}
 
 
 def validated(u):

@@ -390,15 +390,17 @@ class TestComputedOnce:
 
     def test_each_value_computed_once(self, rng, monkeypatch):
         # over the run: each distinct loop is peeled once and its stabilizer
-        # factored once with it, and a hit of either memo telescopes, peels,
-        # factors and brackets nothing; each distinct edge is bracketed once,
-        # by the call that telescopes it, and a telescoping memo hit brackets
-        # nothing
-        peeled, factored, tops, done_tops = [], [], [], []
+        # factored once with it, and a hit of the edge memo, or of a loop's
+        # parts, telescopes, peels, factors and brackets nothing; each
+        # distinct edge is bracketed once, by the call that telescopes it,
+        # and a telescoping memo hit brackets nothing; each distinct loop
+        # value has its inverse folded once and its coset checked once
+        peeled, factored, tops, done_tops, inverses, tagged = [], [], [], [], [], []
         count = {"telescope": 0, "peel": 0, "stab": 0, "bracket": 0}
         hits = {"edge": 0, "loop": 0}
         real_peel, real_stab, real_lru = F.peel_special, F._stab_word, F._lru
         real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
+        real_filled, real_aut, real_tag = F._filled, F._aut, F._checked_tag
 
         def peel(loop, sig):
             count["peel"] += 1
@@ -412,11 +414,20 @@ class TestComputedOnce:
             return real_stab(stab, sig, audit)
 
         def lru(memo, key, build):
-            kind = {id(F._factored): "edge", id(F._peeled): "loop"}.get(id(memo))
             hit, before = key in memo, dict(count)
             out = real_lru(memo, key, build)
-            if kind and hit:
-                hits[kind] += 1
+            if memo is F._factored and hit:
+                hits["edge"] += 1
+                assert count == before
+            return out
+
+        def filled(aut, field, compute):
+            entry = F._loop_entries.get(F._loop_key(aut.fwd))
+            hit = entry is not None and getattr(entry, field) is not None
+            before = dict(count)
+            out = real_filled(aut, field, compute)
+            if field == "parts" and hit:
+                hits["loop"] += 1
                 assert count == before
             return out
 
@@ -436,8 +447,18 @@ class TestComputedOnce:
                 top[2] += 1
             return real_bracket(d)
 
+        def aut(fwd, inv):
+            # only a bracket's miss folds an inverse
+            inverses.append(F._loop_key(fwd))
+            return real_aut(fwd, inv)
+
+        def checked_tag(a, expect):
+            tagged.append(F._loop_key(a.fwd))
+            return real_tag(a, expect)
+
         for name, fn in [("peel_special", peel), ("_stab_word", stab_word), ("_lru", lru),
-                         ("nielsen_to_base_loops", loops), ("_bracket", bracket)]:
+                         ("_filled", filled), ("nielsen_to_base_loops", loops),
+                         ("_bracket", bracket), ("_aut", aut), ("_checked_tag", checked_tag)]:
             monkeypatch.setattr(F, name, fn)
         for sig in GRID:
             for _ in range(3):
@@ -445,6 +466,8 @@ class TestComputedOnce:
         assert done_tops and hits["edge"] and hits["loop"]
         assert len(set(peeled)) == len(peeled) <= F.MEMO_SIZE
         assert len(set(factored)) == len(factored) == len(peeled)
+        assert len(set(inverses)) == len(inverses) < count["bracket"]
+        assert len(set(tagged)) == len(tagged) <= len(F._loop_entries) <= F.MEMO_SIZE
         seen = set()
         for e, own, brackets in done_tops:
             key = (e.source, e.target, e.aut.fwd, e.kind)
@@ -651,9 +674,15 @@ def _single_loop_edges(sig, rng, count):
     return list(found.values())[:count]
 
 
+def _parts(fwd):
+    """The parts stored for the loop ``fwd``, None when there are none."""
+    entry = F._loop_entries.get(F._loop_key(fwd))
+    return entry.parts if entry is not None else None
+
+
 class TestFactorMemos:
     """Outside an audit each Nielsen edge's tokens and value come from
-    ``_factored`` and each loop's parts from ``_peeled``."""
+    ``_factored`` and each loop's parts from its ``_loop_entries`` entry."""
 
     def test_cold_and_warm_memos_agree(self, rng):
         def cli(*argv):
@@ -677,7 +706,7 @@ class TestFactorMemos:
             cold.append(outputs(a))
         for a in cases:
             outputs(a)
-        assert F._factored and F._peeled
+        assert F._factored and F._loop_entries
         assert [outputs(a) for a in cases] == cold
         assert any("=>" in audit for _, _, audit in cold)
 
@@ -706,12 +735,12 @@ class TestFactorMemos:
         monkeypatch.setattr(F, "nielsen_to_base_loops", recording)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adl(a)
-        assert top[0] in F._peeled and top[1] not in F._peeled
+        assert _parts(top[0]) is not None and _parts(top[1]) is None
         assert not [key for key in F._factored
                     if top[1] in [loop.aut.fwd for loop in telescoped[key]]]
         monkeypatch.undo()
         assert factorize_adl(a) == factorize_adl(a, [])
-        assert top[1] in F._peeled
+        assert _parts(top[1]) is not None
 
     def test_least_recently_used_goes_first(self, rng, monkeypatch):
         a, b, c = _single_loop_edges(Signature(1, 1), rng, 3)
@@ -720,7 +749,7 @@ class TestFactorMemos:
             # so peeling these edges again reads no edge or loop memo below
             F._edge_factors(e)
         F._factored.clear()
-        F._peeled.clear()
+        F._loop_entries.clear()
         edges, loops = [], []
         real_factor, real_peel = F._factor_edge, F._peel_parts
 
@@ -737,18 +766,104 @@ class TestFactorMemos:
         monkeypatch.setattr(F, "_peel_parts", peel_parts)
         for e in (a, b, a, c, a, b):
             F._edge_factors(e)
-            assert len(F._factored) <= 2 and len(F._peeled) <= 2
+            assert len(F._factored) <= 2 and len(F._loop_entries) <= 2
         # a is used again before c arrives, so b goes; then c goes for b.
-        # A hit of the edge memo reads no loop, so at the loop memo a goes
-        # for c, and b is still there
+        # The bracket of each of these edges is its one loop, so telescoping
+        # it reads one loop entry, and a hit of the edge memo reads none: at
+        # the loop memo a goes for c, and b is still there
         assert edges == [a, b, c, b]
+        assert list(F._loop_entries) == [F._loop_key(loops[2]), F._loop_key(loops[1])]
         assert loops == [nielsen_to_base_loops(e)[0].aut.fwd for e in (a, b, c)]
         # evictions change no word
         for sig in GRID:
             x = random_adl_automorphism(sig, rng, _short(sig))
             F._factorize_cached.cache_clear()
             assert factorize_adl(x) == factorize_adl(x, [])
-            assert len(F._factored) <= 2 and len(F._peeled) <= 2
+            assert len(F._factored) <= 2 and len(F._loop_entries) <= 2
+
+
+class TestLoopMemo:
+    """Brackets and loops are keyed in ``_loop_entries`` on their forward
+    image codes: a bracket folds its inverse only on a miss, and ``_loop``
+    runs the coset and relator checks only when the entry has no tag."""
+
+    def test_hit_is_the_fresh_pair(self, rng):
+        from surfaut.endo import _undoes
+
+        hits = tags = 0
+        for sig in [s for s in GRID if s.p >= 2 or s.g >= 1]:
+            for _ in range(3):
+                for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+                    phi_v, _ = F.canonical_edge(e.source)
+                    phi_w, _ = F.canonical_edge(e.target)
+                    fresh = compose(phi_v.inverse(), e.aut, phi_w)
+                    hit = F._loop_key(fresh.fwd) in F._loop_entries
+                    br = _bracket(e)
+                    assert (br.fwd, br.inv) == (fresh.fwd, fresh.inv)
+                    assert _undoes(br.fwd, br.inv) and _undoes(br.inv, br.fwd)
+                    hits += hit
+                    for loop in nielsen_to_base_loops(e):
+                        again = F._loop(Automorphism(loop.aut.fwd, loop.aut.inv))
+                        assert again.coset_tag == loop.coset_tag == _tag_of(loop.aut, sig)
+                        assert _undoes(again.aut.fwd, again.aut.inv)
+                        tags += 1
+        assert hits and tags
+
+    @pytest.mark.parametrize("fault", ["outside", "wrong tag", "relator"])
+    @pytest.mark.parametrize("bracketed", [False, True])
+    def test_raise_stores_nothing(self, fault, bracketed, monkeypatch):
+        from surfaut.endo import swap_letters
+
+        sig = Signature(1, 1)
+        if fault == "relator":
+            # fixes t1, so it tags as a stabilizer loop, but moves the relator
+            aut, message = swap_letters(sig, sig.x_code(1), sig.y_code(1)), "does not fix"
+        else:
+            aut = gen("b", 1, sig)
+            tag, message = {"outside": (None, "outside every admissible coset"),
+                            "wrong tag": (STAB_SPECIAL, "expected a stab loop")}[fault]
+            monkeypatch.setattr(F, "_tag_of", lambda a, s: tag)
+        key = F._loop_key(aut.fwd)
+        if bracketed:
+            # an entry that a bracket made, with no tag yet
+            F._lru(F._loop_entries, key, lambda: F._LoopEntry(aut))
+        for _ in range(2):
+            with pytest.raises(CosetViolation, match=message):
+                F._loop(aut, STAB)
+            assert [entry.tag for entry in F._loop_entries.values()] == [None] * bracketed
+        monkeypatch.undo()
+        if fault != "relator":
+            assert F._loop(aut, STAB).coset_tag == STAB
+            assert F._loop_entries[key].tag == STAB
+
+    def test_hit_with_another_expect_raises(self, monkeypatch):
+        sp = gen("s", 2, S02)
+        F._loop(sp, STAB_SPECIAL)
+        # a hit runs no coset check, but still compares the expected tag
+        monkeypatch.setattr(F, "_tag_of", lambda a, s: pytest.fail("checked twice"))
+        with pytest.raises(CosetViolation, match="expected a stab loop, found stab_special"):
+            F._loop(sp, STAB)
+        assert F._loop(sp).coset_tag == STAB_SPECIAL
+        assert F._loop_entries[F._loop_key(sp.fwd)].tag == STAB_SPECIAL
+
+    def test_bounded_least_recently_used_first(self, monkeypatch):
+        sig = Signature(0, 3)
+        x, y, z = gen("s", 3, sig), gen("s", 3, sig).inverse(), gen("s", 2, sig)
+        checked = []
+        real = F._checked_tag
+
+        def checked_tag(aut, expect):
+            checked.append(aut)
+            return real(aut, expect)
+
+        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(F, "_checked_tag", checked_tag)
+        for aut in (x, y, x, z, x, y):
+            F._loop(aut)
+            assert len(F._loop_entries) <= 2
+        # x is used again before z arrives, so y goes; then z goes for y
+        assert checked == [x, y, z, y]
+        assert list(F._loop_entries) == [F._loop_key(x.fwd), F._loop_key(y.fwd)]
 
 
 @dataclasses.dataclass

@@ -178,6 +178,17 @@ class TestMuKey:
             generator(GenName("a", 1), S10).fwd
         )
 
+    def test_le_compares_keys_alone(self):
+        from surfaut.endo import swap_letters
+
+        ident = mu_key(Endomorphism.identity(S10))
+        a1 = mu_key(generator(GenName("a", 1), S10).fwd)
+        assert ident <= a1 and not a1 <= ident
+        # swapping x1 and y1 permutes the measured images: the keys tie
+        swapped = mu_key(swap_letters(S10, S10.x_code(1), S10.y_code(1)).fwd)
+        assert ident <= swapped and swapped <= ident
+        assert not ident < swapped and not swapped < ident
+
     def test_balanced_split(self):
         from surfaut.groupoid import _balanced_key
 
