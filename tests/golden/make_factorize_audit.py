@@ -1,8 +1,9 @@
 """Write the ``factorize --audit`` goldens, ``factorize_audit.json``.
 
 Each case is a generator word at a signature.  The CLI evaluates the word,
-factorises the result with ``--audit``, and the case records the text output
-and the ``--json`` output.  Past the first four cases, the inputs are picked
+factorises the result with ``--audit`` and with ``--adlh --audit``, and the
+case records the text output and the ``--json`` output of each (``text``,
+``json``, ``adlh_text`` and ``adlh_json``).  Past the first four cases, the inputs are picked
 so that every case-table branch writes audit scripts: the chunked square and
 the front conjugation with a puncture letter in its prefix (p >= 2), the
 right and left hexagons (p = 1), the first-letter split (p = 0), and the
@@ -39,6 +40,8 @@ CASES = [
     ("1,0", "b1 b1 a1"),
     ("2,0", "b2' a2"),
     ("2,0", "g2'"),
+    # alpha_3: the ADLH word is the ADL word's rewrite, with the same scripts
+    ("3,0", "b3 a3"),
 ]
 
 
@@ -54,12 +57,15 @@ def cases() -> list[dict]:
     for sig, genword in CASES:
         aut = _cli(["eval", "--sig", sig, "--genword", genword])
         argv = ["factorize", "--sig", sig, "--aut", aut, "--audit"]
+        adlh = argv + ["--adlh"]
         out.append(
             {
                 "sig": sig,
                 "genword": genword,
                 "text": _cli(argv),
                 "json": _cli(["--json"] + argv),
+                "adlh_text": _cli(adlh),
+                "adlh_json": _cli(["--json"] + adlh),
             }
         )
     return out

@@ -251,15 +251,25 @@ def _audit_id(case):
     return case["sig"] if case is first else f"{case['sig']} {case['genword']}"
 
 
+def _check_audit_golden(case, as_json, flags, field):
+    code, aut, _ = invoke(["eval", "--sig", case["sig"], "--genword", case["genword"]])
+    assert code == 0
+    argv = ["factorize", "--sig", case["sig"], "--aut", aut, "--audit"] + flags
+    code, out, err = invoke(["--json"] + argv if as_json else argv)
+    assert code == 0 and err == ""
+    assert out == case[field + ("json" if as_json else "text")]
+
+
 @pytest.mark.parametrize("case", _AUDIT_GOLDEN, ids=_audit_id)
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_factorize_audit_golden(case, as_json):
-    code, aut, _ = invoke(["eval", "--sig", case["sig"], "--genword", case["genword"]])
-    assert code == 0
-    argv = ["factorize", "--sig", case["sig"], "--aut", aut, "--audit"]
-    code, out, err = invoke(["--json"] + argv if as_json else argv)
-    assert code == 0 and err == ""
-    assert out == case["json" if as_json else "text"]
+    _check_audit_golden(case, as_json, [], "")
+
+
+@pytest.mark.parametrize("case", _AUDIT_GOLDEN, ids=_audit_id)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_factorize_adlh_audit_golden(case, as_json):
+    _check_audit_golden(case, as_json, ["--adlh"], "adlh_")
 
 
 class TestWhitehead:
