@@ -8,6 +8,7 @@ assertion failures (stuck reduction, coset violations).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -55,10 +56,10 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _load_endo(sig: Signature, arg: str) -> Endomorphism:
-    """Accept an automorphism inline ('x1 -> y1' x1', ';'-separated lines,
-    header optional; a lone header is the identity) or as a path to a file in
-    the same format."""
-    if "->" in arg or re.match(r"\s*sig\s", arg):
+    """Accept an automorphism inline ('x1 -> y1' x1', lines separated by ';'
+    or newlines, header optional; a lone header is the identity) or as a path
+    to a file in the same format."""
+    if "->" in arg or "\n" in arg or re.match(r"\s*sig\s", arg):
         text = arg.replace(";", "\n")
         if not text.lstrip().startswith("sig"):
             text = f"sig g={sig.g} p={sig.p}\n" + text
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

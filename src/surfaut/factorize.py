@@ -19,8 +19,7 @@ and a raise stores nothing:
   image codes (``_loop_key``), a ``_LoopEntry``: the witnessed pair, then
   the coset tag once ``_loop``'s checks pass, then the parts the loop peels
   into (``peel_special``, ``_stab_word`` and the special generator's words)
-  once it is peeled outside an audit, each part with the forward value it
-  was checked at;
+  once it is peeled, each part with the forward value it was checked at;
 - ``_adl_values`` keeps, per ADL word, its forward value, which
   ``factorize_adlh`` compares with the input's on every call.
 
@@ -33,10 +32,15 @@ loop, and every part's value is the value of its word.  Evaluation is a
 homomorphism, so the end-to-end check of a level composes one value per
 edge and compares the result with the input: the same predicate as
 evaluating the whole word, so a word that fails to recompose the input is
-caught whether its parts came from a memo or not.  An audit shares the
-loop values with the plain path, the bracket pairs and the checked coset
-tags, but no edge and no parts: it telescopes every edge, in order, then
-peels every loop, so its scripts keep their order.
+caught whether its parts came from a memo or not.
+
+An audit is a replay of a factorisation that has succeeded (``_replay``):
+it telescopes every edge of a level again, in order, then peels every loop
+and replays its stabilizer, so the scripts come out in the recursion's
+order.  It reads the bracket pairs and the checked coset tags from
+``_loop_entries``, and no edge or parts memo.  Each case table records its
+cascade scripts as it telescopes; only the replay builds them into
+``EdgeScript``s.
 
 Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
 edge's tokens and a level's word are the parts' and edges' token runs
@@ -58,7 +62,8 @@ Every move of a case table is one ``GroupoidEdge``, built once by the
 trusted ``groupoid._edge`` from a source that is an end of a checked edge,
 with the image of that source as its target.  The same edges serve the
 telescoping and the audit: an ``EdgeScript`` is a chain of them, checked
-for chaining and against the composite of the edge it rewrites.
+for chaining and against the composite of the edge it rewrites, and the
+audit checks every script it prints.
 """
 
 from __future__ import annotations
@@ -288,8 +293,23 @@ def nielsen_to_base_loops(
 
     The loops composed in order equal
     compose(invert(canonical(source)), e.aut, canonical(target)).
+    With ``audit``, the case tables' cascade scripts are appended to it as
+    ``EdgeScript``s, each checked for chaining and against its edge.
     Factorisation telescopes an edge only on a miss of ``_factored``.
     """
+    loops, records = _telescope(e)
+    if audit is not None:
+        for moves, expected in records:
+            if expected is None:
+                expected = compose(*(m.aut for m in moves))
+            audit.append(EdgeScript(moves, expected))
+    return loops
+
+
+def _telescope(e: GroupoidEdge) -> tuple[list[BaseLoop], list]:
+    """The base loops of ``e`` and the cascade scripts its case tables
+    recorded, in order.  A case table records a script as its moves and the
+    map they compose to, or None when that is their own composite."""
     sig = e.sig
     if sig.p <= 1 and sig.g < 1:
         raise CosetViolation(f"no case table applies at {sig}")
@@ -297,15 +317,16 @@ def nielsen_to_base_loops(
     if kind is None:
         raise CosetViolation("edge is not a Nielsen edge")
     br = _bracket(e)
+    records: list = []
     if sig.p >= 2:
-        loops = _loops_p_ge2(e, kind, br, audit)
+        loops = _loops_p_ge2(e, kind, br, records)
     elif sig.p == 1:
-        loops = _loops_p1(e, kind, br, audit)
+        loops = _loops_p1(e, kind, br, records)
     else:
-        loops = _loops_p0(e, kind, br, audit)
+        loops = _loops_p0(e, kind, br, records)
     if _compose_all([l.aut.fwd for l in loops], sig) != br.fwd:
         raise CosetViolation("base loops do not recompose the telescoped edge")
-    return loops
+    return loops, records
 
 
 def _compose_all(endos: list[Endomorphism], sig: Signature) -> Endomorphism:
@@ -339,7 +360,7 @@ def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:
 
 
 def _loops_p_ge2(
-    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, scripts: list
 ) -> list[BaseLoop]:
     sig = e.sig
     if kind.tag == N1:
@@ -355,7 +376,7 @@ def _loops_p_ge2(
     jc = _untouched_t(e.aut, sig)
     if jc is None:
         raise CosetViolation("no untouched puncture letter for the chunked square")
-    return _loops_chunked_square(e, jc, br, audit)
+    return _loops_chunked_square(e, jc, br, scripts)
 
 
 def _untouched_t(aut: Automorphism, sig: Signature) -> Optional[int]:
@@ -374,19 +395,18 @@ def _untouched_t(aut: Automorphism, sig: Signature) -> Optional[int]:
 
 
 def _loops_chunked_square(
-    e: GroupoidEdge, jc: int, br: Automorphism, audit
+    e: GroupoidEdge, jc: int, br: Automorphism, scripts: list
 ) -> list[BaseLoop]:
     """Split source and target at an untouched puncture letter, move it to the
     front on both sides, and read off the commuting bottom loop.  With the
     letter in front on both sides the bottom is ``e`` itself, whose bracket
     is ``br``."""
     d_v, tau, d_w = _square(e, jc)
-    if audit is not None:
-        moves = (d_v, tau, d_w.inverse() if d_w else None)
-        audit.append(EdgeScript(tuple(m for m in moves if m is not None), e.aut))
-    loops = _loops_move_front(d_v, audit)
+    moves = (d_v, tau, d_w.inverse() if d_w else None)
+    scripts.append((tuple(m for m in moves if m is not None), e.aut))
+    loops = _loops_move_front(d_v, scripts)
     loops.append(_loop(br if tau is e else _bracket(tau), STAB))
-    loops.extend(_invert_loops(_loops_move_front(d_w, audit), e.sig))
+    loops.extend(_invert_loops(_loops_move_front(d_w, scripts), e.sig))
     return loops
 
 
@@ -414,7 +434,7 @@ def _square(
     return d_v, tau, d_w
 
 
-def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
+def _loops_move_front(d: Optional[GroupoidEdge], scripts: list) -> list[BaseLoop]:
     """Loops for a front conjugation P t_j Q -> t_j P Q: none when P has no
     puncture letter, as it is then the first canonical move (bracket 1).
     Otherwise it is nu1 then nu2, split at the first puncture letter t_k of P;
@@ -437,8 +457,7 @@ def _loops_move_front(d: Optional[GroupoidEdge], audit) -> list[BaseLoop]:
     nu2 = _edge(nu1.target, letter_move(sig, jc, conj2.inverse(), conj2), None)
     if nu2.target != d.target:
         raise CosetViolation("front conjugation cascade missed its target")
-    if audit is not None:
-        audit.append(EdgeScript((nu1, nu2), d.aut))
+    scripts.append(((nu1, nu2), d.aut))
     return [_loop(_bracket(nu1), STAB), _loop(_bracket(nu2), STAB_SPECIAL)]
 
 
@@ -458,7 +477,7 @@ def _split_contract_holds(e: GroupoidEdge) -> bool:
 
 
 def _loops_p1(
-    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, scripts: list
 ) -> list[BaseLoop]:
     """Case table at p = 1; ``br`` is the bracket of ``e``."""
     sig = e.sig
@@ -474,18 +493,18 @@ def _loops_p1(
     moved = V.codes[k - 1]
     if kind.tag == N2_LEFT and V.codes[k - 2] == t1:
         if V.codes.index(-moved) > k - 1:
-            return _loops_hexagon_left(e, br, audit)
+            return _loops_hexagon_left(e, br, scripts)
         inv = e.inverse()
-        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
+        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), scripts), sig)
     if kind.tag == N2_RIGHT and V.codes[k] == t1:
         if V.codes.index(-moved) > k:
-            return _loops_hexagon_right(e, br, audit)
+            return _loops_hexagon_right(e, br, scripts)
         inv = e.inverse()
-        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), audit), sig)
+        return _invert_loops(_loops_p1(inv, inv.kind, br.inverse(), scripts), sig)
     raise CosetViolation(f"unhandled p=1 edge shape {kind}")
 
 
-def _loops_hexagon_left(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseLoop]:
+def _loops_hexagon_left(e: GroupoidEdge, br: Automorphism, scripts: list) -> list[BaseLoop]:
     """Edge P t1 a Q a' R -> P a Q a' t1 R: the special-coset hexagon; ``br``
     is the bracket of ``e``.  ``e_back`` is the target's first canonical move,
     whose bracket is the identity, so the special loop, the bracket of
@@ -499,17 +518,14 @@ def _loops_hexagon_left(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseLo
     a_pos = w1.codes.index(a)
     p_word = Word(sig, w1.codes[1:a_pos])
     e_pull = _edge(w1, letter_move(sig, a, p_word.inverse(), Word.identity(sig)), None)
-    if audit is not None:
-        audit.append(
-            EdgeScript((e, e_back, e_pull), compose(e.aut, e_back.aut, e_pull.aut))
-        )
+    scripts.append(((e, e_back, e_pull), None))
     pull = _bracket(e_pull)
     loops = [_loop(compose(br, pull), STAB_SPECIAL)]
     loops.extend(_invert_loops([_loop(pull, STAB)], sig))
     return loops
 
 
-def _loops_hexagon_right(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseLoop]:
+def _loops_hexagon_right(e: GroupoidEdge, br: Automorphism, scripts: list) -> list[BaseLoop]:
     """Edge P a t1 Q a' R -> P a Q t1 a' R: conjugate t1 past a on both sides
     by psi: t1 -> a' t1 a, leaving the left-hexagon bottom
     P t1 a Q a' R -> P a Q a' t1 R.  The first canonical move of P a t1 Q is
@@ -526,17 +542,16 @@ def _loops_hexagon_right(e: GroupoidEdge, br: Automorphism, audit) -> list[BaseL
     bkind = classify_nielsen(bottom)
     if bkind is None or bkind.tag != N2_LEFT:
         raise CosetViolation("hexagon bottom is not the expected left move")
-    if audit is not None:
-        e_r = _edge(e.target, psi, None)
-        audit.append(EdgeScript((e_l, bottom, e_r.inverse()), e.aut))
-    return _loops_hexagon_left(bottom, br, audit)
+    e_r = _edge(e.target, psi, None)
+    scripts.append(((e_l, bottom, e_r.inverse()), e.aut))
+    return _loops_hexagon_left(bottom, br, scripts)
 
 
 # -- case p == 0 -------------------------------------------------------------
 
 
 def _loops_p0(
-    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, audit
+    e: GroupoidEdge, kind: NielsenKind, br: Automorphism, scripts: list
 ) -> list[BaseLoop]:
     """Case table at p = 0; ``br`` is the bracket of ``e``."""
     sig = e.sig
@@ -557,11 +572,10 @@ def _loops_p0(
         if len(first) != 1 or first.codes[0] != W.codes[0]:
             raise CosetViolation("second leg of the first-letter split is not "
                                  "a first-letter map")
-        if audit is not None:
-            audit.append(EdgeScript((nu1, nu2), e.aut))
+        scripts.append(((nu1, nu2), e.aut))
         return [_loop(_bracket(nu1), STAB), _loop(_bracket(nu2))]
     inv = e.inverse()
-    return _invert_loops(_loops_p0(inv, inv.kind, br.inverse(), audit), sig)
+    return _invert_loops(_loops_p0(inv, inv.kind, br.inverse(), scripts), sig)
 
 
 # -- peeling and the recursion ------------------------------------------------
@@ -618,9 +632,13 @@ def _alpha1_power(delta: Endomorphism, sig: Signature) -> int:
     return -m
 
 
-def _stab_word(
-    stab: Automorphism, sig: Signature, audit
-) -> tuple[GenWord, Endomorphism]:
+def _restricted(stab: Automorphism) -> Automorphism:
+    """The stabilizer part of a loop at the smaller signature it is factored
+    at: without the last puncture letter (p >= 1), or relabeled (p = 0)."""
+    return restrict_drop_tp(stab) if stab.sig.p >= 1 else restrict_relabel_K(stab)
+
+
+def _stab_word(stab: Automorphism, sig: Signature) -> tuple[GenWord, Endomorphism]:
     """A word for ``stab`` and the value it was checked at: the forward map
     of the word, which equals ``stab.fwd``.
 
@@ -628,13 +646,12 @@ def _stab_word(
     where the discrepancy delta = stab shifted' is alpha_1^k.  Its inverse
     shifted stab' needs no inverse of the word, and delta = alpha_1^k exactly
     when delta' = alpha_1^(-k), so k is read off delta' and negated."""
+    inner = _factorize_cached(_restricted(stab))
     if sig.p >= 1:
-        inner = _factorize_rec(restrict_drop_tp(stab), audit)
         value = _eval_fwd(inner, sig)
         if value != stab.fwd:
             raise CosetViolation("re-included stabilizer word failed to recompose")
         return inner, value
-    inner = _factorize_rec(restrict_relabel_K(stab), audit)
     if any(n.family == "s" for n, _ in inner.tokens):
         raise CosetViolation("relabeled recursion produced a puncture move")
     shifted = inner.shifted(1)
@@ -657,51 +674,48 @@ def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     rep = membership(a)
     if not rep.in_A:
         raise NotInA("input does not fix the relator and permute the classes")
-    return _factorize_rec(a, audit)
+    word = _factorize_cached(a)
+    if audit is not None:
+        _replay(a, audit)
+    return word
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _factorize_cached(a: Automorphism) -> GenWord:
-    return _factorize_impl(a, None)
-
-
-def _factorize_rec(a: Automorphism, audit) -> GenWord:
-    if audit is None:
-        return _factorize_cached(a)
-    return _factorize_impl(a, audit)
-
-
-def _factorize_impl(a: Automorphism, audit) -> GenWord:
+    """The ADL word of ``a``: its peak reduction's edges factored in order,
+    each through ``_factored``, and checked against ``a``."""
     sig = a.sig
     if 2 * sig.g + sig.p <= 1:
         if not a.is_identity():
             raise NotInA(f"the group at {sig} is trivial")
         return GenWord.empty()
-    v0 = relator(sig)
-    steps, n1 = nielsen_reduce(v0, a.fwd)
-    edges = steps + [n1]
-    # the reduced tokens and the forward value of each edge (of each part,
-    # when auditing), in order
+    # the reduced tokens and the forward value of each edge, in order
     runs: list[_Tokens] = []
     pieces: list[Endomorphism] = []
-    if audit is None:
-        for e in edges:
-            edge_tokens, value = _edge_factors(e)
-            if edge_tokens:
-                runs.append(edge_tokens)
-                pieces.append(value)
-    else:
-        # every edge is telescoped before any loop is peeled, so the scripts
-        # keep their order; nothing is reused
-        loops = [loop for e in edges for loop in nielsen_to_base_loops(e, audit)]
-        for loop in loops:
-            for word, value in _peel_parts(loop, sig, audit):
-                runs.append(word.tokens)
-                pieces.append(value)
+    steps, n1 = nielsen_reduce(relator(sig), a.fwd)
+    for e in steps + [n1]:
+        edge_tokens, value = _edge_factors(e)
+        if edge_tokens:
+            runs.append(edge_tokens)
+            pieces.append(value)
     # the word's value is the composite of its checked pieces' values
     if _compose_all(pieces, sig) != a.fwd:
         raise CosetViolation("factorization failed to recompose the input")
     return _genword(_join(runs))
+
+
+def _replay(a: Automorphism, audit: list) -> None:
+    """Append the cascade scripts of the factorisation of ``a``, which has
+    succeeded, to ``audit``: each edge of the level telescoped in order, then
+    the scripts of each loop's stabilizer, one loop after another.  Nothing
+    is read from or stored in the edge and parts memos."""
+    sig = a.sig
+    if 2 * sig.g + sig.p <= 1:
+        return
+    steps, n1 = nielsen_reduce(relator(sig), a.fwd)
+    loops = [loop for e in steps + [n1] for loop in nielsen_to_base_loops(e, audit)]
+    for loop in loops:
+        _replay(_restricted(peel_special(loop, sig)[0]), audit)
 
 
 _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward value)
@@ -726,8 +740,8 @@ class _LoopEntry:
 
 
 #: Per loop at the relator, keyed on its forward image codes (``_loop_key``):
-#: its ``_LoopEntry``.  Brackets, ``_loop`` and the peeling of loops outside
-#: an audit share it.
+#: its ``_LoopEntry``.  Brackets, ``_loop`` and ``_factor_edge``'s peeling
+#: share it.
 _loop_entries: OrderedDict[tuple, _LoopEntry] = OrderedDict()
 #: Per ADL word, keyed on (signature, tokens): its forward value.
 _adl_values: OrderedDict[tuple, Endomorphism] = OrderedDict()
@@ -761,19 +775,19 @@ def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
     values: list[Endomorphism] = []
     sig = e.sig
     for loop in nielsen_to_base_loops(e):
-        parts = _filled(loop.aut, "parts", lambda: _peel_parts(loop, sig, None)).parts
+        parts = _filled(loop.aut, "parts", lambda: _peel_parts(loop, sig)).parts
         for word, value in parts:
             runs.append(word.tokens)
             values.append(value)
     return _join(runs), _compose_all(values, sig)
 
 
-def _peel_parts(loop: BaseLoop, sig: Signature, audit) -> _Parts:
+def _peel_parts(loop: BaseLoop, sig: Signature) -> _Parts:
     """The nonempty parts of one loop, in order, each with its checked
     forward value: the stabilizer word (``_stab_word``) and the special
     generator word after it (around it at p = 0, its inverse first)."""
     stab, special = peel_special(loop, sig)
-    parts = [_stab_word(stab, sig, audit)]
+    parts = [_stab_word(stab, sig)]
     if special.tokens:
         parts.append((special, _eval_fwd(special, sig)))
         if sig.p == 0:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Signature, Word, fox_derivative, parse_word, relator
+from .core import Signature, Word, _word, fox_derivative, parse_word, relator
 from .endo import Automorphism, compose, membership
 from .errors import HypothesisViolated
 from .factorize import factorize_adl, factorize_adlh
@@ -78,11 +78,12 @@ def random_candidate(sig: Signature, rng: random.Random) -> tuple[int, ...]:
 
 
 def random_candidate_word(sig: Signature, rng: random.Random) -> Word:
-    """Random reduced arrangement of the exact candidate letter multiset."""
+    """Random reduced arrangement of the exact candidate letter multiset: a
+    shuffle is kept when no letter stands next to its inverse."""
     while True:
-        w = Word(sig, random_candidate(sig, rng))
-        if len(w) == sig.chain_len:
-            return w
+        codes = random_candidate(sig, rng)
+        if all(a != -b for a, b in zip(codes, codes[1:])):
+            return _word(sig, codes)
 
 
 def random_zieschang(sig: Signature, rng: random.Random) -> Word:

@@ -4,6 +4,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfaut import Word, cli, factorize, groupoid
 from surfaut.cli import run
@@ -125,6 +127,13 @@ class TestCertifyFactorize:
     def test_certify_rejects(self):
         code, _, err = invoke(["certify", "--sig", "1,0", "--aut", "x1 -> x1 y1"])
         assert code == 1 and "HypothesisViolated" in err
+
+    def test_certify_rejects_unpermuted_classes(self):
+        # fixes the relator t1 t2, but t2 goes to no conjugate of a puncture letter
+        argv = ["certify", "--sig", "0,2", "--aut", "t1 -> t1 t2; t2 -> t2 t1 t2' t1'"]
+        code, out, err = invoke(argv)
+        assert code == 1 and out == ""
+        assert err == "HypothesisViolated: puncture classes are not permuted\n"
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_certify_stuck_reduction_exits_1(self, as_json, monkeypatch):
@@ -314,6 +323,35 @@ class TestUnusablePaths:
             f"no such automorphism file: {missing}",
         )
 
+    def test_aut_with_newline_is_inline(self):
+        # not echoed back as a file name over two lines
+        self.assert_usage_error(
+            ["verify", "--sig", "1,0", "--aut", "foo\nbar"], "bad image line 'foo'"
+        )
+
+    @pytest.mark.parametrize(
+        "aut,says",
+        [
+            ("sig q", "bad signature header 'sig q'"),
+            ("sig g=1 p=0; x1 y1", "bad image line 'x1 y1'"),
+            ("x1' -> y1", "image lines must use positive letters"),
+            ("x2 -> y1", "x-index 2 out of range"),
+            ("x1 -> y1; x1 -> y1", "duplicate image for 'x1'"),
+        ],
+        ids=["header", "no-arrow", "inverse-letter", "out-of-range", "duplicate"],
+    )
+    def test_bad_automorphism_text(self, aut, says):
+        self.assert_usage_error(["verify", "--sig", "1,0", "--aut", aut], says)
+
+    def test_argparse_error_goes_to_err(self, capsys):
+        # "-1,2" reads as an option, so --sig has no value
+        code, out, err = invoke(["verify", "--sig", "-1,2", "--aut", "x"])
+        assert code == 2 and out == ""
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [
+            "surfaut verify: error: argument --sig: expected one argument"
+        ]
+        assert capsys.readouterr().err == ""
+
     def test_aut_file_of_another_signature(self, tmp_path):
         path = tmp_path / "aut.txt"
         path.write_text("sig g=2 p=0\nx1 -> y1' x1\n", encoding="utf-8")
@@ -396,3 +434,42 @@ class TestSelftest:
     def test_samples_below_one_is_usage_error(self, samples):
         code, out, err = invoke(["selftest", "--samples", samples, "--criteria", "9"])
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+_VALUES = {
+    "--sig": ["1,0", "0,2", "1,1", "0,3", "-1,2", "x,1", "1", ""],
+    "--aut": ["x1 -> y1' x1", "y1 -> x1 y1", "t1 -> t2; t2 -> t1", "sig g=1 p=0",
+              "sig q", "foo\nbar", "x1' -> y1", "x1 -> y1; x1 -> y1", "no/such/file"],
+    "--word": ["x1' y1' x1 y1", "t2 t1", "t1 x1 y1 x1' y1'", "x1 x1", "q9", ""],
+    "--genword": ["a1 b1'", "s2", "g1'", "1", "q", ""],
+}
+_VALUES["--other"] = _VALUES["--aut"]
+_VALUES["--apply"] = _VALUES["--word"]
+# selftest is left out: without --samples it runs at full scale
+_COMMANDS = ["verify", "is-zieschang", "whitehead", "canon", "nielsen-reduce",
+             "certify", "factorize", "eval", "outer-equal", "bogus"]
+_ARGV = st.builds(
+    lambda head, cmd, opts, tail: head + [cmd] + [t for opt in opts for t in opt] + tail,
+    st.sampled_from([[], ["--json"]]),
+    st.sampled_from(_COMMANDS),
+    st.lists(
+        st.sampled_from(sorted(_VALUES)).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(_VALUES[flag]))
+        ),
+        max_size=4,
+    ),
+    st.lists(st.sampled_from(["--adlh", "--audit", "--json", "--sig", "-x", "extra"]),
+             max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_exit_code_contract(argv):
+    # every argv ends in an exit code of 0-3 with no traceback, and a usage
+    # error writes one error line
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1

@@ -287,6 +287,18 @@ class TestFactorizeAdlh:
         with pytest.raises(CosetViolation, match="ADLH factorization failed"):
             factorize_adlh(gen("a", 4, Signature(4, 0)))
 
+    def test_alpha3_left_in_output_is_caught(self, monkeypatch):
+        # a rewrite that leaves alpha_3 in the ADLH word is an engine fault
+        monkeypatch.setattr(F, "_splice", lambda base, sig: GenWord.of(GenName("a", 3)))
+        with pytest.raises(CosetViolation, match=r"ADLH output still uses alpha_\(>=3\)"):
+            factorize_adlh(gen("a", 3, S30))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["factorize", "--sig", "3,0", "--adlh", "--aut", "x3 -> y3' x3"]
+        assert run(argv, out, err) == 3 and out.getvalue() == ""
+        assert err.getvalue() == (
+            "internal assertion: CosetViolation: ADLH output still uses alpha_(>=3)\n"
+        )
+
 
 S40 = Signature(4, 0)
 
@@ -376,7 +388,7 @@ class TestComputedOnce:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
     def test_audit_and_plain_words_agree(self, sig, seed):
-        # the audit path reuses nothing; the plain path reuses checked values
+        # the audit replays the plain factorisation and changes no word
         a = random_adl_automorphism(sig, random.Random(seed), _short(sig))
         assert factorize_adl(a, []) == factorize_adl(a)
 
@@ -399,7 +411,7 @@ class TestComputedOnce:
         count = {"telescope": 0, "peel": 0, "stab": 0, "bracket": 0}
         hits = {"edge": 0, "loop": 0}
         real_peel, real_stab, real_lru = F.peel_special, F._stab_word, F._lru
-        real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
+        real_loops, real_bracket = F._telescope, F._bracket
         real_filled, real_aut, real_tag = F._filled, F._aut, F._checked_tag
 
         def peel(loop, sig):
@@ -407,11 +419,11 @@ class TestComputedOnce:
             peeled.append(loop.aut.fwd)
             return real_peel(loop, sig)
 
-        def stab_word(stab, sig, audit):
+        def stab_word(stab, sig):
             # each peel is followed by its stabilizer's word
             count["stab"] += 1
             factored.append((peeled[-1], stab.fwd))
-            return real_stab(stab, sig, audit)
+            return real_stab(stab, sig)
 
         def lru(memo, key, build):
             hit, before = key in memo, dict(count)
@@ -431,12 +443,12 @@ class TestComputedOnce:
                 assert count == before
             return out
 
-        def loops(e, audit=None):
+        def loops(e):
             # the edge, brackets of the edge itself, brackets of any edge
             count["telescope"] += 1
             tops.append([e, 0, 0])
             try:
-                return real_loops(e, audit)
+                return real_loops(e)
             finally:
                 done_tops.append(tops.pop())
 
@@ -457,7 +469,7 @@ class TestComputedOnce:
             return real_tag(a, expect)
 
         for name, fn in [("peel_special", peel), ("_stab_word", stab_word), ("_lru", lru),
-                         ("_filled", filled), ("nielsen_to_base_loops", loops),
+                         ("_filled", filled), ("_telescope", loops),
                          ("_bracket", bracket), ("_aut", aut), ("_checked_tag", checked_tag)]:
             monkeypatch.setattr(F, name, fn)
         for sig in GRID:
@@ -482,13 +494,13 @@ class TestComputedOnce:
 class TestChecksStillFire:
     def test_wrong_inner_word(self, monkeypatch):
         # (1,1) re-includes words factored at (1,0)
-        real = F._factorize_rec
+        real = F._factorize_cached
 
-        def wrong_inner(a, audit):
-            w = real(a, audit)
+        def wrong_inner(a):
+            w = real(a)
             return w * GenWord.of(GenName("a", 1)) if a.sig == S10 else w
 
-        monkeypatch.setattr(F, "_factorize_rec", wrong_inner)
+        monkeypatch.setattr(F, "_factorize_cached", wrong_inner)
         with pytest.raises(CosetViolation, match="re-included stabilizer word failed"):
             factorize_adl(gen("g", 1, Signature(1, 1)))
 
@@ -602,7 +614,7 @@ class TestTelescopeMemo:
             assert [F._edge_factors(e) for e in edges] == want
 
     def test_audit_after_warm_memo(self, rng):
-        # the audit path telescopes every edge itself, in order
+        # the replay telescopes every edge itself, in order
         for sig in GRID:
             a = random_adl_automorphism(sig, rng, _short(sig))
             cold: list = []
@@ -636,14 +648,14 @@ class TestTelescopeMemo:
             F._edge_factors(e)
         F._factored.clear()
         runs = []
-        real = F.nielsen_to_base_loops
+        real = F._telescope
 
-        def telescope(e, audit=None):
+        def telescope(e):
             runs.append(e)
-            return real(e, audit)
+            return real(e)
 
         monkeypatch.setattr(F, "MEMO_SIZE", 2)
-        monkeypatch.setattr(F, "nielsen_to_base_loops", telescope)
+        monkeypatch.setattr(F, "_telescope", telescope)
         for e in (a, b, a, c, a, b):
             F._edge_factors(e)
             assert len(F._factored) <= 2
@@ -681,8 +693,8 @@ def _parts(fwd):
 
 
 class TestFactorMemos:
-    """Outside an audit each Nielsen edge's tokens and value come from
-    ``_factored`` and each loop's parts from its ``_loop_entries`` entry."""
+    """Each Nielsen edge's tokens and value come from ``_factored`` and each
+    loop's parts from its ``_loop_entries`` entry."""
 
     def test_cold_and_warm_memos_agree(self, rng):
         def cli(*argv):
@@ -726,13 +738,14 @@ class TestFactorMemos:
 
         telescoped = {}
 
-        def recording(e, audit=None):
-            loops = telescoped[F._edge_key(e)] = real_telescope(e, audit)
-            return loops
+        def recording(e):
+            loops, records = real_telescope(e)
+            telescoped[F._edge_key(e)] = loops
+            return loops, records
 
-        real_telescope = F.nielsen_to_base_loops
+        real_telescope = F._telescope
         monkeypatch.setattr(F, "peel_special", second_top_fails)
-        monkeypatch.setattr(F, "nielsen_to_base_loops", recording)
+        monkeypatch.setattr(F, "_telescope", recording)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adl(a)
         assert _parts(top[0]) is not None and _parts(top[1]) is None
@@ -757,9 +770,9 @@ class TestFactorMemos:
             edges.append(e)
             return real_factor(e)
 
-        def peel_parts(loop, sig, audit):
+        def peel_parts(loop, sig):
             loops.append(loop.aut.fwd)
-            return real_peel(loop, sig, audit)
+            return real_peel(loop, sig)
 
         monkeypatch.setattr(F, "MEMO_SIZE", 2)
         monkeypatch.setattr(F, "_factor_edge", factor_edge)
@@ -872,13 +885,13 @@ class _Call:
     parent: "_Call | None"  # the innermost traced call this one ran in
     args: tuple
     result: object = None
-    scripts: list = dataclasses.field(default_factory=list)  # audit scripts it appended
+    scripts: list = dataclasses.field(default_factory=list)  # script records it appended
 
 
 def _trace(monkeypatch, names):
     """Wrap the named ``factorize`` functions; every call is logged in order.
-    A call whose last argument is an audit list records the scripts appended
-    while it ran, its own first."""
+    A call whose last argument is a list of script records (a case table's)
+    records the ones appended while it ran, its own first."""
     calls, stack = [], []
     for name in names:
         real = getattr(F, name)
@@ -886,14 +899,14 @@ def _trace(monkeypatch, names):
         def wrapped(*args, real=real, name=name):
             call = _Call(name, stack[-1] if stack else None, args)
             calls.append(call)
-            audit = args[-1] if args and isinstance(args[-1], list) else []
-            start = len(audit)
+            records = args[-1] if args and isinstance(args[-1], list) else []
+            start = len(records)
             stack.append(call)
             try:
                 call.result = real(*args)
             finally:
                 stack.pop()
-            call.scripts = audit[start:]
+            call.scripts = records[start:]
             return call.result
 
         monkeypatch.setattr(F, name, wrapped)
@@ -940,7 +953,7 @@ class TestBracketsByConstruction:
                     assert _bracket(d).is_identity()
                     seen["free front"] += 1
                     continue
-                nu1 = call.scripts[0].moves[0]
+                nu1 = call.scripts[0][0][0]
                 sig = d.sig
                 j1 = next(c for c in d.source.codes if sig.is_t_code(c))
                 d1_v, tau, d1_w = F._square(nu1, j1)
@@ -951,7 +964,7 @@ class TestBracketsByConstruction:
                 assert _bracket(tau).fwd == _bracket(nu1).fwd
             elif call.name == "_loops_hexagon_left":
                 e, br, _ = call.args
-                _, e_back, e_pull = call.scripts[0].moves
+                _, e_back, e_pull = call.scripts[0][0]
                 assert _bracket(e_back).is_identity()
                 seen["e_back"] += 1
                 # from the right hexagon, e is its bottom and br its bracket
@@ -963,7 +976,7 @@ class TestBracketsByConstruction:
             elif call.name == "_loops_hexagon_right":
                 # (b) the sides conjugate t1 past the letter before it
                 e, br, _ = call.args
-                e_l, bottom, e_r_inv = call.scripts[0].moves
+                e_l, bottom, e_r_inv = call.scripts[0][0]
                 for side in (e_l, e_r_inv.inverse()):
                     assert _bracket(side).is_identity()
                     seen["side"] += 1
@@ -976,7 +989,7 @@ class TestBracketsByConstruction:
         _telescope_enumerated(rng)
         fronts = [c.result for c in calls
                   if c.name == "_conj_t_to_front" and c.result is not None]
-        # e_l, the bottom and, under audit, e_r
+        # e_l, the bottom and e_r
         sides = [c.result for c in calls
                  if c.name == "_edge" and _called_from(c, "_loops_hexagon_right")]
         bracketed = {id(c.args[0]) for c in calls if c.name == "_bracket"}

@@ -4,6 +4,7 @@ criterion's line reads FAIL with its message, and the command exits 1."""
 
 import io
 import itertools
+import random
 import re
 from types import SimpleNamespace
 
@@ -159,3 +160,21 @@ def test_canonical_pattern_failures(sig, codes, moved, message):
     sig = Signature(*sig)
     phi = Endomorphism.from_map(sig, {b: Word(sig, img) for b, img in moved.items()})
     assert st._check_canonical_patterns(Word(sig, codes), phi) == message
+
+
+def test_candidate_words_match_the_validating_construction():
+    # a shuffle with no adjacent inverse pair is exactly one that free
+    # reduction leaves at full length, so the same shuffles are kept and
+    # the random stream is the same
+    def validated(sig, rng):
+        while True:
+            w = Word(sig, st.random_candidate(sig, rng))
+            if len(w) == sig.chain_len:
+                return w
+
+    for sig in list(st.GRID) + [Signature(3, 1), Signature(0, 1)]:
+        for seed in range(40):
+            old, new = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert st.random_candidate_word(sig, new) == validated(sig, old)
+            assert new.getstate() == old.getstate()
