@@ -39,8 +39,8 @@ it telescopes every edge of a level again, in order, then peels every loop
 and replays its stabilizer, so the scripts come out in the recursion's
 order.  It reads the bracket pairs and the checked coset tags from
 ``_loop_entries``, and no edge or parts memo.  Each case table records its
-cascade scripts as it telescopes; only the replay builds them into
-``EdgeScript``s.
+cascade scripts as it telescopes; ``nielsen_to_base_loops`` builds them into
+``EdgeScript``s only when it is given an audit list.
 
 Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
 edge's tokens and a level's word are the parts' and edges' token runs

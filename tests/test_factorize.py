@@ -411,7 +411,7 @@ class TestComputedOnce:
         count = {"telescope": 0, "peel": 0, "stab": 0, "bracket": 0}
         hits = {"edge": 0, "loop": 0}
         real_peel, real_stab, real_lru = F.peel_special, F._stab_word, F._lru
-        real_loops, real_bracket = F._telescope, F._bracket
+        real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
         real_filled, real_aut, real_tag = F._filled, F._aut, F._checked_tag
 
         def peel(loop, sig):
@@ -443,12 +443,12 @@ class TestComputedOnce:
                 assert count == before
             return out
 
-        def loops(e):
+        def loops(e, audit=None):
             # the edge, brackets of the edge itself, brackets of any edge
             count["telescope"] += 1
             tops.append([e, 0, 0])
             try:
-                return real_loops(e)
+                return real_loops(e, audit)
             finally:
                 done_tops.append(tops.pop())
 
@@ -469,7 +469,7 @@ class TestComputedOnce:
             return real_tag(a, expect)
 
         for name, fn in [("peel_special", peel), ("_stab_word", stab_word), ("_lru", lru),
-                         ("_filled", filled), ("_telescope", loops),
+                         ("_filled", filled), ("nielsen_to_base_loops", loops),
                          ("_bracket", bracket), ("_aut", aut), ("_checked_tag", checked_tag)]:
             monkeypatch.setattr(F, name, fn)
         for sig in GRID:
@@ -648,14 +648,14 @@ class TestTelescopeMemo:
             F._edge_factors(e)
         F._factored.clear()
         runs = []
-        real = F._telescope
+        real = F.nielsen_to_base_loops
 
-        def telescope(e):
+        def telescope(e, audit=None):
             runs.append(e)
-            return real(e)
+            return real(e, audit)
 
         monkeypatch.setattr(F, "MEMO_SIZE", 2)
-        monkeypatch.setattr(F, "_telescope", telescope)
+        monkeypatch.setattr(F, "nielsen_to_base_loops", telescope)
         for e in (a, b, a, c, a, b):
             F._edge_factors(e)
             assert len(F._factored) <= 2
@@ -738,14 +738,13 @@ class TestFactorMemos:
 
         telescoped = {}
 
-        def recording(e):
-            loops, records = real_telescope(e)
-            telescoped[F._edge_key(e)] = loops
-            return loops, records
+        def recording(e, audit=None):
+            loops = telescoped[F._edge_key(e)] = real_telescope(e, audit)
+            return loops
 
-        real_telescope = F._telescope
+        real_telescope = F.nielsen_to_base_loops
         monkeypatch.setattr(F, "peel_special", second_top_fails)
-        monkeypatch.setattr(F, "_telescope", recording)
+        monkeypatch.setattr(F, "nielsen_to_base_loops", recording)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adl(a)
         assert _parts(top[0]) is not None and _parts(top[1]) is None
