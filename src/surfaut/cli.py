@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success or a true verdict, 1 for false verdicts and
 failed mathematical preconditions, 2 for malformed input, 3 for internal
-assertion failures (stuck reduction, coset violations).
+assertion failures (stuck reduction, coset violations).  A standard output
+closed by its reader (``surfaut ... | head -1``) ends the run with exit 1
+and no message.
 """
 
 from __future__ import annotations
@@ -347,15 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code of a run whose standard output was closed by its reader.
+_CLOSED_OUTPUT = 1
+
+
 def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
     parser = build_parser()
     try:
-        with contextlib.redirect_stderr(err):
+        # --help goes to ``out``, usage errors to ``err``
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args, out)
+    except BrokenPipeError:
+        return _CLOSED_OUTPUT
     except (ParseError, IndexOutOfRange) as exc:
         err.write(f"error: {exc}\n")
         return 2
@@ -368,7 +377,15 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to the null
+        # device, so the flush at interpreter exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _CLOSED_OUTPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

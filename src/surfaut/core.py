@@ -26,8 +26,9 @@ from .errors import ParseError, SignatureMismatch
 
 #: Entries kept by each bounded memo of the package: ``canonical_edge`` and
 #: the Nielsen edge and template memos of ``groupoid``, and the edge,
-#: loop-value, top-level and ADL-value memos of ``factorize``; the least
-#: recently used entry leaves first.  Sized from distinct counts: the
+#: loop-value, top-level (``_adl_words``, keyed on the forward image codes
+#: of a factored automorphism) and ADL-value memos of ``factorize``; the
+#: least recently used entry leaves first.  Sized from distinct counts: the
 #: 1,000-case ``adl-grid`` benchmark pool normalises 1,817 distinct words and
 #: telescopes 3,516 distinct edges, the 1,200-case ``adlh-high-genus`` pool
 #: telescopes 1,158 (and evaluates 557 distinct ADL words) and selftest

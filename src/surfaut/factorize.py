@@ -9,9 +9,17 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Three bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
+Four bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
 and a raise stores nothing:
 
+- ``_adl_words``, the top-level memo, keeps, per automorphism keyed on its
+  forward image codes (``_loop_key``), its checked ADL word.  The forward
+  map fixes the automorphism, which has one inverse.  ``factorize_adl``
+  runs ``membership`` only on a miss, so once per distinct input while the
+  memo keeps it: a word is stored only after it was checked to recompose
+  its input, and every ADL generator fixes the relator and permutes the
+  puncture classes, so every stored key is a member.  A non-member raises
+  ``NotInA`` and stores nothing, so it raises again on every call;
 - ``_factored`` keeps, per Nielsen edge, the edge's reduced tokens with the
   composite of the forward values of its checked parts, so an edge is
   telescoped only on a miss;
@@ -21,7 +29,8 @@ and a raise stores nothing:
   into (``peel_special``, ``_stab_word`` and the special generator's words)
   once it is peeled, each part with the forward value it was checked at;
 - ``_adl_values`` keeps, per ADL word, its forward value, which
-  ``factorize_adlh`` compares with the input's on every call.
+  ``factorize_adlh`` compares with the input's on every call, and its flat
+  ADLH word, so the splice and its alpha_(>=3) check run once per word.
 
 The key of an edge is what its telescoping reads: the signature, the source
 codes, the forward image codes and the kind; the target and the inverse are
@@ -70,7 +79,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .core import MEMO_SIZE, Signature, Word, _word, relator
@@ -670,18 +678,29 @@ def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """Factor a member of the relator-stabilizing group over the ADL names.
 
     The result recomposes to ``a`` exactly; this is asserted before returning.
+    Membership is checked only on a miss of ``_adl_words``: every stored
+    word was checked to recompose its key's automorphism, which is therefore
+    a member.
     """
-    rep = membership(a)
-    if not rep.in_A:
-        raise NotInA("input does not fix the relator and permute the classes")
-    word = _factorize_cached(a)
+    word = _lru(_adl_words, _loop_key(a.fwd), lambda: _factorize_member(a))
     if audit is not None:
         _replay(a, audit)
     return word
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+def _factorize_member(a: Automorphism) -> GenWord:
+    """``_factorize_word`` of ``a`` once ``membership`` passes."""
+    if not membership(a).in_A:
+        raise NotInA("input does not fix the relator and permute the classes")
+    return _factorize_word(a)
+
+
 def _factorize_cached(a: Automorphism) -> GenWord:
+    """The ADL word of ``a``, a member, through ``_adl_words``."""
+    return _lru(_adl_words, _loop_key(a.fwd), lambda: _factorize_word(a))
+
+
+def _factorize_word(a: Automorphism) -> GenWord:
     """The ADL word of ``a``: its peak reduction's edges factored in order,
     each through ``_factored``, and checked against ``a``."""
     sig = a.sig
@@ -743,8 +762,13 @@ class _LoopEntry:
 #: its ``_LoopEntry``.  Brackets, ``_loop`` and ``_factor_edge``'s peeling
 #: share it.
 _loop_entries: OrderedDict[tuple, _LoopEntry] = OrderedDict()
-#: Per ADL word, keyed on (signature, tokens): its forward value.
-_adl_values: OrderedDict[tuple, Endomorphism] = OrderedDict()
+#: Per ADL word, keyed on (signature, tokens): its forward value and its
+#: flat ADLH word.
+_adl_values: OrderedDict[tuple, tuple[Endomorphism, GenWord]] = OrderedDict()
+#: Per factored automorphism, keyed on its forward image codes
+#: (``_loop_key``): its checked ADL word.  Top-level calls and the
+#: recursion's stabilizers share it.
+_adl_words: OrderedDict[tuple, GenWord] = OrderedDict()
 
 
 def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:
@@ -802,14 +826,20 @@ def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     memoised rewrites at their seams).  Each rewrite is checked once, so the
     recomposition check compares the input's forward map with the forward
     map of the ADL word rather than of the much longer flat word.  That
-    value is a function of the word, read from the bounded LRU memo
-    ``_adl_values``; the comparison runs on every call."""
+    value and the flat word are functions of the ADL word, read from the
+    bounded LRU memo ``_adl_values``; the comparison runs on every call."""
     sig = a.sig
     base = factorize_adl(a, audit)
-    word = _splice(base, sig)
-    if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
-        raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    value = _lru(_adl_values, (sig, base.tokens), lambda: _eval_fwd(base, sig))
+    value, word = _lru(_adl_values, (sig, base.tokens), lambda: _adlh_entry(base, sig))
     if value != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word
+
+
+def _adlh_entry(base: GenWord, sig: Signature) -> tuple[Endomorphism, GenWord]:
+    """The forward value of the ADL word ``base`` and its flat ADLH word,
+    once that word is checked to have no alpha_(>=3) token."""
+    word = _splice(base, sig)
+    if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
+        raise CosetViolation("ADLH output still uses alpha_(>=3)")
+    return _eval_fwd(base, sig), word

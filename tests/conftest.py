@@ -48,7 +48,7 @@ def clear_memos():
     factorize._factored.clear()
     factorize._loop_entries.clear()
     factorize._adl_values.clear()
-    factorize._factorize_cached.cache_clear()
+    factorize._adl_words.clear()
     groupoid.canonical_edge.cache_clear()
     groupoid._nielsen_edge.cache_clear()
     groupoid._template_move.cache_clear()

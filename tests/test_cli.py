@@ -1,7 +1,10 @@
 import dataclasses
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -364,6 +367,25 @@ class TestUnusablePaths:
             ["verify", "--sig", "x,1", "--aut", "x1 -> x1"], "bad signature 'x,1'"
         )
 
+    @pytest.mark.parametrize(
+        "argv,says",
+        [
+            # "--sig -1,0" would read as an option
+            (["verify", "--sig=-1,0", "--aut", "x1 -> x1"], "bad signature '-1,0'; expected 'g,p'"),
+            (["is-zieschang", "--sig", "1,0", "--word", ""],
+             "empty word text; use '1' for the identity"),
+            (["eval", "--sig", "1,0", "--genword", ""],
+             "empty generator word; use '1' for the identity"),
+            (["eval", "--sig", "1,0", "--genword", "a1 q1"], "bad generator token 'q1'"),
+            (["canon", "--sig", "1,0", "--word", "x1 z"], "bad letter token 'z'"),
+        ],
+        ids=["signature", "word-text", "gen-word-text", "gen-token", "letter"],
+    )
+    def test_constructor_rejections(self, argv, says):
+        # the CLI side of ``test_core.test_public_constructor_rejects``
+        code, out, err = invoke(argv)
+        assert (code, out, err) == (2, "", f"error: {says}\n")
+
     def test_aut_not_utf8(self, tmp_path):
         path = tmp_path / "aut.txt"
         path.write_bytes(b"sig g=1 p=0\nx1 -> y1\xff x1\n")
@@ -380,6 +402,53 @@ class TestUnusablePaths:
         self.assert_usage_error(
             ["whitehead", "--sig", "0,2", "--word", "t2 t1", "--dot", dot]
         )
+
+
+class TestOutputStreams:
+    """Help text goes to ``run``'s ``out``; a standard output closed by its
+    reader ends the run with exit 1, no message and no traceback."""
+
+    def test_help_goes_to_out(self, capsys):
+        for argv in (["--help"], ["factorize", "-h"]):
+            code, out, err = invoke(argv)
+            assert code == 0 and err == ""
+            assert out.startswith("usage: surfaut")
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1", "--adlh", "--audit"],
+         ["--json", "verify", "--sig", "1,0", "--aut", "x1 -> y1' x1"]],
+        ids=["factorize", "json"],
+    )
+    def test_closed_output_exits_quietly(self, argv):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        assert run(argv, Closed(), err) == 1
+        assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_in_a_process(self, buffered):
+        # the read end is closed before the process starts, so its first
+        # write to standard output fails: in ``_emit`` when unbuffered, in
+        # the flush of ``main`` when buffered
+        r, w = os.pipe()
+        os.close(r)
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1", "--audit"]
+        try:
+            proc = subprocess.run([sys.executable, "-m", "surfaut.cli", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestOuterEqual:

@@ -1,9 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from surfaut import (
+    GenName,
+    GenWord,
     GroupRingElement,
+    IndexOutOfRange,
     Letter,
     ParseError,
     Signature,
@@ -12,11 +17,14 @@ from surfaut import (
     conjugate,
     fox_derivative,
     free_reduce,
+    gen_set,
     invert,
     multiply,
+    parse_gen_word,
     parse_word,
     relator,
 )
+from surfaut.core import parse_letter
 
 from surfaut.errors import SignatureMismatch
 
@@ -263,3 +271,27 @@ class TestBoundary:
     def test_product_across_signatures(self):
         with pytest.raises(ValueError):
             w(S10, "x1") * w(S12, "x1")
+
+
+@pytest.mark.parametrize(
+    "build,error,says",
+    [
+        (lambda: Signature(-1, 0), ValueError,
+         "genus and puncture counts must be >= 0, got (g=-1, p=0)"),
+        (lambda: parse_word(S10, ""), ParseError, "empty word text; use '1' for the identity"),
+        (lambda: parse_gen_word(""), ParseError,
+         "empty generator word; use '1' for the identity"),
+        (lambda: parse_gen_word("a1 q1"), ParseError, "bad generator token 'q1'"),
+        (lambda: parse_letter("z"), ParseError, "bad letter token 'z'"),
+        (lambda: GenName("q", 1), IndexOutOfRange, "bad generator name q1"),
+        (lambda: GenWord(((GenName("a", 1), 2),)), ValueError,
+         "token exponent must be +-1, got 2"),
+        (lambda: gen_set(S10, "x"), ValueError, "variant must be 'adl' or 'adlh', got 'x'"),
+    ],
+    ids=["signature", "word-text", "gen-word-text", "gen-token", "letter", "gen-name",
+         "exponent", "variant"],
+)
+def test_public_constructor_rejects(build, error, says):
+    # the whole message, so a changed text shows here
+    with pytest.raises(error, match=f"^{re.escape(says)}$"):
+        build()

@@ -37,7 +37,7 @@ from surfaut import factorize as F
 from surfaut import groupoid
 from surfaut import selftest
 from surfaut.cli import run
-from surfaut.endo import format_endomorphism
+from surfaut.endo import format_endomorphism, parse_endomorphism
 from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
@@ -313,8 +313,9 @@ class TestAdlValueMemo:
         inputs += [gen("a", 3, S40), gen("b", 4, S40)]
         words = [factorize_adlh(a) for a in inputs]
         assert F._adl_values
-        for (sig, tokens), value in F._adl_values.items():
+        for (sig, tokens), (value, word) in F._adl_values.items():
             assert value == F._eval_fwd(GenWord(tokens), sig)
+            assert word == F._splice(GenWord(tokens), sig)
         # warm: every value is read from the memo, and the words are unchanged
         folds = []
         real = F._eval_fwd
@@ -358,6 +359,83 @@ class TestAdlValueMemo:
             assert len(F._adl_values) <= 2
         # the first input was used again before the third arrived
         assert list(F._adl_values) == [keys[0], keys[2]]
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace ``F.<name>`` by a wrapper that appends its first argument to
+    ``calls``."""
+    real = getattr(F, name)
+    monkeypatch.setattr(F, name, lambda x, *rest: calls.append(x) or real(x, *rest))
+
+
+class TestTopLevelMemo:
+    """``factorize_adl`` reads the word of its input from the bounded LRU
+    ``_adl_words``, keyed on the input's forward image codes, and runs
+    ``membership`` only on a miss."""
+
+    @staticmethod
+    def copy(a):
+        # fresh words and maps, equal to a's
+        fwd, inv = (parse_endomorphism(format_endomorphism(m)) for m in (a.fwd, a.inv))
+        return Automorphism(fwd, inv)
+
+    def test_equal_inputs_share_one_entry(self, rng, monkeypatch):
+        a = random_adl_automorphism(S30, rng, 3)
+        b = self.copy(a)
+        assert b is not a and b.fwd is not a.fwd and b == a
+        checked = []
+        _counting(monkeypatch, "membership", checked)
+        word = factorize_adl(a)
+        size = len(F._adl_words)
+        assert factorize_adl(b) is word
+        assert len(F._adl_words) == size and checked == [a]
+        assert F._adl_words[F._loop_key(b.fwd)] is word
+
+    def test_non_member_raises_every_time_and_stores_nothing(self, monkeypatch):
+        x1_inv = Endomorphism.from_map(S10, {1: parse_word(S10, "x1'")})
+        a = Automorphism(x1_inv, x1_inv)
+        checked = []
+        _counting(monkeypatch, "membership", checked)
+        for _ in range(2):
+            with pytest.raises(NotInA, match="does not fix the relator"):
+                factorize_adl(a)
+            assert not F._adl_words
+        assert checked == [a, a]
+
+    def test_warm_repeat_checks_and_folds_nothing(self, rng, monkeypatch):
+        inputs = [random_adl_automorphism(S30, rng, 3) for _ in range(3)]
+        inputs += [gen("a", 3, S40), gen("g", 4, S40)]
+        words = [factorize_adlh(a) for a in inputs]
+        calls = {name: [] for name in ("membership", "_splice", "_eval_fwd")}
+        for name, seen in calls.items():
+            _counting(monkeypatch, name, seen)
+        assert [factorize_adlh(self.copy(a)) for a in inputs] == words
+        assert calls == {name: [] for name in calls}
+
+    def test_flat_word_is_the_splice(self):
+        a = gen("a", 4, S40)
+        base = factorize_adl(a)
+        word = factorize_adlh(a)
+        value, kept = F._adl_values[(S40, base.tokens)]
+        assert kept is word and word == F._splice(base, S40)
+        assert value == a.fwd and factorize_adlh(a) is word
+
+    def test_bounded_least_recently_used_first(self, monkeypatch):
+        x, y, z = (gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4)))
+        for a in (x, y, z):
+            # their edges are then in ``_factored``, so factoring them again
+            # recurses into no stabilizer and stores top-level words only
+            factorize_adl(a)
+        F._adl_words.clear()
+        checked = []
+        _counting(monkeypatch, "membership", checked)
+        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        for a in (x, y, x, z, x, y):
+            factorize_adl(a)
+            assert len(F._adl_words) <= 2
+        # x is used again before z arrives, so y goes; then z goes for y
+        assert checked == [x, y, z, y]
+        assert list(F._adl_words) == [F._loop_key(x.fwd), F._loop_key(y.fwd)]
 
 
 _WORDS_GOLDEN = json.loads(
@@ -663,7 +741,6 @@ class TestTelescopeMemo:
         assert runs == [a, b, c, b]
 
     def test_memos_are_bounded(self, rng, monkeypatch):
-        assert F._factorize_cached.cache_info().maxsize == F.MEMO_SIZE
         for memo in (groupoid._nielsen_edge, groupoid._template_move):
             assert memo.cache_info().maxsize == F.MEMO_SIZE
         monkeypatch.setattr(F, "MEMO_SIZE", 5)
@@ -671,7 +748,10 @@ class TestTelescopeMemo:
         for e in edges + edges:
             F._edge_factors(e)
             assert len(F._factored) <= 5
+            # the top-level memo is an ``_lru`` memo, bounded by the same size
+            assert len(F._adl_words) <= 5
         assert len(F._factored) == 5
+        assert len(F._adl_words) == 5
 
 
 def _single_loop_edges(sig, rng, count):
@@ -706,7 +786,7 @@ class TestFactorMemos:
             sig, aut = f"{a.sig.g},{a.sig.p}", format_endomorphism(a.fwd)
             # the top level is memoised too; clearing it makes the edge and
             # loop memos serve
-            F._factorize_cached.cache_clear()
+            F._adl_words.clear()
             return [cli("factorize", "--sig", sig, "--aut", aut, *flags)
                     for flags in ([], ["--adlh"], ["--audit"])]
 
@@ -789,7 +869,7 @@ class TestFactorMemos:
         # evictions change no word
         for sig in GRID:
             x = random_adl_automorphism(sig, rng, _short(sig))
-            F._factorize_cached.cache_clear()
+            F._adl_words.clear()
             assert factorize_adl(x) == factorize_adl(x, [])
             assert len(F._factored) <= 2 and len(F._loop_entries) <= 2
 

@@ -58,6 +58,7 @@ def test_finds_the_known_caches():
 def test_finds_the_known_dict_memos():
     assert {
         "surfaut.factorize._adl_values",
+        "surfaut.factorize._adl_words",
         "surfaut.factorize._factored",
         "surfaut.factorize._loop_entries",
     } <= set(package_dict_memos())
