@@ -52,9 +52,13 @@ _INTERNAL_ERRORS = (CosetViolation, ImageEscapes, ReductionStuck)
 def _parse_sig(text: str) -> Signature:
     try:
         g_str, p_str = text.split(",")
-        return Signature(int(g_str), int(p_str))
-    except (ValueError, TypeError) as exc:
+        g, p = int(g_str), int(p_str)
+    except ValueError as exc:
         raise ParseError(f"bad signature {text!r}; expected 'g,p'") from exc
+    try:
+        return Signature(g, p)
+    except ValueError as exc:  # a negative count, in Signature's own words
+        raise ParseError(str(exc)) from exc
 
 
 def _load_endo(sig: Signature, arg: str) -> Endomorphism:
@@ -291,8 +295,15 @@ def _cmd_selftest(args, out: TextIO) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help swallows OSError, so help written to a
+        # closed output would end the run with 0
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfaut",
         description="Exact computation with surface-relator-stabilizing "
         "free-group automorphisms.",
@@ -361,6 +372,8 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        return _CLOSED_OUTPUT
     try:
         return args.fn(args, out)
     except BrokenPipeError:

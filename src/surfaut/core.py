@@ -27,15 +27,20 @@ from .errors import ParseError, SignatureMismatch
 #: Entries kept by each bounded memo of the package: ``canonical_edge`` and
 #: the Nielsen edge and template memos of ``groupoid``, and the edge,
 #: loop-value, top-level (``_adl_words``, keyed on the forward image codes
-#: of a factored automorphism) and ADL-value memos of ``factorize``; the
-#: least recently used entry leaves first.  Sized from distinct counts: the
+#: of a factored automorphism), ADL-value and reduction-suffix
+#: (``_reduced``) memos of ``factorize``; the least recently used entry
+#: leaves first.  Sized from distinct counts: the
 #: 1,000-case ``adl-grid`` benchmark pool normalises 1,817 distinct words and
 #: telescopes 3,516 distinct edges, the 1,200-case ``adlh-high-genus`` pool
 #: telescopes 1,158 (and evaluates 557 distinct ADL words) and selftest
 #: criterion 7 2,393 (they factor 1,088, 702 and 741 distinct
 #: automorphisms).  Their brackets take 293 distinct loop values on
 #: ``adl-grid`` and 202 on ``adlh-high-genus`` (327 and 216 loop-value
-#: entries with the loops composed from them).  The
+#: entries with the loops composed from them).  The reduction-suffix memo
+#: (``factorize._reduced``) takes one entry per peak-reduction state after
+#: the first: 2,860 after the ``adlh-high-genus`` pool at seed 7, while
+#: the ``adl-grid`` pool passes 10,416 distinct states and fills it, so
+#: evictions cost 55 of the 852 hits an unbounded memo would make.  The
 #: per-signature tables (``Endomorphism.identity``, ``gens.generator``,
 #: ``gens.humphries_rewrite`` and its runs, the candidate letters of
 #: ``whitehead`` and the order ranks of ``groupoid``) are bounded by it too,

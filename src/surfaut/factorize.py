@@ -9,7 +9,7 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Four bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
+Five bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
 and a raise stores nothing:
 
 - ``_adl_words``, the top-level memo, keeps, per automorphism keyed on its
@@ -30,7 +30,19 @@ and a raise stores nothing:
   once it is peeled, each part with the forward value it was checked at;
 - ``_adl_values`` keeps, per ADL word, its forward value, which
   ``factorize_adlh`` compares with the input's on every call, and its flat
-  ADLH word, so the splice and its alpha_(>=3) check run once per word.
+  ADLH word, so the splice and its alpha_(>=3) check run once per word;
+- ``_reduced`` keeps, per state of a peak reduction after its first, keyed
+  on the codes of the current word and of the current images (their
+  lengths, 4g + p and 2g + p, fix the signature), the edges of a reduction
+  that passed through it, the state's index among them and that reduction's
+  N1 remainder edge.  ``_factorize_word`` reduces through
+  ``groupoid._reduce`` with it, so a reduction that reaches a stored state
+  appends the stored suffix and runs no move for it.  The rest of a
+  reduction is a function of its state, so a hit returns edges that passed
+  every check on an equal state.  A state is stored once its reduction has
+  its remainder; a hit that would end past the call's iteration budget is
+  not taken; the first state is not looked up, since ``_adl_words`` serves
+  an equal input.
 
 The key of an edge is what its telescoping reads: the signature, the source
 codes, the forward image codes and the kind; the target and the inverse are
@@ -47,8 +59,12 @@ An audit is a replay of a factorisation that has succeeded (``_replay``):
 it telescopes every edge of a level again, in order, then peels every loop
 and replays its stabilizer, so the scripts come out in the recursion's
 order.  It reads the bracket pairs and the checked coset tags from
-``_loop_entries``, and no edge or parts memo.  Each case table records its
-cascade scripts as it telescopes; ``nielsen_to_base_loops`` builds them into
+``_loop_entries``, and no edge, parts or reduction memo: it reduces with
+the public ``nielsen_reduce``, which runs every move, so its scripts come
+from a reduction that no memo served.  Certification
+(``certify_automorphism``) reduces with ``nielsen_reduce`` as well, so it
+runs every move of its input.  Each case table records its cascade scripts
+as it telescopes; ``nielsen_to_base_loops`` builds them into
 ``EdgeScript``s only when it is given an audit list.
 
 Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
@@ -114,6 +130,7 @@ from .groupoid import (
     NielsenKind,
     _edge,
     _nielsen_edge,
+    _reduce,
     canonical_edge,
     classify_nielsen,
     nielsen_reduce,
@@ -711,7 +728,7 @@ def _factorize_word(a: Automorphism) -> GenWord:
     # the reduced tokens and the forward value of each edge, in order
     runs: list[_Tokens] = []
     pieces: list[Endomorphism] = []
-    steps, n1 = nielsen_reduce(relator(sig), a.fwd)
+    steps, n1 = _reduce(relator(sig), a.fwd, _reduced)
     for e in steps + [n1]:
         edge_tokens, value = _edge_factors(e)
         if edge_tokens:
@@ -769,6 +786,11 @@ _adl_values: OrderedDict[tuple, tuple[Endomorphism, GenWord]] = OrderedDict()
 #: (``_loop_key``): its checked ADL word.  Top-level calls and the
 #: recursion's stabilizers share it.
 _adl_words: OrderedDict[tuple, GenWord] = OrderedDict()
+#: Per state of a peak reduction after its first, keyed on the codes of the
+#: current word and images (``groupoid._Carry.key``): the edges of a
+#: reduction that passed through it, the state's index among them and that
+#: reduction's N1 remainder edge (``groupoid._reduce``).
+_reduced: OrderedDict[tuple, tuple] = OrderedDict()
 
 
 def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:

@@ -48,11 +48,19 @@ their keys, and a raise stores nothing: ``canonical_edge`` per word;
 target and class permutation were checked on an equal key; and
 ``_template_move``, the template pair per (signature, tag, moved letter,
 neighbour letter).
+
+``nielsen_reduce`` runs the loop ``_reduce`` with no memo.  Factorisation
+passes its memo of reduction suffixes (``factorize._reduced``), keyed on each
+state after the first (``_Carry.key``): the rest of a reduction is a
+function of the current word and images alone, so a hit appends the edges
+that an earlier reduction made from an equal state and returns its
+remainder, once that remainder is checked to end at this call's target.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -408,6 +416,11 @@ class _Carry:
         """The current map."""
         return _endo(self.sig, tuple(self.images))
 
+    def key(self) -> tuple:
+        """The codes of the current word and of the current images; their
+        lengths, 4g + p and 2g + p, fix the signature."""
+        return (self.word.codes, tuple([w.codes for w in self.images]))
+
     def verdict(self, pair: tuple[int, int]) -> tuple:
         """Build, memoise and index the verdict of the letter pair
         (v_k, v_(k+1))."""
@@ -474,7 +487,23 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     Raises NotZieschang / TargetTooLong / HypothesisViolated on precondition
     failures and ReductionStuck when the input cannot be an automorphism.
     """
-    endo = _fwd(phi)
+    return _reduce(V, _fwd(phi), None)
+
+
+def _reduce(
+    V: Word, endo: Endomorphism, memo: Optional[OrderedDict]
+) -> tuple[list[GroupoidEdge], GroupoidEdge]:
+    """``nielsen_reduce`` of the map ``endo``, through the bounded LRU
+    ``memo`` of reduction suffixes when one is given.
+
+    Every state after the first is looked up by ``_Carry.key``.  The rest of
+    a reduction is a function of that state alone, so a hit serves the
+    stored call's edges from the equal state on and its remainder, which
+    passed every check on that state; it is taken only when the moves stay
+    within this call's budget.  Once the call has its remainder, each of its
+    states after the first is stored with the call's edges, the state's
+    index among them and the remainder; a raise stores nothing.
+    """
     sig = endo.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
@@ -485,14 +514,30 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
         raise HypothesisViolated("map does not permute the puncture classes")
 
     edges: list[GroupoidEdge] = []
+    keys: list[tuple] = []  # the memo key of each state after the first
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
     carry = _Carry(_state_of(endo, V))
     for _ in range(budget):
+        if edges and memo is not None:
+            key = carry.key()
+            hit = memo.get(key)
+            if hit is not None and len(edges) + len(hit[0]) - hit[1] < budget:
+                done, i, n1 = hit
+                if n1.target != W:
+                    raise CosetViolation(_NOT_CARRIED)
+                memo.move_to_end(key)
+                edges.extend(done[i:])
+                _store(memo, keys, edges, n1)
+                return edges, n1
+            keys.append(key)
         if not carry.distinct:
             raise ReductionStuck("basis images are not distinct")
         move = _find_violation(carry)
         if move is None:
-            return edges, _finish_n1(carry.endo(), carry.word, W)
+            n1 = _finish_n1(carry.endo(), carry.word, W)
+            if memo is not None:
+                _store(memo, keys, edges, n1)
+            return edges, n1
         tag, k, triple = move
         # the source is V or the previous target, both checked
         edge = _nielsen_edge(carry.word, tag, k)
@@ -504,6 +549,18 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
             )
         edges.append(edge)
     raise ReductionStuck("iteration budget exhausted")
+
+
+def _store(
+    memo: OrderedDict, keys: list[tuple], edges: list[GroupoidEdge], n1: GroupoidEdge
+) -> None:
+    """Store the state after move i, keyed ``keys[i - 1]``, as (the call's
+    edges, i, its remainder) in the bounded LRU ``memo``."""
+    done = tuple(edges)
+    for i, key in enumerate(keys, 1):
+        memo[key] = (done, i, n1)
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
 
 
 def _lcp(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

@@ -49,6 +49,7 @@ def clear_memos():
     factorize._loop_entries.clear()
     factorize._adl_values.clear()
     factorize._adl_words.clear()
+    factorize._reduced.clear()
     groupoid.canonical_edge.cache_clear()
     groupoid._nielsen_edge.cache_clear()
     groupoid._template_move.cache_clear()

@@ -196,13 +196,13 @@ class TestCertifyFactorize:
 
     def test_non_nielsen_edge_exits_3(self, monkeypatch):
         # edges stripped of their kind, and a classifier that matches nothing
-        real = factorize.nielsen_reduce
+        real = factorize._reduce
 
-        def unlabelled(V, phi):
-            edges, n1 = real(V, phi)
+        def unlabelled(V, endo, memo):
+            edges, n1 = real(V, endo, memo)
             return [dataclasses.replace(e, kind=None) for e in edges], n1
 
-        monkeypatch.setattr(factorize, "nielsen_reduce", unlabelled)
+        monkeypatch.setattr(factorize, "_reduce", unlabelled)
         monkeypatch.setattr(factorize, "classify_nielsen", lambda e: None)
         code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
         assert code == 3 and out == ""
@@ -371,7 +371,8 @@ class TestUnusablePaths:
         "argv,says",
         [
             # "--sig -1,0" would read as an option
-            (["verify", "--sig=-1,0", "--aut", "x1 -> x1"], "bad signature '-1,0'; expected 'g,p'"),
+            (["verify", "--sig=-1,0", "--aut", "x1 -> x1"],
+             "genus and puncture counts must be >= 0, got (g=-1, p=0)"),
             (["is-zieschang", "--sig", "1,0", "--word", ""],
              "empty word text; use '1' for the identity"),
             (["eval", "--sig", "1,0", "--genword", ""],
@@ -418,8 +419,10 @@ class TestOutputStreams:
     @pytest.mark.parametrize(
         "argv",
         [["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1", "--adlh", "--audit"],
-         ["--json", "verify", "--sig", "1,0", "--aut", "x1 -> y1' x1"]],
-        ids=["factorize", "json"],
+         ["--json", "verify", "--sig", "1,0", "--aut", "x1 -> y1' x1"],
+         # argparse's own help printing would swallow the error
+         ["--help"], ["factorize", "-h"]],
+        ids=["factorize", "json", "help", "command-help"],
     )
     def test_closed_output_exits_quietly(self, argv):
         class Closed(io.StringIO):

@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from surfaut import (
     GenName,
     GenWord,
     NotInA,
+    ReductionStuck,
     Signature,
+    Word,
     apply,
     compose,
     enumerate_nielsen_from,
@@ -436,6 +439,185 @@ class TestTopLevelMemo:
         # x is used again before z arrives, so y goes; then z goes for y
         assert checked == [x, y, z, y]
         assert list(F._adl_words) == [F._loop_key(x.fwd), F._loop_key(y.fwd)]
+
+
+class _Tripwire(OrderedDict):
+    """A memo that fails the test on any read or write."""
+
+    def _touched(self, *args, **kwargs):
+        raise AssertionError("the reduction memo was used")
+
+    get = __getitem__ = __setitem__ = __contains__ = move_to_end = popitem = _touched
+
+
+S20 = Signature(2, 0)
+#: its peak reduction from the relator makes ten moves
+_TEN_MOVES = eval_gen_word(parse_gen_word("g2 a1"), S20)
+
+
+def _state(sig, key):
+    """The (word, map) of a reduction state from its ``_reduced`` key."""
+    codes, images = key
+    return Word(sig, codes), Endomorphism(sig, tuple(Word(sig, c) for c in images))
+
+
+class TestReductionSuffixMemo:
+    """Factorisation's peak reductions read and store their states after the
+    first in the bounded LRU ``_reduced``; a hit serves the stored suffix of
+    edges and the remainder.  Certification, ``nielsen_reduce`` and the audit
+    replay run without it."""
+
+    @staticmethod
+    def inputs(rng):
+        # on the grid, and off it at (2,2) and (4,0)
+        out = [random_adl_automorphism(sig, rng, 5 if sig.rank <= 4 else 3)
+               for sig in GRID for _ in range(3)]
+        out += [random_adl_automorphism(Signature(2, 2), rng, 3) for _ in range(3)]
+        return out + [gen("a", 3, S40), gen("b", 4, S40)]
+
+    @staticmethod
+    def advances(monkeypatch):
+        """Count ``_Carry.advance`` calls."""
+        calls = []
+        real = groupoid._Carry.advance
+        monkeypatch.setattr(
+            groupoid._Carry, "advance", lambda self, e: calls.append(e) or real(self, e)
+        )
+        return calls
+
+    @staticmethod
+    def warm_entry():
+        """Reduce an input of ten moves through ``_reduced`` and return its
+        state after the first move, with its entry."""
+        F._reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
+        assert len(F._reduced) == 10
+        return next((k, v) for k, v in F._reduced.items() if v[1] == 1)
+
+    def test_warm_equals_fresh(self, rng, monkeypatch):
+        inputs = self.inputs(rng)
+        fresh = []
+        for a in inputs:
+            clear_memos()
+            edges, n1 = nielsen_reduce(relator(a.sig), a.fwd)
+            fresh.append((edges, n1, factorize_adl(a)))
+        clear_memos()
+        for a in inputs:
+            factorize_adl(a)
+        assert F._reduced
+        moved = self.advances(monkeypatch)
+        served = 0
+        for a, (edges, n1, _) in zip(inputs, fresh):
+            before = len(moved)
+            got, got_n1 = F._reduce(relator(a.sig), a.fwd, F._reduced)
+            assert got == edges and [e.kind for e in got] == [e.kind for e in edges]
+            assert got_n1 == n1 and got_n1.kind == n1.kind
+            served += len(got) - (len(moved) - before)
+        assert served > 0  # the warm memo served moves
+        F._adl_words.clear()
+        assert [factorize_adl(a) for a in inputs] == [word for _, _, word in fresh]
+
+    def test_hit_runs_no_move_of_the_suffix(self, monkeypatch):
+        key, (done, _, n1) = self.warm_entry()
+        V, phi = _state(S20, key)
+        moved = self.advances(monkeypatch)
+        finished = []
+        real_finish = groupoid._finish_n1
+        monkeypatch.setattr(
+            groupoid, "_finish_n1", lambda *args: finished.append(args) or real_finish(*args)
+        )
+        # the first state is not looked up, its first move reaches a stored one
+        edges, got_n1 = F._reduce(V, phi, F._reduced)
+        assert edges == list(done[1:]) and got_n1 is n1
+        assert len(moved) == 1 and finished == []
+        assert nielsen_reduce(V, phi) == (edges, n1)
+        assert len(moved) == 1 + len(edges) and len(finished) == 1
+
+    def test_hit_within_budget_only(self, monkeypatch):
+        # a hit that would end past the budget is not taken, so the memo
+        # changes no outcome: with one iteration fewer than the moves need,
+        # both ways exhaust the budget
+        key, (done, _, _) = self.warm_entry()
+        V, phi = _state(S20, key)
+        moves = len(done) - 1
+        images = sum(len(w) for w in phi.images)
+        for budget, ok in ((moves, False), (moves + 1, True)):
+            monkeypatch.setattr(groupoid, "_MAX_ITER_BASE", budget - 20 * images)
+            for memo in (F._reduced, None):
+                warm = list(F._reduced.items())
+                if ok:
+                    assert len(F._reduce(V, phi, memo)[0]) == moves
+                else:
+                    with pytest.raises(ReductionStuck, match="budget exhausted"):
+                        F._reduce(V, phi, memo)
+                    assert list(F._reduced.items()) == warm
+
+    @pytest.mark.parametrize("fault", ["remainder", "move"])
+    def test_raise_stores_nothing(self, fault, monkeypatch):
+        if fault == "remainder":
+            def fail(*args):
+                raise CosetViolation("forced")
+
+            monkeypatch.setattr(groupoid, "_finish_n1", fail)
+        else:
+            # the measure fails to decrease at the third move
+            moved = []
+            real = groupoid._Carry.advance
+            monkeypatch.setattr(
+                groupoid._Carry, "advance",
+                lambda self, e: moved.append(e) or (len(moved) < 3 and real(self, e)),
+            )
+        with pytest.raises((CosetViolation, ReductionStuck)):
+            F._reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
+        assert not F._reduced
+        monkeypatch.undo()
+        self.warm_entry()
+
+    def test_stored_remainder_is_checked(self):
+        # a stored remainder that does not end at this call's target raises,
+        # and the call stores nothing
+        key, (done, _, n1) = self.warm_entry()
+        second = next(k for k, (d, i, _) in F._reduced.items() if d is done and i == 2)
+        bad = groupoid._edge_to(n1.source, n1.source, n1.aut, n1.kind)
+        F._reduced[second] = (done, 2, bad)
+        warm = list(F._reduced.items())
+        with pytest.raises(CosetViolation, match="does not carry"):
+            F._reduce(*_state(S20, key), F._reduced)
+        assert list(F._reduced.items()) == warm
+
+    def test_bounded_least_recently_used_first(self, rng, monkeypatch):
+        key, (done, _, _) = self.warm_entry()
+        second = next(k for k, (d, i, _) in F._reduced.items() if d is done and i == 2)
+        order = [k for k in F._reduced if k != second]
+        # a hit stores nothing new and moves its state last
+        F._reduce(*_state(S20, key), F._reduced)
+        assert list(F._reduced) == order + [second]
+        F._reduced.clear()
+        monkeypatch.setattr(groupoid, "MEMO_SIZE", 5)
+        for a in self.inputs(rng):
+            factorize_adl(a)
+            assert len(F._reduced) <= 5
+        assert len(F._reduced) == 5
+
+    def test_certification_reduction_and_replay_skip_it(self, rng, monkeypatch):
+        inputs = self.inputs(rng)[::3]
+        cold = []
+        for a in inputs:
+            audit = []
+            factorize_adl(a, audit)
+            cold.append([line for script in audit for line in script.lines()])
+        assert F._reduced
+        monkeypatch.setattr(F, "_reduced", _Tripwire())
+        moved = self.advances(monkeypatch)
+        for a, lines in zip(inputs, cold):
+            before = len(moved)
+            edges, _ = nielsen_reduce(relator(a.sig), a.fwd)
+            assert groupoid.certify_automorphism(a.fwd) == a
+            # both reductions ran every move
+            assert len(moved) - before == 2 * len(edges)
+            # the word is read from ``_adl_words``; the replay reduces again
+            audit = []
+            factorize_adl(a, audit)
+            assert [line for script in audit for line in script.lines()] == lines
 
 
 _WORDS_GOLDEN = json.loads(

@@ -61,6 +61,7 @@ def test_finds_the_known_dict_memos():
         "surfaut.factorize._adl_words",
         "surfaut.factorize._factored",
         "surfaut.factorize._loop_entries",
+        "surfaut.factorize._reduced",
     } <= set(package_dict_memos())
 
 
