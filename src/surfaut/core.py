@@ -19,34 +19,60 @@ constructor ``_word`` instead, which stores the codes as given.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, SignatureMismatch
 
-#: Entries kept by each bounded memo of the package: ``canonical_edge`` and
-#: the Nielsen edge and template memos of ``groupoid``, and the edge,
-#: loop-value, top-level (``_adl_words``, keyed on the forward image codes
-#: of a factored automorphism), ADL-value and reduction-suffix
-#: (``_reduced``) memos of ``factorize``; the least recently used entry
-#: leaves first.  Sized from distinct counts: the
-#: 1,000-case ``adl-grid`` benchmark pool normalises 1,817 distinct words and
-#: telescopes 3,516 distinct edges, the 1,200-case ``adlh-high-genus`` pool
-#: telescopes 1,158 (and evaluates 557 distinct ADL words) and selftest
-#: criterion 7 2,393 (they factor 1,088, 702 and 741 distinct
-#: automorphisms).  Their brackets take 293 distinct loop values on
-#: ``adl-grid`` and 202 on ``adlh-high-genus`` (327 and 216 loop-value
-#: entries with the loops composed from them).  The reduction-suffix memo
-#: (``factorize._reduced``) takes one entry per peak-reduction state after
-#: the first: 2,860 after the ``adlh-high-genus`` pool at seed 7, while
-#: the ``adl-grid`` pool passes 10,416 distinct states and fills it, so
-#: evictions cost 55 of the 852 hits an unbounded memo would make.  The
-#: per-signature tables (``Endomorphism.identity``, ``gens.generator``,
-#: ``gens.humphries_rewrite`` and its runs, the candidate letters of
-#: ``whitehead`` and the order ranks of ``groupoid``) are bounded by it too,
-#: because a caller may name any signature; the benchmark workloads use at
-#: most 39 entries of any of them.
+#: Entries kept by each memo of the package (``memo`` and ``_Memo``); the
+#: least recently used entry leaves first.  Sized to hold the distinct keys
+#: of a benchmark pool or of a selftest criterion, so a repeated value is
+#: computed once per run; the per-signature tables are bounded by it too,
+#: because a caller may name any signature.
 MEMO_SIZE = 4096
+
+#: Every memo of the package, in the order they were made, so that one loop
+#: can empty them all.
+_MEMOS: list = []
+
+
+def memo(fn):
+    """``fn`` behind an ``lru_cache`` of ``MEMO_SIZE`` entries, registered
+    in ``_MEMOS``."""
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+class _Memo(OrderedDict):
+    """A bounded LRU memo of ``MEMO_SIZE`` entries, registered in
+    ``_MEMOS``; the least recently used entry leaves first."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        _MEMOS.append(self)
+
+    def lookup(self, key, build):
+        """The entry of ``key``, now the most recently used, made by
+        ``build()`` on a miss.  A build that raises stores nothing."""
+        value = self.get(key)
+        if value is None:
+            return self.put(key, build())
+        # not ``put``: a hit hashes its key once more, and a key of
+        # dataclass tokens is slow to hash
+        self.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        """Store ``value`` at ``key`` and return it; a new key is the most
+        recently used, and the least recently used entry leaves past
+        ``MEMO_SIZE``."""
+        self[key] = value
+        if len(self) > MEMO_SIZE:
+            self.popitem(last=False)
+        return value
 
 
 @dataclass(frozen=True, order=True)

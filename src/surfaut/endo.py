@@ -44,15 +44,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    MEMO_SIZE,
     Signature,
     Word,
     _word,
     letter_str,
+    memo,
     order_rank,
     parse_letter,
     parse_word,
@@ -84,7 +83,7 @@ class Endomorphism:
                 raise SignatureMismatch(f"image {w} not over {self.sig}")
 
     @staticmethod
-    @lru_cache(maxsize=MEMO_SIZE)
+    @memo
     def identity(sig: Signature) -> "Endomorphism":
         """One shared value per signature (while it stays in the bounded
         memo), so the fixed images of every map built from it share their

@@ -9,8 +9,8 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Five bounded LRU memos (``MEMO_SIZE`` entries each) hold checked values,
-and a raise stores nothing:
+Five memos hold checked values, each a ``core._Memo``, the package's one
+bounded LRU, and a raise stores nothing:
 
 - ``_adl_words``, the top-level memo, keeps, per automorphism keyed on its
   forward image codes (``_loop_key``), its checked ADL word.  The forward
@@ -93,11 +93,10 @@ audit checks every script it prints.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import MEMO_SIZE, Signature, Word, _word, relator
+from .core import Signature, Word, _Memo, _word, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -259,7 +258,7 @@ def _bracket(e: GroupoidEdge) -> Automorphism:
         inv = _compose_endos([phi_tgt.inv, e.aut.inv, phi_src.fwd])
         return _LoopEntry(_aut(fwd, inv))
 
-    return _lru(_loop_entries, _loop_key(fwd), witnessed).aut
+    return _loop_entries.lookup(_loop_key(fwd), witnessed).aut
 
 
 def _conj_t_to_front(V: Word, pos: int) -> Optional[GroupoidEdge]:
@@ -282,19 +281,6 @@ def _first_t_pos(codes: tuple[int, ...], sig: Signature) -> Optional[int]:
         if sig.is_t_code(c):
             return idx
     return None
-
-
-def _lru(memo: OrderedDict, key, build):
-    """The entry of ``key`` in the bounded LRU ``memo``, made by ``build()``
-    on a miss.  A build that raises stores nothing."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build()
-        if len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return value
 
 
 def _loop_key(fwd: Endomorphism) -> tuple:
@@ -699,7 +685,7 @@ def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     word was checked to recompose its key's automorphism, which is therefore
     a member.
     """
-    word = _lru(_adl_words, _loop_key(a.fwd), lambda: _factorize_member(a))
+    word = _adl_words.lookup(_loop_key(a.fwd), lambda: _factorize_member(a))
     if audit is not None:
         _replay(a, audit)
     return word
@@ -714,7 +700,7 @@ def _factorize_member(a: Automorphism) -> GenWord:
 
 def _factorize_cached(a: Automorphism) -> GenWord:
     """The ADL word of ``a``, a member, through ``_adl_words``."""
-    return _lru(_adl_words, _loop_key(a.fwd), lambda: _factorize_word(a))
+    return _adl_words.lookup(_loop_key(a.fwd), lambda: _factorize_word(a))
 
 
 def _factorize_word(a: Automorphism) -> GenWord:
@@ -759,7 +745,7 @@ _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward valu
 #: Per Nielsen edge, keyed on what its telescoping reads (``_edge_key``): the
 #: edge's reduced tokens and the composite of its checked parts' forward
 #: values.
-_factored: OrderedDict[tuple, tuple[_Tokens, Endomorphism]] = OrderedDict()
+_factored = _Memo()
 
 
 class _LoopEntry:
@@ -778,19 +764,19 @@ class _LoopEntry:
 #: Per loop at the relator, keyed on its forward image codes (``_loop_key``):
 #: its ``_LoopEntry``.  Brackets, ``_loop`` and ``_factor_edge``'s peeling
 #: share it.
-_loop_entries: OrderedDict[tuple, _LoopEntry] = OrderedDict()
+_loop_entries = _Memo()
 #: Per ADL word, keyed on (signature, tokens): its forward value and its
 #: flat ADLH word.
-_adl_values: OrderedDict[tuple, tuple[Endomorphism, GenWord]] = OrderedDict()
+_adl_values = _Memo()
 #: Per factored automorphism, keyed on its forward image codes
 #: (``_loop_key``): its checked ADL word.  Top-level calls and the
 #: recursion's stabilizers share it.
-_adl_words: OrderedDict[tuple, GenWord] = OrderedDict()
+_adl_words = _Memo()
 #: Per state of a peak reduction after its first, keyed on the codes of the
 #: current word and images (``groupoid._Carry.key``): the edges of a
 #: reduction that passed through it, the state's index among them and that
 #: reduction's N1 remainder edge (``groupoid._reduce``).
-_reduced: OrderedDict[tuple, tuple] = OrderedDict()
+_reduced = _Memo()
 
 
 def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:
@@ -799,18 +785,17 @@ def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:
     entry may have left the memo meanwhile, so it is looked up again after).
     A raise stores nothing."""
     key = _loop_key(aut.fwd)
-    entry = _loop_entries.get(key)
-    value = getattr(entry, field) if entry is not None else None
+    value = getattr(_loop_entries.get(key), field, None)  # None: unset or no entry
     if value is None:
         value = compute()
-    entry = _lru(_loop_entries, key, lambda: _LoopEntry(aut))
+    entry = _loop_entries.lookup(key, lambda: _LoopEntry(aut))
     setattr(entry, field, value)
     return entry
 
 
 def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
     """``_factor_edge`` through the ``_factored`` memo."""
-    return _lru(_factored, _edge_key(e), lambda: _factor_edge(e))
+    return _factored.lookup(_edge_key(e), lambda: _factor_edge(e))
 
 
 def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
@@ -852,7 +837,7 @@ def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     bounded LRU memo ``_adl_values``; the comparison runs on every call."""
     sig = a.sig
     base = factorize_adl(a, audit)
-    value, word = _lru(_adl_values, (sig, base.tokens), lambda: _adlh_entry(base, sig))
+    value, word = _adl_values.lookup((sig, base.tokens), lambda: _adlh_entry(base, sig))
     if value != a.fwd:
         raise CosetViolation("ADLH factorization failed to recompose the input")
     return word

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-from .core import MEMO_SIZE, Signature, Word, commutator
+from .core import Signature, Word, commutator, memo
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -170,7 +169,7 @@ def parse_gen_word(text: str) -> GenWord:
     return GenWord(tuple(out))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def generator(name: GenName, sig: Signature) -> Automorphism:
     """Witnessed automorphism for a generator name; inverses are closed-form."""
     name.validate(sig)
@@ -240,7 +239,7 @@ def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:
 _ETA_SIG = Signature(3, 0)
 
 
-@lru_cache(maxsize=1)
+@memo
 def eta() -> Automorphism:
     """The genus-3 element conjugating alpha_1 into alpha_3."""
     sig = _ETA_SIG
@@ -289,7 +288,7 @@ HUMPHRIES_CHAIN = tuple(
 )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     """Rewrite alpha_i (i >= 3) over the ADLH names: conjugate alpha_(i-2) by
     the index-shifted 16-step chain, then recursively rewrite any alpha_(>=3)
@@ -314,7 +313,7 @@ def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     return word
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def _humphries_run(i: int, exp: int, sig: Signature) -> _Tokens:
     """The tokens of the checked rewrite of alpha_i (``exp`` 1) or of its
     inverse (``exp`` -1)."""

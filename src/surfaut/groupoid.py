@@ -42,10 +42,10 @@ collects its steps, composes them once per call (witnessed by algebra, see
 ``endo.compose``) and checks that the composite carries the word to the
 relator.
 
-Three bounded LRU memos (``MEMO_SIZE`` entries each) keep pure functions of
-their keys, and a raise stores nothing: ``canonical_edge`` per word;
-``_nielsen_edge`` per (source, tag, k), so a hit returns an edge whose
-target and class permutation were checked on an equal key; and
+Three memos (``core.memo``, the package's one bounded LRU) keep pure
+functions of their keys, and a raise stores nothing: ``canonical_edge`` per
+word; ``_nielsen_edge`` per (source, tag, k), so a hit returns an edge
+whose target and class permutation were checked on an equal key; and
 ``_template_move``, the template pair per (signature, tag, moved letter,
 neighbour letter).
 
@@ -60,12 +60,10 @@ remainder, once that remainder is checked to end at this call's target.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
-from .core import MEMO_SIZE, Signature, Word, _word, letter_str, order_rank, relator
+from .core import Signature, Word, _Memo, _word, letter_str, memo, order_rank, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -208,7 +206,7 @@ def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
     return _template_move(sig, tag, u, c)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def _template_move(sig: Signature, tag: str, u: int, c: int) -> Automorphism:
     """The template pair moving the letter u past its neighbour c: u -> u c'
     (N2_right), c u c' (N3_right), c' u (N2_left) or c' u c (N3_left)."""
@@ -228,7 +226,7 @@ def nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     return _nielsen_edge(V, tag, k)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def _nielsen_edge(V: Word, tag: str, k: int) -> GroupoidEdge:
     """``nielsen_edge`` for a source V already known to be Zieschang."""
     aut = _template_aut(V, tag, k)
@@ -277,7 +275,7 @@ def enumerate_nielsen_from(V: Word) -> list[GroupoidEdge]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def _rank_table(sig: Signature) -> tuple[int, ...]:
     """``order_rank`` of every signed letter of ``sig``, indexed by its code;
     a negative code reads from the end of the tuple."""
@@ -491,10 +489,10 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
 
 
 def _reduce(
-    V: Word, endo: Endomorphism, memo: Optional[OrderedDict]
+    V: Word, endo: Endomorphism, suffixes: Optional[_Memo]
 ) -> tuple[list[GroupoidEdge], GroupoidEdge]:
-    """``nielsen_reduce`` of the map ``endo``, through the bounded LRU
-    ``memo`` of reduction suffixes when one is given.
+    """``nielsen_reduce`` of the map ``endo``, through the memo ``suffixes``
+    of reduction suffixes when one is given.
 
     Every state after the first is looked up by ``_Carry.key``.  The rest of
     a reduction is a function of that state alone, so a hit serves the
@@ -518,26 +516,23 @@ def _reduce(
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
     carry = _Carry(_state_of(endo, V))
     for _ in range(budget):
-        if edges and memo is not None:
+        if edges and suffixes is not None:
             key = carry.key()
-            hit = memo.get(key)
+            hit = suffixes.get(key)
             if hit is not None and len(edges) + len(hit[0]) - hit[1] < budget:
                 done, i, n1 = hit
                 if n1.target != W:
                     raise CosetViolation(_NOT_CARRIED)
-                memo.move_to_end(key)
+                suffixes.move_to_end(key)
                 edges.extend(done[i:])
-                _store(memo, keys, edges, n1)
-                return edges, n1
+                break
             keys.append(key)
         if not carry.distinct:
             raise ReductionStuck("basis images are not distinct")
         move = _find_violation(carry)
         if move is None:
             n1 = _finish_n1(carry.endo(), carry.word, W)
-            if memo is not None:
-                _store(memo, keys, edges, n1)
-            return edges, n1
+            break
         tag, k, triple = move
         # the source is V or the previous target, both checked
         edge = _nielsen_edge(carry.word, tag, k)
@@ -548,19 +543,14 @@ def _reduce(
                 triple=_words(sig, triple),
             )
         edges.append(edge)
-    raise ReductionStuck("iteration budget exhausted")
-
-
-def _store(
-    memo: OrderedDict, keys: list[tuple], edges: list[GroupoidEdge], n1: GroupoidEdge
-) -> None:
-    """Store the state after move i, keyed ``keys[i - 1]``, as (the call's
-    edges, i, its remainder) in the bounded LRU ``memo``."""
+    else:
+        raise ReductionStuck("iteration budget exhausted")
+    # the state after move i is keyed keys[i - 1]; there are none without
+    # a memo
     done = tuple(edges)
     for i, key in enumerate(keys, 1):
-        memo[key] = (done, i, n1)
-        if len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
+        suffixes.put(key, (done, i, n1))
+    return edges, n1
 
 
 def _lcp(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -668,7 +658,7 @@ class StepRecord:
         return f"({self.kind} k={self.level}) {self.before} => {self.after}"
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     """The deterministic edge carrying a Zieschang word onto the relator.
 

@@ -29,10 +29,9 @@ automorphism.  The fold shares no code with substitution or peak reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .core import MEMO_SIZE, Signature, Word, letter_str, order_rank
+from .core import Signature, Word, letter_str, memo, order_rank
 from .errors import CosetViolation, NotACandidate
 
 
@@ -55,7 +54,7 @@ class ExtendedWhiteheadGraph:
         return _forest_union_find(self.vertices(), self.edges)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo
 def _candidate_letters(sig: Signature) -> frozenset[int]:
     """The letters of a candidate word: t_1 .. t_p and both signs of every
     handle letter, 4g + p in all."""

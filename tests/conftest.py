@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from surfaut import Endomorphism, Signature, Word, factorize, gens, groupoid, whitehead
+from surfaut import Signature, Word, core
 
 SMALL_SIGS = [
     Signature(0, 2),
@@ -43,23 +43,14 @@ def rng():
 
 
 def clear_memos():
-    """Empty every memo of the package (``test_memos`` checks that no
-    ``lru_cache`` or module-level ``OrderedDict`` is missing here)."""
-    factorize._factored.clear()
-    factorize._loop_entries.clear()
-    factorize._adl_values.clear()
-    factorize._adl_words.clear()
-    factorize._reduced.clear()
-    groupoid.canonical_edge.cache_clear()
-    groupoid._nielsen_edge.cache_clear()
-    groupoid._template_move.cache_clear()
-    groupoid._rank_table.cache_clear()
-    gens.generator.cache_clear()
-    gens.humphries_rewrite.cache_clear()
-    gens._humphries_run.cache_clear()
-    gens.eta.cache_clear()
-    Endomorphism.identity.cache_clear()
-    whitehead._candidate_letters.cache_clear()
+    """Empty every memo of the package: each registers itself in
+    ``core._MEMOS`` (``test_memos`` checks that the registry holds every
+    ``lru_cache`` and module-level ``OrderedDict``, and nothing else)."""
+    for memo in core._MEMOS:
+        if isinstance(memo, core._Memo):
+            memo.clear()
+        else:
+            memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -5,16 +5,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surfaut import (
+    Automorphism,
+    Endomorphism,
     GenName,
     GenWord,
     GroupRingElement,
+    GroupoidEdge,
     IndexOutOfRange,
     Letter,
+    NotZieschang,
     ParseError,
     Signature,
     Word,
     commutator,
+    compose,
     conjugate,
+    enumerate_nielsen_from,
+    eval_gen_word,
     fox_derivative,
     free_reduce,
     gen_set,
@@ -287,11 +294,35 @@ class TestBoundary:
         (lambda: GenWord(((GenName("a", 1), 2),)), ValueError,
          "token exponent must be +-1, got 2"),
         (lambda: gen_set(S10, "x"), ValueError, "variant must be 'adl' or 'adlh', got 'x'"),
+        (lambda: S10.y_code(2), ValueError, "y-index 2 out of range for (g=1, p=0)"),
+        (lambda: Letter("z", 1, 1), ValueError, "bad letter kind 'z'"),
+        (lambda: Letter("x", 1, 2), ValueError, "bad letter Letter(kind='x', index=1, sign=2)"),
+        (lambda: compose(), ValueError, "compose needs at least one map"),
+        (lambda: compose(Endomorphism.identity(S10), Endomorphism.identity(S12)),
+         SignatureMismatch, "(g=1, p=2) vs (g=1, p=0)"),
+        (lambda: GroupoidEdge(w(S10, "x1"), w(S10, "x1"), Automorphism.identity(S10)),
+         NotZieschang, "edge source x1 is not Zieschang"),
+        (lambda: enumerate_nielsen_from(w(S10, "x1")), NotZieschang, "x1 is not Zieschang"),
     ],
     ids=["signature", "word-text", "gen-word-text", "gen-token", "letter", "gen-name",
-         "exponent", "variant"],
+         "exponent", "variant", "y-index", "letter-kind", "letter-sign", "compose-nothing",
+         "compose-mixed", "edge-source", "nielsen-source"],
 )
 def test_public_constructor_rejects(build, error, says):
     # the whole message, so a changed text shows here
     with pytest.raises(error, match=f"^{re.escape(says)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (lambda a: a, "sig g=1 p=0\nx1 -> y1' x1\n"),
+        (lambda a: a.fwd, "sig g=1 p=0\nx1 -> y1' x1\n"),
+        (lambda a: a.inverse(), "sig g=1 p=0\nx1 -> y1 x1\n"),
+    ],
+    ids=["automorphism", "endomorphism", "inverse"],
+)
+def test_str_is_the_forward_map_text(value, text):
+    # an automorphism prints as its forward map, the text ``parse_endomorphism`` reads
+    assert str(value(eval_gen_word(parse_gen_word("a1"), S10))) == text

@@ -36,6 +36,7 @@ from surfaut import (
     peel_special,
     relator,
 )
+from surfaut import core
 from surfaut import factorize as F
 from surfaut import groupoid
 from surfaut import selftest
@@ -356,7 +357,7 @@ class TestAdlValueMemo:
     def test_bounded_least_recently_used_first(self, monkeypatch):
         inputs = [gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4))]
         keys = [(S40, factorize_adl(a).tokens) for a in inputs]
-        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(core, "MEMO_SIZE", 2)
         for k in (0, 1, 0, 2):
             factorize_adlh(inputs[k])
             assert len(F._adl_values) <= 2
@@ -432,7 +433,7 @@ class TestTopLevelMemo:
         F._adl_words.clear()
         checked = []
         _counting(monkeypatch, "membership", checked)
-        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(core, "MEMO_SIZE", 2)
         for a in (x, y, x, z, x, y):
             factorize_adl(a)
             assert len(F._adl_words) <= 2
@@ -448,6 +449,7 @@ class _Tripwire(OrderedDict):
         raise AssertionError("the reduction memo was used")
 
     get = __getitem__ = __setitem__ = __contains__ = move_to_end = popitem = _touched
+    lookup = put = _touched
 
 
 S20 = Signature(2, 0)
@@ -592,7 +594,7 @@ class TestReductionSuffixMemo:
         F._reduce(*_state(S20, key), F._reduced)
         assert list(F._reduced) == order + [second]
         F._reduced.clear()
-        monkeypatch.setattr(groupoid, "MEMO_SIZE", 5)
+        monkeypatch.setattr(core, "MEMO_SIZE", 5)
         for a in self.inputs(rng):
             factorize_adl(a)
             assert len(F._reduced) <= 5
@@ -670,7 +672,7 @@ class TestComputedOnce:
         peeled, factored, tops, done_tops, inverses, tagged = [], [], [], [], [], []
         count = {"telescope": 0, "peel": 0, "stab": 0, "bracket": 0}
         hits = {"edge": 0, "loop": 0}
-        real_peel, real_stab, real_lru = F.peel_special, F._stab_word, F._lru
+        real_peel, real_stab, real_lookup = F.peel_special, F._stab_word, core._Memo.lookup
         real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
         real_filled, real_aut, real_tag = F._filled, F._aut, F._checked_tag
 
@@ -685,9 +687,9 @@ class TestComputedOnce:
             factored.append((peeled[-1], stab.fwd))
             return real_stab(stab, sig)
 
-        def lru(memo, key, build):
+        def lookup(memo, key, build):
             hit, before = key in memo, dict(count)
-            out = real_lru(memo, key, build)
+            out = real_lookup(memo, key, build)
             if memo is F._factored and hit:
                 hits["edge"] += 1
                 assert count == before
@@ -728,7 +730,8 @@ class TestComputedOnce:
             tagged.append(F._loop_key(a.fwd))
             return real_tag(a, expect)
 
-        for name, fn in [("peel_special", peel), ("_stab_word", stab_word), ("_lru", lru),
+        monkeypatch.setattr(core._Memo, "lookup", lookup)
+        for name, fn in [("peel_special", peel), ("_stab_word", stab_word),
                          ("_filled", filled), ("nielsen_to_base_loops", loops),
                          ("_bracket", bracket), ("_aut", aut), ("_checked_tag", checked_tag)]:
             monkeypatch.setattr(F, name, fn)
@@ -736,10 +739,10 @@ class TestComputedOnce:
             for _ in range(3):
                 factorize_adl(random_adl_automorphism(sig, rng, _short(sig) + 2))
         assert done_tops and hits["edge"] and hits["loop"]
-        assert len(set(peeled)) == len(peeled) <= F.MEMO_SIZE
+        assert len(set(peeled)) == len(peeled) <= core.MEMO_SIZE
         assert len(set(factored)) == len(factored) == len(peeled)
         assert len(set(inverses)) == len(inverses) < count["bracket"]
-        assert len(set(tagged)) == len(tagged) <= len(F._loop_entries) <= F.MEMO_SIZE
+        assert len(set(tagged)) == len(tagged) <= len(F._loop_entries) <= core.MEMO_SIZE
         seen = set()
         for e, own, brackets in done_tops:
             key = (e.source, e.target, e.aut.fwd, e.kind)
@@ -748,7 +751,7 @@ class TestComputedOnce:
             else:
                 seen.add(key)
                 assert own == 1
-        assert len(seen) <= F.MEMO_SIZE
+        assert len(seen) <= core.MEMO_SIZE
 
 
 class TestChecksStillFire:
@@ -914,7 +917,7 @@ class TestTelescopeMemo:
             runs.append(e)
             return real(e, audit)
 
-        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(core, "MEMO_SIZE", 2)
         monkeypatch.setattr(F, "nielsen_to_base_loops", telescope)
         for e in (a, b, a, c, a, b):
             F._edge_factors(e)
@@ -924,13 +927,13 @@ class TestTelescopeMemo:
 
     def test_memos_are_bounded(self, rng, monkeypatch):
         for memo in (groupoid._nielsen_edge, groupoid._template_move):
-            assert memo.cache_info().maxsize == F.MEMO_SIZE
-        monkeypatch.setattr(F, "MEMO_SIZE", 5)
+            assert memo.cache_info().maxsize == core.MEMO_SIZE
+        monkeypatch.setattr(core, "MEMO_SIZE", 5)
         edges = _distinct_edges(Signature(1, 2), rng, 12)
         for e in edges + edges:
             F._edge_factors(e)
             assert len(F._factored) <= 5
-            # the top-level memo is an ``_lru`` memo, bounded by the same size
+            # the top-level memo is a ``_Memo``, bounded by the same size
             assert len(F._adl_words) <= 5
         assert len(F._factored) == 5
         assert len(F._adl_words) == 5
@@ -1035,7 +1038,7 @@ class TestFactorMemos:
             loops.append(loop.aut.fwd)
             return real_peel(loop, sig)
 
-        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(core, "MEMO_SIZE", 2)
         monkeypatch.setattr(F, "_factor_edge", factor_edge)
         monkeypatch.setattr(F, "_peel_parts", peel_parts)
         for e in (a, b, a, c, a, b):
@@ -1100,7 +1103,7 @@ class TestLoopMemo:
         key = F._loop_key(aut.fwd)
         if bracketed:
             # an entry that a bracket made, with no tag yet
-            F._lru(F._loop_entries, key, lambda: F._LoopEntry(aut))
+            F._loop_entries.lookup(key, lambda: F._LoopEntry(aut))
         for _ in range(2):
             with pytest.raises(CosetViolation, match=message):
                 F._loop(aut, STAB)
@@ -1130,7 +1133,7 @@ class TestLoopMemo:
             checked.append(aut)
             return real(aut, expect)
 
-        monkeypatch.setattr(F, "MEMO_SIZE", 2)
+        monkeypatch.setattr(core, "MEMO_SIZE", 2)
         monkeypatch.setattr(F, "_checked_tag", checked_tag)
         for aut in (x, y, x, z, x, y):
             F._loop(aut)

@@ -26,7 +26,7 @@ from surfaut import (
     relator,
     zeta_lift,
 )
-from surfaut import gens
+from surfaut import core, gens
 from surfaut.cli import run
 from surfaut.errors import CosetViolation
 from surfaut.gens import HUMPHRIES_CHAIN, _eval_fwd, _splice, parse_gen_word
@@ -436,4 +436,4 @@ class TestSplice:
             assert gens._humphries_run(i, 1, sig) == word.tokens
             assert gens._humphries_run(i, -1, sig) == word.inverse().tokens
             assert gens._humphries_run(i, -1, sig) is gens._humphries_run(i, -1, sig)
-        assert gens._humphries_run.cache_info().maxsize == gens.MEMO_SIZE
+        assert gens._humphries_run.cache_info().maxsize == core.MEMO_SIZE

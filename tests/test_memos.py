@@ -1,13 +1,15 @@
 """The ``cold_memos`` fixture of ``conftest`` empties every memo of the
 package, so that no test sees an entry left by an earlier one.  The memos
 are found, not listed: every ``lru_cache`` and every module-level
-``OrderedDict`` of a ``surfaut`` module."""
+``OrderedDict`` of a ``surfaut`` module; each must be in the registry
+``core._MEMOS`` that the fixture empties."""
 
 import importlib
 import pkgutil
 from collections import OrderedDict
 
 import surfaut
+from surfaut import core
 
 from conftest import clear_memos
 
@@ -33,7 +35,7 @@ def package_caches():
 
 def package_dict_memos():
     """Every module-level ``OrderedDict`` of a ``surfaut`` module (the bounded
-    LRU memos that ``factorize._lru`` keeps), by qualified name."""
+    LRU memos ``core._Memo``), by qualified name."""
     found = {}
     for info in pkgutil.iter_modules(surfaut.__path__):
         mod = importlib.import_module(f"surfaut.{info.name}")
@@ -63,6 +65,14 @@ def test_finds_the_known_dict_memos():
         "surfaut.factorize._loop_entries",
         "surfaut.factorize._reduced",
     } <= set(package_dict_memos())
+
+
+def test_registry_is_every_found_memo():
+    # by identity: nothing found is missing from it, and it holds nothing else
+    found = list(package_caches().values()) + list(package_dict_memos().values())
+    assert len({id(m) for m in found}) == len(found)
+    assert {id(m) for m in core._MEMOS} == {id(m) for m in found}
+    assert len(core._MEMOS) == len(found)
 
 
 def test_fixture_clears_every_lru_cache(monkeypatch):

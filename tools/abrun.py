@@ -11,7 +11,9 @@ tree builds its own seeded input pool from the same generator.  A pair is one
 pass of the pool through each tree, the two in alternating order (PARENT
 first in even pairs), and every pass starts from empty memos: every
 ``lru_cache`` and every module-level ``OrderedDict`` of the tree's modules,
-found the way ``tests/test_memos.py`` finds them.
+found the way ``tests/test_memos.py`` finds them.  They are found by
+introspection rather than read from a registry, so that a tree from before
+the registry ``core._MEMOS`` can be measured too.
 
 The speed of a shared machine drifts by tens of percent between processes;
 two passes in one process, seconds apart, share most of that drift, so
@@ -88,7 +90,8 @@ def load_workloads(pkg, name: str):
 def package_memos(pkg) -> list:
     """Every ``lru_cache``-wrapped function defined in a module of ``pkg``,
     at module level or in a class body, and every module-level
-    ``OrderedDict``."""
+    ``OrderedDict``.  A class is searched but never taken: a memo class
+    has the methods of its instances."""
     found: dict[int, object] = {}
     for info in pkgutil.iter_modules(pkg.__path__):
         mod = sys.modules[f"{pkg.__name__}.{info.name}"]
@@ -102,7 +105,8 @@ def package_memos(pkg) -> list:
             for fn in members:
                 if isinstance(fn, (staticmethod, classmethod)):
                     fn = fn.__func__
-                if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == mod.__name__:
+                if (not isinstance(fn, type) and hasattr(fn, "cache_info")
+                        and getattr(fn, "__module__", None) == mod.__name__):
                     found[id(fn)] = fn
     return list(found.values())
 
