@@ -9,28 +9,33 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Five memos hold checked values, each a ``core._Memo``, the package's one
-bounded LRU, and a raise stores nothing:
+Seven memos hold checked values, each a ``core._Memo``, the package's one
+bounded LRU.  Each entry is one value, made whole by one
+``lookup(key, build)``, and a raise stores nothing:
 
-- ``_adl_words``, the top-level memo, keeps, per automorphism keyed on its
-  forward image codes (``_loop_key``), its checked ADL word.  The forward
-  map fixes the automorphism, which has one inverse.  ``factorize_adl``
-  runs ``membership`` only on a miss, so once per distinct input while the
-  memo keeps it: a word is stored only after it was checked to recompose
-  its input, and every ADL generator fixes the relator and permutes the
-  puncture classes, so every stored key is a member.  A non-member raises
-  ``NotInA`` and stores nothing, so it raises again on every call;
+- ``_adl_words`` keeps, per top-level input of ``factorize_adl`` keyed on
+  its forward image codes (``_loop_key``), its checked ADL word.  The
+  forward map fixes the automorphism, which has one inverse.
+  ``factorize_adl`` runs ``membership`` only on a miss, so once per distinct
+  input while the memo keeps it: a word is stored only after it was checked
+  to recompose its input, and every ADL generator fixes the relator and
+  permutes the puncture classes, so every stored key is a member.  A
+  non-member raises ``NotInA`` and stores nothing, so it raises again on
+  every call.  The recursion's stabilizers do not pass through it;
+  ``_parts`` serves an equal loop;
+- ``_adlh_words`` keeps, per input of ``factorize_adlh`` keyed the same way,
+  its flat ADLH word, stored once the ADL word's value is checked to equal
+  the input's forward map and the flat word to have no alpha_(>=3) token.
+  An equal key is an equal forward map, so a hit compares nothing;
 - ``_factored`` keeps, per Nielsen edge, the edge's reduced tokens with the
   composite of the forward values of its checked parts, so an edge is
   telescoped only on a miss;
-- ``_loop_entries`` keeps, per loop at the relator keyed on its forward
-  image codes (``_loop_key``), a ``_LoopEntry``: the witnessed pair, then
-  the coset tag once ``_loop``'s checks pass, then the parts the loop peels
-  into (``peel_special``, ``_stab_word`` and the special generator's words)
-  once it is peeled, each part with the forward value it was checked at;
-- ``_adl_values`` keeps, per ADL word, its forward value, which
-  ``factorize_adlh`` compares with the input's on every call, and its flat
-  ADLH word, so the splice and its alpha_(>=3) check run once per word;
+- ``_brackets``, ``_tags`` and ``_parts`` keep, per loop at the relator
+  keyed on its forward image codes (``_loop_key``), the witnessed pair of a
+  bracket, the coset tag once ``_loop``'s checks pass, and the nonempty
+  parts the loop peels into (``peel_special``, ``_stab_word`` and the
+  special generator's words), each part with the forward value it was
+  checked at;
 - ``_reduced`` keeps, per state of a peak reduction after its first, keyed
   on the codes of the current word and of the current images (their
   lengths, 4g + p and 2g + p, fix the signature), the edges of a reduction
@@ -41,8 +46,9 @@ bounded LRU, and a raise stores nothing:
   reduction is a function of its state, so a hit returns edges that passed
   every check on an equal state.  A state is stored once its reduction has
   its remainder; a hit that would end past the call's iteration budget is
-  not taken; the first state is not looked up, since ``_adl_words`` serves
-  an equal input.
+  not taken.  The first state is not looked up: at the top level it is the
+  input, which ``_adl_words`` serves, and in the recursion it is a
+  stabilizer, whose loop ``_parts`` serves.
 
 The key of an edge is what its telescoping reads: the signature, the source
 codes, the forward image codes and the kind; the target and the inverse are
@@ -59,9 +65,9 @@ An audit is a replay of a factorisation that has succeeded (``_replay``):
 it telescopes every edge of a level again, in order, then peels every loop
 and replays its stabilizer, so the scripts come out in the recursion's
 order.  It reads the bracket pairs and the checked coset tags from
-``_loop_entries``, and no edge, parts or reduction memo: it reduces with
-the public ``nielsen_reduce``, which runs every move, so its scripts come
-from a reduction that no memo served.  Certification
+``_brackets`` and ``_tags``, and no edge, parts or reduction memo: it
+reduces with the public ``nielsen_reduce``, which runs every move, so its
+scripts come from a reduction that no memo served.  Certification
 (``certify_automorphism``) reduces with ``nielsen_reduce`` as well, so it
 runs every move of its input.  Each case table records its cascade scripts
 as it telescopes; ``nielsen_to_base_loops`` builds them into
@@ -76,7 +82,7 @@ The telescoping brackets its edge once; the case tables take that bracket,
 and a table that recurses on the inverse edge passes its inverse.  Brackets
 take few values (on the ``adl-grid`` benchmark pool, 4,912 brackets take
 293), so a bracket folds its forward map and looks it up in
-``_loop_entries``; only a miss folds the inverse, and since an automorphism
+``_brackets``; only a miss folds the inverse, and since an automorphism
 has one inverse, a hit returns the pair a fresh fold would give.  ``_loop``
 runs the coset and relator checks once per distinct forward map and
 compares the expected tag on every call.  Every recomposition check
@@ -196,16 +202,15 @@ def _check_fixes_relator(aut: Automorphism) -> None:
 
 def _loop(aut: Automorphism, expect: Optional[str] = None) -> BaseLoop:
     """Trusted constructor.  The coset checks and ``BaseLoop``'s relator
-    check run once per distinct forward map, on the first call that finds no
-    tag in the map's ``_loop_entries`` entry.  The tag they computed is
-    stored there only when they all pass, the ``expect`` comparison
-    included, and that comparison runs again on every call."""
-    entry = _filled(aut, "tag", lambda: _checked_tag(aut, expect))
-    _check_expected(aut.sig, entry.tag, expect)
+    check run once per distinct forward map, on a miss of ``_tags``, which
+    stores the tag only when they all pass, the ``expect`` comparison
+    included; that comparison runs again on every call."""
+    tag = _tags.lookup(_loop_key(aut.fwd), lambda: _checked_tag(aut, expect))
+    _check_expected(aut.sig, tag, expect)
     loop = object.__new__(BaseLoop)
     setf = object.__setattr__  # the dataclass is frozen
-    setf(loop, "aut", entry.aut)
-    setf(loop, "coset_tag", entry.tag)
+    setf(loop, "aut", aut)
+    setf(loop, "coset_tag", tag)
     return loop
 
 
@@ -248,17 +253,16 @@ class EdgeScript:
 def _bracket(e: GroupoidEdge) -> Automorphism:
     """The loop canon(V)' e canon(W) at the relator, for e: V -> W.  Only
     the forward map is folded on every call; the inverse is folded on a miss
-    of ``_loop_entries`` only, since an automorphism has one inverse."""
+    of ``_brackets`` only, since an automorphism has one inverse."""
     phi_src, _ = canonical_edge(e.source)
     phi_tgt, _ = canonical_edge(e.target)
     fwd = _compose_endos([phi_src.inv, e.aut.fwd, phi_tgt.fwd])
 
-    def witnessed() -> _LoopEntry:
+    def witnessed() -> Automorphism:
         # witnessed by algebra, as in ``compose``
-        inv = _compose_endos([phi_tgt.inv, e.aut.inv, phi_src.fwd])
-        return _LoopEntry(_aut(fwd, inv))
+        return _aut(fwd, _compose_endos([phi_tgt.inv, e.aut.inv, phi_src.fwd]))
 
-    return _loop_entries.lookup(_loop_key(fwd), witnessed).aut
+    return _brackets.lookup(_loop_key(fwd), witnessed)
 
 
 def _conj_t_to_front(V: Word, pos: int) -> Optional[GroupoidEdge]:
@@ -657,7 +661,7 @@ def _stab_word(stab: Automorphism, sig: Signature) -> tuple[GenWord, Endomorphis
     where the discrepancy delta = stab shifted' is alpha_1^k.  Its inverse
     shifted stab' needs no inverse of the word, and delta = alpha_1^k exactly
     when delta' = alpha_1^(-k), so k is read off delta' and negated."""
-    inner = _factorize_cached(_restricted(stab))
+    inner = _factorize_word(_restricted(stab))
     if sig.p >= 1:
         value = _eval_fwd(inner, sig)
         if value != stab.fwd:
@@ -696,11 +700,6 @@ def _factorize_member(a: Automorphism) -> GenWord:
     if not membership(a).in_A:
         raise NotInA("input does not fix the relator and permute the classes")
     return _factorize_word(a)
-
-
-def _factorize_cached(a: Automorphism) -> GenWord:
-    """The ADL word of ``a``, a member, through ``_adl_words``."""
-    return _adl_words.lookup(_loop_key(a.fwd), lambda: _factorize_word(a))
 
 
 def _factorize_word(a: Automorphism) -> GenWord:
@@ -746,51 +745,22 @@ _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward valu
 #: edge's reduced tokens and the composite of its checked parts' forward
 #: values.
 _factored = _Memo()
-
-
-class _LoopEntry:
-    """The checked values of one loop at the relator: its witnessed pair,
-    and, once computed, its coset tag and the nonempty parts it peels into
-    (None until then)."""
-
-    __slots__ = ("aut", "tag", "parts")
-
-    def __init__(self, aut: Automorphism) -> None:
-        self.aut = aut
-        self.tag: Optional[str] = None
-        self.parts: Optional[_Parts] = None
-
-
-#: Per loop at the relator, keyed on its forward image codes (``_loop_key``):
-#: its ``_LoopEntry``.  Brackets, ``_loop`` and ``_factor_edge``'s peeling
-#: share it.
-_loop_entries = _Memo()
-#: Per ADL word, keyed on (signature, tokens): its forward value and its
-#: flat ADLH word.
-_adl_values = _Memo()
-#: Per factored automorphism, keyed on its forward image codes
-#: (``_loop_key``): its checked ADL word.  Top-level calls and the
-#: recursion's stabilizers share it.
+#: Per loop at the relator, keyed on its forward image codes (``_loop_key``),
+#: the three loop memos: a bracket's witnessed pair, the checked coset tag and
+#: the nonempty parts the loop peels into.
+_brackets = _Memo()
+_tags = _Memo()
+_parts = _Memo()
+#: Per top-level input of ``factorize_adl``, keyed on its forward image codes
+#: (``_loop_key``): its checked ADL word.
 _adl_words = _Memo()
+#: Per input of ``factorize_adlh``, keyed the same way: its flat ADLH word.
+_adlh_words = _Memo()
 #: Per state of a peak reduction after its first, keyed on the codes of the
 #: current word and images (``groupoid._Carry.key``): the edges of a
 #: reduction that passed through it, the state's index among them and that
 #: reduction's N1 remainder edge (``groupoid._reduce``).
 _reduced = _Memo()
-
-
-def _filled(aut: Automorphism, field: str, compute) -> _LoopEntry:
-    """The ``_loop_entries`` entry of the loop ``aut``, with ``field`` set:
-    read from the entry, or computed by ``compute()`` when it is unset (the
-    entry may have left the memo meanwhile, so it is looked up again after).
-    A raise stores nothing."""
-    key = _loop_key(aut.fwd)
-    value = getattr(_loop_entries.get(key), field, None)  # None: unset or no entry
-    if value is None:
-        value = compute()
-    entry = _loop_entries.lookup(key, lambda: _LoopEntry(aut))
-    setattr(entry, field, value)
-    return entry
 
 
 def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
@@ -800,13 +770,13 @@ def _edge_factors(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
 
 def _factor_edge(e: GroupoidEdge) -> tuple[_Tokens, Endomorphism]:
     """The reduced tokens of the parts of the edge's loops, joined in order,
-    and the composite of the parts' values; each loop's parts are read from
-    its ``_loop_entries`` entry, and peeled only when unset."""
+    and the composite of the parts' values; each loop is peeled only on a
+    miss of ``_parts``."""
     runs: list[_Tokens] = []
     values: list[Endomorphism] = []
     sig = e.sig
     for loop in nielsen_to_base_loops(e):
-        parts = _filled(loop.aut, "parts", lambda: _peel_parts(loop, sig)).parts
+        parts = _parts.lookup(_loop_key(loop.aut.fwd), lambda: _peel_parts(loop, sig))
         for word, value in parts:
             runs.append(word.tokens)
             values.append(value)
@@ -832,21 +802,24 @@ def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     ADLH names (``gens._splice``, which joins the ADL word's runs with the
     memoised rewrites at their seams).  Each rewrite is checked once, so the
     recomposition check compares the input's forward map with the forward
-    map of the ADL word rather than of the much longer flat word.  That
-    value and the flat word are functions of the ADL word, read from the
-    bounded LRU memo ``_adl_values``; the comparison runs on every call."""
-    sig = a.sig
-    base = factorize_adl(a, audit)
-    value, word = _adl_values.lookup((sig, base.tokens), lambda: _adlh_entry(base, sig))
-    if value != a.fwd:
-        raise CosetViolation("ADLH factorization failed to recompose the input")
+    map of the ADL word rather than of the much longer flat word.  The flat
+    word is read from the bounded LRU memo ``_adlh_words``, keyed like
+    ``_adl_words``: every check runs on a miss only, and an equal key is an
+    equal forward map, so a hit is the word the checks passed for it."""
+    word = _adlh_words.lookup(_loop_key(a.fwd), lambda: _adlh_word(a))
+    if audit is not None:
+        _replay(a, audit)
     return word
 
 
-def _adlh_entry(base: GenWord, sig: Signature) -> tuple[Endomorphism, GenWord]:
-    """The forward value of the ADL word ``base`` and its flat ADLH word,
-    once that word is checked to have no alpha_(>=3) token."""
+def _adlh_word(a: Automorphism) -> GenWord:
+    """The flat ADLH word of ``a``, once its ADL word is checked to
+    recompose ``a`` and the flat word to have no alpha_(>=3) token."""
+    sig = a.sig
+    base = factorize_adl(a)
+    if _eval_fwd(base, sig) != a.fwd:
+        raise CosetViolation("ADLH factorization failed to recompose the input")
     word = _splice(base, sig)
     if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
         raise CosetViolation("ADLH output still uses alpha_(>=3)")
-    return _eval_fwd(base, sig), word
+    return word

@@ -10,6 +10,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import surfaut
 from surfaut import core
 
@@ -32,9 +34,12 @@ def test_finds_the_registered_memos():
     assert len(found) == len(core._MEMOS)
 
 
-def test_smoke_run():
+@pytest.mark.parametrize("workload", ["adl-grid", "adlh-high-genus"])
+def test_smoke_run(workload):
+    # the first pair's outputs pass the workload's check, on the ADL and the
+    # ADLH path
     proc = subprocess.run(
-        [sys.executable, "tools/abrun.py", ".", ".", "--workload", "adl-grid",
+        [sys.executable, "tools/abrun.py", ".", ".", "--workload", workload,
          "--pairs", "1", "--cases", "20"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

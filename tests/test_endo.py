@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -41,7 +42,8 @@ from surfaut.endo import (
     letter_move,
     swap_letters,
 )
-from surfaut.errors import CosetViolation, SignatureMismatch
+from surfaut.core import Letter
+from surfaut.errors import CosetViolation, ImageEscapes, SignatureMismatch
 from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word
 
 from conftest import SMALL_SIGS, words
@@ -50,6 +52,7 @@ S10 = Signature(1, 0)
 OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
 S03 = Signature(0, 3)
 S12 = Signature(1, 2)
+S01, S02, S11 = Signature(0, 1), Signature(0, 2), Signature(1, 1)
 
 
 def gen(fam, i, sig):
@@ -878,3 +881,50 @@ class TestConstructionChecks:
             letter_move(S10, code, one, one)
         with pytest.raises(ValueError, match="out of range"):
             swap_letters(S10, code, 1)
+
+
+def _one_move(sig, text):
+    """The endomorphism at ``sig`` that sends one basis letter as ``text``
+    ("x1 -> y1") says and fixes the rest."""
+    src, dst = (parse_word(sig, side.strip()) for side in text.split("->"))
+    return Endomorphism.from_map(sig, {src.codes[0]: dst})
+
+
+class TestNegativeInputs:
+    """Public entry points given inputs they reject or answer with None."""
+
+    @pytest.mark.parametrize(
+        "build,error,says",
+        [
+            (lambda: Letter.from_code(S10, 3), ValueError,
+             "letter code 3 out of range for (g=1, p=0)"),
+            (lambda: TPermutation((1, 1)), ValueError, "not a permutation of 1..2: (1, 1)"),
+            (lambda: outer_equal(Automorphism.identity(S10), Automorphism.identity(S02)),
+             SignatureMismatch, "(g=1, p=0) vs (g=0, p=2)"),
+            (lambda: restrict_drop_tp(Automorphism.identity(S10)), NotInStabilizer,
+             "restrict_drop_tp needs p >= 1"),
+            # fixes t2, but the image of t1 mentions it
+            (lambda: restrict_drop_tp(aut_from_map(
+                S02, {1: parse_word(S02, "t2 t1 t2'")}, {1: parse_word(S02, "t2' t1 t2")})),
+             ImageEscapes, "image of t1 mentions t2"),
+            (lambda: restrict_relabel_K(Automorphism.identity(S11)), NotInStabilizer,
+             "restrict_relabel_K needs p = 0 and g >= 1"),
+        ],
+        ids=["letter-code", "t-permutation", "outer-mixed", "drop-tp-at-p0",
+             "drop-tp-escapes", "relabel-at-p1"],
+    )
+    def test_rejects(self, build, error, says):
+        with pytest.raises(error, match=f"^{re.escape(says)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "sig,move",
+        [(S11, "t1 -> x1"), (S11, "x1 -> t1"), (S02, "t2 -> t1"), (S10, "x1 -> y1")],
+        ids=["t-to-x", "x-to-t", "t-not-permuted", "x-not-permuted"],
+    )
+    def test_classify_letters_none(self, sig, move):
+        assert classify_letters(_one_move(sig, move)) is None
+
+    def test_outer_equal_none_at_rank_one(self):
+        flip = _one_move(S01, "t1 -> t1'")
+        assert outer_equal(Automorphism(flip, flip), Automorphism.identity(S01)) is None

@@ -308,19 +308,22 @@ S40 = Signature(4, 0)
 
 
 class TestAdlValueMemo:
-    """``factorize_adlh`` reads the ADL word's forward value from the bounded
-    LRU ``_adl_values``, keyed on (signature, tokens), and compares it with
-    the input's on every call."""
+    """``factorize_adlh`` reads the flat word of its input from the bounded
+    LRU ``_adlh_words``, keyed on the input's forward image codes, and
+    checks the ADL word's value against the input only on a miss."""
 
     def test_hit_equals_uncached_fold(self, rng, monkeypatch):
         inputs = [random_adl_automorphism(S30, rng, 3) for _ in range(6)]
         inputs += [gen("a", 3, S40), gen("b", 4, S40)]
         words = [factorize_adlh(a) for a in inputs]
-        assert F._adl_values
-        for (sig, tokens), (value, word) in F._adl_values.items():
-            assert value == F._eval_fwd(GenWord(tokens), sig)
-            assert word == F._splice(GenWord(tokens), sig)
-        # warm: every value is read from the memo, and the words are unchanged
+        by_key = {F._loop_key(a.fwd): a for a in inputs}
+        assert F._adlh_words and set(F._adlh_words) == set(by_key)
+        for key, word in F._adlh_words.items():
+            a = by_key[key]
+            base = factorize_adl(a)
+            assert key == F._loop_key(F._eval_fwd(base, a.sig))
+            assert word == F._splice(base, a.sig)
+        # warm: no value is folded, and the words are unchanged
         folds = []
         real = F._eval_fwd
         monkeypatch.setattr(F, "_eval_fwd", lambda w, sig: folds.append(w) or real(w, sig))
@@ -329,7 +332,7 @@ class TestAdlValueMemo:
 
     def test_raise_stores_nothing(self, monkeypatch):
         a = gen("a", 3, S40)
-        base = factorize_adl(a)  # the ADL word is memoised; its value is not
+        factorize_adl(a)  # the ADL word is memoised; its flat word is not
 
         def fail(w, sig):
             raise CosetViolation("forced")
@@ -337,32 +340,32 @@ class TestAdlValueMemo:
         monkeypatch.setattr(F, "_eval_fwd", fail)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adlh(a)
-        assert not F._adl_values
+        assert not F._adlh_words
         monkeypatch.undo()
         factorize_adlh(a)
-        assert list(F._adl_values) == [(S40, base.tokens)]
+        assert list(F._adlh_words) == [F._loop_key(a.fwd)]
 
     def test_warm_entry_of_another_input_still_fails(self, monkeypatch):
-        # the patched ADL word of a4 is the word of a3, whose value is warm:
-        # the hit is a3's value, which is not a4's
+        # the patched ADL word of a4 is the word of a3, whose flat word is
+        # warm: a4's key misses, and a3's word does not recompose a4
         a3, a4 = gen("a", 3, S40), gen("a", 4, S40)
         factorize_adlh(a3)
-        warm = dict(F._adl_values)
+        warm = dict(F._adlh_words)
         word = factorize_adl(a3)
         monkeypatch.setattr(F, "factorize_adl", lambda a, audit=None: word)
         with pytest.raises(CosetViolation, match="ADLH factorization failed"):
             factorize_adlh(a4)
-        assert F._adl_values == warm
+        assert F._adlh_words == warm
 
     def test_bounded_least_recently_used_first(self, monkeypatch):
         inputs = [gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4))]
-        keys = [(S40, factorize_adl(a).tokens) for a in inputs]
+        keys = [F._loop_key(a.fwd) for a in inputs]
         monkeypatch.setattr(core, "MEMO_SIZE", 2)
         for k in (0, 1, 0, 2):
             factorize_adlh(inputs[k])
-            assert len(F._adl_values) <= 2
+            assert len(F._adlh_words) <= 2
         # the first input was used again before the third arrived
-        assert list(F._adl_values) == [keys[0], keys[2]]
+        assert list(F._adlh_words) == [keys[0], keys[2]]
 
 
 def _counting(monkeypatch, name, calls):
@@ -420,9 +423,9 @@ class TestTopLevelMemo:
         a = gen("a", 4, S40)
         base = factorize_adl(a)
         word = factorize_adlh(a)
-        value, kept = F._adl_values[(S40, base.tokens)]
+        kept = F._adlh_words[F._loop_key(a.fwd)]
         assert kept is word and word == F._splice(base, S40)
-        assert value == a.fwd and factorize_adlh(a) is word
+        assert F._eval_fwd(base, S40) == a.fwd and factorize_adlh(a) is word
 
     def test_bounded_least_recently_used_first(self, monkeypatch):
         x, y, z = (gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4)))
@@ -674,7 +677,7 @@ class TestComputedOnce:
         hits = {"edge": 0, "loop": 0}
         real_peel, real_stab, real_lookup = F.peel_special, F._stab_word, core._Memo.lookup
         real_loops, real_bracket = F.nielsen_to_base_loops, F._bracket
-        real_filled, real_aut, real_tag = F._filled, F._aut, F._checked_tag
+        real_aut, real_tag = F._aut, F._checked_tag
 
         def peel(loop, sig):
             count["peel"] += 1
@@ -690,18 +693,8 @@ class TestComputedOnce:
         def lookup(memo, key, build):
             hit, before = key in memo, dict(count)
             out = real_lookup(memo, key, build)
-            if memo is F._factored and hit:
-                hits["edge"] += 1
-                assert count == before
-            return out
-
-        def filled(aut, field, compute):
-            entry = F._loop_entries.get(F._loop_key(aut.fwd))
-            hit = entry is not None and getattr(entry, field) is not None
-            before = dict(count)
-            out = real_filled(aut, field, compute)
-            if field == "parts" and hit:
-                hits["loop"] += 1
+            if hit and (memo is F._factored or memo is F._parts):
+                hits["edge" if memo is F._factored else "loop"] += 1
                 assert count == before
             return out
 
@@ -732,7 +725,7 @@ class TestComputedOnce:
 
         monkeypatch.setattr(core._Memo, "lookup", lookup)
         for name, fn in [("peel_special", peel), ("_stab_word", stab_word),
-                         ("_filled", filled), ("nielsen_to_base_loops", loops),
+                         ("nielsen_to_base_loops", loops),
                          ("_bracket", bracket), ("_aut", aut), ("_checked_tag", checked_tag)]:
             monkeypatch.setattr(F, name, fn)
         for sig in GRID:
@@ -742,7 +735,7 @@ class TestComputedOnce:
         assert len(set(peeled)) == len(peeled) <= core.MEMO_SIZE
         assert len(set(factored)) == len(factored) == len(peeled)
         assert len(set(inverses)) == len(inverses) < count["bracket"]
-        assert len(set(tagged)) == len(tagged) <= len(F._loop_entries) <= core.MEMO_SIZE
+        assert len(set(tagged)) == len(tagged) <= len(F._tags) <= core.MEMO_SIZE
         seen = set()
         for e, own, brackets in done_tops:
             key = (e.source, e.target, e.aut.fwd, e.kind)
@@ -757,13 +750,13 @@ class TestComputedOnce:
 class TestChecksStillFire:
     def test_wrong_inner_word(self, monkeypatch):
         # (1,1) re-includes words factored at (1,0)
-        real = F._factorize_cached
+        real = F._factorize_word
 
         def wrong_inner(a):
             w = real(a)
             return w * GenWord.of(GenName("a", 1)) if a.sig == S10 else w
 
-        monkeypatch.setattr(F, "_factorize_cached", wrong_inner)
+        monkeypatch.setattr(F, "_factorize_word", wrong_inner)
         with pytest.raises(CosetViolation, match="re-included stabilizer word failed"):
             factorize_adl(gen("g", 1, Signature(1, 1)))
 
@@ -903,13 +896,9 @@ class TestTelescopeMemo:
         assert F._edge_key(e) in F._factored
 
     def test_least_recently_used_goes_first(self, rng, monkeypatch):
-        sig = Signature(1, 2)
-        a, b, c = _distinct_edges(sig, rng, 3)
-        for e in (a, b, c):
-            # the stabilizers' words below are then in the top-level memo, so
-            # factoring these edges again telescopes no edge below
-            F._edge_factors(e)
-        F._factored.clear()
+        # the stabilizers of these loops restrict to the trivial group at
+        # (0, 1), so factoring the edges telescopes no edge below
+        a, b, c = _single_loop_edges(S10, rng, 3)
         runs = []
         real = F.nielsen_to_base_loops
 
@@ -930,13 +919,14 @@ class TestTelescopeMemo:
             assert memo.cache_info().maxsize == core.MEMO_SIZE
         monkeypatch.setattr(core, "MEMO_SIZE", 5)
         edges = _distinct_edges(Signature(1, 2), rng, 12)
+        loop_memos = (F._brackets, F._tags, F._parts)
         for e in edges + edges:
             F._edge_factors(e)
             assert len(F._factored) <= 5
-            # the top-level memo is a ``_Memo``, bounded by the same size
-            assert len(F._adl_words) <= 5
+            # the loop memos are ``_Memo``s, bounded by the same size
+            assert all(len(memo) <= 5 for memo in loop_memos)
         assert len(F._factored) == 5
-        assert len(F._adl_words) == 5
+        assert all(len(memo) == 5 for memo in loop_memos)
 
 
 def _single_loop_edges(sig, rng, count):
@@ -953,13 +943,12 @@ def _single_loop_edges(sig, rng, count):
 
 def _parts(fwd):
     """The parts stored for the loop ``fwd``, None when there are none."""
-    entry = F._loop_entries.get(F._loop_key(fwd))
-    return entry.parts if entry is not None else None
+    return F._parts.get(F._loop_key(fwd))
 
 
 class TestFactorMemos:
     """Each Nielsen edge's tokens and value come from ``_factored`` and each
-    loop's parts from its ``_loop_entries`` entry."""
+    loop's parts from ``_parts``."""
 
     def test_cold_and_warm_memos_agree(self, rng):
         def cli(*argv):
@@ -972,6 +961,7 @@ class TestFactorMemos:
             # the top level is memoised too; clearing it makes the edge and
             # loop memos serve
             F._adl_words.clear()
+            F._adlh_words.clear()
             return [cli("factorize", "--sig", sig, "--aut", aut, *flags)
                     for flags in ([], ["--adlh"], ["--audit"])]
 
@@ -983,7 +973,7 @@ class TestFactorMemos:
             cold.append(outputs(a))
         for a in cases:
             outputs(a)
-        assert F._factored and F._loop_entries
+        assert F._factored and F._parts
         assert [outputs(a) for a in cases] == cold
         assert any("=>" in audit for _, _, audit in cold)
 
@@ -1020,13 +1010,10 @@ class TestFactorMemos:
         assert _parts(top[1]) is not None
 
     def test_least_recently_used_goes_first(self, rng, monkeypatch):
-        a, b, c = _single_loop_edges(Signature(1, 1), rng, 3)
-        for e in (a, b, c):
-            # the stabilizers' words at (1, 0) are then in the top-level memo,
-            # so peeling these edges again reads no edge or loop memo below
-            F._edge_factors(e)
-        F._factored.clear()
-        F._loop_entries.clear()
+        # the stabilizers of these loops restrict to the trivial group at
+        # (0, 1), so peeling them reads no edge or loop memo below
+        a, b, c = _single_loop_edges(S10, rng, 3)
+        clear_memos()  # finding them filled the bracket and tag memos
         edges, loops = [], []
         real_factor, real_peel = F._factor_edge, F._peel_parts
 
@@ -1043,26 +1030,27 @@ class TestFactorMemos:
         monkeypatch.setattr(F, "_peel_parts", peel_parts)
         for e in (a, b, a, c, a, b):
             F._edge_factors(e)
-            assert len(F._factored) <= 2 and len(F._loop_entries) <= 2
+            assert len(F._factored) <= 2 and len(F._parts) <= 2
         # a is used again before c arrives, so b goes; then c goes for b.
-        # The bracket of each of these edges is its one loop, so telescoping
-        # it reads one loop entry, and a hit of the edge memo reads none: at
-        # the loop memo a goes for c, and b is still there
+        # Each of these edges has one loop, so peeling it reads one parts
+        # entry, and a hit of the edge memo reads none: at the parts memo a
+        # goes for c, and b is still there
         assert edges == [a, b, c, b]
-        assert list(F._loop_entries) == [F._loop_key(loops[2]), F._loop_key(loops[1])]
+        assert list(F._parts) == [F._loop_key(loops[2]), F._loop_key(loops[1])]
         assert loops == [nielsen_to_base_loops(e)[0].aut.fwd for e in (a, b, c)]
         # evictions change no word
         for sig in GRID:
             x = random_adl_automorphism(sig, rng, _short(sig))
             F._adl_words.clear()
             assert factorize_adl(x) == factorize_adl(x, [])
-            assert len(F._factored) <= 2 and len(F._loop_entries) <= 2
+            assert len(F._factored) <= 2
+            assert all(len(memo) <= 2 for memo in (F._brackets, F._tags, F._parts))
 
 
 class TestLoopMemo:
-    """Brackets and loops are keyed in ``_loop_entries`` on their forward
-    image codes: a bracket folds its inverse only on a miss, and ``_loop``
-    runs the coset and relator checks only when the entry has no tag."""
+    """Brackets and loops are keyed in ``_brackets`` and ``_tags`` on their
+    forward image codes: a bracket folds its inverse only on a miss, and
+    ``_loop`` runs the coset and relator checks only on a miss of ``_tags``."""
 
     def test_hit_is_the_fresh_pair(self, rng):
         from surfaut.endo import _undoes
@@ -1074,7 +1062,7 @@ class TestLoopMemo:
                     phi_v, _ = F.canonical_edge(e.source)
                     phi_w, _ = F.canonical_edge(e.target)
                     fresh = compose(phi_v.inverse(), e.aut, phi_w)
-                    hit = F._loop_key(fresh.fwd) in F._loop_entries
+                    hit = F._loop_key(fresh.fwd) in F._brackets
                     br = _bracket(e)
                     assert (br.fwd, br.inv) == (fresh.fwd, fresh.inv)
                     assert _undoes(br.fwd, br.inv) and _undoes(br.inv, br.fwd)
@@ -1103,15 +1091,15 @@ class TestLoopMemo:
         key = F._loop_key(aut.fwd)
         if bracketed:
             # an entry that a bracket made, with no tag yet
-            F._loop_entries.lookup(key, lambda: F._LoopEntry(aut))
+            F._brackets.lookup(key, lambda: aut)
         for _ in range(2):
             with pytest.raises(CosetViolation, match=message):
                 F._loop(aut, STAB)
-            assert [entry.tag for entry in F._loop_entries.values()] == [None] * bracketed
+            assert not F._tags and list(F._brackets) == [key] * bracketed
         monkeypatch.undo()
         if fault != "relator":
             assert F._loop(aut, STAB).coset_tag == STAB
-            assert F._loop_entries[key].tag == STAB
+            assert F._tags[key] == STAB
 
     def test_hit_with_another_expect_raises(self, monkeypatch):
         sp = gen("s", 2, S02)
@@ -1121,7 +1109,7 @@ class TestLoopMemo:
         with pytest.raises(CosetViolation, match="expected a stab loop, found stab_special"):
             F._loop(sp, STAB)
         assert F._loop(sp).coset_tag == STAB_SPECIAL
-        assert F._loop_entries[F._loop_key(sp.fwd)].tag == STAB_SPECIAL
+        assert F._tags[F._loop_key(sp.fwd)] == STAB_SPECIAL
 
     def test_bounded_least_recently_used_first(self, monkeypatch):
         sig = Signature(0, 3)
@@ -1137,10 +1125,10 @@ class TestLoopMemo:
         monkeypatch.setattr(F, "_checked_tag", checked_tag)
         for aut in (x, y, x, z, x, y):
             F._loop(aut)
-            assert len(F._loop_entries) <= 2
+            assert len(F._tags) <= 2
         # x is used again before z arrives, so y goes; then z goes for y
         assert checked == [x, y, z, y]
-        assert list(F._loop_entries) == [F._loop_key(x.fwd), F._loop_key(y.fwd)]
+        assert list(F._tags) == [F._loop_key(x.fwd), F._loop_key(y.fwd)]
 
 
 @dataclasses.dataclass

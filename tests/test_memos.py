@@ -59,11 +59,13 @@ def test_finds_the_known_caches():
 
 def test_finds_the_known_dict_memos():
     assert {
-        "surfaut.factorize._adl_values",
         "surfaut.factorize._adl_words",
+        "surfaut.factorize._adlh_words",
+        "surfaut.factorize._brackets",
         "surfaut.factorize._factored",
-        "surfaut.factorize._loop_entries",
+        "surfaut.factorize._parts",
         "surfaut.factorize._reduced",
+        "surfaut.factorize._tags",
     } <= set(package_dict_memos())
 
 

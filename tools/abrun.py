@@ -16,9 +16,13 @@ introspection rather than read from a registry, so that a tree from before
 the registry ``core._MEMOS`` can be measured too.
 
 The speed of a shared machine drifts by tens of percent between processes;
-two passes in one process, seconds apart, share most of that drift, so
-per-pair ratios are steadier than ratios of separate ``perfbench/run.py``
-runs.  Latencies are plain wall time, not scaled.  The metrics are the
+two passes in one process, seconds apart, are meant to share most of that
+drift, so that per-pair ratios are steadier than ratios of separate
+``perfbench/run.py`` runs.  They are not always: on ``verify-beyond-grid``
+an A/A run (this tree on both sides, seed 7, 8 pairs, on a shared 2-core
+machine) gave per-pair ``ops_per_s`` ratios from 0.70 to 1.38 (median
+0.997), so a paired difference under about 10 % on that workload is not
+resolved by 8 to 10 pairs.  Latencies are plain wall time, not scaled.  The metrics are the
 end-to-end metrics of ``perfbench/run.py`` that one process can measure per
 tree, computed with its functions: ``ops_per_s``, ``latency_p50_ms``,
 ``latency_p75_ms`` and ``out_tokens_gmean`` (``peak_rss_mb`` and
