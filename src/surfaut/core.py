@@ -60,8 +60,8 @@ class _Memo(OrderedDict):
         value = self.get(key)
         if value is None:
             return self.put(key, build())
-        # not ``put``: a hit hashes its key once more, and a key of
-        # dataclass tokens is slow to hash
+        # not ``put``: assigning to a key already present keeps its place,
+        # so it would not mark the entry as recently used
         self.move_to_end(key)
         return value
 

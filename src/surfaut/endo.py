@@ -482,9 +482,15 @@ def _t_class_permutation(endo: Endomorphism) -> Optional[TPermutation]:
 def outer_equal(a: Automorphism, b: Automorphism) -> Optional[Word]:
     """Conjugator w with a(u) = w' b(u) w for every basis letter u, or None.
 
-    The candidate set is the centralizer coset of one witness conjugator for
-    a moved basis letter; candidates are enumerated up to the length bound
-    forced by the remaining basis images, so the search is exact.
+    The map theta = b^-1 a (``b.inv`` first) sends b(u) to a(u), and b is
+    onto, so w is a conjugator exactly when theta(c) = w' c w for every
+    basis letter c.  At rank >= 2 the centralizer of the group is trivial,
+    so w is unique, and the first two basis letters, written 1 and 2, read
+    it off.  Write theta(1) = r 1 r' with r taken by cyclic reduction: then
+    w r commutes with the letter 1, whose centralizer is its own cyclic
+    group, so w = 1^i r'.  Then r' theta(2) r = 1^-i 2 1^i is the letter 2
+    conjugated by q = 1^-i, and w = (r q)'.  Checking w on every basis
+    letter decides.
     """
     if a.sig != b.sig:
         raise SignatureMismatch(f"{a.sig} vs {b.sig}")
@@ -493,71 +499,14 @@ def outer_equal(a: Automorphism, b: Automorphism) -> Optional[Word]:
         return Word.identity(sig)
     if sig.rank <= 1:
         return None
-    probe = next(
-        b0 for b0 in sig.basis_codes() if a.fwd.images[b0 - 1] != b.fwd.images[b0 - 1]
-    )
-    x = b.fwd.images[probe - 1]
-    y = a.fwd.images[probe - 1]
-    w0 = _one_conjugator(x, y)
-    if w0 is None:
+    core, r = a.apply(b.inv.images[0]).cyclic_reduction()
+    if core.codes != (1,):
         return None
-    if _checks_all(a, b, w0):
-        return w0
-    root = _centralizer_root(x)
-    # Solutions fill the centralizer coset of w0.  Conjugating any image that
-    # does not commute with the root grows linearly in the exponent, so the
-    # exponent of a solution is bounded by the total image lengths; the bound
-    # below is deliberately generous since candidates are cheap to test.
-    if all(
-        (u * root).codes == (root * u).codes
-        for u in b.fwd.images
-    ):
-        raise CosetViolation("automorphism images all commute with a nontrivial root")
-    sizes = sum(len(a.fwd.images[c - 1]) + len(b.fwd.images[c - 1])
-                for c in sig.basis_codes())
-    kmax = (sizes + len(w0)) // max(1, len(root)) + 4
-    for k in range(1, kmax + 1):
-        for sgn in (1, -1):
-            cand = _power(root, sgn * k) * w0
-            if _checks_all(a, b, cand):
-                return cand
-    return None
-
-
-def _one_conjugator(x: Word, y: Word) -> Optional[Word]:
-    """Some w with w' x w = y, or None when x and y are not conjugate."""
-    xc, u = x.cyclic_reduction()
-    yc, v = y.cyclic_reduction()
-    if len(xc) != len(yc):
+    core, q = (r.inverse() * a.apply(b.inv.images[1]) * r).cyclic_reduction()
+    if core.codes != (2,) or q.codes not in ((1,) * len(q), (-1,) * len(q)):
         return None
-    n = len(xc)
-    if n == 0:
-        return Word.identity(x.sig) if x == y else None
-    for r in range(n):
-        if xc.codes[r:] + xc.codes[:r] == yc.codes:
-            s = Word(x.sig, xc.codes[:r])
-            w = u * s * v.inverse()
-            return w
-    return None
-
-
-def _centralizer_root(x: Word) -> Word:
-    """Generator of the centralizer of a nontrivial word x."""
-    xc, u = x.cyclic_reduction()
-    n = len(xc)
-    for d in range(1, n + 1):
-        if n % d == 0 and xc.codes == xc.codes[d:] + xc.codes[:d]:
-            z = Word(x.sig, xc.codes[:d])
-            return u * z * u.inverse()
-    raise ValueError("centralizer root of the empty word")
-
-
-def _power(w: Word, k: int) -> Word:
-    out = Word.identity(w.sig)
-    step = w if k > 0 else w.inverse()
-    for _ in range(abs(k)):
-        out = out * step
-    return out
+    w = (r * q).inverse()
+    return w if _checks_all(a, b, w) else None
 
 
 def _checks_all(a: Automorphism, b: Automorphism, w: Word) -> bool:

@@ -467,6 +467,23 @@ class TestOuterEqual:
         )
         assert code == 1 and out.strip() == "none"
 
+    # conjugation by the relator against the identity
+    RELATOR_CONJUGATION = [
+        "outer-equal", "--sig", "1,0",
+        "--aut", "x1 -> y1' x1' y1 x1 y1' x1 y1; y1 -> y1' x1' y1 x1 y1 x1' y1' x1 y1",
+        "--other", "x1 -> x1",
+    ]
+
+    def test_conjugator_text(self):
+        code, out, _ = invoke(self.RELATOR_CONJUGATION)
+        assert code == 0 and out.strip() == "x1' y1' x1 y1"
+
+    def test_conjugator_json(self):
+        code, out, _ = invoke(["--json"] + self.RELATOR_CONJUGATION)
+        assert code == 0 and out.strip() == (
+            '{"command": "outer-equal", "conjugator": "x1\' y1\' x1 y1", "equal": true}'
+        )
+
 
 class TestSelftest:
     def test_tiny_run(self):

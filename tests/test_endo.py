@@ -30,10 +30,7 @@ from surfaut import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from surfaut import endo
 from surfaut.endo import (
-    _centralizer_root,
-    _power,
     _splice,
     _substitute,
     _t_class_permutation,
@@ -43,7 +40,7 @@ from surfaut.endo import (
     swap_letters,
 )
 from surfaut.core import Letter
-from surfaut.errors import CosetViolation, ImageEscapes, SignatureMismatch
+from surfaut.errors import CosetViolation, ImageEscapes, ParseError, SignatureMismatch
 from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word
 
 from conftest import SMALL_SIGS, words
@@ -194,6 +191,7 @@ class TestOuterEqual:
                 assert apply(a, u) == conjugate(apply(twin, u), w)
 
     def test_identity_vs_beta1(self):
+        # theta(1) = x1, and theta(2) = x1' y1 is not a conjugate of y1
         assert outer_equal(Automorphism.identity(S10), gen("b", 1, S10)) is None
 
     def test_symmetric_and_transitive(self, rng):
@@ -229,58 +227,75 @@ def _inner(sig, w):
     )
 
 
-class TestCentralizerCoset:
-    """When the first witness conjugator w0 fails, ``outer_equal`` searches
-    the coset r^k w0 of the centralizer of the probe's image, with root r,
-    up to a bound kmax on |k|."""
+def _reduced_words(sig, n):
+    """Every reduced word over ``sig`` of length at most ``n``."""
+    letters = [c for c in range(-sig.rank, sig.rank + 1) if c]
+    found = [()]
+    layer = [()]
+    for _ in range(n):
+        layer = [w + (c,) for w in layer for c in letters if not w or w[-1] != -c]
+        found += layer
+    return [Word(sig, w) for w in found]
 
-    def test_conjugation_against_identity(self, monkeypatch):
-        # x1 -> (x1 y1)' x1 (x1 y1) = y1' x1 y1, so w0 = y1 and the root is x1
-        roots = []
-        real = endo._centralizer_root
-        monkeypatch.setattr(
-            endo, "_centralizer_root", lambda x: roots.append(x) or real(x)
-        )
+
+class TestCentralizerCoset:
+    """Every conjugator of a pair lies in the coset 1^i r' of the centralizer
+    of the basis letter 1, where theta(1) = r 1 r' for theta = b^-1 a;
+    ``outer_equal`` reads i off theta(2) and checks the one candidate."""
+
+    def test_conjugation_against_identity(self):
+        # x1 -> (x1 y1)' x1 (x1 y1) = y1' x1 y1, so r = y1' and i = 1
         w = parse_word(S10, "x1 y1")
         assert outer_equal(_inner(S10, w), Automorphism.identity(S10)) == w
-        assert roots == [parse_word(S10, "x1")]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_finds_every_exponent_within_the_bound(self, data):
-        # rank >= 2, so the conjugator is unique: the search must return w
+    def test_recovers_every_conjugator(self, data):
+        # rank >= 2, so the conjugator is unique: it must come back as w
         sig = data.draw(st.sampled_from(SMALL_SIGS))
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
         if seed is None:
             b = Automorphism.identity(sig)
         else:
             b = random_adl_automorphism(sig, random.Random(seed), 3)
-        root = _centralizer_root(b.fwd.images[0])
-        w0 = data.draw(words(sig=sig, max_len=4))
-        k = data.draw(st.integers(-5, 5))
-        w = _power(root, k) * w0
-        a = compose(b, _inner(sig, w))
-        assert outer_equal(a, b) == w
+        w = data.draw(words(sig=sig, max_len=8))
+        assert outer_equal(compose(b, _inner(sig, w)), b) == w
 
-    def test_search_reaches_large_exponents(self, rng, monkeypatch):
-        # the coset search runs, and some conjugator lies |k| >= 5 steps
-        # along it from the first witness
-        tried = []
-        real = endo._checks_all
-        monkeypatch.setattr(
-            endo, "_checks_all", lambda a, b, w: tried.append(w) or real(a, b, w)
-        )
-        most = 0
-        for sig in SMALL_SIGS:
-            for k in range(-5, 6):
-                b = random_adl_automorphism(sig, rng, 3)
-                root = _centralizer_root(b.fwd.images[0])
-                w = _power(root, k) * Word(sig, (sig.basis_codes()[-1],))
-                del tried[:]
-                assert outer_equal(compose(b, _inner(sig, w)), b) == w
-                most = max(most, len(tried))
-        # the first witness, then +-1, ..., +-4 and +5 at least
-        assert most >= 10
+    def test_large_exponent(self):
+        # w = x1^7 y1: theta(1) = y1' x1 y1, and theta(2) carries the x1^7
+        w = parse_word(S10, "x1 x1 x1 x1 x1 x1 x1 y1")
+        assert outer_equal(_inner(S10, w), Automorphism.identity(S10)) == w
+        b = gen("a", 1, S10)
+        assert outer_equal(compose(b, _inner(S10, w)), b) == w
+
+    @pytest.mark.parametrize("sig", [S10, S03, S11], ids=str)
+    def test_none_means_no_short_conjugator(self, sig, rng):
+        # exhaustive oracle: the conjugators of length <= 3 of random pairs,
+        # half of them inner twins by a word of length <= 3
+        short = _reduced_words(sig, 3)
+        for k in range(30):
+            b = random_adl_automorphism(sig, rng, 3)
+            if k % 2:
+                a = compose(b, _inner(sig, rng.choice(short)))
+            else:
+                a = random_adl_automorphism(sig, rng, 3)
+            found = [w for w in short if compose(b, _inner(sig, w)).fwd == a.fwd]
+            w = outer_equal(a, b)
+            assert found == ([] if w is None or len(w) > 3 else [w])
+
+    @pytest.mark.parametrize(
+        "name,sig",
+        [
+            # theta(1) = y1 x1 is not a conjugate of x1
+            ("a", S10),
+            # theta fixes t1 and x1, so w = 1, which moves y1
+            ("b", S11),
+        ],
+        ids=["theta1-not-conjugate", "final-check"],
+    )
+    def test_identity_vs_generator(self, name, sig):
+        # ``TestOuterEqual.test_identity_vs_beta1`` is the case between them
+        assert outer_equal(Automorphism.identity(sig), gen(name, 1, sig)) is None
 
 
 class TestRestrictDropTp:
@@ -909,9 +924,13 @@ class TestNegativeInputs:
              ImageEscapes, "image of t1 mentions t2"),
             (lambda: restrict_relabel_K(Automorphism.identity(S11)), NotInStabilizer,
              "restrict_relabel_K needs p = 0 and g >= 1"),
+            # conjugation by x1' y1' x1 fixes it, but sends y1 to a word with x1
+            (lambda: restrict_relabel_K(_inner(S10, parse_word(S10, "x1' y1' x1"))),
+             ImageEscapes, "image of y1 leaves the x1-free factor"),
+            (lambda: parse_endomorphism("  \n "), ParseError, "empty automorphism text"),
         ],
         ids=["letter-code", "t-permutation", "outer-mixed", "drop-tp-at-p0",
-             "drop-tp-escapes", "relabel-at-p1"],
+             "drop-tp-escapes", "relabel-at-p1", "relabel-escapes", "parse-blank"],
     )
     def test_rejects(self, build, error, says):
         with pytest.raises(error, match=f"^{re.escape(says)}$"):

@@ -9,7 +9,8 @@ file of ``src/surfaut``.  The executable lines of a file are the line
 numbers of its compiled code objects.  The last line of output is JSON:
 the pytest exit code, the executable and the never-run line counts, and the
 never-run count per file; ``--list`` prints the never-run lines first.
-Tracing makes the run several times slower.
+The script exits with pytest's exit code.  Tracing makes the run several
+times slower.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main(argv: list[str]) -> int:
         "never_run": sum(map(len, never.values())),
         "never_run_by_file": {name: len(m) for name, m in never.items()},
     }))
-    return 0
+    return int(status)
 
 
 if __name__ == "__main__":
