@@ -24,9 +24,9 @@ bounded LRU.  Each entry is one value, made whole by one
   every call.  The recursion's stabilizers do not pass through it;
   ``_parts`` serves an equal loop;
 - ``_adlh_words`` keeps, per input of ``factorize_adlh`` keyed the same way,
-  its flat ADLH word, stored once the ADL word's value is checked to equal
-  the input's forward map and the flat word to have no alpha_(>=3) token.
-  An equal key is an equal forward map, so a hit compares nothing;
+  its flat ADLH word: the splice (``gens._splice``) of its checked ADL word,
+  which has the ADL word's value and no alpha_(>=3) token (see ``gens``),
+  so it is built with no fold and no check of its own;
 - ``_factored`` keeps, per Nielsen edge, the edge's reduced tokens with the
   composite of the forward values of its checked parts, so an edge is
   telescoped only on a miss;
@@ -55,11 +55,15 @@ codes, the forward image codes and the kind; the target and the inverse are
 functions of the source and the forward map.  A loop's forward map
 determines its inverse and its coset tag, so it determines the parts.  A hit
 therefore returns the values that every check passed on an equal edge or
-loop, and every part's value is the value of its word.  Evaluation is a
-homomorphism, so the end-to-end check of a level composes one value per
-edge and compares the result with the input: the same predicate as
-evaluating the whole word, so a word that fails to recompose the input is
-caught whether its parts came from a memo or not.
+loop.  Each stored value is the forward fold of its stored tokens:
+``_stab_word`` and ``_peel_parts`` return the fold of the word they return,
+and ``_factor_edge`` joins its parts' runs and composes their values in the
+same order.  Evaluation is a homomorphism and ``_join`` only cancels
+inverse pairs, so the end-to-end check of a level, which composes one value
+per edge and compares the result with the input, is a check of the word it
+returns: the same predicate as evaluating that word, whether its parts came
+from a memo or not.  Every ADL word rests on that one check, and every ADLH
+word is the splice of a checked ADL word.
 
 An audit is a replay of a factorisation that has succeeded (``_replay``):
 it telescopes every edge of a level again, in order, then peels every loop
@@ -354,19 +358,17 @@ def _compose_all(endos: list[Endomorphism], sig: Signature) -> Endomorphism:
 
 def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:
     """Loops composing to the inverse, each re-tagged; a special loop inverts
-    into a pure special-inverse loop followed by a stabilizer loop."""
+    into a pure special-inverse loop followed by a stabilizer loop.  The case
+    tables pass stab and stab_special loops only: a stab_special_inv loop
+    would fail the stab tag check of ``_loop``."""
     out: list[BaseLoop] = []
     for loop in reversed(loops):
         if loop.coset_tag == STAB or sig.p == 0:
             out.append(_loop(loop.aut.inverse()))
             continue
         sp = _special_generator(sig)
-        if loop.coset_tag == STAB_SPECIAL:
-            s = compose(loop.aut, sp.inverse())
-            out.append(_loop(sp.inverse(), STAB_SPECIAL_INV))
-        else:
-            s = compose(loop.aut, sp)
-            out.append(_loop(sp, STAB_SPECIAL))
+        s = compose(loop.aut, sp.inverse())
+        out.append(_loop(sp.inverse(), STAB_SPECIAL_INV))
         out.append(_loop(s.inverse(), STAB))
     return out
 
@@ -800,26 +802,13 @@ def _peel_parts(loop: BaseLoop, sig: Signature) -> _Parts:
 def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
     ADLH names (``gens._splice``, which joins the ADL word's runs with the
-    memoised rewrites at their seams).  Each rewrite is checked once, so the
-    recomposition check compares the input's forward map with the forward
-    map of the ADL word rather than of the much longer flat word.  The flat
-    word is read from the bounded LRU memo ``_adlh_words``, keyed like
-    ``_adl_words``: every check runs on a miss only, and an equal key is an
-    equal forward map, so a hit is the word the checks passed for it."""
-    word = _adlh_words.lookup(_loop_key(a.fwd), lambda: _adlh_word(a))
+    memoised rewrites at their seams).  The flat word is the splice of the
+    checked ADL word, and a splice keeps the value of its word and leaves no
+    alpha_(>=3) token, so it adds no check of its own.  It is read from the
+    bounded LRU memo ``_adlh_words``, keyed like ``_adl_words``: an equal
+    key is an equal forward map, so a hit is the splice of that map's
+    word."""
+    word = _adlh_words.lookup(_loop_key(a.fwd), lambda: _splice(factorize_adl(a), a.sig))
     if audit is not None:
         _replay(a, audit)
-    return word
-
-
-def _adlh_word(a: Automorphism) -> GenWord:
-    """The flat ADLH word of ``a``, once its ADL word is checked to
-    recompose ``a`` and the flat word to have no alpha_(>=3) token."""
-    sig = a.sig
-    base = factorize_adl(a)
-    if _eval_fwd(base, sig) != a.fwd:
-        raise CosetViolation("ADLH factorization failed to recompose the input")
-    word = _splice(base, sig)
-    if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
-        raise CosetViolation("ADLH output still uses alpha_(>=3)")
     return word

@@ -20,7 +20,10 @@ words and the Humphries splice) go through the trusted constructor
 cancels only at the seams between runs.  ``_splice`` returns a word with no
 alpha_(>=3) token as it is, and otherwise joins the runs between those
 tokens with the memoised runs of their rewrites (``_humphries_run``, either
-sign).
+sign).  Each rewrite run contains no alpha_(>=3) token, by induction on i
+(``humphries_rewrite``), and its value is checked; ``_join`` only cancels
+inverse pairs.  So a splice has no alpha_(>=3) token and the value of the
+word it splices, and nothing scans or folds it again.
 """
 
 from __future__ import annotations
@@ -291,26 +294,25 @@ HUMPHRIES_CHAIN = tuple(
 @memo
 def humphries_rewrite(i: int, sig: Signature) -> GenWord:
     """Rewrite alpha_i (i >= 3) over the ADLH names: conjugate alpha_(i-2) by
-    the index-shifted 16-step chain, then recursively rewrite any alpha_(>=3)
-    token the shift has introduced.
+    the index-shifted 16-step chain, then splice away the alpha_(>=3) tokens
+    the shift has introduced.
 
-    Correctness is checked by comparing the forward fold of the 33-token
-    unexpanded form with alpha_i, whose alpha_(>=3) tokens are generators
-    whose own rewrites were checked first (by the recursion in ``_splice``).
-    Evaluation is a homomorphism, so this is the same predicate as evaluating
-    the flat word, which grows about 3.7 times per genus and is built for
+    Correctness is checked once, before the splice, by comparing the forward
+    fold of the 33-token unexpanded form with alpha_i.  Its alpha tokens
+    are alpha_(i-2) and alpha_(i-1), and ``_splice`` replaces those of index
+    3 or more by their own rewrites, built the same way.  So by induction on
+    i the flat word has no alpha_(>=3) token and the value of the unexpanded
+    form: each rewrite's value is checked, evaluation is a homomorphism and
+    ``_join`` only cancels inverse pairs.  The flat word grows about 3.7 times per genus and is built for
     output only."""
     if not 3 <= i <= sig.g:
         raise IndexOutOfRange(f"humphries_rewrite needs 3 <= i <= g, got i={i} at {sig}")
     shift = i - 3
     chain = GenWord.of(*(n.shifted(shift) for n in HUMPHRIES_CHAIN))
     raw = chain.inverse() * GenWord.of(GenName("a", i - 2)) * chain
-    word = _splice(raw, sig)
     if _eval_fwd(raw, sig) != generator(GenName("a", i), sig).fwd:
         raise CosetViolation(f"Humphries rewriting failed evaluation for alpha_{i} at {sig}")
-    if any(n.family == "a" and n.index >= 3 for n, _ in word.tokens):
-        raise CosetViolation(f"Humphries rewriting for alpha_{i} still uses alpha_(>=3)")
-    return word
+    return _splice(raw, sig)
 
 
 @memo

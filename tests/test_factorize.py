@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 import sys
 from collections import OrderedDict
 
@@ -36,7 +37,7 @@ from surfaut import (
     peel_special,
     relator,
 )
-from surfaut import core
+from surfaut import core, gens
 from surfaut import factorize as F
 from surfaut import groupoid
 from surfaut import selftest
@@ -46,6 +47,7 @@ from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
     STAB_SPECIAL,
+    STAB_SPECIAL_INV,
     BaseLoop,
     EdgeScript,
     _bracket,
@@ -133,6 +135,32 @@ class TestBaseLoops:
                     nielsen_to_base_loops(e, [])
                     telescoped += 1
         assert telescoped and not checked
+
+    def test_only_stab_and_special_loops_are_inverted(self, rng, monkeypatch):
+        # hexagons, move-front and the chunked square make stab and
+        # stab_special loops only, and at p = 1 an inverse edge recurses into
+        # a hexagon, so no stab_special_inv loop is ever inverted
+        passed = []
+        real = F._invert_loops
+        monkeypatch.setattr(
+            F, "_invert_loops", lambda loops, sig: passed.extend(loops) or real(loops, sig)
+        )
+        for sig in [s for s in GRID if s.p >= 1] + [Signature(3, 1)]:
+            for _ in range(8):
+                for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
+                    nielsen_to_base_loops(e)
+                    nielsen_to_base_loops(e.inverse())
+        seen = {(loop.aut.sig.p >= 2, loop.coset_tag) for loop in passed}
+        assert seen == {(p2, tag) for p2 in (False, True) for tag in (STAB, STAB_SPECIAL)}
+
+    @pytest.mark.parametrize("sig", [S02, Signature(1, 1)])
+    def test_inverting_a_special_inverse_loop_is_coset_violation(self, sig):
+        # its stabilizer part, taken as for a stab_special loop, fails the tag
+        # check of ``_loop``
+        sp_inv = _special_generator(sig).inverse()
+        loop = F._loop(compose(gen("b", 1, sig), sp_inv) if sig.g else sp_inv, STAB_SPECIAL_INV)
+        with pytest.raises(CosetViolation, match="outside every admissible coset"):
+            F._invert_loops([loop], sig)
 
     def test_bad_loop_rejected(self):
         with pytest.raises(CosetViolation):
@@ -284,33 +312,47 @@ class TestFactorizeAdlh:
         assert eval_gen_word(base, sig).fwd == eval_gen_word(flat, sig).fwd == a.fwd
 
     def test_wrong_adl_word_is_caught(self, monkeypatch):
-        # the recomposition check compares the ADL word's value with the input
-        from surfaut import factorize
+        # the flat word is the splice of the ADL word, which the level check
+        # proved: a wrong piece value fails there, before any splice
+        real = F._edge_factors
 
-        monkeypatch.setattr(factorize, "factorize_adl", lambda a, audit=None: GenWord.of(GenName("a", 3)))
-        with pytest.raises(CosetViolation, match="ADLH factorization failed"):
-            factorize_adlh(gen("a", 4, Signature(4, 0)))
+        def wrong(e):
+            tokens, value = real(e)
+            return tokens, F._compose_endos([value, gen("a", 1, e.sig).fwd])
+
+        monkeypatch.setattr(F, "_edge_factors", wrong)
+        with pytest.raises(CosetViolation, match="factorization failed to recompose the input"):
+            factorize_adlh(gen("a", 4, S40))
+        assert not F._adl_words and not F._adlh_words
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["factorize", "--sig", "4,0", "--adlh", "--aut", "x4 -> y4' x4"]
+        assert run(argv, out, err) == 3 and out.getvalue() == ""
+        assert err.getvalue() == (
+            "internal assertion: CosetViolation: factorization failed to recompose the input\n"
+        )
 
     def test_alpha3_left_in_output_is_caught(self, monkeypatch):
-        # a rewrite that leaves alpha_3 in the ADLH word is an engine fault
-        monkeypatch.setattr(F, "_splice", lambda base, sig: GenWord.of(GenName("a", 3)))
-        with pytest.raises(CosetViolation, match=r"ADLH output still uses alpha_\(>=3\)"):
+        # a rewrite of alpha_3 whose unexpanded word keeps an alpha_3 token
+        # fails its evaluation check before it is spliced
+        bad = gens.HUMPHRIES_CHAIN[:-1] + (GenName("a", 3),)
+        monkeypatch.setattr(gens, "HUMPHRIES_CHAIN", bad)
+        message = f"Humphries rewriting failed evaluation for alpha_3 at {S30}"
+        with pytest.raises(CosetViolation, match=re.escape(message)):
             factorize_adlh(gen("a", 3, S30))
+        assert not F._adlh_words
         out, err = io.StringIO(), io.StringIO()
         argv = ["factorize", "--sig", "3,0", "--adlh", "--aut", "x3 -> y3' x3"]
         assert run(argv, out, err) == 3 and out.getvalue() == ""
-        assert err.getvalue() == (
-            "internal assertion: CosetViolation: ADLH output still uses alpha_(>=3)\n"
-        )
+        assert err.getvalue() == f"internal assertion: CosetViolation: {message}\n"
 
 
 S40 = Signature(4, 0)
 
 
-class TestAdlValueMemo:
+class TestAdlhWordMemo:
     """``factorize_adlh`` reads the flat word of its input from the bounded
-    LRU ``_adlh_words``, keyed on the input's forward image codes, and
-    checks the ADL word's value against the input only on a miss."""
+    LRU ``_adlh_words``, keyed on the input's forward image codes.  A miss
+    splices the input's checked ADL word and folds nothing."""
 
     def test_hit_equals_uncached_fold(self, rng, monkeypatch):
         inputs = [random_adl_automorphism(S30, rng, 3) for _ in range(6)]
@@ -330,6 +372,17 @@ class TestAdlValueMemo:
         assert [factorize_adlh(a) for a in inputs] == words
         assert folds == []
 
+    def test_miss_on_a_warm_adl_word_folds_nothing(self, monkeypatch):
+        a = gen("a", 4, S40)
+        base = factorize_adl(a)
+        for i in (3, 4):
+            gens.humphries_rewrite(i, S40)
+        folds = []
+        _counting(monkeypatch, "_eval_fwd", folds)
+        word = factorize_adlh(a)
+        assert folds == [] and word == F._splice(base, S40)
+        assert list(F._adlh_words) == [F._loop_key(a.fwd)]
+
     def test_raise_stores_nothing(self, monkeypatch):
         a = gen("a", 3, S40)
         factorize_adl(a)  # the ADL word is memoised; its flat word is not
@@ -337,7 +390,7 @@ class TestAdlValueMemo:
         def fail(w, sig):
             raise CosetViolation("forced")
 
-        monkeypatch.setattr(F, "_eval_fwd", fail)
+        monkeypatch.setattr(F, "_splice", fail)
         with pytest.raises(CosetViolation, match="forced"):
             factorize_adlh(a)
         assert not F._adlh_words
@@ -346,16 +399,16 @@ class TestAdlValueMemo:
         assert list(F._adlh_words) == [F._loop_key(a.fwd)]
 
     def test_warm_entry_of_another_input_still_fails(self, monkeypatch):
-        # the patched ADL word of a4 is the word of a3, whose flat word is
-        # warm: a4's key misses, and a3's word does not recompose a4
+        # the patched peak reduction of a4 returns the edges of a3, whose
+        # factors are warm: every piece is a hit, and they compose to a3
         a3, a4 = gen("a", 3, S40), gen("a", 4, S40)
         factorize_adlh(a3)
-        warm = dict(F._adlh_words)
-        word = factorize_adl(a3)
-        monkeypatch.setattr(F, "factorize_adl", lambda a, audit=None: word)
-        with pytest.raises(CosetViolation, match="ADLH factorization failed"):
+        reduction = F._reduce(relator(S40), a3.fwd, F._reduced)
+        warm = [dict(memo) for memo in (F._adl_words, F._adlh_words, F._factored)]
+        monkeypatch.setattr(F, "_reduce", lambda V, endo, memo: reduction)
+        with pytest.raises(CosetViolation, match="factorization failed to recompose the input"):
             factorize_adlh(a4)
-        assert F._adlh_words == warm
+        assert [dict(memo) for memo in (F._adl_words, F._adlh_words, F._factored)] == warm
 
     def test_bounded_least_recently_used_first(self, monkeypatch):
         inputs = [gen(f, i, S40) for f, i in (("a", 3), ("b", 4), ("g", 4))]
@@ -976,6 +1029,21 @@ class TestFactorMemos:
         assert F._factored and F._parts
         assert [outputs(a) for a in cases] == cold
         assert any("=>" in audit for _, _, audit in cold)
+
+    def test_each_stored_value_is_the_fold_of_its_tokens(self, rng):
+        # so the level check, which composes the stored values, checks the
+        # word the stored tokens join into
+        for sig in GRID + (S40,):
+            for _ in range(3):
+                factorize_adl(random_adl_automorphism(sig, rng, _short(sig)))
+        factorize_adl(gen("a", 4, S40))
+        assert len(F._factored) > 100 and len(F._parts) > 50
+        for key, (tokens, value) in F._factored.items():
+            assert F._eval_fwd(GenWord(tokens), key[0]) == value
+        for key, parts in F._parts.items():
+            assert all(word.tokens for word, _ in parts)
+            for word, value in parts:
+                assert F._eval_fwd(word, key[0]) == value
 
     def test_raising_peel_is_not_stored(self, rng, monkeypatch):
         # the second loop peeled at the top signature raises: the first

@@ -423,7 +423,11 @@ class TestSplice:
     )
     def test_random_words_match_reference(self, sig, tokens):
         w = GenWord(tuple((n, e) for n, e in tokens if n.index <= sig.g))
-        assert _splice(w, sig) == reference_splice(w, sig)
+        spliced = _splice(w, sig)
+        assert spliced == reference_splice(w, sig)
+        # a splice leaves no alpha_(>=3) token and keeps the value of its word
+        assert not any(n.family == "a" and n.index >= 3 for n, _ in spliced.tokens)
+        assert _eval_fwd(spliced, sig) == _eval_fwd(w, sig)
 
     def test_word_without_high_alpha_is_returned_as_is(self):
         w = parse_gen_word("b3 a2 g3' a1")
