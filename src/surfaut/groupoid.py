@@ -49,6 +49,17 @@ whose target and class permutation were checked on an equal key; and
 ``_template_move``, the template pair per (signature, tag, moved letter,
 neighbour letter).
 
+``_canon_tails`` (a ``core._Memo``) keeps the tails of canonical
+normalisations, keyed on the word (its signature and codes).  The walk of
+steps (i)-(vii) reads only the current word, so the set of words it
+passes is closed under suffixes: the normalisation from a word a walk
+reaches is the rest of that walk.  Each call looks up its word before every
+step; a hit appends the stored maps and records from the stored index and
+ends the walk.  Every step the call fires itself is still checked, all its
+maps are still composed once and the composite checked to carry V to the
+relator; only then does the call store, for each word it walked from, its
+maps, its records and that word's index, so a raise stores nothing.
+
 ``nielsen_reduce`` runs the loop ``_reduce`` with no memo.  Factorisation
 passes its memo of reduction suffixes (``factorize._reduced``), keyed on each
 state after the first (``_Carry.key``): the rest of a reduction is a
@@ -658,31 +669,74 @@ class StepRecord:
         return f"({self.kind} k={self.level}) {self.before} => {self.after}"
 
 
+#: The tail memo of ``canonical_edge``: each word a call walked from, V
+#: included, keys (the call's maps, its step records, the index of the step
+#: fired from that word).  The walk reads only the current word, so the rest
+#: of any normalisation that reaches a key is the stored call's steps from
+#: that index on.
+_canon_tails = _Memo()
+
+
 @memo
 def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     """The deterministic edge carrying a Zieschang word onto the relator.
 
     Returns the composite automorphism and the log of fired moves.  Results
     are kept in a bounded LRU memo keyed on the word, that is on its
-    signature and codes.
+    signature and codes; the walk from a word that an earlier call walked
+    from is served from ``_canon_tails`` (see the module docstring).
     """
     sig = V.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
     steps: list[StepRecord] = []
     auts: list[Automorphism] = []
+    walk = _canonical_moves(sig)
+    next(walk)
     cur = V
-
-    def fire(aut: Automorphism, kind: str, level: int, moved) -> None:
+    walked = 0
+    while True:
+        tail = _canon_tails.get(cur)
+        if tail is not None:
+            _canon_tails.move_to_end(cur)
+            tail_auts, tail_steps, i = tail
+            auts.extend(tail_auts[i:])
+            steps.extend(tail_steps[i:])
+            cur = tail_steps[-1].after
+            break
+        move = walk.send(cur)
+        if move is None:
+            break
+        aut, kind, level, moved = move
         # ``moved``: the basis letters the step moves, when known by
         # construction, so that the new word is spliced
-        nonlocal cur
         before = cur
         cur = aut.apply(cur) if moved is None else _spliced(aut, cur, moved)
-        auts.append(aut)
         if not is_zieschang(cur, sig):
             raise NotZieschang(f"canonical step ({kind}, {level}) left {cur}")
+        auts.append(aut)
         steps.append(StepRecord(kind, level, before, cur))
+        walked += 1
+
+    target = relator(sig)
+    if cur != target:
+        raise CosetViolation(f"canonical normalization ended at {cur}")
+    # one composite per call, checked on the word it must carry
+    acc = compose(*auts) if auts else Automorphism.identity(sig)
+    if acc.apply(V) != target:
+        raise CosetViolation("canonical composite does not carry V to the relator")
+    done_auts, done_steps = tuple(auts), tuple(steps)
+    for i in range(walked):
+        _canon_tails.put(steps[i].before, (done_auts, done_steps, i))
+    return acc, done_steps
+
+
+def _canonical_moves(sig: Signature):
+    """The walk of steps (i)-(vii) at ``sig``, as a generator: after one
+    ``next`` to start it, each word sent to it is answered with the move
+    fired from that word, (map, kind, level, moved letters or None), and
+    the word reached at the end with None."""
+    cur = yield
 
     # puncture phase: establish the prefix t_p .. t_1
     for j in range(sig.p, 0, -1):
@@ -692,9 +746,9 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
         ti = rest[m]
         if m > 0:
             P = Word(sig, rest[:m])
-            fire(letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),))
+            cur = yield letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),)
         if ti != sig.t_code(j):
-            fire(swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j})
+            cur = yield swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j}
 
     # handle phase: establish [x_i, y_i] blocks left to right
     for i in range(1, sig.g + 1):
@@ -702,7 +756,7 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
         xi, yi = sig.x_code(i), sig.y_code(i)
         a = cur.codes[done]
         if a != -xi:
-            fire(swap_letters(sig, a, -xi), "iv", i, {abs(a), xi})
+            cur = yield swap_letters(sig, a, -xi), "iv", i, {abs(a), xi}
         rest = cur.codes[done:]
         mpos = rest.index(xi)
         P, Q = rest[1:mpos], rest[mpos + 1 :]
@@ -711,26 +765,20 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
             P1, P2 = Word(sig, P[:b_idx]), Word(sig, P[b_idx + 1 :])
-            fire(letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i, (abs(b),))
+            move = letter_move(sig, b, P1.inverse(), P2.inverse())
+            cur = yield move, "v", i, (abs(b),)
             rest = cur.codes[done:]
             mpos = rest.index(xi)
             P = rest[1:mpos]
         b = P[0]
         if b != -yi:
-            fire(swap_letters(sig, b, -yi), "vi", i, {abs(b), yi})
+            cur = yield swap_letters(sig, b, -yi), "vi", i, {abs(b), yi}
         rest = cur.codes[done:]
         qpos = rest.index(yi)
         mid = rest[3:qpos]
         if mid:
-            fire(_whitehead_step(cur, sig, i, done), "vii", i, None)
-
-    if cur != relator(sig):
-        raise CosetViolation(f"canonical normalization ended at {cur}")
-    # one composite per call, checked on the word it must carry
-    acc = compose(*auts) if auts else Automorphism.identity(sig)
-    if acc.apply(V) != relator(sig):
-        raise CosetViolation("canonical composite does not carry V to the relator")
-    return acc, tuple(steps)
+            cur = yield _whitehead_step(cur, sig, i, done), "vii", i, None
+    yield None
 
 
 def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphism:

@@ -15,7 +15,10 @@ one edge fewer than vertices, that is one path plus any number of cycles.
 The one vertex with no predecessor is v_1', so the graph is a forest exactly
 when the walk from v_1' visits all 4g + 2p vertices.  ``build_graph`` with
 its union-find check (``is_forest``) and ``forest_check_dfs`` are the two
-independent oracles of that walk.
+independent oracles of that walk.  The verdict is a function of the
+signature and the codes, so ``_is_zieschang`` keeps it per (signature,
+codes) in a ``core.memo``; a word of another signature is refused before
+the memo, so that branch stores nothing.
 
 ``is_onto`` is the independent oracle of automorphism-ness (Stallings,
 *Topology of finite graphs*, 1983; Kapovich and Myasnikov, *Stallings
@@ -93,7 +96,12 @@ def is_zieschang(V: Word, sig: Signature) -> bool:
     """True iff V is a candidate and its extended graph is a forest."""
     if V.sig is not sig and V.sig != sig:
         return False
-    codes = V.codes
+    return _is_zieschang(sig, V.codes)
+
+
+@memo
+def _is_zieschang(sig: Signature, codes: tuple[int, ...]) -> bool:
+    """``is_zieschang`` of the word ``codes`` of ``sig``."""
     n = len(codes)
     # n letters forming the n-element candidate set: each occurs once
     if n != sig.chain_len or frozenset(codes) != _candidate_letters(sig):

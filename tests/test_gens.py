@@ -230,6 +230,14 @@ class TestEta:
     def test_in_A(self):
         assert membership(eta()).in_A
 
+    def test_failed_certification_is_caught(self, monkeypatch):
+        # eta certifies its own map; a refusal is an engine fault
+        from surfaut import groupoid
+
+        monkeypatch.setattr(groupoid, "certify_automorphism", lambda fwd: None)
+        with pytest.raises(CosetViolation, match="^eta failed certification$"):
+            eta()
+
 
 class TestZetaLift:
     def test_genus_one_swap(self):

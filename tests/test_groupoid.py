@@ -51,7 +51,7 @@ from surfaut.groupoid import (
 from surfaut.whitehead import _candidate_letters, is_zieschang
 from surfaut.selftest import GRID, random_adl_automorphism, random_word, random_zieschang
 
-from conftest import SMALL_SIGS, word_pairs
+from conftest import SMALL_SIGS, clear_memos, word_pairs
 
 S10 = Signature(1, 0)
 S11 = Signature(1, 1)
@@ -645,6 +645,37 @@ class TestTemplateClasses:
             groupoid._nielsen_edge.__wrapped__(relator(S11), N2_RIGHT, 2)
 
 
+def _map_builders(monkeypatch):
+    """Record every canonical step map built; returns the list they land in.
+    Each step builds its map with exactly one of these, in step order."""
+    maps = []
+    for name in ("letter_move", "swap_letters", "_whitehead_step"):
+
+        def recording(*args, real=getattr(groupoid, name)):
+            maps.append(real(*args))
+            return maps[-1]
+
+        monkeypatch.setattr(groupoid, name, recording)
+    return maps
+
+
+def _walked(sig, rng, enough):
+    """A seeded Zieschang word of ``sig`` whose canonical steps satisfy
+    ``enough``, with those steps; the memos are left empty."""
+    while True:
+        V = random_zieschang(sig, rng)
+        clear_memos()
+        _, steps = canonical_edge(V)
+        if enough(steps):
+            clear_memos()
+            return V, steps
+
+
+def _memo_state():
+    """What the two memos of ``canonical_edge`` hold."""
+    return canonical_edge.cache_info().currsize, dict(groupoid._canon_tails)
+
+
 class TestSplicedTargets:
     """Template edges and canonical steps (i)-(vi) splice their targets from
     the moved letters; each target must be the image under ``apply``."""
@@ -668,20 +699,12 @@ class TestSplicedTargets:
         assert edges_seen > 1000
 
     def test_canonical_steps_match_apply(self, rng, monkeypatch):
-        # each step builds its map with exactly one of these, in step order
-        maps = []
-        for name in ("letter_move", "swap_letters", "_whitehead_step"):
-
-            def recording(*args, real=getattr(groupoid, name)):
-                maps.append(real(*args))
-                return maps[-1]
-
-            monkeypatch.setattr(groupoid, name, recording)
+        maps = _map_builders(monkeypatch)
         kinds = set()
         for sig in list(GRID) + OFF_GRID:
             for _ in range(12):
                 maps.clear()
-                canonical_edge.cache_clear()
+                clear_memos()  # a tail hit would skip the maps counted here
                 _, steps = canonical_edge(random_zieschang(sig, rng))
                 assert len(maps) == len(steps)
                 for aut, step in zip(maps, steps):
@@ -770,6 +793,223 @@ class TestCanonicalEdge:
                 assert apply(phi, V) == relator(sig)
                 for rec in steps:
                     assert is_zieschang(rec.after, sig)
+
+
+class TestCanonicalTails:
+    """The walk reads only the current word, so the normalisation from any
+    word it reaches is the rest of the walk: ``_canon_tails`` serves it."""
+
+    def test_every_step_starts_the_rest_of_the_walk(self, rng):
+        tried = 0
+        for sig in list(GRID) + OFF_GRID:
+            for _ in range(20):
+                V = random_zieschang(sig, rng)
+                clear_memos()
+                phi, steps = canonical_edge(V)
+                if not steps:
+                    continue
+                maps, stored, i = groupoid._canon_tails[V]
+                assert (stored, i) == (steps, 0) and len(maps) == len(steps)
+                assert compose(*maps).fwd == phi.fwd
+                for k, step in enumerate(steps, 1):
+                    clear_memos()
+                    rest_phi, rest = canonical_edge(step.after)
+                    assert rest == steps[k:]
+                    if rest:
+                        assert rest_phi.fwd == compose(*maps[k:]).fwd
+                        assert rest_phi.inv == compose(*maps[k:]).inv
+                    else:
+                        assert rest_phi.is_identity()
+                    tried += 1
+        assert tried > 1000, tried
+
+    def test_golden_words_in_reverse_with_warm_memos(self, monkeypatch):
+        maps = _map_builders(monkeypatch)
+        fired = 0
+        for case in reversed(_CANON_GOLDEN):
+            s = Signature(*map(int, case["sig"].split(",")))
+            phi, steps = canonical_edge(parse_word(s, case["word"]))
+            assert format_endomorphism(phi.fwd).splitlines() == case["fwd"]
+            assert format_endomorphism(phi.inv).splitlines() == case["inv"]
+            assert [str(r) for r in steps] == case["steps"]
+            fired += len(steps)
+        # the tails served the steps that were not built
+        assert 0 < len(maps) < fired
+
+    def test_a_stored_tail_serves_the_rest(self, rng, monkeypatch):
+        V, steps = _walked(Signature(2, 1), rng, lambda s: len(s) >= 3)
+        canonical_edge(steps[0].after)
+        maps = _map_builders(monkeypatch)
+        phi, served = canonical_edge(V)
+        assert len(maps) == 1 and served == steps
+        assert apply(phi, V) == relator(V.sig)
+        # the call stores its own word; the served words keep their entries,
+        # and the hit is now the most recently used after V
+        assert groupoid._canon_tails[V][1:] == (steps, 0)
+        assert groupoid._canon_tails[steps[0].after][2] == 0
+        assert list(groupoid._canon_tails)[-2:] == [steps[0].after, V]
+
+    def test_relator_stores_nothing(self):
+        canonical_edge(relator(S11))
+        assert not groupoid._canon_tails
+
+
+class TestCanonicalFaults:
+    """The engine-fault raises of ``canonical_edge``, on a walked path (empty
+    memos) and on a path a stored tail serves after the first step.  A raise
+    stores nothing in either memo of ``canonical_edge``."""
+
+    SIG = Signature(2, 1)
+
+    @pytest.fixture
+    def walk(self, rng):
+        # the first step is spliced, and the tail after it has two steps or more
+        return _walked(
+            self.SIG, rng, lambda s: len(s) >= 3 and s[0].kind != "vii"
+        )
+
+    def _warm_tail(self, steps):
+        canonical_edge(steps[0].after)
+        return _memo_state()
+
+    @pytest.mark.parametrize("served", [False, True])
+    def test_step_leaving_a_non_zieschang_word(self, walk, served, monkeypatch):
+        V, steps = walk
+        before = self._warm_tail(steps) if served else _memo_state()
+        monkeypatch.setattr(groupoid, "_spliced", lambda aut, W, moved: Word(W.sig, ()))
+        first = steps[0]
+        with pytest.raises(
+            NotZieschang, match=rf"^canonical step \({first.kind}, {first.level}\) left 1$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == before
+
+    def test_walk_ending_early(self, walk, monkeypatch):
+        V, steps = walk
+        real = groupoid._canonical_moves
+
+        def one_move(sig):
+            moves = real(sig)
+            next(moves)
+            cur = yield
+            yield moves.send(cur)
+            yield None
+
+        monkeypatch.setattr(groupoid, "_canonical_moves", one_move)
+        with pytest.raises(
+            CosetViolation, match=rf"^canonical normalization ended at {steps[0].after}$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == (0, {})
+
+    def test_served_tail_ending_early(self, walk):
+        V, steps = walk
+        W = steps[0].after
+        self._warm_tail(steps)
+        maps, stored, i = groupoid._canon_tails[W]
+        groupoid._canon_tails[W] = (maps[:-1], stored[:-1], i)
+        before = _memo_state()
+        with pytest.raises(
+            CosetViolation, match=rf"^canonical normalization ended at {steps[-2].after}$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == before
+
+    def test_composite_missing_a_map(self, walk, monkeypatch):
+        V, _ = walk
+        real = groupoid.compose
+        monkeypatch.setattr(groupoid, "compose", lambda *maps: real(*maps[:-1]))
+        with pytest.raises(
+            CosetViolation, match="^canonical composite does not carry V to the relator$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == (0, {})
+
+    def test_served_tail_with_wrong_maps(self, walk):
+        V, steps = walk
+        W = steps[0].after
+        self._warm_tail(steps)
+        maps, stored, i = groupoid._canon_tails[W]
+        identity = Automorphism.identity(self.SIG)
+        groupoid._canon_tails[W] = (tuple(identity for _ in maps), stored, i)
+        before = _memo_state()
+        with pytest.raises(
+            CosetViolation, match="^canonical composite does not carry V to the relator$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == before
+
+
+class TestWhiteheadStepFaults:
+    """The engine-fault raises of step (vii): a chain line whose segment
+    holds a block or puncture letter, and a built map that moves the tail or
+    fails to conjugate the segment."""
+
+    SIG = Signature(2, 1)
+
+    def _segment(self, rec):
+        """The segment word between x_i and y_i of the word before step
+        (vii) ``rec``."""
+        rest = rec.before.codes[self.SIG.p + 4 * (rec.level - 1) :]
+        return rest[3 : rest.index(self.SIG.y_code(rec.level))]
+
+    @pytest.fixture
+    def step(self, rng):
+        # a step (vii) on the first block, so the tail holds the second; the
+        # segment's two ends are distinct vertices of the chain line
+        def found(steps):
+            return any(
+                r.kind == "vii" and -self._segment(r)[0] != self._segment(r)[-1]
+                for r in steps
+            )
+
+        _, steps = _walked(self.SIG, rng, found)
+        rec = next(r for r in steps if r.kind == "vii")
+        assert rec.level == 1 and -self._segment(rec)[0] != self._segment(rec)[-1]
+        return rec, self.SIG.p
+
+    @pytest.mark.parametrize(
+        "letter, message",
+        [
+            ("x1", "segment contains x1"),
+            ("x1'", "segment contains x1'"),
+            ("y1", "segment contains y1"),
+            ("y1'", "segment contains y1'"),
+            ("t1", "segment contains a puncture letter"),
+        ],
+    )
+    def test_segment_letter(self, step, letter, message, monkeypatch):
+        rec, done = step
+        sig = self.SIG
+        (bad,) = parse_word(sig, letter).codes
+        mid = self._segment(rec)
+        real = groupoid.chain_line(groupoid.build_graph(rec.before, sig))
+        line = [v for v in real if v != bad]
+        lo = min(line.index(-mid[0]), line.index(mid[-1]))
+        line.insert(lo + 1, bad)
+        monkeypatch.setattr(groupoid, "chain_line", lambda graph: line)
+        with pytest.raises(CosetViolation, match=f"^{message}$"):
+            groupoid._whitehead_step(rec.before, sig, rec.level, done)
+
+    def test_map_moving_the_tail(self, step, monkeypatch):
+        rec, done = step
+        sig = self.SIG
+        rest = rec.before.codes[done:]
+        tail = rest[rest.index(sig.y_code(rec.level)) + 1 :]
+        assert tail
+        moving = letter_move(sig, tail[0], Word(sig, ()), Word(sig, (sig.x_code(1),)))
+        monkeypatch.setattr(groupoid, "_aut", lambda fwd, inv: moving)
+        with pytest.raises(CosetViolation, match="^whitehead step moved the tail$"):
+            groupoid._whitehead_step(rec.before, sig, rec.level, done)
+
+    def test_map_not_conjugating_the_segment(self, step, monkeypatch):
+        rec, done = step
+        identity = Automorphism.identity(self.SIG)
+        monkeypatch.setattr(groupoid, "_aut", lambda fwd, inv: identity)
+        with pytest.raises(
+            CosetViolation, match="^whitehead step failed to conjugate the segment word$"
+        ):
+            groupoid._whitehead_step(rec.before, self.SIG, rec.level, done)
 
 
 class TestCertify:

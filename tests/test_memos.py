@@ -54,6 +54,7 @@ def test_finds_the_known_caches():
         "surfaut.groupoid._rank_table",
         "surfaut.groupoid._template_move",
         "surfaut.whitehead._candidate_letters",
+        "surfaut.whitehead._is_zieschang",
     } <= names
 
 
@@ -66,6 +67,7 @@ def test_finds_the_known_dict_memos():
         "surfaut.factorize._parts",
         "surfaut.factorize._reduced",
         "surfaut.factorize._tags",
+        "surfaut.groupoid._canon_tails",
     } <= set(package_dict_memos())
 
 

@@ -29,6 +29,8 @@ from surfaut.selftest import (
     random_candidate,
     random_candidate_word,
 )
+from surfaut import core, whitehead
+from surfaut.core import MEMO_SIZE
 from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs, is_onto
 
 from conftest import SMALL_SIGS
@@ -132,6 +134,23 @@ class TestIsZieschang:
     def test_non_candidates_false(self):
         assert not is_zieschang(parse_word(S10, "x1"), S10)
         assert not is_zieschang(Word.identity(S10), S10)
+
+    def test_verdict_memo_is_keyed_on_signature_and_codes(self):
+        info = whitehead._is_zieschang.cache_info
+        V = relator(S11)
+        assert is_zieschang(V, S11) and is_zieschang(Word(S11, V.codes), S11)
+        assert (info().hits, info().misses, info().maxsize) == (1, 1, MEMO_SIZE)
+        assert any(m is whitehead._is_zieschang for m in core._MEMOS)
+
+    def test_other_signature_is_refused_before_the_memo(self):
+        # the codes of a stored Zieschang verdict, on a word of another
+        # signature: refused, and nothing is looked up or stored
+        V = relator(S11)
+        assert is_zieschang(V, S11)
+        before = whitehead._is_zieschang.cache_info()
+        assert not is_zieschang(Word(Signature(1, 2), V.codes), S11)
+        assert not is_zieschang(relator(S10), S11)
+        assert whitehead._is_zieschang.cache_info() == before
 
 
 #: Every signature with 2g + p <= 8, (0, 0), (0, 1) and (1, 0) among them.
