@@ -640,10 +640,10 @@ def _alpha1_power(delta: Endomorphism, sig: Signature) -> int:
     img = delta.images[x1 - 1].codes
     if not img or img[-1] != x1:
         raise CosetViolation("relabeling discrepancy has the wrong x1 image")
+    # a prefix of a reduced word in y1 and y1' has no y1 next to y1', so
+    # its letters are all equal
     head = img[:-1]
     if any(abs(c) != y1 for c in head):
-        raise CosetViolation("relabeling discrepancy is not a power of alpha_1")
-    if head and len({c for c in head}) != 1:
         raise CosetViolation("relabeling discrepancy is not a power of alpha_1")
     m = len(head) if head and head[0] == y1 else -len(head)
     return -m

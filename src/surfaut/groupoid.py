@@ -42,23 +42,23 @@ collects its steps, composes them once per call (witnessed by algebra, see
 ``endo.compose``) and checks that the composite carries the word to the
 relator.
 
-Three memos (``core.memo``, the package's one bounded LRU) keep pure
-functions of their keys, and a raise stores nothing: ``canonical_edge`` per
-word; ``_nielsen_edge`` per (source, tag, k), so a hit returns an edge
-whose target and class permutation were checked on an equal key; and
+Five memos (``core.memo``, the package's one bounded LRU) keep pure
+functions of their keys, and a raise stores nothing: ``canonical_edge`` and
+``_step`` per word; ``_nielsen_edge`` per (source, tag, k), so a hit returns
+an edge whose target and class permutation were checked on an equal key;
 ``_template_move``, the template pair per (signature, tag, moved letter,
-neighbour letter).
+neighbour letter); and ``_rank_table`` per signature.
 
-``_canon_tails`` (a ``core._Memo``) keeps the tails of canonical
-normalisations, keyed on the word (its signature and codes).  The walk of
-steps (i)-(vii) reads only the current word, so the set of words it
-passes is closed under suffixes: the normalisation from a word a walk
-reaches is the rest of that walk.  Each call looks up its word before every
-step; a hit appends the stored maps and records from the stored index and
-ends the walk.  Every step the call fires itself is still checked, all its
-maps are still composed once and the composite checked to carry V to the
-relator; only then does the call store, for each word it walked from, its
-maps, its records and that word's index, so a raise stores nothing.
+``canonical_edge`` follows ``_step`` links.  Each move of steps (i)-(vii)
+reads only the current word: ``_first_move`` fires on the first block of
+the word that differs from the relator's.  So the walk from V is its first
+move followed by the walk from the word that move reaches, and ``_step``
+keeps that first move per word, its map and record, once the word it
+reaches is checked Zieschang.  A walk that reaches a word an earlier walk
+left follows the stored links from there and builds no map for them.
+``_first_move`` is None only when all p + g blocks match, and they cover
+all 4g + p letters, so every walk ends at the relator.  Each call composes
+its maps once and checks that the composite carries V to the relator.
 
 ``nielsen_reduce`` runs the loop ``_reduce`` with no memo.  Factorisation
 passes its memo of reduction suffixes (``factorize._reduced``), keyed on each
@@ -669,95 +669,81 @@ class StepRecord:
         return f"({self.kind} k={self.level}) {self.before} => {self.after}"
 
 
-#: The tail memo of ``canonical_edge``: each word a call walked from, V
-#: included, keys (the call's maps, its step records, the index of the step
-#: fired from that word).  The walk reads only the current word, so the rest
-#: of any normalisation that reaches a key is the stored call's steps from
-#: that index on.
-_canon_tails = _Memo()
-
-
 @memo
 def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     """The deterministic edge carrying a Zieschang word onto the relator.
 
     Returns the composite automorphism and the log of fired moves.  Results
     are kept in a bounded LRU memo keyed on the word, that is on its
-    signature and codes; the walk from a word that an earlier call walked
-    from is served from ``_canon_tails`` (see the module docstring).
+    signature and codes; the walk follows the memoised links of ``_step``
+    (see the module docstring).
     """
     sig = V.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
-    steps: list[StepRecord] = []
     auts: list[Automorphism] = []
-    walk = _canonical_moves(sig)
-    next(walk)
-    cur = V
-    walked = 0
-    while True:
-        tail = _canon_tails.get(cur)
-        if tail is not None:
-            _canon_tails.move_to_end(cur)
-            tail_auts, tail_steps, i = tail
-            auts.extend(tail_auts[i:])
-            steps.extend(tail_steps[i:])
-            cur = tail_steps[-1].after
-            break
-        move = walk.send(cur)
-        if move is None:
-            break
-        aut, kind, level, moved = move
-        # ``moved``: the basis letters the step moves, when known by
-        # construction, so that the new word is spliced
-        before = cur
-        cur = aut.apply(cur) if moved is None else _spliced(aut, cur, moved)
-        if not is_zieschang(cur, sig):
-            raise NotZieschang(f"canonical step ({kind}, {level}) left {cur}")
+    steps: list[StepRecord] = []
+    link = _step(V)
+    while link is not None:
+        aut, step = link
         auts.append(aut)
-        steps.append(StepRecord(kind, level, before, cur))
-        walked += 1
-
-    target = relator(sig)
-    if cur != target:
-        raise CosetViolation(f"canonical normalization ended at {cur}")
+        steps.append(step)
+        link = _step(step.after)
     # one composite per call, checked on the word it must carry
     acc = compose(*auts) if auts else Automorphism.identity(sig)
-    if acc.apply(V) != target:
+    if acc.apply(V) != relator(sig):
         raise CosetViolation("canonical composite does not carry V to the relator")
-    done_auts, done_steps = tuple(auts), tuple(steps)
-    for i in range(walked):
-        _canon_tails.put(steps[i].before, (done_auts, done_steps, i))
-    return acc, done_steps
+    return acc, tuple(steps)
 
 
-def _canonical_moves(sig: Signature):
-    """The walk of steps (i)-(vii) at ``sig``, as a generator: after one
-    ``next`` to start it, each word sent to it is answered with the move
-    fired from that word, (map, kind, level, moved letters or None), and
-    the word reached at the end with None."""
-    cur = yield
+@memo
+def _step(V: Word) -> Optional[tuple[Automorphism, StepRecord]]:
+    """The first move of the walk from the Zieschang word V, its map and
+    record, once the word it reaches is checked Zieschang; None at the
+    relator."""
+    move = _first_move(V)
+    if move is None:
+        return None
+    aut, kind, level, moved = move
+    # ``moved``: the basis letters the step moves, when known by
+    # construction, so that the new word is spliced
+    W = aut.apply(V) if moved is None else _spliced(aut, V, moved)
+    if not is_zieschang(W, V.sig):
+        raise NotZieschang(f"canonical step ({kind}, {level}) left {W}")
+    return aut, StepRecord(kind, level, V, W)
+
+
+def _first_move(V: Word):
+    """The move of steps (i)-(vii) that the walk fires from V, as (map, kind,
+    level, moved letters or None), or None when V is the relator.  It fires
+    on the first block of V that differs from the relator's: t_p .. t_1 one
+    letter each, then each [x_i, y_i] as four letters."""
+    sig = V.sig
+    codes = V.codes
 
     # puncture phase: establish the prefix t_p .. t_1
     for j in range(sig.p, 0, -1):
         done = sig.p - j
-        rest = cur.codes[done:]
+        if codes[done] == j:
+            continue
+        rest = codes[done:]
         m = next(idx for idx, c in enumerate(rest) if sig.is_t_code(c))
         ti = rest[m]
         if m > 0:
             P = Word(sig, rest[:m])
-            cur = yield letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),)
-        if ti != sig.t_code(j):
-            cur = yield swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j}
+            return letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),)
+        return swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j}
 
     # handle phase: establish [x_i, y_i] blocks left to right
     for i in range(1, sig.g + 1):
         done = sig.p + 4 * (i - 1)
         xi, yi = sig.x_code(i), sig.y_code(i)
-        a = cur.codes[done]
+        if codes[done : done + 4] == (-xi, -yi, xi, yi):
+            continue
+        a = codes[done]
         if a != -xi:
-            cur = yield swap_letters(sig, a, -xi), "iv", i, {abs(a), xi}
-        rest = cur.codes[done:]
+            return swap_letters(sig, a, -xi), "iv", i, {abs(a), xi}
+        rest = codes[done:]
         mpos = rest.index(xi)
         P, Q = rest[1:mpos], rest[mpos + 1 :]
         if len(P) >= 2:
@@ -765,20 +751,13 @@ def _canonical_moves(sig: Signature):
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
             P1, P2 = Word(sig, P[:b_idx]), Word(sig, P[b_idx + 1 :])
-            move = letter_move(sig, b, P1.inverse(), P2.inverse())
-            cur = yield move, "v", i, (abs(b),)
-            rest = cur.codes[done:]
-            mpos = rest.index(xi)
-            P = rest[1:mpos]
+            return letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i, (abs(b),)
         b = P[0]
         if b != -yi:
-            cur = yield swap_letters(sig, b, -yi), "vi", i, {abs(b), yi}
-        rest = cur.codes[done:]
-        qpos = rest.index(yi)
-        mid = rest[3:qpos]
-        if mid:
-            cur = yield _whitehead_step(cur, sig, i, done), "vii", i, None
-    yield None
+            return swap_letters(sig, b, -yi), "vi", i, {abs(b), yi}
+        # the block starts x_i' y_i' x_i, so a segment sits before y_i
+        return _whitehead_step(V, sig, i, done), "vii", i, None
+    return None
 
 
 def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphism:

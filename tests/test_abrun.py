@@ -1,37 +1,14 @@
 """``tools/abrun.py``, the paired A/B timing of one benchmark workload: it
-finds the memos it empties between passes, and it runs end to end with this
-checkout as both trees."""
+runs end to end with this checkout as both trees."""
 
-import importlib
-import importlib.util
 import json
 import pathlib
-import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-import surfaut
-from surfaut import core
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _abrun():
-    spec = importlib.util.spec_from_file_location("abrun", ROOT / "tools" / "abrun.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_finds_the_registered_memos():
-    # by introspection, and by identity: every registered memo and no class
-    for info in pkgutil.iter_modules(surfaut.__path__):
-        importlib.import_module(f"surfaut.{info.name}")
-    found = _abrun().package_memos(surfaut)
-    assert {id(m) for m in found} == {id(m) for m in core._MEMOS}
-    assert len(found) == len(core._MEMOS)
 
 
 @pytest.mark.parametrize("workload", ["adl-grid", "adlh-high-genus"])

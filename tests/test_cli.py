@@ -153,6 +153,17 @@ class TestCertifyFactorize:
         else:
             assert out == "not an automorphism\n"
 
+    def test_factorize_stuck_reduction_exits_1(self, monkeypatch):
+        # the same forced refusal: ``factorize`` takes its input for no
+        # automorphism
+        def stuck(V, phi):
+            raise ReductionStuck("forced")
+
+        monkeypatch.setattr(groupoid, "nielsen_reduce", stuck)
+        code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "y1 -> x1 y1"])
+        assert (code, out) == (1, "")
+        assert err == "NotInA: input endomorphism is not an automorphism\n"
+
     def test_factorize(self, tmp_path):
         path = tmp_path / "sigma2.txt"
         path.write_text("sig g=0 p=2\nt2 -> t1\nt1 -> t1' t2 t1\n", encoding="utf-8")

@@ -42,7 +42,7 @@ from surfaut import factorize as F
 from surfaut import groupoid
 from surfaut import selftest
 from surfaut.cli import run
-from surfaut.endo import format_endomorphism, parse_endomorphism
+from surfaut.endo import format_endomorphism, letter_move, parse_endomorphism, swap_letters
 from surfaut.errors import SignatureMismatch
 from surfaut.factorize import (
     STAB,
@@ -888,6 +888,179 @@ class TestChecksStillFire:
                 a = random_adl_automorphism(sig, rng, _short(sig) + 2)
                 assert eval_gen_word(factorize_adl(a), sig).fwd == a.fwd
         assert max(sizes) > 1 and built == [0]
+
+
+def _identity_edges(monkeypatch):
+    # every case-table edge moves nothing
+    real = F._edge
+    monkeypatch.setattr(
+        F, "_edge", lambda V, aut, kind: real(V, Automorphism.identity(V.sig), kind)
+    )
+
+
+def _bracket_off_every_coset(monkeypatch):
+    # at p = 0: brackets move both x1' y1' x1 and x1'
+    def bracket(e):
+        x1, y1 = e.sig.x_code(1), e.sig.y_code(1)
+        return letter_move(e.sig, x1, Word.identity(e.sig), Word(e.sig, (y1,)))
+
+    monkeypatch.setattr(F, "_bracket", bracket)
+
+
+def _every_puncture_letter_touched(monkeypatch):
+    # the search for an untouched letter reads a cycle of the puncture
+    # letters, which moves every one
+    real = F._untouched_t
+
+    def untouched(aut, sig):
+        cycle = [swap_letters(sig, j, j + 1) for j in range(1, sig.p)]
+        return real(compose(*cycle), sig)
+
+    monkeypatch.setattr(F, "_untouched_t", untouched)
+
+
+def _a_touched_puncture_letter(monkeypatch):
+    # the search returns a puncture letter that the edge moves or uses
+    real = F._untouched_t
+
+    def touched(aut, sig):
+        for j in range(1, sig.p + 1):
+            if aut.fwd.images[j - 1].codes != (j,) or any(
+                abs(c) == j for b, im in enumerate(aut.fwd.images, 1) if b != j for c in im.codes
+            ):
+                return j
+        return real(aut, sig)
+
+    monkeypatch.setattr(F, "_untouched_t", touched)
+
+
+def _conjugators_ending_in_a_puncture_letter_dropped(monkeypatch):
+    # such a conjugation moves nothing: the second leg of a front
+    # conjugation cascade always has one
+    real = F.letter_move
+
+    def move(sig, u, left, right):
+        if right.codes and sig.is_t_code(right.codes[-1]):
+            return Automorphism.identity(sig)
+        return real(sig, u, left, right)
+
+    monkeypatch.setattr(F, "letter_move", move)
+
+
+def _split_contract_never_holds(monkeypatch):
+    monkeypatch.setattr(F, "_split_contract_holds", lambda e: False)
+
+
+def _first_leg_moving_nothing(monkeypatch):
+    # the first leg of the p = 0 first-letter split moves nothing
+    monkeypatch.setattr(
+        F, "_nielsen_edge",
+        lambda V, tag, k: groupoid._edge_to(V, V, Automorphism.identity(V.sig), None),
+    )
+
+
+def _every_loop_tagged_special_inverse(monkeypatch):
+    monkeypatch.setattr(F, "_checked_tag", lambda aut, expect: STAB_SPECIAL_INV)
+
+
+def _identity_generators(monkeypatch):
+    # at p = 0 only ``peel_special`` reads ``generator``: its conjugator
+    # beta_1 alpha_1 becomes the identity, so a special loop peels into
+    # itself
+    monkeypatch.setattr(F, "generator", lambda name, sig: Automorphism.identity(sig))
+
+
+def _puncture_move_after_the_relabeled_recursion(monkeypatch):
+    real = F._factorize_word
+    s1 = GenWord.of(GenName("s", 1))
+    monkeypatch.setattr(
+        F, "_factorize_word", lambda a: real(a) * s1 if a.sig.p == 1 else real(a)
+    )
+
+
+def _discrepancy(images):
+    """``_alpha1_power`` reads the discrepancy with the given images (text,
+    by basis letter) instead of the true one."""
+
+    def patch(monkeypatch):
+        real = F._alpha1_power
+
+        def faulty(delta, sig):
+            moved = {b: parse_word(sig, w) for b, w in images.items()}
+            return real(Endomorphism.from_map(sig, moved), sig)
+
+        monkeypatch.setattr(F, "_alpha1_power", faulty)
+
+    return patch
+
+
+#: (signature, input generator word, fault, message): each fault reaches one
+#: ``CosetViolation`` of ``factorize`` that no fault-free input reaches
+_NEVER_RUN_RAISES = [
+    ("1,0", "a1'", _bracket_off_every_coset, "loop lands outside every admissible coset"),
+    ("1,2", "a1", _identity_edges, "front conjugation produced an unexpected word"),
+    ("1,2", "a1", _every_puncture_letter_touched,
+     "no untouched puncture letter for the chunked square"),
+    ("0,3", "s2'", _a_touched_puncture_letter, "bottom of the square moves its split letter"),
+    ("1,2", "g1'", _conjugators_ending_in_a_puncture_letter_dropped,
+     "front conjugation cascade missed its target"),
+    ("1,1", "g1", _split_contract_never_holds,
+     "N3_right k=1 edge violates the direct-square contract"),
+    ("1,1", "a1' b1'", _split_contract_never_holds, "unhandled p=1 edge shape N2_left k=4"),
+    ("1,1", "g1", _identity_edges, "hexagon bottom is not the expected left move"),
+    ("1,0", "b1' a1'", _first_leg_moving_nothing,
+     "second leg of the first-letter split is not a first-letter map"),
+    ("1,0", "a1'", _every_loop_tagged_special_inverse, "unexpected p=0 loop tag stab_special_inv"),
+    ("1,0", "b1'", _identity_generators, "peeled part is not in the stabilizer"),
+    ("1,0", "b1", _discrepancy({2: "y1 x1"}), "relabeling discrepancy moves more than x1"),
+    ("1,0", "b1", _discrepancy({1: "y1"}), "relabeling discrepancy has the wrong x1 image"),
+    ("1,0", "b1", _discrepancy({1: "x1 x1"}), "relabeling discrepancy is not a power of alpha_1"),
+    ("2,0", "g2", _puncture_move_after_the_relabeled_recursion,
+     "relabeled recursion produced a puncture move"),
+]
+
+
+class TestNeverRunRaises:
+    """Each engine-fault raise of the case tables, the peeling and the
+    recursion, reached by patching one step: ``surfaut factorize`` exits 3
+    with the raise's message and prints nothing."""
+
+    @pytest.mark.parametrize(
+        "sig, word, fault, message", _NEVER_RUN_RAISES, ids=[c[3] for c in _NEVER_RUN_RAISES]
+    )
+    def test_factorize_exits_3(self, sig, word, fault, message, monkeypatch):
+        s = Signature(*map(int, sig.split(",")))
+        text = format_endomorphism(eval_gen_word(parse_gen_word(word), s).fwd)
+        fault(monkeypatch)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["factorize", "--sig", sig, "--aut", text], out, err)
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue() == f"internal assertion: CosetViolation: {message}\n"
+
+    def test_trivial_group_rejects_a_non_identity(self):
+        # t1 -> t1' is an automorphism at (0,1), where the group is trivial;
+        # ``membership`` rejects it before the level, so the level is called
+        # directly
+        flip = swap_letters(Signature(0, 1), 1, -1)
+        with pytest.raises(NotInA, match=r"^the group at .* is trivial$"):
+            F._factorize_word(flip)
+
+
+class TestAlpha1Power:
+    """``_alpha1_power`` reads the exponent off x1 -> h x1, where every letter
+    of the head h is y1 or y1'.  h is a prefix of a reduced word, so no y1
+    stands next to y1': all letters of h are equal, and h is y1^(-k) for the
+    exponent k of alpha_1^k."""
+
+    @given(st.lists(st.sampled_from([S10.y_code(1), -S10.y_code(1)]), max_size=12))
+    def test_a_reduced_head_is_a_power_of_y1(self, codes):
+        x1 = S10.x_code(1)
+        head = Word(S10, tuple(codes) + (x1,)).codes[:-1]
+        assert len(set(head)) <= 1
+        k = F._alpha1_power(Endomorphism.from_map(S10, {x1: Word(S10, head + (x1,))}), S10)
+        a1 = gen("a", 1, S10) if k >= 0 else gen("a", 1, S10).inverse()
+        power = compose(Automorphism.identity(S10), *[a1] * abs(k))
+        assert power.fwd.images[x1 - 1].codes == head + (x1,)
 
 
 def _loop_values(loops):

@@ -671,9 +671,14 @@ def _walked(sig, rng, enough):
             return V, steps
 
 
+#: The memo of ``_step``, read while a test patches ``groupoid._step``.
+_step_info = groupoid._step.cache_info
+
+
 def _memo_state():
-    """What the two memos of ``canonical_edge`` hold."""
-    return canonical_edge.cache_info().currsize, dict(groupoid._canon_tails)
+    """How many entries the two memos of the walk hold: ``canonical_edge``'s
+    and ``_step``'s."""
+    return canonical_edge.cache_info().currsize, _step_info().currsize
 
 
 class TestSplicedTargets:
@@ -704,7 +709,7 @@ class TestSplicedTargets:
         for sig in list(GRID) + OFF_GRID:
             for _ in range(12):
                 maps.clear()
-                clear_memos()  # a tail hit would skip the maps counted here
+                clear_memos()  # a warm ``_step`` link would skip the maps counted here
                 _, steps = canonical_edge(random_zieschang(sig, rng))
                 assert len(maps) == len(steps)
                 for aut, step in zip(maps, steps):
@@ -783,6 +788,22 @@ class TestCanonicalEdge:
             assert format_endomorphism(phi.inv).splitlines() == case["inv"]
             assert [str(r) for r in steps] == case["steps"]
 
+    def test_walk_too_long_for_recursion(self, rng):
+        # seeded template moves from the relator at (150,100) give a walk of
+        # 500 steps or more, which the loop over ``_step`` links finishes
+        sig = Signature(150, 100)
+        V = relator(sig)
+        for _ in range(4000):
+            tag = rng.choice([N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT])
+            k = rng.randrange(1, len(V.codes) + 1)
+            aut = groupoid._template_aut(V, tag, k)
+            if aut is not None:
+                V = groupoid._template_edge(V, aut, NielsenKind(tag, k)).target
+        phi, steps = canonical_edge(V)
+        assert len(steps) >= 500
+        assert steps[0].before == V and steps[-1].after == relator(sig)
+        assert apply(phi, V) == relator(sig)
+
     def test_random_normalization(self, rng):
         from surfaut import is_zieschang
 
@@ -797,10 +818,11 @@ class TestCanonicalEdge:
 
 class TestCanonicalTails:
     """The walk reads only the current word, so the normalisation from any
-    word it reaches is the rest of the walk: ``_canon_tails`` serves it."""
+    word it reaches is the rest of the walk: the same ``_step`` links."""
 
     def test_every_step_starts_the_rest_of_the_walk(self, rng):
         tried = 0
+        info = _step_info
         for sig in list(GRID) + OFF_GRID:
             for _ in range(20):
                 V = random_zieschang(sig, rng)
@@ -808,8 +830,15 @@ class TestCanonicalTails:
                 phi, steps = canonical_edge(V)
                 if not steps:
                     continue
-                maps, stored, i = groupoid._canon_tails[V]
-                assert (stored, i) == (steps, 0) and len(maps) == len(steps)
+                # every link of the walk is stored, the relator's None too,
+                # and each step's ``after`` starts the next link
+                hits = info().hits
+                links = [groupoid._step(step.before) for step in steps]
+                assert groupoid._step(steps[-1].after) is None
+                assert info().hits - hits == len(steps) + 1
+                assert tuple(step for _, step in links) == steps
+                assert all(a.after == b.before for a, b in zip(steps, steps[1:]))
+                maps = [aut for aut, _ in links]
                 assert compose(*maps).fwd == phi.fwd
                 for k, step in enumerate(steps, 1):
                     clear_memos()
@@ -833,37 +862,59 @@ class TestCanonicalTails:
             assert format_endomorphism(phi.inv).splitlines() == case["inv"]
             assert [str(r) for r in steps] == case["steps"]
             fired += len(steps)
-        # the tails served the steps that were not built
+        # warm ``_step`` links served the steps that were not built
         assert 0 < len(maps) < fired
 
     def test_a_stored_tail_serves_the_rest(self, rng, monkeypatch):
         V, steps = _walked(Signature(2, 1), rng, lambda s: len(s) >= 3)
         canonical_edge(steps[0].after)
         maps = _map_builders(monkeypatch)
+        info = _step_info
+        misses, hits = info().misses, info().hits
         phi, served = canonical_edge(V)
         assert len(maps) == 1 and served == steps
         assert apply(phi, V) == relator(V.sig)
-        # the call stores its own word; the served words keep their entries,
-        # and the hit is now the most recently used after V
-        assert groupoid._canon_tails[V][1:] == (steps, 0)
-        assert groupoid._canon_tails[steps[0].after][2] == 0
-        assert list(groupoid._canon_tails)[-2:] == [steps[0].after, V]
+        # V's link is the one miss; the rest of the walk, the relator's None
+        # included, is served
+        assert (info().misses - misses, info().hits - hits) == (1, len(steps))
 
-    def test_relator_stores_nothing(self):
-        canonical_edge(relator(S11))
-        assert not groupoid._canon_tails
+    def test_relator_has_no_step(self):
+        v0 = relator(S11)
+        assert canonical_edge(v0)[1] == ()
+        assert groupoid._first_move(v0) is None and groupoid._step(v0) is None
+
+
+class TestFirstMove:
+    """``_first_move`` passes a block only when it matches the relator's, and
+    the p + g blocks cover all 4g + p letters, so it is None exactly at the
+    relator."""
+
+    def test_none_exactly_at_the_relator(self, rng):
+        reached = set()
+        for sig in list(GRID) + OFF_GRID:
+            for _ in range(20):
+                V = random_zieschang(sig, rng)
+                _, steps = canonical_edge(V)
+                reached.add(V)
+                reached.update(step.after for step in steps)
+        assert {relator(sig) for sig in list(GRID) + OFF_GRID} <= reached
+        assert len(reached) > 1000, len(reached)
+        for W in reached:
+            assert (groupoid._first_move(W) is None) == (W == relator(W.sig))
 
 
 class TestCanonicalFaults:
-    """The engine-fault raises of ``canonical_edge``, on a walked path (empty
-    memos) and on a path a stored tail serves after the first step.  A raise
-    stores nothing in either memo of ``canonical_edge``."""
+    """The engine-fault raises of ``canonical_edge``, on a walk from empty
+    memos and on one whose rest warm ``_step`` links serve after the first
+    step.  A raise stores nothing in ``canonical_edge``, and ``_step`` stores
+    no link for the word it failed from."""
 
     SIG = Signature(2, 1)
+    NOT_CARRIED = "^canonical composite does not carry V to the relator$"
 
     @pytest.fixture
     def walk(self, rng):
-        # the first step is spliced, and the tail after it has two steps or more
+        # the first step is spliced, and the rest after it has two steps or more
         return _walked(
             self.SIG, rng, lambda s: len(s) >= 3 and s[0].kind != "vii"
         )
@@ -871,6 +922,11 @@ class TestCanonicalFaults:
     def _warm_tail(self, steps):
         canonical_edge(steps[0].after)
         return _memo_state()
+
+    def _patch_links(self, monkeypatch, link):
+        """Route ``canonical_edge``'s links through ``link(W, real link)``."""
+        real = groupoid._step
+        monkeypatch.setattr(groupoid, "_step", lambda W: link(W, real(W)))
 
     @pytest.mark.parametrize("served", [False, True])
     def test_step_leaving_a_non_zieschang_word(self, walk, served, monkeypatch):
@@ -884,60 +940,68 @@ class TestCanonicalFaults:
             canonical_edge(V)
         assert _memo_state() == before
 
+    def test_later_step_leaving_a_non_zieschang_word(self, walk, monkeypatch):
+        # the walk fails at its second step: the first link is stored, and
+        # the word the walk failed from has none
+        V, steps = walk
+        bad = steps[1]
+        real = groupoid.is_zieschang
+        monkeypatch.setattr(
+            groupoid, "is_zieschang", lambda W, sig: W != bad.after and real(W, sig)
+        )
+        with pytest.raises(
+            NotZieschang, match=rf"^canonical step \({bad.kind}, {bad.level}\) left {bad.after}$"
+        ):
+            canonical_edge(V)
+        assert _memo_state() == (0, 1)
+        monkeypatch.undo()
+        info = _step_info
+        misses = info().misses
+        groupoid._step(V)
+        assert info().misses == misses
+        groupoid._step(bad.before)
+        assert info().misses == misses + 1
+
     def test_walk_ending_early(self, walk, monkeypatch):
-        V, steps = walk
-        real = groupoid._canonical_moves
-
-        def one_move(sig):
-            moves = real(sig)
-            next(moves)
-            cur = yield
-            yield moves.send(cur)
-            yield None
-
-        monkeypatch.setattr(groupoid, "_canonical_moves", one_move)
-        with pytest.raises(
-            CosetViolation, match=rf"^canonical normalization ended at {steps[0].after}$"
-        ):
+        # the walk is cut after its first step, so the composite carries V to
+        # that step's word
+        V, _ = walk
+        self._patch_links(monkeypatch, lambda W, link: link if W == V else None)
+        with pytest.raises(CosetViolation, match=self.NOT_CARRIED):
             canonical_edge(V)
-        assert _memo_state() == (0, {})
+        # ``_step`` keeps the true links of V and of the word after it
+        assert _memo_state() == (0, 2)
 
-    def test_served_tail_ending_early(self, walk):
+    def test_served_tail_ending_early(self, walk, monkeypatch):
         V, steps = walk
-        W = steps[0].after
-        self._warm_tail(steps)
-        maps, stored, i = groupoid._canon_tails[W]
-        groupoid._canon_tails[W] = (maps[:-1], stored[:-1], i)
-        before = _memo_state()
-        with pytest.raises(
-            CosetViolation, match=rf"^canonical normalization ended at {steps[-2].after}$"
-        ):
+        before = self._warm_tail(steps)
+        self._patch_links(
+            monkeypatch, lambda W, link: None if W == steps[-1].before else link
+        )
+        with pytest.raises(CosetViolation, match=self.NOT_CARRIED):
             canonical_edge(V)
-        assert _memo_state() == before
+        # V's link is the one entry added
+        assert _memo_state() == (before[0], before[1] + 1)
 
     def test_composite_missing_a_map(self, walk, monkeypatch):
-        V, _ = walk
+        V, steps = walk
         real = groupoid.compose
         monkeypatch.setattr(groupoid, "compose", lambda *maps: real(*maps[:-1]))
-        with pytest.raises(
-            CosetViolation, match="^canonical composite does not carry V to the relator$"
-        ):
+        with pytest.raises(CosetViolation, match=self.NOT_CARRIED):
             canonical_edge(V)
-        assert _memo_state() == (0, {})
+        assert _memo_state() == (0, len(steps) + 1)
 
-    def test_served_tail_with_wrong_maps(self, walk):
+    def test_served_tail_with_wrong_maps(self, walk, monkeypatch):
         V, steps = walk
-        W = steps[0].after
-        self._warm_tail(steps)
-        maps, stored, i = groupoid._canon_tails[W]
+        before = self._warm_tail(steps)
         identity = Automorphism.identity(self.SIG)
-        groupoid._canon_tails[W] = (tuple(identity for _ in maps), stored, i)
-        before = _memo_state()
-        with pytest.raises(
-            CosetViolation, match="^canonical composite does not carry V to the relator$"
-        ):
+        self._patch_links(
+            monkeypatch,
+            lambda W, link: link if link is None or W == V else (identity, link[1]),
+        )
+        with pytest.raises(CosetViolation, match=self.NOT_CARRIED):
             canonical_edge(V)
-        assert _memo_state() == before
+        assert _memo_state() == (before[0], before[1] + 1)
 
 
 class TestWhiteheadStepFaults:

@@ -52,7 +52,9 @@ def test_finds_the_known_caches():
         "surfaut.gens.generator",
         "surfaut.groupoid._nielsen_edge",
         "surfaut.groupoid._rank_table",
+        "surfaut.groupoid._step",
         "surfaut.groupoid._template_move",
+        "surfaut.groupoid.canonical_edge",
         "surfaut.whitehead._candidate_letters",
         "surfaut.whitehead._is_zieschang",
     } <= names
@@ -67,7 +69,6 @@ def test_finds_the_known_dict_memos():
         "surfaut.factorize._parts",
         "surfaut.factorize._reduced",
         "surfaut.factorize._tags",
-        "surfaut.groupoid._canon_tails",
     } <= set(package_dict_memos())
 
 

@@ -9,11 +9,8 @@ The first tree is imported as ``surfaut``, the second as ``surfaut_b``, and
 ``perfbench/workloads.py`` of this checkout is loaded once for each, so each
 tree builds its own seeded input pool from the same generator.  A pair is one
 pass of the pool through each tree, the two in alternating order (PARENT
-first in even pairs), and every pass starts from empty memos: every
-``lru_cache`` and every module-level ``OrderedDict`` of the tree's modules,
-found the way ``tests/test_memos.py`` finds them.  They are found by
-introspection rather than read from a registry, so that a tree from before
-the registry ``core._MEMOS`` can be measured too.
+first in even pairs), and every pass starts from empty memos: every memo
+in the tree's registry ``core._MEMOS``.
 
 The speed of a shared machine drifts by tens of percent between processes;
 two passes in one process, seconds apart, are meant to share most of that
@@ -91,30 +88,6 @@ def load_workloads(pkg, name: str):
     return mod
 
 
-def package_memos(pkg) -> list:
-    """Every ``lru_cache``-wrapped function defined in a module of ``pkg``,
-    at module level or in a class body, and every module-level
-    ``OrderedDict``.  A class is searched but never taken: a memo class
-    has the methods of its instances."""
-    found: dict[int, object] = {}
-    for info in pkgutil.iter_modules(pkg.__path__):
-        mod = sys.modules[f"{pkg.__name__}.{info.name}"]
-        for obj in list(vars(mod).values()):
-            if isinstance(obj, OrderedDict):
-                found[id(obj)] = obj
-                continue
-            members = [obj]
-            if isinstance(obj, type) and obj.__module__ == mod.__name__:
-                members += list(vars(obj).values())
-            for fn in members:
-                if isinstance(fn, (staticmethod, classmethod)):
-                    fn = fn.__func__
-                if (not isinstance(fn, type) and hasattr(fn, "cache_info")
-                        and getattr(fn, "__module__", None) == mod.__name__):
-                    found[id(fn)] = fn
-    return list(found.values())
-
-
 def clear(memos: list) -> None:
     for memo in memos:
         if isinstance(memo, OrderedDict):
@@ -133,7 +106,7 @@ class Side:
             sys.exit(f"abrun: unknown workload {workload!r}")
         self.wl = wl
         self.cases = wl.cases(seed, min(cases, wl.pool) if cases else None)
-        self.memos = package_memos(pkg)
+        self.memos = pkg.core._MEMOS
 
     def run_pass(self, check: bool) -> tuple[list[float], list[int], int]:
         """Latencies in seconds and output tokens of one pass from empty
