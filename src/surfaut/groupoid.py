@@ -7,21 +7,25 @@ Nielsen edges followed by a letter-permutation remainder, with a strictly
 decreasing termination measure checked at every step.  ``canonical_edge``
 is the deterministic normalization of a Zieschang word onto the relator.
 
-The engine builds one ``ReductionState`` per call (``_state_of``: the map,
-the word and the measure) and then updates one ``_Carry`` in place.  A
-Nielsen move changes the image of one basis letter b, the letter of v_k, so
-a move recomputes only what reads phi(b): the new phi(b), one substitution
-into the old images; b's one or two entries of the sorted measure keys,
-deleted and re-inserted by bisection; the distinct-images check, kept as a
-set of image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
-involves b.  The measure decreases when the sorted keys after the move are
-below those before it, the order of ``PreOrderKey``.  The verdicts are
-memoised per letter pair and indexed by basis letter, so a move drops b's
-pairs without scanning the others.  A verdict reads code tuples only: A_k
-is the longest common prefix of phi(v_k)' and phi(v_(k+1)), it cancels
-completely in B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are
-slices, and lenlex compares lengths first and then ``order_rank`` from a
-per-signature table.  Words are built for the stuck payload only.
+The engine builds one ``_Carry`` per call, straight from the map and the
+word (the codes of the measured words, their keys, the set of their codes),
+and then updates it in place.  A Nielsen move changes the image of one
+basis letter b, the letter of v_k, so a move recomputes only what reads
+phi(b): the new phi(b), one substitution into the old images; b's one or two
+entries of the measure; the distinct-images check, kept as a set of image
+codes; and the verdict of each letter pair (v_k, v_(k+1)) that involves b.
+The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
+the entries' keys, so whether it strictly decreased is read off the
+replaced entries alone (``_decreases``).  The verdicts are memoised per
+letter pair and indexed by basis letter, so a move drops b's pairs without
+scanning the others.  The search for a violation resumes where the last
+one was found, or earlier where the move changed a letter of the word or
+b's letter occurs: every position before that kept the verdict ().  A
+verdict reads code tuples only: A_k is the longest common prefix of
+phi(v_k)' and phi(v_(k+1)), it cancels completely in B = phi(v_k) A_k and
+C = phi(v_(k+1))' A_k, so B and C are slices, and lenlex compares lengths
+first and then ``order_rank`` from a per-signature table.  Words are built
+for the stuck payload only.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
 ``nielsen_edge``) check their source; the engine's Nielsen edges, the
@@ -37,8 +41,9 @@ conjugates every puncture letter, so it permutes the classes by
 construction, and a template edge checks its target only.  The step (vii) maps of
 ``canonical_edge`` and the N1 remainder are witnessed by construction as
 well.  ``canonical_edge`` splices the words of steps (i), (ii), (iv), (v)
-and (vi) the same way from the letters each step moves, applies step (vii),
-collects its steps, composes them once per call (witnessed by algebra, see
+and (vi) the same way from the letters each step moves, applies step (vii)
+(which reads the chain line off the walk of ``is_zieschang``, one pass over
+the codes), collects its steps, composes them once per call (witnessed by algebra, see
 ``endo.compose``) and checks that the composite carries the word to the
 relator.
 
@@ -70,7 +75,6 @@ remainder, once that remainder is checked to end at this call's target.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,7 +101,7 @@ from .errors import (
     ReductionStuck,
     TargetTooLong,
 )
-from .whitehead import build_graph, chain_line, is_zieschang
+from .whitehead import _chain_line, is_zieschang
 
 N1 = "N1"
 N2_RIGHT = "N2_right"
@@ -349,68 +353,78 @@ def mu_key(phi) -> PreOrderKey:
     return PreOrderKey.of(words)
 
 
-def _measure_position(sig: Signature, b: int) -> int:
-    """Position of phi(b) in the word list ``mu_key`` measures; for a handle
-    letter, phi(b)' follows at the next position."""
-    return b - 1 if sig.is_t_code(b) else sig.p + 2 * (b - sig.p - 1)
-
-
 @dataclass(frozen=True)
 class ReductionState:
     """Snapshot of the reduction: current map, current source word and the
-    measure.  The engine builds one per call, the one its ``_Carry`` starts
-    from."""
+    measure, built from scratch.  The engine's ``_Carry`` holds the same
+    values in the form it updates in place."""
 
     phi: Endomorphism
     word: Word
     mu: PreOrderKey
 
 
-def _state_of(endo: Endomorphism, V: Word) -> ReductionState:
-    return ReductionState(endo, V, mu_key(endo))
+def _decreases(removed: list, inserted: list) -> bool:
+    """Whether the measure, the sorted list of all entry keys, falls when
+    entries with the keys ``removed`` are replaced by as many with the keys
+    ``inserted``.
+
+    For two multisets X and Y of one size, cancel the keys they share.  If
+    nothing is left, X = Y.  Otherwise the least key m left is in one of
+    them only; below m they agree, and X holds more copies of m exactly when
+    m is left in X.  Then, at the first position past Y's copies of m,
+    sorted X holds m and sorted Y a larger key: sorted(X) < sorted(Y).  So
+    the order of the sorted lists is read off what is left after cancelling.
+    For the measures after and before the move, what is left is ``inserted``
+    and ``removed`` cancelled against each other, exactly as for the two
+    entry lists, so these compare as the measures do."""
+    return sorted(inserted) < sorted(removed)
 
 
 class _Carry:
-    """The state of one ``nielsen_reduce`` call, built once from a
-    ``ReductionState`` and updated in place by each move.  A Nielsen move
+    """The state of one ``nielsen_reduce`` call, built once from the map and
+    the source word and updated in place by each move.  A Nielsen move
     changes the image of one basis letter b only, so ``advance`` recomputes
     only the values that read phi(b) or phi(b'):
 
-    - ``word``: the current source word; ``images``: the basis images of
-      the current map; ``inv``: the codes of phi(c) for the negative letters
-      c read since c's letter last moved;
+    - ``word``: the current source word;
+    - ``images``: the basis images of the current map;
+    - ``inv``: the codes of phi(c) for the negative letters c read since
+      c's letter last moved;
     - ``verdicts``: the verdict of position k, per letter pair
       (v_k, v_(k+1)), built when ``_find_violation`` first needs it; it
       depends only on the pair and the two letters' images;
     - ``pairs``: for each basis letter, the pairs memoised since it last
       moved that involve it, so that a move drops only its letter's pairs;
-    - ``keys`` and ``ranks``: the measure's keys in sorted order, and the
-      same entries as (key, position) pairs, ``PreOrderKey.of``'s order;
-      ``key_at`` and ``codes_at``: the key and the word's codes at each
-      position of the measured word list.  A move deletes b's one or two
-      entries and inserts the new ones by bisection;
+    - ``codes_at`` and ``key_at``: the codes and the balanced key of each
+      word of the measured word list, in ``mu_key``'s order (phi(b) for each
+      basis letter b, followed by phi(b)' when b is a handle letter); a move
+      replaces b's one or two entries, and ``_decreases`` reads the change
+      of the sorted measure off those entries alone;
     - ``seen`` and ``distinct``: the codes of the measure words, and whether
-      they are pairwise distinct.
+      they are pairwise distinct;
+    - ``resume``: the position where ``_find_violation`` starts.  Every
+      position before the last violation had the verdict (), and keeps it
+      unless a move changed one of its letters or its pair holds b's letter.
     """
 
-    def __init__(self, state: ReductionState) -> None:
-        mu = state.mu
-        self.sig = state.phi.sig
-        self.rank = _rank_table(self.sig)
-        self.word = state.word
-        self.images = list(state.phi.images)
+    def __init__(self, endo: Endomorphism, V: Word) -> None:
+        sig = self.sig = endo.sig
+        rank = self.rank = _rank_table(sig)
+        self.word = V
+        self.images = list(endo.images)
         self.inv: dict[int, tuple[int, ...]] = {}
         self.verdicts: dict[tuple[int, int], tuple] = {}
         self.pairs: dict[int, list[tuple[int, int]]] = {}
-        self.keys = list(mu.keys)
-        self.ranks = list(zip(mu.keys, mu.order))
-        n = len(mu.order)
-        self.key_at: list = [None] * n
-        self.codes_at: list = [None] * n
-        for key, i, w in zip(mu.keys, mu.order, mu.words):
-            self.key_at[i], self.codes_at[i] = key, w.codes
-        self.seen = set(self.codes_at)
-        self.distinct = len(self.seen) == n
+        codes_at = self.codes_at = []
+        for b, w in enumerate(self.images, 1):
+            codes_at.append(w.codes)
+            if not sig.is_t_code(b):
+                codes_at.append(self.letter(-b))
+        self.key_at = [_key_of(codes, rank) for codes in codes_at]
+        self.seen = set(codes_at)
+        self.distinct = len(self.seen) == len(codes_at)
+        self.resume = 1
 
     def letter(self, c: int) -> tuple[int, ...]:
         """The codes of phi(c) for a signed letter c."""
@@ -443,9 +457,9 @@ class _Carry:
         return verdict
 
     def advance(self, edge: GroupoidEdge) -> bool:
-        """Move to the target of the Nielsen ``edge``, leaving the values
-        ``_state_of`` would build for ``compose(edge.aut.inv, phi)`` and
-        ``edge.target``; True when the measure strictly decreased."""
+        """Move to the target of the Nielsen ``edge``, leaving the values a
+        carry built from ``compose(edge.aut.inv, phi)`` and ``edge.target``
+        would hold; True when the measure strictly decreased."""
         sig = self.sig
         # the template at chain position k moves only the letter b of v_k, so
         # the composite differs from phi at b alone: phi(inv(b))
@@ -453,37 +467,43 @@ class _Carry:
         img = _substitute(self.images, edge.aut.inv.images[b - 1].codes, {})
         self.images[b - 1] = _word(sig, img)
         self.inv.pop(-b, None)
+        old, new = self.word.codes, edge.target.codes
         self.word = edge.target
         # every pair with a verdict is listed under both its letters; a list
         # may still name a pair dropped through its other letter, or
         # memoised again since, and dropping that pair is right: it involves b
         for pair in self.pairs.pop(b, ()):
             self.verdicts.pop(pair, None)
-        pos = _measure_position(sig, b)
-        slots = [(pos, img)]
-        if not sig.is_t_code(b):
-            slots.append((pos + 1, self.letter(-b)))
+        # b's entries of the measured word list, in ``mu_key``'s order, and
+        # the first index of the new word that holds +-b
+        if sig.is_t_code(b):
+            slots, first = ((b - 1, img),), new.index(b)
+        else:
+            pos = sig.p + 2 * (b - sig.p - 1)
+            slots = ((pos, img), (pos + 1, self.letter(-b)))
+            first = min(new.index(b), new.index(-b))
+        # a position before the last violation had the verdict (), and keeps
+        # it unless one of its two letters changed or is +-b: the scan
+        # resumes at the position whose pair (v_j, v_(j+1)) first holds such
+        # a letter, at 0-based index j
+        stop = min(self.resume, first)
+        while old[:stop] != new[:stop]:
+            stop -= 1
+        self.resume = stop or 1
 
-        # the measure: b's entries leave the (key, position) order, the new
-        # ones go in by bisection; (key, position) is unique
-        keys, ranks, key_at, codes_at, seen = (
-            self.keys, self.ranks, self.key_at, self.codes_at, self.seen
-        )
-        before = keys[:]
+        key_at, codes_at, seen = self.key_at, self.codes_at, self.seen
+        removed, inserted = [], []
         for i, _ in slots:
-            j = bisect_left(ranks, (key_at[i], i))
-            del ranks[j], keys[j]
+            removed.append(key_at[i])
             seen.discard(codes_at[i])  # exact: the words were distinct
         for i, codes in slots:
             if codes in seen:
                 self.distinct = False
             seen.add(codes)
             codes_at[i] = codes
-            key = key_at[i] = _key_of(codes, self.rank)
-            j = bisect_left(ranks, (key, i))
-            ranks.insert(j, (key, i))
-            keys.insert(j, key)
-        return keys < before
+            key_at[i] = key = _key_of(codes, self.rank)
+            inserted.append(key)
+        return _decreases(removed, inserted)
 
 
 _MAX_ITER_BASE = 10000
@@ -525,7 +545,7 @@ def _reduce(
     edges: list[GroupoidEdge] = []
     keys: list[tuple] = []  # the memo key of each state after the first
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
-    carry = _Carry(_state_of(endo, V))
+    carry = _Carry(endo, V)
     for _ in range(budget):
         if edges and suffixes is not None:
             key = carry.key()
@@ -611,17 +631,20 @@ def _words(sig: Signature, triple) -> tuple[Word, ...]:
 
 
 def _find_violation(carry: _Carry):
-    """Smallest k where A_k fails to be below both neighbours, with the move."""
+    """Smallest k where A_k fails to be below both neighbours, with the move.
+    The scan starts at ``carry.resume``: every position before it has the
+    verdict ()."""
     sig = carry.sig
     codes = carry.word.codes
     verdicts = carry.verdicts
-    for k in range(1, len(codes)):
+    for k in range(carry.resume, len(codes)):
         pair = (codes[k - 1], codes[k])
         verdict = verdicts.get(pair)
         if verdict is None:
             verdict = carry.verdict(pair)
         if not verdict:
             continue
+        carry.resume = k
         triple, distinct, left = verdict
         if not distinct:
             raise ReductionStuck(
@@ -730,7 +753,7 @@ def _first_move(V: Word):
         m = next(idx for idx, c in enumerate(rest) if sig.is_t_code(c))
         ti = rest[m]
         if m > 0:
-            P = Word(sig, rest[:m])
+            P = _word(sig, rest[:m])
             return letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),)
         return swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j}
 
@@ -750,7 +773,7 @@ def _first_move(V: Word):
             qset = set(Q)
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
-            P1, P2 = Word(sig, P[:b_idx]), Word(sig, P[b_idx + 1 :])
+            P1, P2 = _word(sig, P[:b_idx]), _word(sig, P[b_idx + 1 :])
             return letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i, (abs(b),)
         b = P[0]
         if b != -yi:
@@ -769,7 +792,9 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
     qpos = rest.index(yi)
     mid = rest[3:qpos]
     tail = rest[qpos + 1 :]
-    line = chain_line(build_graph(cur, sig))
+    line, n = _chain_line(sig, cur.codes), sig.chain_len + sig.p
+    if len(line) != n:
+        raise CosetViolation(f"chain line has {len(line)} of {n} vertices")
     i1, i2 = line.index(-mid[0]), line.index(mid[-1])
     lo, hi = min(i1, i2), max(i1, i2)
     segment = set(line[lo : hi + 1])
@@ -793,8 +818,8 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
                 sig, tuple([-c for c in left]) + (b,) + tuple([-c for c in right])
             )
     aut = _aut(_endo(sig, tuple(fwd)), _endo(sig, tuple(inv)))
-    mid_word, tail_word = Word(sig, mid), Word(sig, tail)
-    y_word = Word(sig, (yi,))
+    mid_word, tail_word = _word(sig, mid), _word(sig, tail)
+    y_word = _word(sig, (yi,))
     if aut.apply(tail_word) != tail_word:
         raise CosetViolation("whitehead step moved the tail")
     if aut.apply(mid_word) != y_word * mid_word * y_word.inverse():

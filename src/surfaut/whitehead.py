@@ -13,12 +13,14 @@ letter occurs once, so the tails of the 4g + 2p - 1 edges are distinct and
 so are their heads: the graph is a union of directed paths and cycles with
 one edge fewer than vertices, that is one path plus any number of cycles.
 The one vertex with no predecessor is v_1', so the graph is a forest exactly
-when the walk from v_1' visits all 4g + 2p vertices.  ``build_graph`` with
-its union-find check (``is_forest``) and ``forest_check_dfs`` are the two
-independent oracles of that walk.  The verdict is a function of the
-signature and the codes, so ``_is_zieschang`` keeps it per (signature,
-codes) in a ``core.memo``; a word of another signature is refused before
-the memo, so that branch stores nothing.
+when the walk from v_1' visits all 4g + 2p vertices.  The walk
+(``_chain_line``) records the vertices it visits, so on a Zieschang word it
+is the chain line, which step (vii) of ``groupoid.canonical_edge`` reads.
+``build_graph`` with its union-find check (``is_forest``) and
+``forest_check_dfs`` are the two independent oracles of that walk.  The
+verdict is a function of the signature and the codes, so ``_is_zieschang``
+keeps it per (signature, codes) in a ``core.memo``; a word of another
+signature is refused before the memo, so that branch stores nothing.
 
 ``is_onto`` is the independent oracle of automorphism-ness (Stallings,
 *Topology of finite graphs*, 1983; Kapovich and Myasnikov, *Stallings
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Signature, Word, letter_str, memo, order_rank
-from .errors import CosetViolation, NotACandidate
+from .errors import NotACandidate
 
 
 @dataclass(frozen=True)
@@ -108,15 +110,23 @@ def _is_zieschang(sig: Signature, codes: tuple[int, ...]) -> bool:
         return False
     if not n:
         return True  # (0, 0): no vertices, the empty forest
+    return len(_chain_line(sig, codes)) == n + sig.p
+
+
+def _chain_line(sig: Signature, codes: tuple[int, ...]) -> list[int]:
+    """The vertices of the walk from v_1' along the graph's edges, of a
+    nonempty candidate word ``codes`` of ``sig``: the whole chain line when
+    the word is Zieschang, a shorter path otherwise."""
     # successors: v_k -> v_(k+1)' along the word, and t_j' -> t_j
     succ = dict(zip(codes, [-c for c in codes[1:]]))
     for j in range(1, sig.p + 1):
         succ[-j] = j
-    v, seen = -codes[0], 1
+    v = -codes[0]
+    line = [v]
     while v in succ:  # v_1' has no predecessor, so the walk cannot close up
         v = succ[v]
-        seen += 1
-    return seen == n + sig.p
+        line.append(v)
+    return line
 
 
 def _forest_union_find(vertices: list[int], edges) -> bool:
@@ -230,27 +240,6 @@ def forest_check_dfs(graph: ExtendedWhiteheadGraph) -> bool:
                 seen.add(u)
                 stack.append((u, v))
     return True
-
-
-def chain_line(graph: ExtendedWhiteheadGraph) -> list[int]:
-    """Vertex sequence of the single line of a Zieschang graph.
-
-    Callers pass graphs of words that passed ``is_zieschang``, so a graph
-    that is not one simple line is an internal fault (``CosetViolation``)."""
-    succ = dict(graph.edges)
-    pred = {b: a for a, b in graph.edges}
-    if len(succ) != len(graph.edges) or len(pred) != len(graph.edges):
-        raise CosetViolation("graph is not a union of simple chains")
-    starts = [v for v in graph.vertices() if v not in pred]
-    lines = []
-    for s in starts:
-        line = [s]
-        while line[-1] in succ:
-            line.append(succ[line[-1]])
-        lines.append(line)
-    if len(lines) != 1:
-        raise CosetViolation(f"expected one line, found {len(lines)}")
-    return lines[0]
 
 
 def to_dot(graph: ExtendedWhiteheadGraph) -> str:

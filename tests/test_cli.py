@@ -3,8 +3,10 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from surfaut import Word, cli, factorize, groupoid
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.selftest import GRID
-from surfaut.whitehead import ExtendedWhiteheadGraph
 
 
 def invoke(argv):
@@ -92,17 +93,15 @@ class TestCanonAndReduce:
         assert code == 1 and "NotZieschang" in err
 
     def test_chain_line_fault_exits_3(self, monkeypatch):
-        # step (vii) fires on this word; a branching graph makes chain_line fail
-        def branching(V, sig):
-            return ExtendedWhiteheadGraph(sig, ((1, 2), (1, 3)), None, None)
-
-        monkeypatch.setattr(groupoid, "build_graph", branching)
+        # step (vii) fires on this word; a line short of a vertex fails its guard
+        real = groupoid._chain_line
+        monkeypatch.setattr(groupoid, "_chain_line", lambda sig, codes: real(sig, codes)[1:])
         code, out, err = invoke(
             ["canon", "--sig", "2,0", "--word", "y2' y1' x2' x1 x2 y2 x1' y1"]
         )
         assert code == 3 and out == ""
         assert err == (
-            "internal assertion: CosetViolation: graph is not a union of simple chains\n"
+            "internal assertion: CosetViolation: chain line has 7 of 8 vertices\n"
         )
 
     def test_missing_template_exits_3(self, monkeypatch):
@@ -463,6 +462,55 @@ class TestOutputStreams:
         finally:
             os.close(w)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestMain:
+    """``cli.main`` in this process: its exit code, the closed-output branch
+    with ``os`` replaced by spies, so that no real descriptor is touched,
+    and the ``__main__`` guard."""
+
+    ARGV = ["surfaut", "is-zieschang", "--sig", "1,0", "--word", "x1' y1' x1 y1"]
+
+    def test_exit_code(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == 0
+
+    def test_failed_flush_exits_1(self, monkeypatch):
+        calls = []
+
+        class Closed(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return 99
+
+        def spy_open(path, flags):
+            calls.append(("open", path, flags))
+            return 98
+
+        fake_os = types.SimpleNamespace(
+            devnull=os.devnull, O_WRONLY=os.O_WRONLY, open=spy_open,
+            dup2=lambda fd, fd2: calls.append(("dup2", fd, fd2)),
+        )
+        monkeypatch.setattr(cli, "os", fake_os)
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == 1
+        assert calls == [("open", os.devnull, os.O_WRONLY), ("dup2", 98, 99)]
+
+    def test_main_guard(self, monkeypatch, capsys):
+        # run as a fresh module, as ``python -m surfaut.cli`` would
+        monkeypatch.delitem(sys.modules, "surfaut.cli")
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("surfaut.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "true\n"
 
 
 class TestOuterEqual:

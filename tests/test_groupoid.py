@@ -215,6 +215,11 @@ def as_words(sig, verdict):
     return (tuple(Word(sig, codes) for codes in triple), distinct, left)
 
 
+def full_state(phi, V):
+    """The reduction state of ``phi`` at V, built from scratch."""
+    return groupoid.ReductionState(phi, V, mu_key(phi))
+
+
 def reference_imgs(state):
     """phi(v_k) for every letter v_k of the state's word."""
     images = state.phi.images
@@ -294,10 +299,10 @@ class TestNielsenReduce:
             sig = a.sig
             edges, _ = nielsen_reduce(relator(sig), a.fwd)
             phi, V = a.fwd, relator(sig)
-            states = [groupoid._state_of(phi, V)]
+            states = [full_state(phi, V)]
             for e in edges:
                 phi, V = compose(e.aut.inv, phi), e.target
-                states.append(groupoid._state_of(phi, V))
+                states.append(full_state(phi, V))
             for st in states:
                 codes, n = st.word.codes, len(st.word.codes)
                 imgs, A = reference_imgs(st), reference_prefixes(st)
@@ -314,19 +319,19 @@ class TestNielsenReduce:
                     assert groupoid._lcp(left, right) == A[k].codes
 
     def test_each_state_built_once(self, rng, monkeypatch):
-        # one full build per reduction, then one carried update per edge
+        # one carry build per reduction, then one carried update per edge
         full, carried = [], []
-        real_full, real_advance = groupoid._state_of, groupoid._Carry.advance
+        real_full, real_advance = groupoid._Carry.__init__, groupoid._Carry.advance
 
-        def counted_full(endo, V):
+        def counted_full(carry, endo, V):
             full.append(V)
-            return real_full(endo, V)
+            real_full(carry, endo, V)
 
         def counted_advance(carry, edge):
             carried.append(edge)
             return real_advance(carry, edge)
 
-        monkeypatch.setattr(groupoid, "_state_of", counted_full)
+        monkeypatch.setattr(groupoid._Carry, "__init__", counted_full)
         monkeypatch.setattr(groupoid._Carry, "advance", counted_advance)
         for sig in GRID:
             for a in [Automorphism.identity(sig)] + [
@@ -338,16 +343,24 @@ class TestNielsenReduce:
                 assert len(full) == 1 and carried == edges
 
     def test_carried_states_match_full_rebuild(self, rng, monkeypatch):
-        # the carry is updated in place, so each move records a copy of it
+        # the carry is updated in place, so its build and each move record a
+        # copy of it, the build under the edge None
         carried = []
-        real = groupoid._Carry.advance
+        real_init, real_advance = groupoid._Carry.__init__, groupoid._Carry.advance
+
+        def snapshot(carry, edge):
+            carried.append((edge, {k: copy.copy(v) for k, v in vars(carry).items()}))
+
+        def built(carry, endo, V):
+            real_init(carry, endo, V)
+            snapshot(carry, None)
 
         def recording(carry, edge):
-            decreased = real(carry, edge)
-            snapshot = {name: copy.copy(value) for name, value in vars(carry).items()}
-            carried.append((edge, snapshot))
+            decreased = real_advance(carry, edge)
+            snapshot(carry, edge)
             return decreased
 
+        monkeypatch.setattr(groupoid._Carry, "__init__", built)
         monkeypatch.setattr(groupoid._Carry, "advance", recording)
         moves = 0
         for sig in list(GRID) + OFF_GRID:
@@ -361,26 +374,86 @@ class TestNielsenReduce:
                 for source, phi in ((relator(sig), a.fwd), (V, compose(c, a).fwd)):
                     carried.clear()
                     edges, _ = nielsen_reduce(source, phi)
-                    assert [e for e, _ in carried] == edges
+                    assert [e for e, _ in carried] == [None] + edges
+                    word = source
                     for e, st in carried:
-                        phi = compose(e.aut.inv, phi)
-                        full = groupoid._state_of(phi, e.target)
+                        if e is not None:
+                            phi, word = compose(e.aut.inv, phi), e.target
+                        full = full_state(phi, word)
                         assert tuple(st["images"]) == full.phi.images
-                        assert st["word"] == full.word == e.target
+                        assert st["word"] == full.word
                         # the inverse images read since their letter moved
                         for c, codes in st["inv"].items():
                             assert codes == phi.images[-c - 1].inverse().codes
-                        # the measure, sorted and by position
-                        assert [st["codes_at"][i] for _, i in st["ranks"]] == [
+                        # the measure by position, and sorted as (key, position)
+                        ranks = sorted((k, i) for i, k in enumerate(st["key_at"]))
+                        assert [st["codes_at"][i] for _, i in ranks] == [
                             w.codes for w in full.mu.words]
-                        assert tuple(st["keys"]) == full.mu.keys
-                        assert tuple(i for _, i in st["ranks"]) == full.mu.order
-                        assert [k for k, _ in st["ranks"]] == st["keys"]
-                        assert [st["key_at"][i] for i in full.mu.order] == st["keys"]
+                        assert tuple(k for k, _ in ranks) == full.mu.keys
+                        assert tuple(i for _, i in ranks) == full.mu.order
                         assert st["seen"] == {w.codes for w in full.mu.words}
                         assert st["distinct"]
                     moves += len(edges)
         assert moves > 500
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=8),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+        st.data(),
+    )
+    def test_measure_rule_matches_sorted_keys(self, before, inserted, data):
+        # small key ranges make ties frequent; one or two entries replaced
+        n = data.draw(st.integers(1, 2))
+        slots = data.draw(st.lists(
+            st.integers(0, len(before) - 1), min_size=n, max_size=n, unique=True))
+        after = before[:]
+        for i, key in zip(slots, inserted):
+            after[i] = key
+        removed = [before[i] for i in slots]
+        assert groupoid._decreases(removed, inserted[:n]) == (
+            sorted(after) < sorted(before))
+
+    def test_resumed_scan_matches_scan_from_start(self, rng, monkeypatch):
+        # at every move, a fresh carry of the same state scanned from
+        # position 1 finds the same move as the resumed scan
+        counts = {"moves": 0, "resumed": 0}
+        real = groupoid._find_violation
+
+        def spying(carry):
+            fresh = groupoid._Carry(carry.endo(), carry.word)
+            assert fresh.resume == 1
+            try:
+                want = real(fresh)
+            except ReductionStuck as exc:
+                want = exc
+            counts["resumed"] += carry.resume > 1
+            try:
+                got = real(carry)
+            except ReductionStuck as exc:
+                assert isinstance(want, ReductionStuck) and str(exc) == str(want)
+                raise
+            assert not isinstance(want, ReductionStuck) and got == want
+            counts["moves"] += got is not None
+            return got
+
+        monkeypatch.setattr(groupoid, "_find_violation", spying)
+        for sig in list(GRID) + OFF_GRID:
+            tokens = 10 if sig.g <= 2 else 5
+            for _ in range(4):
+                a = random_adl_automorphism(sig, rng, tokens)
+                V = random_zieschang(sig, rng)
+                c, _ = canonical_edge(V)
+                nielsen_reduce(relator(sig), a.fwd)
+                nielsen_reduce(V, compose(c, a).fwd)
+        for case in _REDUCE_GOLDEN:  # maps that get stuck, with their payloads
+            sig = Signature(*map(int, case["sig"].split(",")))
+            phi = Endomorphism(sig, tuple(Word(sig, tuple(c)) for c in case["images"]))
+            try:
+                nielsen_reduce(relator(sig), phi)
+            except SurfautError:
+                pass
+        assert counts["moves"] >= 500 and counts["resumed"] >= 100
 
     @given(word_pairs(max_len=8))
     def test_verdict_matches_reference(self, pair):
@@ -472,7 +545,7 @@ class TestNielsenReduce:
 def reference_first_violation(phi, V):
     """The first position k whose verdict is not (), with its (A_k, B, C)
     and whether B < C, from the full state of phi at V."""
-    state = groupoid._state_of(phi, V)
+    state = full_state(phi, V)
     imgs, A = reference_imgs(state), reference_prefixes(state)
     for k in range(1, len(imgs)):
         verdict = reference_verdict(imgs[k - 1], imgs[k].inverse(), A[k])
@@ -1005,9 +1078,9 @@ class TestCanonicalFaults:
 
 
 class TestWhiteheadStepFaults:
-    """The engine-fault raises of step (vii): a chain line whose segment
-    holds a block or puncture letter, and a built map that moves the tail or
-    fails to conjugate the segment."""
+    """The engine-fault raises of step (vii): a chain line that misses a
+    vertex or whose segment holds a block or puncture letter, and a built
+    map that moves the tail or fails to conjugate the segment."""
 
     SIG = Signature(2, 1)
 
@@ -1047,12 +1120,20 @@ class TestWhiteheadStepFaults:
         sig = self.SIG
         (bad,) = parse_word(sig, letter).codes
         mid = self._segment(rec)
-        real = groupoid.chain_line(groupoid.build_graph(rec.before, sig))
+        real = groupoid._chain_line(sig, rec.before.codes)
         line = [v for v in real if v != bad]
         lo = min(line.index(-mid[0]), line.index(mid[-1]))
         line.insert(lo + 1, bad)
-        monkeypatch.setattr(groupoid, "chain_line", lambda graph: line)
+        monkeypatch.setattr(groupoid, "_chain_line", lambda sig, codes: line)
         with pytest.raises(CosetViolation, match=f"^{message}$"):
+            groupoid._whitehead_step(rec.before, sig, rec.level, done)
+
+    def test_short_chain_line(self, step, monkeypatch):
+        rec, done = step
+        sig = self.SIG
+        line = groupoid._chain_line(sig, rec.before.codes)[:-1]
+        monkeypatch.setattr(groupoid, "_chain_line", lambda sig, codes: line)
+        with pytest.raises(CosetViolation, match="^chain line has 9 of 10 vertices$"):
             groupoid._whitehead_step(rec.before, sig, rec.level, done)
 
     def test_map_moving_the_tail(self, step, monkeypatch):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaut import (
-    CosetViolation,
     Endomorphism,
     NotACandidate,
     Signature,
     Word,
     build_graph,
+    canonical_edge,
     certify_automorphism,
     compose,
     fox_derivative,
@@ -31,7 +31,7 @@ from surfaut.selftest import (
 )
 from surfaut import core, whitehead
 from surfaut.core import MEMO_SIZE
-from surfaut.whitehead import ExtendedWhiteheadGraph, chain_line, forest_check_dfs, is_onto
+from surfaut.whitehead import _chain_line, forest_check_dfs, is_onto
 
 from conftest import SMALL_SIGS
 
@@ -43,7 +43,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("sig", SMALL_SIGS)
     def test_relator_line(self, sig):
         graph = build_graph(relator(sig), sig)
-        line = chain_line(graph)
+        line = _chain_line(sig, relator(sig).codes)
         expect = []
         for j in range(sig.p, 0, -1):
             expect += [-sig.t_code(j), sig.t_code(j)]
@@ -62,18 +62,15 @@ class TestBuildGraph:
     def test_two_puncture_path(self):
         sig = Signature(0, 2)
         graph = build_graph(parse_word(sig, "t1 t2"), sig)
-        assert chain_line(graph) == [-1, 1, -2, 2]
+        assert _chain_line(sig, (1, 2)) == [-1, 1, -2, 2]
         assert graph.is_forest()
 
-    def test_branching_graph_is_internal_fault(self):
-        graph = ExtendedWhiteheadGraph(S10, ((1, 2), (1, -2)), None, None)
-        with pytest.raises(CosetViolation, match="not a union of simple chains"):
-            chain_line(graph)
-
-    def test_several_lines_is_internal_fault(self):
-        graph = ExtendedWhiteheadGraph(S10, ((1, 2),), None, None)
-        with pytest.raises(CosetViolation, match="expected one line, found 3"):
-            chain_line(graph)
+    def test_cycle_leaves_a_short_line(self):
+        # no edge leaves x1', the first vertex; the other five lie on the
+        # cycles t1' -> t1 -> y1 -> t1' and x1 -> y1' -> x1
+        V = parse_word(S11, "x1 y1 t1 y1' x1'")
+        assert not forest_check_dfs(build_graph(V, S11))
+        assert _chain_line(S11, V.codes) == [-S11.x_code(1)]
 
     def test_degree_bounds(self, rng):
         for sig in SMALL_SIGS:
@@ -117,8 +114,29 @@ class TestIsZieschang:
 
         for sig in SMALL_SIGS:
             V = random_zieschang(sig, rng)
-            line = chain_line(build_graph(V, sig))
+            line = _chain_line(sig, V.codes)
             assert len(line) == 4 * sig.g + 2 * sig.p
+
+    def test_line_is_the_graph_path_on_canonical_walks(self, rng):
+        # on every word that seeded canonical walks pass, the graph is a
+        # forest by the DFS oracle and the line runs along all its edges, so
+        # it covers every vertex
+        from surfaut.selftest import random_zieschang
+
+        words = vii = 0
+        for sig in list(GRID) + [Signature(3, 2), Signature(4, 0)]:
+            for _ in range(10):
+                V = random_zieschang(sig, rng)
+                _, steps = canonical_edge(V)
+                vii += sum(step.kind == "vii" for step in steps)
+                for W in [V] + [step.after for step in steps]:
+                    graph = build_graph(W, sig)
+                    assert forest_check_dfs(graph)
+                    line = _chain_line(sig, W.codes)
+                    assert sorted(line) == sorted(graph.vertices())
+                    assert set(zip(line, line[1:])) == set(graph.edges)
+                    words += 1
+        assert words > 500 and vii > 20
 
     def test_unreduced_inputs_never_zieschang(self, rng):
         # g = 0 alphabets have no inverse letters, so no unreduced arrangement
