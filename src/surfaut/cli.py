@@ -364,7 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 _CLOSED_OUTPUT = 1
 
 
-def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+def run(
+    argv: list[str], out: Optional[TextIO] = None, err: Optional[TextIO] = None
+) -> int:
+    # the standard streams are read at call time, so a redirection made
+    # after import reaches them
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     parser = build_parser()
     try:
         # --help goes to ``out``, usage errors to ``err``

@@ -22,11 +22,8 @@ witness.  ``compose`` of witnessed pairs is witnessed by algebra, since
 factor that both of its maps preserve.
 
 ``_substitute`` replaces each letter of a word by its image from an image
-list and cancels at the seams; ``apply`` is one substitution.  Its sparse
-path ``_splice`` serves a map whose moved letters the caller knows by
-construction (a Nielsen template, a canonical step): it copies the runs
-between the occurrences of those letters as slices and cancels only at
-their seams, so the work in Python is per occurrence, not per letter.
+list and cancels at the seams; it is the one image kernel: ``apply`` is
+one substitution, and so is every Nielsen move and canonical step.
 Composition is a right fold: it starts from the images of the last factor
 and, going leftwards, recomputes only the basis letters each factor moves,
 so a named generator or a Nielsen move costs work on its 1-3 moved letters,
@@ -44,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     Signature,
@@ -155,45 +152,6 @@ def _substitute(
             extend(img[k:])
         else:
             extend(img)
-    return tuple(out)
-
-
-def _splice(
-    images: Sequence[Word], codes: tuple[int, ...], moved: Iterable[int]
-) -> tuple[int, ...]:
-    """``_substitute`` for a map known to fix every basis letter outside
-    ``moved``, a collection of distinct basis letters.  The runs of
-    ``codes`` between the occurrences of the moved letters are copied as
-    slices, and each run and each image is cancelled only at its seam, as
-    ``_substitute`` cancels each image.  ``codes`` must be reduced, so that
-    every run is reduced; a run or an image may cancel completely, and the
-    next one then cancels against what is left before it."""
-    at = []
-    for b in moved:
-        for c in (b, -b):
-            i = -1
-            for _ in range(codes.count(c)):
-                i = codes.index(c, i + 1)
-                at.append(i)
-    at.sort()
-    segments = []
-    start = 0
-    for i in at:
-        c = codes[i]
-        img = images[abs(c) - 1].codes
-        if c < 0:
-            img = tuple([-d for d in reversed(img)])
-        segments += (codes[start:i], img)
-        start = i + 1
-    segments.append(codes[start:])
-    out: list[int] = []
-    pop, extend = out.pop, out.extend
-    for seg in segments:
-        k, m = 0, len(seg)
-        while k < m and out and out[-1] == -seg[k]:
-            pop()
-            k += 1
-        extend(seg[k:])
     return tuple(out)
 
 
@@ -526,27 +484,8 @@ def restrict_drop_tp(a: Automorphism) -> Automorphism:
     tp = Word(sig, (sig.t_code(sig.p),))
     if a.apply(tp) != tp:
         raise NotInStabilizer(f"t{sig.p} is not fixed")
-    small = Signature(sig.g, sig.p - 1)
-
-    def recode(w: Word, old: int) -> Word:
-        out = []
-        for c in w.codes:
-            b = abs(c)
-            if b == sig.p:
-                raise ImageEscapes(f"image of {letter_str(sig, old)} mentions t{sig.p}")
-            out.append(c if b < sig.p else c - (1 if c > 0 else -1))
-        # a one-to-one relabeling that keeps inverse pairs keeps w reduced
-        return _word(small, tuple(out))
-
-    def restrict(endo: Endomorphism) -> Endomorphism:
-        images = []
-        for b in small.basis_codes():
-            old = b if b < sig.p else b + 1
-            images.append(recode(endo.images[old - 1], old))
-        return _endo(small, tuple(images))
-
-    # both maps keep the free factor, so their restrictions undo each other
-    return _aut(restrict(a.fwd), restrict(a.inv))
+    code_map = {b: b if b < sig.p else b - 1 for b in sig.basis_codes() if b != sig.p}
+    return _restrict(a, Signature(sig.g, sig.p - 1), code_map, f"mentions t{sig.p}")
 
 
 def restrict_relabel_K(a: Automorphism) -> Automorphism:
@@ -565,23 +504,29 @@ def restrict_relabel_K(a: Automorphism) -> Automorphism:
     for i in range(2, sig.g + 1):
         code_map[sig.x_code(i)] = small.x_code(i - 1)
         code_map[sig.y_code(i)] = small.y_code(i - 1)
+    return _restrict(a, small, code_map, "leaves the x1-free factor")
 
-    def recode(w: Word, old: int) -> Word:
-        out = []
-        for c in w.codes:
-            b = abs(c)
-            if b not in code_map:
-                raise ImageEscapes(
-                    f"image of {letter_str(sig, old)} leaves the x1-free factor"
-                )
-            out.append(code_map[b] if c > 0 else -code_map[b])
-        # a one-to-one relabeling that keeps inverse pairs keeps w reduced
-        return _word(small, tuple(out))
+
+def _restrict(
+    a: Automorphism, small: Signature, code_map: dict[int, int], escapes: str
+) -> Automorphism:
+    """Restriction of ``a`` to the free factor on the basis letters of
+    ``code_map``, relabeled by it onto every basis letter of ``small``.  An
+    image that mentions a letter outside the factor raises ``ImageEscapes``
+    ("image of <letter> <escapes>")."""
+    sig = a.sig
 
     def restrict(endo: Endomorphism) -> Endomorphism:
-        images: list[Word] = [Word.identity(small)] * small.rank
+        images: list = [None] * small.rank
         for old, new in code_map.items():
-            images[new - 1] = recode(endo.images[old - 1], old)
+            out = []
+            for c in endo.images[old - 1].codes:
+                b = code_map.get(abs(c))
+                if b is None:
+                    raise ImageEscapes(f"image of {letter_str(sig, old)} {escapes}")
+                out.append(b if c > 0 else -b)
+            # a one-to-one relabeling that keeps inverse pairs keeps it reduced
+            images[new - 1] = _word(small, tuple(out))
         return _endo(small, tuple(images))
 
     # both maps keep the free factor, so their restrictions undo each other

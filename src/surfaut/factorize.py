@@ -9,8 +9,9 @@ loop coset tags, and the final recomposition are all checked, so a
 transcription bug surfaces as a hard error instead of a wrong answer.
 
 Each checked value is computed once per process while its memo keeps it.
-Seven memos hold checked values, each a ``core._Memo``, the package's one
-bounded LRU.  Each entry is one value, made whole by one
+Seven memos hold checked values, each a ``core._Memo``, one of the two
+forms of the package's one bounded LRU memo layer in ``core`` (``core.memo``
+is the other).  Each entry is one value, made whole by one
 ``lookup(key, build)``, and a raise stores nothing:
 
 - ``_adl_words`` keeps, per top-level input of ``factorize_adl`` keyed on

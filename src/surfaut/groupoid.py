@@ -34,20 +34,19 @@ the trusted ``_edge``, because their source is the checked input or the
 end of a checked edge.  ``_edge`` computes the target as the image of the
 source, so it checks only that target (``is_zieschang``, a walk along the
 chain) and the class permutation.  The Nielsen templates are one-letter
-moves (``letter_move``), witnessed by construction; a template moves only
-the letter of v_k, so its target is spliced (``endo._splice``) from the
-source's runs between that letter's occurrences.  A template fixes or
+moves (``letter_move``), witnessed by construction; a template fixes or
 conjugates every puncture letter, so it permutes the classes by
-construction, and a template edge checks its target only.  The step (vii) maps of
-``canonical_edge`` and the N1 remainder are witnessed by construction as
-well.  ``canonical_edge`` splices the words of steps (i), (ii), (iv), (v)
-and (vi) the same way from the letters each step moves, applies step (vii)
-(which reads the chain line off the walk of ``is_zieschang``, one pass over
-the codes), collects its steps, composes them once per call (witnessed by algebra, see
-``endo.compose``) and checks that the composite carries the word to the
-relator.
+construction, and a template edge checks its target only.  The step (vii)
+maps of ``canonical_edge`` and the N1 remainder are witnessed by
+construction as well.  Every target and every step's word is the image of
+its source under ``apply``.  ``canonical_edge`` applies each step's map
+(step (vii) reads the chain line off the walk of ``is_zieschang``, one
+pass over the codes), collects its steps, composes them once per call
+(witnessed by algebra, see ``endo.compose``) and checks that the composite
+carries the word to the relator.
 
-Five memos (``core.memo``, the package's one bounded LRU) keep pure
+Five memos (``core.memo``, the ``lru_cache`` form of the package's one
+bounded LRU memo layer in ``core``; ``core._Memo`` is the other) keep pure
 functions of their keys, and a raise stores nothing: ``canonical_edge`` and
 ``_step`` per word; ``_nielsen_edge`` per (source, tag, k), so a hit returns
 an edge whose target and class permutation were checked on an equal key;
@@ -86,7 +85,6 @@ from .endo import (
     _compose_endos,
     _endo,
     _fwd,
-    _splice,
     _substitute,
     _t_class_permutation,
     classify_letters,
@@ -185,18 +183,11 @@ def _edge_to(
     return e
 
 
-def _spliced(aut: Automorphism, V: Word, moved) -> Word:
-    """The image of V under ``aut``, which moves no basis letter outside the
-    distinct letters ``moved``."""
-    return _word(V.sig, _splice(aut.fwd.images, V.codes, moved))
-
-
 def _template_edge(V: Word, aut: Automorphism, kind: NielsenKind) -> GroupoidEdge:
-    """The edge of the Nielsen template ``aut`` at ``kind`` from V; the
-    template moves only the letter of v_k, so its target is spliced.  A
+    """The edge of the Nielsen template ``aut`` at ``kind`` from V.  A
     template fixes every puncture letter (N2) or conjugates one (N3), so it
     permutes the classes by construction and only its target is checked."""
-    target = _spliced(aut, V, (abs(V.codes[kind.k - 1]),))
+    target = aut.apply(V)
     if not is_zieschang(target, V.sig):
         raise CosetViolation(f"edge target {target} is not Zieschang")
     return _edge_to(V, target, aut, kind)
@@ -727,10 +718,8 @@ def _step(V: Word) -> Optional[tuple[Automorphism, StepRecord]]:
     move = _first_move(V)
     if move is None:
         return None
-    aut, kind, level, moved = move
-    # ``moved``: the basis letters the step moves, when known by
-    # construction, so that the new word is spliced
-    W = aut.apply(V) if moved is None else _spliced(aut, V, moved)
+    aut, kind, level = move
+    W = aut.apply(V)
     if not is_zieschang(W, V.sig):
         raise NotZieschang(f"canonical step ({kind}, {level}) left {W}")
     return aut, StepRecord(kind, level, V, W)
@@ -738,9 +727,9 @@ def _step(V: Word) -> Optional[tuple[Automorphism, StepRecord]]:
 
 def _first_move(V: Word):
     """The move of steps (i)-(vii) that the walk fires from V, as (map, kind,
-    level, moved letters or None), or None when V is the relator.  It fires
-    on the first block of V that differs from the relator's: t_p .. t_1 one
-    letter each, then each [x_i, y_i] as four letters."""
+    level), or None when V is the relator.  It fires on the first block of V
+    that differs from the relator's: t_p .. t_1 one letter each, then each
+    [x_i, y_i] as four letters."""
     sig = V.sig
     codes = V.codes
 
@@ -754,8 +743,8 @@ def _first_move(V: Word):
         ti = rest[m]
         if m > 0:
             P = _word(sig, rest[:m])
-            return letter_move(sig, ti, P.inverse(), P), "i", j, (abs(ti),)
-        return swap_letters(sig, ti, sig.t_code(j)), "ii", j, {abs(ti), j}
+            return letter_move(sig, ti, P.inverse(), P), "i", j
+        return swap_letters(sig, ti, sig.t_code(j)), "ii", j
 
     # handle phase: establish [x_i, y_i] blocks left to right
     for i in range(1, sig.g + 1):
@@ -765,7 +754,7 @@ def _first_move(V: Word):
             continue
         a = codes[done]
         if a != -xi:
-            return swap_letters(sig, a, -xi), "iv", i, {abs(a), xi}
+            return swap_letters(sig, a, -xi), "iv", i
         rest = codes[done:]
         mpos = rest.index(xi)
         P, Q = rest[1:mpos], rest[mpos + 1 :]
@@ -774,12 +763,12 @@ def _first_move(V: Word):
             b_idx = next(idx for idx, c in enumerate(P) if -c in qset)
             b = P[b_idx]
             P1, P2 = _word(sig, P[:b_idx]), _word(sig, P[b_idx + 1 :])
-            return letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i, (abs(b),)
+            return letter_move(sig, b, P1.inverse(), P2.inverse()), "v", i
         b = P[0]
         if b != -yi:
-            return swap_letters(sig, b, -yi), "vi", i, {abs(b), yi}
+            return swap_letters(sig, b, -yi), "vi", i
         # the block starts x_i' y_i' x_i, so a segment sits before y_i
-        return _whitehead_step(V, sig, i, done), "vii", i, None
+        return _whitehead_step(V, sig, i, done), "vii", i
     return None
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -477,6 +478,14 @@ class TestMain:
             cli.main()
         assert info.value.code == 0
 
+    def test_writes_to_the_current_stdout(self, monkeypatch):
+        # the streams are read at call time, not bound at import
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == 0 and buf.getvalue() == "true\n"
+
     def test_failed_flush_exits_1(self, monkeypatch):
         calls = []
 
@@ -552,6 +561,12 @@ class TestSelftest:
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 3 and all(ln.startswith("PASS") for ln in lines)
+
+    def test_every_criterion_without_criteria(self):
+        code, out, _ = invoke(["selftest", "--samples", "1", "--seed", "0"])
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln]
+        assert len(lines) == 9 and all(ln.startswith("PASS") for ln in lines)
 
     def test_json_output(self):
         code, out, _ = invoke(

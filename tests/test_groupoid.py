@@ -755,8 +755,8 @@ def _memo_state():
 
 
 class TestSplicedTargets:
-    """Template edges and canonical steps (i)-(vi) splice their targets from
-    the moved letters; each target must be the image under ``apply``."""
+    """Every template edge's target and every canonical step's word must be
+    the image of its source under ``apply``."""
 
     def test_engine_edges_match_apply(self, rng):
         edges_seen = 0
@@ -987,10 +987,8 @@ class TestCanonicalFaults:
 
     @pytest.fixture
     def walk(self, rng):
-        # the first step is spliced, and the rest after it has two steps or more
-        return _walked(
-            self.SIG, rng, lambda s: len(s) >= 3 and s[0].kind != "vii"
-        )
+        # the rest after the first step has two steps or more
+        return _walked(self.SIG, rng, lambda s: len(s) >= 3)
 
     def _warm_tail(self, steps):
         canonical_edge(steps[0].after)
@@ -1005,7 +1003,15 @@ class TestCanonicalFaults:
     def test_step_leaving_a_non_zieschang_word(self, walk, served, monkeypatch):
         V, steps = walk
         before = self._warm_tail(steps) if served else _memo_state()
-        monkeypatch.setattr(groupoid, "_spliced", lambda aut, W, moved: Word(W.sig, ()))
+        real = groupoid._first_move
+
+        def first_move(W):
+            # the true move's kind and level, with a map sending W to 1
+            _, kind, level = real(W)
+            empty = dict.fromkeys(W.sig.basis_codes(), Word.identity(W.sig))
+            return Endomorphism.from_map(W.sig, empty), kind, level
+
+        monkeypatch.setattr(groupoid, "_first_move", first_move)
         first = steps[0]
         with pytest.raises(
             NotZieschang, match=rf"^canonical step \({first.kind}, {first.level}\) left 1$"

@@ -30,6 +30,26 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_module_level_imports_are_used():
+    # a name bound by an import at module level must be read somewhere in
+    # the module; ``__init__.py`` imports to re-export
+    sources = sorted((ROOT / "src" / "surfaut").glob("*.py"))
+    unused = []
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def test_project_declares_no_dependencies():
     # read by hand: tomllib is not in Python 3.10
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
