@@ -19,7 +19,7 @@ constructor ``_word`` instead, which stores the codes as given.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -75,16 +75,17 @@ class _Memo(OrderedDict):
         return value
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
-    """Genus and puncture counts fixing the alphabet."""
+class Signature(namedtuple("Signature", "g p")):
+    """Genus and puncture counts fixing the alphabet.  A named tuple, so it
+    compares, hashes and orders as the pair (g, p), in C."""
 
-    g: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 0 or self.p < 0:
+    def __new__(cls, g: int, p: int) -> "Signature":
+        self = super().__new__(cls, g, p)
+        if g < 0 or p < 0:
             raise ValueError(f"genus and puncture counts must be >= 0, got {self}")
+        return self
 
     @property
     def rank(self) -> int:
@@ -225,7 +226,7 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         sig = self.sig
-        if other.sig is not sig and other.sig != sig:
+        if other.sig != sig:
             raise SignatureMismatch(f"{sig} vs {other.sig}")
         a, b = self.codes, other.codes
         if not a:

@@ -97,7 +97,7 @@ class Endomorphism:
 
     def apply(self, u: Word) -> Word:
         sig = self.sig
-        if u.sig is not sig and u.sig != sig:
+        if u.sig != sig:
             raise SignatureMismatch(f"{u.sig} vs {sig}")
         return _word(sig, _substitute(self.images, u.codes, {}))
 
@@ -185,7 +185,7 @@ def _compose_endos(endos: list[Endomorphism]) -> Endomorphism:
     substituting the images accumulated so far into its images."""
     sig = endos[0].sig
     for e in endos:
-        if e.sig is not sig and e.sig != sig:
+        if e.sig != sig:
             raise SignatureMismatch(f"{e.sig} vs {sig}")
     if len(endos) == 1:
         return endos[0]

@@ -420,8 +420,7 @@ def _loops_chunked_square(
     letter in front on both sides the bottom is ``e`` itself, whose bracket
     is ``br``."""
     d_v, tau, d_w = _square(e, jc)
-    moves = (d_v, tau, d_w.inverse() if d_w else None)
-    scripts.append((tuple(m for m in moves if m is not None), e.aut))
+    scripts.append(((d_v, tau, d_w.inverse()) if d_v else (tau,), e.aut))
     loops = _loops_move_front(d_v, scripts)
     loops.append(_loop(br if tau is e else _bracket(tau), STAB))
     loops.extend(_invert_loops(_loops_move_front(d_w, scripts), e.sig))
@@ -434,18 +433,20 @@ def _square(
     """The square over ``e`` at the puncture letter ``jc``: the front
     conjugations d_v, d_w of its ends (None when ``jc`` is already in front)
     and the bottom tau = d_v' e d_w, which fixes ``jc``; tau is ``e`` when
-    both are None."""
+    both are None.
+
+    They are both None or both edges.  ``e`` fixes ``jc`` and no other image
+    contains it, so the target is e(P) jc e(Q) for the source P jc Q, with
+    nothing cancelling against ``jc``; it starts with ``jc`` exactly when
+    e(P) is empty, that is when P is, as ``e`` is injective."""
     d_v = _conj_t_to_front(e.source, e.source.codes.index(jc))
     d_w = _conj_t_to_front(e.target, e.target.codes.index(jc))
+    if (d_v is None) != (d_w is None):
+        raise CosetViolation("front conjugation at one end of the square only")
     tau = e
-    if d_v or d_w:
-        parts = [d_v.aut.inverse()] if d_v else []
-        parts.append(e.aut)
-        if d_w:
-            parts.append(d_w.aut)
-        # d_v' carries d_v's target back to e's source, so tau ends where d_w
-        # does (at e's target when d_w is None)
-        tau = _edge(d_v.target if d_v else e.source, compose(*parts), None)
+    if d_v:
+        # d_v' carries d_v's target back to e's source; tau ends where d_w does
+        tau = _edge(d_v.target, compose(d_v.aut.inverse(), e.aut, d_w.aut), None)
     t_word = Word(e.sig, (jc,))
     if tau.aut.apply(t_word) != t_word:
         raise CosetViolation("bottom of the square moves its split letter")

@@ -29,6 +29,7 @@ word it splices, and nothing scans or folds it again.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,16 +48,16 @@ _FAMILIES = ("s", "a", "b", "g")
 _TOKEN_RE = re.compile(r"^([sabg])([1-9][0-9]*)(')?$")
 
 
-@dataclass(frozen=True)
-class GenName:
-    """A named generator: family 's', 'a', 'b' or 'g' plus its index."""
+class GenName(namedtuple("GenName", "family index")):
+    """A named generator: family 's', 'a', 'b' or 'g' plus its index.  A
+    named tuple, so it compares and hashes as the pair (family, index)."""
 
-    family: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES or self.index < 1:
-            raise IndexOutOfRange(f"bad generator name {self.family}{self.index}")
+    def __new__(cls, family: str, index: int) -> "GenName":
+        if family not in _FAMILIES or index < 1:
+            raise IndexOutOfRange(f"bad generator name {family}{index}")
+        return super().__new__(cls, family, index)
 
     def validate(self, sig: Signature) -> None:
         ok = {
@@ -90,10 +91,7 @@ class GenWord:
                 out.pop()
             else:
                 out.append((name, exp))
-        if tuple(out) != tuple(self.tokens):
-            object.__setattr__(self, "tokens", tuple(out))
-        else:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "tokens", tuple(out))
 
     @staticmethod
     def empty() -> "GenWord":

@@ -30,7 +30,7 @@ from .gens import (
     zeta_lift,
 )
 from .groupoid import canonical_edge, certify_automorphism, mu_key, nielsen_reduce
-from .whitehead import build_graph, forest_check_dfs, is_onto, is_zieschang
+from .whitehead import build_graph, candidate_letters, forest_check_dfs, is_onto, is_zieschang
 
 #: Signatures exercised by the randomized criteria.
 GRID = tuple(
@@ -62,13 +62,6 @@ def random_adl_automorphism(
     sig: Signature, rng: random.Random, max_tokens: int
 ) -> Automorphism:
     return eval_gen_word(random_gen_word(sig, rng, max_tokens), sig)
-
-
-def candidate_letters(sig: Signature) -> list[int]:
-    codes = [sig.t_code(j) for j in range(1, sig.p + 1)]
-    for i in range(1, sig.g + 1):
-        codes += [sig.x_code(i), -sig.x_code(i), sig.y_code(i), -sig.y_code(i)]
-    return codes
 
 
 def random_candidate(sig: Signature, rng: random.Random) -> tuple[int, ...]:

@@ -59,14 +59,19 @@ class ExtendedWhiteheadGraph:
         return _forest_union_find(self.vertices(), self.edges)
 
 
+def candidate_letters(sig: Signature) -> list[int]:
+    """The letters of a candidate word, 4g + p in all, in the order t_1 ..
+    t_p, then x_i, x_i', y_i, y_i' for each handle i."""
+    codes = [sig.t_code(j) for j in range(1, sig.p + 1)]
+    for i in range(1, sig.g + 1):
+        codes += [sig.x_code(i), -sig.x_code(i), sig.y_code(i), -sig.y_code(i)]
+    return codes
+
+
 @memo
 def _candidate_letters(sig: Signature) -> frozenset[int]:
-    """The letters of a candidate word: t_1 .. t_p and both signs of every
-    handle letter, 4g + p in all."""
-    need = {sig.t_code(j) for j in range(1, sig.p + 1)}
-    for i in range(1, sig.g + 1):
-        need.update({sig.x_code(i), -sig.x_code(i), sig.y_code(i), -sig.y_code(i)})
-    return frozenset(need)
+    """The set of ``candidate_letters(sig)``."""
+    return frozenset(candidate_letters(sig))
 
 
 def _check_candidate(V: Word, sig: Signature) -> None:
@@ -96,7 +101,7 @@ def build_graph(V: Word, sig: Signature) -> ExtendedWhiteheadGraph:
 
 def is_zieschang(V: Word, sig: Signature) -> bool:
     """True iff V is a candidate and its extended graph is a forest."""
-    if V.sig is not sig and V.sig != sig:
+    if V.sig != sig:
         return False
     return _is_zieschang(sig, V.codes)
 

@@ -576,6 +576,19 @@ class TestSelftest:
         assert payload["command"] == "selftest"
         assert payload["results"][0]["ok"] is True
 
+    def test_json_fields(self):
+        code, out, _ = invoke(
+            ["--json", "selftest", "--samples", "1", "--seed", "0", "--criteria", "2"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"command", "seed", "results"}
+        assert (payload["command"], payload["seed"]) == ("selftest", 0)
+        assert [r["index"] for r in payload["results"]] == [2]
+        for r in payload["results"]:
+            assert set(r) == {"index", "name", "ok", "detail", "seconds"}
+            assert r["ok"] is True and isinstance(r["seconds"], float)
+
     def test_bad_criterion_index(self):
         code, _, err = invoke(["selftest", "--criteria", "42"])
         assert code == 2

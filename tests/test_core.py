@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -278,6 +280,49 @@ class TestBoundary:
     def test_product_across_signatures(self):
         with pytest.raises(ValueError):
             w(S10, "x1") * w(S12, "x1")
+
+
+class TestSignatureValue:
+    """``Signature`` is a named tuple: equality, hashing and ordering are
+    those of the pair (g, p), run by ``tuple`` itself."""
+
+    def test_tuple_methods(self):
+        assert Signature.__eq__ is tuple.__eq__
+        assert Signature.__hash__ is tuple.__hash__
+        assert Signature.__lt__ is tuple.__lt__
+
+    @pytest.mark.parametrize("sig", SMALL_SIGS)
+    def test_hash_is_the_pair_hash(self, sig):
+        assert hash(sig) == hash((sig.g, sig.p))
+
+    def test_sorted_by_genus_then_punctures(self):
+        sigs = [Signature(2, 0), Signature(0, 3), Signature(1, 2), Signature(1, 0)]
+        assert sorted(sigs) == [Signature(0, 3), Signature(1, 0), Signature(1, 2),
+                                Signature(2, 0)]
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip(self, clone):
+        sig = clone(S12)
+        assert type(sig) is Signature and sig == S12 and str(sig) == "(g=1, p=2)"
+
+    def test_bool_count_equals_int_count(self):
+        assert Signature(True, 0) == Signature(1, 0) == S10
+
+    def test_equals_its_pair(self):
+        assert Signature(1, 0) == (1, 0)
+
+    @pytest.mark.parametrize("g,p", [(-1, 0), (0, -2), (-3, -1)])
+    def test_negative_count_rejected(self, g, p):
+        says = f"genus and puncture counts must be >= 0, got (g={g}, p={p})"
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            Signature(g, p)
+
+    @pytest.mark.parametrize("field", ["g", "p", "rank"])
+    def test_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(S10, field, 2)
+        assert (S10.g, S10.p) == (1, 0)
 
 
 @pytest.mark.parametrize(

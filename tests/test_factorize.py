@@ -934,6 +934,16 @@ def _a_touched_puncture_letter(monkeypatch):
     monkeypatch.setattr(F, "_untouched_t", touched)
 
 
+def _target_front_conjugation_dropped(monkeypatch):
+    # at p >= 2 only ``_square`` conjugates to the front, at the source of
+    # its edge and then at the target, so every second call is a target's
+    real = F._conj_t_to_front
+    calls = itertools.count(1)
+    monkeypatch.setattr(
+        F, "_conj_t_to_front", lambda V, pos: None if next(calls) % 2 == 0 else real(V, pos)
+    )
+
+
 def _conjugators_ending_in_a_puncture_letter_dropped(monkeypatch):
     # such a conjugation moves nothing: the second leg of a front
     # conjugation cascade always has one
@@ -1002,6 +1012,8 @@ _NEVER_RUN_RAISES = [
     ("1,2", "a1", _every_puncture_letter_touched,
      "no untouched puncture letter for the chunked square"),
     ("0,3", "s2'", _a_touched_puncture_letter, "bottom of the square moves its split letter"),
+    ("1,2", "a1", _target_front_conjugation_dropped,
+     "front conjugation at one end of the square only"),
     ("1,2", "g1'", _conjugators_ending_in_a_puncture_letter_dropped,
      "front conjugation cascade missed its target"),
     ("1,1", "g1", _split_contract_never_holds,
@@ -1428,6 +1440,19 @@ def _has_t_before(d):
     """Is there a puncture letter before the one the front conjugation moves?"""
     V = d.source
     return any(V.sig.is_t_code(c) for c in V.codes[: V.codes.index(d.target.codes[0])])
+
+
+class TestSquareFrontConjugations:
+    """The front conjugations of a square are both None or both edges: its
+    edge fixes the split letter and keeps it out of every other image, so
+    the letter is in front at the target exactly when it is at the source."""
+
+    def test_both_or_neither(self, rng, monkeypatch):
+        calls = _trace(monkeypatch, ["_square"])
+        _telescope_enumerated(rng)
+        sides = [(c.result[0] is None, c.result[2] is None) for c in calls]
+        assert all(c.args[0].sig.p >= 2 for c in calls)
+        assert set(sides) == {(True, True), (False, False)}
 
 
 class TestBracketsByConstruction:

@@ -1,7 +1,10 @@
+import copy
 import io
 import json
 import pathlib
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,41 @@ _GENERATOR_GOLDEN = json.loads(
         encoding="utf-8"
     )
 )["generators"]
+
+
+class TestGenNameValue:
+    """``GenName`` is a named tuple: equality and hashing are those of the
+    pair (family, index), run by ``tuple`` itself."""
+
+    def test_tuple_methods(self):
+        assert GenName.__eq__ is tuple.__eq__
+        assert GenName.__hash__ is tuple.__hash__
+
+    @pytest.mark.parametrize("name", [GenName(f, i) for f in "sabg" for i in (1, 2, 7)])
+    def test_hash_is_the_pair_hash(self, name):
+        assert hash(name) == hash((name.family, name.index))
+
+    @pytest.mark.parametrize("clone", [lambda n: pickle.loads(pickle.dumps(n)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip(self, clone):
+        name = clone(GenName("g", 3))
+        assert type(name) is GenName and name == GenName("g", 3) and str(name) == "g3"
+
+    def test_equals_its_pair(self):
+        assert GenName("a", 1) == ("a", 1)
+
+    @pytest.mark.parametrize("family,index", [("q", 1), ("a", 0), ("s", -2), ("x", 0)])
+    def test_bad_name_rejected(self, family, index):
+        says = f"bad generator name {family}{index}"
+        with pytest.raises(IndexOutOfRange, match=f"^{re.escape(says)}$"):
+            GenName(family, index)
+
+    @pytest.mark.parametrize("field", ["family", "index"])
+    def test_fields_are_read_only(self, field):
+        name = GenName("b", 2)
+        with pytest.raises(AttributeError):
+            setattr(name, field, 1)
+        assert (name.family, name.index) == ("b", 2)
 
 
 class TestGeneratorImages:
