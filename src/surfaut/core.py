@@ -14,6 +14,12 @@ freely reduced.
 letter.  Results built from words that are already valid (products, inverses,
 slices of reduced words, images under a map) go through the trusted
 constructor ``_word`` instead, which stores the codes as given.
+
+One int object per negative code: the memos keep many words, and CPython
+shares only the ints -5..256, so a word built here or by a substitution
+reads an inverse letter -c from the table ``_NEG`` instead of computing it.
+``_NEG[c] == -c`` for every code c of every signature made so far, and
+``Signature`` grows the table when it meets a larger rank.
 """
 
 from __future__ import annotations
@@ -75,9 +81,18 @@ class _Memo(OrderedDict):
         return value
 
 
+#: ``_NEG[c] == -c`` for every signed code c of the largest rank R of a
+#: signature made so far, indexed like ``groupoid._rank_table``: the layout
+#: is [0, -1, .., -R, R, .., 1], so a negative code reads from the end.  It
+#: holds one int object per value, so the words that use it share them.
+_NEG: list = [0]
+
+
 class Signature(namedtuple("Signature", "g p")):
     """Genus and puncture counts fixing the alphabet.  A named tuple, so it
-    compares, hashes and orders as the pair (g, p), in C."""
+    compares, hashes and orders as the pair (g, p), in C.  Every route that
+    makes one (``_make``, ``_replace``, pickling and copying included) goes
+    through ``__new__``, which validates and covers the rank in ``_NEG``."""
 
     __slots__ = ()
 
@@ -85,7 +100,16 @@ class Signature(namedtuple("Signature", "g p")):
         self = super().__new__(cls, g, p)
         if g < 0 or p < 0:
             raise ValueError(f"genus and puncture counts must be >= 0, got {self}")
+        old, new = len(_NEG) // 2, 2 * g + p
+        if new > old:
+            # in place, between the two halves: the objects handed out stay
+            grown = [-c for c in range(old + 1, new + 1)]
+            _NEG[old + 1 : old + 1] = grown + list(range(new, old, -1))
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Signature":
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -241,7 +265,7 @@ class Word:
         return _word(sig, a[:i] + b[j:] if j else a + b)
 
     def inverse(self) -> "Word":
-        return _word(self.sig, tuple([-c for c in reversed(self.codes)]))
+        return _word(self.sig, tuple([_NEG[c] for c in reversed(self.codes)]))
 
     def conjugate_by(self, v: "Word") -> "Word":
         """u^v = v' u v."""
@@ -320,7 +344,7 @@ def relator(sig: Signature) -> Word:
     codes: list[int] = [sig.t_code(j) for j in range(sig.p, 0, -1)]
     for i in range(1, sig.g + 1):
         x, y = sig.x_code(i), sig.y_code(i)
-        codes += [-x, -y, x, y]
+        codes += [_NEG[x], _NEG[y], x, y]
     return _word(sig, tuple(codes))  # distinct neighbours: reduced, in range
 
 

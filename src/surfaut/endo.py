@@ -17,13 +17,16 @@ one-letter move c -> u c v is witnessed by checking that u and v avoid the
 letter of c: both maps then fix u and v, so the inverse c -> u' c v' undoes
 it without a substitution, and u c v is reduced as written.  A swap of two
 signed letters, or the sign flip of one, is an involution, so it is its own
-witness.  ``compose`` of witnessed pairs is witnessed by algebra, since
-(a b)(b' a') = 1, and so is the restriction of a witnessed pair to a free
-factor that both of its maps preserve.
+witness; the swaps are memoised, so every swap step of the canonical walks
+shares one map per swap.  ``compose`` of witnessed pairs is witnessed by
+algebra, since (a b)(b' a') = 1, and so is the restriction of a witnessed
+pair to a free factor that both of its maps preserve.
 
 ``_substitute`` replaces each letter of a word by its image from an image
 list and cancels at the seams; it is the one image kernel: ``apply`` is
-one substitution, and so is every Nielsen move and canonical step.
+one substitution, and so is every Nielsen move and canonical step.  It
+and ``letter_move`` read every inverse letter they write from
+``core._NEG``, so the words the memos keep share one int object per code.
 Composition is a right fold: it starts from the images of the last factor
 and, going leftwards, recomputes only the basis letters each factor moves,
 so a named generator or a Nielsen move costs work on its 1-3 moved letters,
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
+    _NEG,
     Signature,
     Word,
     _word,
@@ -84,8 +88,8 @@ class Endomorphism:
     def identity(sig: Signature) -> "Endomorphism":
         """One shared value per signature (while it stays in the bounded
         memo), so the fixed images of every map built from it share their
-        words.  Sharing saves memory only: no code compares images by
-        identity."""
+        words.  Sharing saves memory only: no code compares images, or the
+        int objects of their codes (``core._NEG``), by identity."""
         return _endo(sig, tuple([_word(sig, (b,)) for b in sig.basis_codes()]))
 
     @staticmethod
@@ -132,8 +136,10 @@ def _substitute(
     """Reduced image of the word ``codes`` when each basis letter c is replaced
     by ``images[c - 1]``.  A positive letter reads its image straight from the
     list; the image of a negative letter is built on first use and kept in
-    ``inv``, which the caller owns for one call or one fold step.  The images
-    are reduced, so each one cancels only at the seam."""
+    ``inv``, which the caller owns for one call or one fold step, from the
+    table ``core._NEG``: each code of it is then the one int object of its
+    value, not a new one per negation.  The images are reduced, so each one
+    cancels only at the seam."""
     out: list[int] = []
     pop, extend = out.pop, out.extend
     for c in codes:
@@ -142,7 +148,7 @@ def _substitute(
         else:
             img = inv.get(c)
             if img is None:
-                img = inv[c] = tuple([-d for d in reversed(images[-c - 1].codes)])
+                img = inv[c] = tuple([_NEG[d] for d in reversed(images[-c - 1].codes)])
         if out and img and out[-1] == -img[0]:
             pop()
             k, m = 1, len(img)
@@ -300,8 +306,8 @@ def letter_move(sig: Signature, code: int, left: Word, right: Word) -> Automorph
         raise CosetViolation(
             f"one-letter move of {letter_str(sig, code)} mentions its own letter"
         )
-    ui = tuple([-c for c in reversed(u)])
-    vi = tuple([-c for c in reversed(v)])
+    ui = tuple([_NEG[c] for c in reversed(u)])
+    vi = tuple([_NEG[c] for c in reversed(v)])
     if code > 0:
         fwd, inv = _word(sig, u + (b,) + v), _word(sig, ui + (b,) + vi)
     else:
@@ -314,13 +320,16 @@ def letter_move(sig: Signature, code: int, left: Word, right: Word) -> Automorph
     )
 
 
+@memo
 def swap_letters(sig: Signature, a: int, b: int) -> Automorphism:
     """The involution exchanging the signed letters a and b (and their inverses).
 
     When a and b share a basis letter this is the sign flip of that letter.
     The map exchanges a and b (a flip sends c to c' and back) and fixes
     every other letter, so it is its own inverse: the pair is witnessed by
-    construction.
+    construction.  Memoised, so the swap steps of every canonical walk share
+    one map per swap; its images read their codes from ``_NEG``, not from
+    the arguments.
     """
     if a == b:
         return Automorphism.identity(sig)
@@ -329,10 +338,11 @@ def swap_letters(sig: Signature, a: int, b: int) -> Automorphism:
             raise ValueError(f"letter code {c} out of range for {sig}")
     images = list(Endomorphism.identity(sig).images)
     if abs(a) == abs(b):
-        images[abs(a) - 1] = _word(sig, (-abs(a),))
+        images[abs(a) - 1] = _word(sig, (_NEG[abs(a)],))
     else:
-        images[abs(a) - 1] = _word(sig, (b if a > 0 else -b,))
-        images[abs(b) - 1] = _word(sig, (a if b > 0 else -a,))
+        # the table's object of the value b (a > 0) or -b, and of a or -a
+        images[abs(a) - 1] = _word(sig, (_NEG[-b if a > 0 else b],))
+        images[abs(b) - 1] = _word(sig, (_NEG[-a if b > 0 else a],))
     e = _endo(sig, tuple(images))
     return _aut(e, e)
 

@@ -59,6 +59,11 @@ class GenName(namedtuple("GenName", "family index")):
             raise IndexOutOfRange(f"bad generator name {family}{index}")
         return super().__new__(cls, family, index)
 
+    @classmethod
+    def _make(cls, iterable) -> "GenName":
+        # through the validating ``__new__``, and so is ``_replace``
+        return cls(*iterable)
+
     def validate(self, sig: Signature) -> None:
         ok = {
             "s": 2 <= self.index <= sig.p,

@@ -77,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Signature, Word, _Memo, _word, letter_str, memo, order_rank, relator
+from .core import _NEG, Signature, Word, _Memo, _word, letter_str, memo, order_rank, relator
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -216,11 +216,12 @@ def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
 def _template_move(sig: Signature, tag: str, u: int, c: int) -> Automorphism:
     """The template pair moving the letter u past its neighbour c: u -> u c'
     (N2_right), c u c' (N3_right), c' u (N2_left) or c' u c (N3_left)."""
+    ci = _NEG[c]
     left, right = {
-        N2_RIGHT: ((), (-c,)),
-        N3_RIGHT: ((c,), (-c,)),
-        N2_LEFT: ((-c,), ()),
-        N3_LEFT: ((-c,), (c,)),
+        N2_RIGHT: ((), (ci,)),
+        N3_RIGHT: ((c,), (ci,)),
+        N2_LEFT: ((ci,), ()),
+        N3_LEFT: ((ci,), (c,)),
     }[tag]
     return letter_move(sig, u, _word(sig, left), _word(sig, right))
 
@@ -661,7 +662,7 @@ def _finish_n1(endo: Endomorphism, V: Word, W: Word) -> GroupoidEdge:
     inv: list = [None] * sig.rank
     for b in sig.basis_codes():
         c = endo.images[b - 1].codes[0]
-        inv[abs(c) - 1] = _word(sig, (b if c > 0 else -b,))
+        inv[abs(c) - 1] = _word(sig, (b if c > 0 else _NEG[b],))
     aut = _aut(endo, _endo(sig, tuple(inv)))
     # V is the checked input or the last move's target
     e = _edge(V, aut, NielsenKind(N1))
@@ -798,14 +799,13 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
     # each map undoes the other
     fwd = list(Endomorphism.identity(sig).images)
     inv = fwd[:]
+    yi_inv = _NEG[yi]
     for b in sig.basis_codes():
         left = (yi,) if -b in segment else ()
-        right = (-yi,) if b in segment else ()
+        right = (yi_inv,) if b in segment else ()
         if left or right:
             fwd[b - 1] = _word(sig, left + (b,) + right)
-            inv[b - 1] = _word(
-                sig, tuple([-c for c in left]) + (b,) + tuple([-c for c in right])
-            )
+            inv[b - 1] = _word(sig, (yi_inv,) * len(left) + (b,) + (yi,) * len(right))
     aut = _aut(_endo(sig, tuple(fwd)), _endo(sig, tuple(inv)))
     mid_word, tail_word = _word(sig, mid), _word(sig, tail)
     y_word = _word(sig, (yi,))

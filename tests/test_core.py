@@ -33,6 +33,7 @@ from surfaut import (
     parse_word,
     relator,
 )
+from surfaut import core
 from surfaut.core import parse_letter
 
 from surfaut.errors import SignatureMismatch
@@ -323,6 +324,76 @@ class TestSignatureValue:
         with pytest.raises(AttributeError):
             setattr(S10, field, 2)
         assert (S10.g, S10.p) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "build,says",
+        [
+            (lambda: Signature._make((-1, 0)), "(g=-1, p=0)"),
+            (lambda: Signature._make([0, -3]), "(g=0, p=-3)"),
+            (lambda: Signature(1, 0)._replace(g=-2), "(g=-2, p=0)"),
+            (lambda: S12._replace(p=-1), "(g=1, p=-1)"),
+        ],
+        ids=["make-g", "make-p", "replace-g", "replace-p"],
+    )
+    def test_make_and_replace_validate(self, build, says):
+        says = f"genus and puncture counts must be >= 0, got {says}"
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            build()
+
+    def test_make_and_replace_build_signatures(self):
+        for sig in (Signature._make((1, 2)), S10._replace(p=2)):
+            assert type(sig) is Signature and sig == S12 and sig.rank == 4
+
+
+def _stand_in(g, p):
+    """A ``Signature`` value built by ``tuple.__new__``, behind ``__new__``'s
+    back, so that only the route under test can cover its rank."""
+    return tuple.__new__(Signature, (g, p))
+
+
+class TestNegationTable:
+    """``core._NEG`` holds -c for every code c of every signature made, one
+    object per value; a route that skipped ``Signature.__new__`` would leave
+    a large rank uncovered, and a list read past its range wraps round."""
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda g, p: Signature._make((g, p)),
+            lambda g, p: Signature(0, 0)._replace(g=g, p=p),
+            lambda g, p: pickle.loads(pickle.dumps(_stand_in(g, p))),
+            lambda g, p: copy.deepcopy(_stand_in(g, p)),
+            Signature,
+        ],
+        ids=["make", "replace", "pickle", "deepcopy", "new"],
+    )
+    def test_every_route_covers_a_new_rank(self, route):
+        before = core._NEG[:]
+        top = len(before) // 2
+        sig = route(150, top + 100)  # larger than any signature made so far
+        assert type(sig) is Signature and sig.rank == top + 400
+        assert len(core._NEG) == 2 * sig.rank + 1
+        assert all(core._NEG[c] == -c for c in range(-sig.rank, sig.rank + 1))
+        # growing keeps the objects already handed out
+        assert all(core._NEG[c] is before[c] for c in range(-top, top + 1))
+
+    def test_one_object_per_value(self):
+        assert len({id(c) for c in core._NEG}) == len(core._NEG)
+
+    def test_smaller_signature_leaves_the_table(self):
+        before = core._NEG[:]
+        Signature(1, 0)
+        assert len(core._NEG) == len(before)
+        assert all(a is b for a, b in zip(core._NEG, before))
+
+    def test_inverse_round_trips_at_a_large_rank(self):
+        sig = Signature(150, 100)
+        codes = tuple(int(str(c)) for c in (5, -400, 7, 399, -6, -300, 100, -101))
+        w = Word(sig, codes)
+        inv = w.inverse()
+        assert inv.codes == (101, -100, 300, 6, -399, -7, 400, -5)
+        assert inv.inverse() == w and (w * inv).codes == ()
+        assert all(c is core._NEG[-c] for c in inv.codes)
 
 
 @pytest.mark.parametrize(

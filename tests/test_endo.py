@@ -38,9 +38,10 @@ from surfaut.endo import (
     letter_move,
     swap_letters,
 )
+from surfaut import core
 from surfaut.core import Letter
 from surfaut.errors import CosetViolation, ImageEscapes, ParseError, SignatureMismatch
-from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word
+from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word, random_word
 
 from conftest import SMALL_SIGS, words
 
@@ -898,6 +899,67 @@ class TestConstructionChecks:
             letter_move(S10, code, one, one)
         with pytest.raises(ValueError, match="out of range"):
             swap_letters(S10, code, 1)
+
+
+def _private(codes):
+    """The codes as new int objects: CPython shares only the ints -5..256,
+    so a code of another value made by ``int`` is an object of its own."""
+    return tuple(int(str(c)) for c in codes)
+
+
+def _shared(c):
+    """Whether the code c is the object that ``core._NEG`` holds for its value."""
+    return c is core._NEG[-c]
+
+
+class TestSharedCodes:
+    """Every inverse letter the kernels write is read from ``core._NEG``, so
+    the words the memos keep share one int object per code; at (2,4) and
+    (5,1) most codes lie outside the ints CPython shares."""
+
+    SIGS = [Signature(2, 4), Signature(5, 1)]
+
+    @pytest.mark.parametrize("sig", SIGS)
+    def test_inverse(self, sig, rng):
+        for _ in range(50):
+            w = random_word(sig, rng, 12)
+            w = Word(sig, _private(w.codes))
+            inv = w.inverse()
+            assert all(_shared(c) for c in inv.codes)
+            assert inv.codes == tuple(-c for c in reversed(w.codes))
+
+    @pytest.mark.parametrize("sig", SIGS)
+    def test_letter_move_inverts_through_the_table(self, sig):
+        b = 1
+        left, right = Word(sig, _private((6, -7, 8))), Word(sig, _private((-6, 2)))
+        for code in (b, -b):
+            a = letter_move(sig, code, left, right)
+            # the images that invert ``left`` and ``right``
+            inverted = a.inv if code > 0 else a.fwd
+            codes = inverted.images[b - 1].codes
+            assert len(codes) == 6 and all(_shared(c) for c in codes if c != b)
+
+    @given(st.data())
+    def test_substitute_of_inverse_letters(self, data):
+        sig = data.draw(st.sampled_from(self.SIGS))
+        endo = data.draw(endomorphisms(sig))
+        images = tuple(Word(sig, _private(w.codes)) for w in endo.images)
+        u = data.draw(words(sig=sig))
+        negative = tuple(-abs(c) for c in u.codes)
+        out = _substitute(images, negative, {})
+        assert all(_shared(c) for c in out)
+        assert out == naive_apply(Endomorphism(sig, images), Word(sig, negative)).codes
+
+    @pytest.mark.parametrize("sig", SIGS)
+    def test_swap_is_memoised_with_shared_images(self, sig):
+        letters = [c for b in sig.basis_codes() for c in (b, -b)]
+        for a in letters:
+            for b in letters:
+                e = swap_letters(sig, a, b)
+                assert swap_letters(sig, a, b) is e
+                # arguments of their own give the same stored map
+                assert swap_letters(sig, *_private((a, b))) is e
+                assert all(_shared(c) for w in e.fwd.images for c in w.codes)
 
 
 def _one_move(sig, text):

@@ -79,6 +79,25 @@ class TestGenNameValue:
             setattr(name, field, 1)
         assert (name.family, name.index) == ("b", 2)
 
+    @pytest.mark.parametrize(
+        "build,says",
+        [
+            (lambda: GenName._make(("q", 0)), "q0"),
+            (lambda: GenName._make(["a", -1]), "a-1"),
+            (lambda: GenName("a", 1)._replace(index=0), "a0"),
+            (lambda: GenName("b", 2)._replace(family="x"), "x2"),
+        ],
+        ids=["make-family", "make-index", "replace-index", "replace-family"],
+    )
+    def test_make_and_replace_validate(self, build, says):
+        says = f"bad generator name {says}"
+        with pytest.raises(IndexOutOfRange, match=f"^{re.escape(says)}$"):
+            build()
+
+    def test_make_and_replace_build_names(self):
+        for name in (GenName._make(("g", 3)), GenName("a", 3)._replace(family="g")):
+            assert type(name) is GenName and name == GenName("g", 3)
+
 
 class TestGeneratorImages:
     def test_alpha1(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -35,7 +36,7 @@ from surfaut import (
     parse_word,
     relator,
 )
-from surfaut import groupoid
+from surfaut import core, groupoid
 from surfaut.core import MEMO_SIZE
 from surfaut.endo import _t_class_permutation, classify_letters, letter_move
 from surfaut.groupoid import (
@@ -1197,6 +1198,54 @@ class TestCertify:
         phi = Endomorphism.from_map(S10, {1: parse_word(S10, "y1")})
         with pytest.raises(HypothesisViolated):
             certify_automorphism(phi)
+
+
+def _word_codes(value):
+    """Every code of every word in a memo's value: words, tuples of them, and
+    the dataclasses that hold them (maps, edges, step records)."""
+    if isinstance(value, Word):
+        yield from value.codes
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _word_codes(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _word_codes(getattr(value, f.name))
+
+
+class TestSharedCodes:
+    """The words that ``_nielsen_edge``, ``_step`` and ``canonical_edge`` keep,
+    and the reductions that ``factorize._reduced`` keeps, hold no int object
+    of their own below -5: each such code is the one ``core._NEG`` holds for
+    its value, or an object of the input itself."""
+
+    @pytest.mark.parametrize("sig", [Signature(2, 4), Signature(5, 1)])
+    def test_kept_words_share_their_codes(self, sig, rng, monkeypatch):
+        kept, held, inputs = [], [], set()
+        for name in ("_nielsen_edge", "_step"):
+            memo = getattr(groupoid, name)
+
+            def spy(*args, memo=memo):
+                value = memo(*args)  # the stored value itself
+                kept.append(value)
+                return value
+
+            monkeypatch.setattr(groupoid, name, spy)
+        kinds = set()
+        for _ in range(8):
+            endo = random_adl_automorphism(sig, rng, 10).fwd
+            V = random_zieschang(sig, rng)
+            held.append((endo, V))  # alive, so that no id below is reused
+            inputs |= {id(c) for c in _word_codes(endo)} | {id(c) for c in V.codes}
+            assert certify_automorphism(endo) is not None
+            kept.append(nielsen_reduce(relator(sig), endo))
+            kept.append(canonical_edge(V))
+            kinds |= {step.kind for step in kept[-1][1]}
+        assert {"ii", "iv", "vi"} & kinds  # the walks take swap steps
+        low = [c for c in _word_codes(kept) if c < -5]
+        assert len(low) > 1000
+        assert [c for c in low if c is not core._NEG[-c] and id(c) not in inputs] == []
+        assert sum(c is core._NEG[-c] for c in low) > len(low) // 2
 
 
 class TestEdgeInvariants:

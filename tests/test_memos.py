@@ -49,6 +49,7 @@ def test_finds_the_known_caches():
     names = set(package_caches())
     assert {
         "surfaut.endo.Endomorphism.identity",
+        "surfaut.endo.swap_letters",
         "surfaut.gens.generator",
         "surfaut.groupoid._nielsen_edge",
         "surfaut.groupoid._rank_table",
