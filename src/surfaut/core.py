@@ -11,13 +11,15 @@ where the apostrophe marks the inverse.  Words are immutable and always
 freely reduced.
 
 ``Word(sig, codes)`` validates: it reduces the codes and range-checks every
-letter.  Results built from words that are already valid (products, inverses,
+letter, and it stores the table ``_NEG``'s int object for each code.
+Results built from words that are already valid (products, inverses,
 slices of reduced words, images under a map) go through the trusted
 constructor ``_word`` instead, which stores the codes as given.
 
 One int object per negative code: the memos keep many words, and CPython
 shares only the ints -5..256, so a word built here or by a substitution
-reads an inverse letter -c from the table ``_NEG`` instead of computing it.
+reads an inverse letter -c from the table ``_NEG`` instead of computing it,
+and a validated word reads every code from it.
 ``_NEG[c] == -c`` for every code c of every signature made so far, and
 ``Signature`` grows the table when it meets a larger rank.
 """
@@ -208,16 +210,6 @@ def letter_str(sig: Signature, code: int) -> str:
     return str(Letter.from_code(sig, code))
 
 
-def _reduce_codes(codes: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for c in codes:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 @dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word; reduction happens at construction."""
@@ -226,12 +218,17 @@ class Word:
     codes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        codes = tuple(self.codes)
         rank = self.sig.rank
-        for c in codes:  # before reduction, so that bad letters cannot cancel away
+        out: list[int] = []
+        for c in self.codes:
+            # before it is reduced, so that a bad letter cannot cancel away
             if not 1 <= abs(c) <= rank:
                 raise ValueError(f"letter code {c} out of range for {self.sig}")
-        object.__setattr__(self, "codes", _reduce_codes(codes))
+            if out and out[-1] == -c:
+                out.pop()
+            else:
+                out.append(_NEG[-c])  # the table's object: _NEG[-c] == c
+        object.__setattr__(self, "codes", tuple(out))
 
     @staticmethod
     def identity(sig: Signature) -> "Word":

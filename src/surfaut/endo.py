@@ -24,9 +24,12 @@ pair to a free factor that both of its maps preserve.
 
 ``_substitute`` replaces each letter of a word by its image from an image
 list and cancels at the seams; it is the one image kernel: ``apply`` is
-one substitution, and so is every Nielsen move and canonical step.  It
-and ``letter_move`` read every inverse letter they write from
-``core._NEG``, so the words the memos keep share one int object per code.
+one substitution, and so is every Nielsen move and canonical step.  Most
+letters of the maps it applies keep a one-letter image, so a negative
+letter with a one-letter image writes that letter's inverse straight from
+``core._NEG`` (or cancels it at the seam) and builds no inverse image.  It
+and ``letter_move`` read every inverse letter they write from ``_NEG``, so
+the words the memos keep share one int object per code.
 Composition is a right fold: it starts from the images of the last factor
 and, going leftwards, recomputes only the basis letters each factor moves,
 so a named generator or a Nielsen move costs work on its 1-3 moved letters,
@@ -135,20 +138,31 @@ def _substitute(
 ) -> tuple[int, ...]:
     """Reduced image of the word ``codes`` when each basis letter c is replaced
     by ``images[c - 1]``.  A positive letter reads its image straight from the
-    list; the image of a negative letter is built on first use and kept in
-    ``inv``, which the caller owns for one call or one fold step, from the
-    table ``core._NEG``: each code of it is then the one int object of its
-    value, not a new one per negation.  The images are reduced, so each one
-    cancels only at the seam."""
+    list.  A negative letter reads its inverse image from ``inv``, which the
+    caller owns for one call or one fold step.  On a miss, a letter whose
+    image is the one letter d writes d' from the table ``core._NEG``, or
+    cancels a d that stands before it, and builds and stores nothing; a
+    longer image is inverted once, from ``_NEG`` as well, and kept in
+    ``inv``.  Each code written is then the one int object of its value, not
+    a new one per negation.  The images are reduced, so each one cancels
+    only at the seam."""
     out: list[int] = []
-    pop, extend = out.pop, out.extend
+    pop, append, extend = out.pop, out.append, out.extend
     for c in codes:
         if c > 0:
             img = images[c - 1].codes
         else:
             img = inv.get(c)
             if img is None:
-                img = inv[c] = tuple([_NEG[d] for d in reversed(images[-c - 1].codes)])
+                fwd = images[-c - 1].codes
+                if len(fwd) == 1:
+                    d = fwd[0]
+                    if out and out[-1] == d:
+                        pop()
+                    else:
+                        append(_NEG[d])
+                    continue
+                img = inv[c] = tuple([_NEG[d] for d in reversed(fwd)])
         if out and img and out[-1] == -img[0]:
             pop()
             k, m = 1, len(img)

@@ -8,12 +8,15 @@ decreasing termination measure checked at every step.  ``canonical_edge``
 is the deterministic normalization of a Zieschang word onto the relator.
 
 The engine builds one ``_Carry`` per call, straight from the map and the
-word (the codes of the measured words, their keys, the set of their codes),
-and then updates it in place.  A Nielsen move changes the image of one
-basis letter b, the letter of v_k, so a move recomputes only what reads
-phi(b): the new phi(b), one substitution into the old images; b's one or two
-entries of the measure; the distinct-images check, kept as a set of image
-codes; and the verdict of each letter pair (v_k, v_(k+1)) that involves b.
+word (the signed image table ``at``, with the codes of phi(c) for every
+signed letter c, the codes of the measured words, their keys, the set of
+their codes), and then updates it in place.  A Nielsen move changes the
+image of one basis letter b, the letter of v_k, so a move recomputes only
+what reads phi(b): the new phi(b), one substitution into the old images,
+and phi(b)', read from ``core._NEG``, in b's two entries of ``at``; b's one
+or two entries of the measure; the distinct-images check, kept as a set of
+image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
+involves b.
 The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
 the entries' keys, so whether it strictly decreased is read off the
 replaced entries alone (``_decreases``).  The verdicts are memoised per
@@ -21,10 +24,11 @@ letter pair and indexed by basis letter, so a move drops b's pairs without
 scanning the others.  The search for a violation resumes where the last
 one was found, or earlier where the move changed a letter of the word or
 b's letter occurs: every position before that kept the verdict ().  A
-verdict reads code tuples only: A_k is the longest common prefix of
-phi(v_k)' and phi(v_(k+1)), it cancels completely in B = phi(v_k) A_k and
-C = phi(v_(k+1))' A_k, so B and C are slices, and lenlex compares lengths
-first and then ``order_rank`` from a per-signature table.  Words are built
+verdict reads code tuples from ``at`` only: A_k is the longest common
+prefix of phi(v_k)' and phi(v_(k+1)), it cancels completely in
+B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are slices, and
+lenlex compares lengths first and then ``order_rank`` from a per-signature
+table.  Words are built
 for the stuck payload only.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
@@ -381,8 +385,9 @@ class _Carry:
 
     - ``word``: the current source word;
     - ``images``: the basis images of the current map;
-    - ``inv``: the codes of phi(c) for the negative letters c read since
-      c's letter last moved;
+    - ``at``: the codes of phi(c) for every signed letter c, indexed by c in
+      ``core._NEG``'s layout, so ``at[b]`` and ``at[-b]`` are phi(b) and
+      phi(b)'; a move replaces its letter's two entries;
     - ``verdicts``: the verdict of position k, per letter pair
       (v_k, v_(k+1)), built when ``_find_violation`` first needs it; it
       depends only on the pair and the two letters' images;
@@ -405,27 +410,20 @@ class _Carry:
         rank = self.rank = _rank_table(sig)
         self.word = V
         self.images = list(endo.images)
-        self.inv: dict[int, tuple[int, ...]] = {}
         self.verdicts: dict[tuple[int, int], tuple] = {}
         self.pairs: dict[int, list[tuple[int, int]]] = {}
+        at = self.at = [()] * (2 * sig.rank + 1)
         codes_at = self.codes_at = []
         for b, w in enumerate(self.images, 1):
-            codes_at.append(w.codes)
+            at[b] = w.codes
+            at[-b] = tuple([_NEG[d] for d in reversed(w.codes)])
+            codes_at.append(at[b])
             if not sig.is_t_code(b):
-                codes_at.append(self.letter(-b))
+                codes_at.append(at[-b])
         self.key_at = [_key_of(codes, rank) for codes in codes_at]
         self.seen = set(codes_at)
         self.distinct = len(self.seen) == len(codes_at)
         self.resume = 1
-
-    def letter(self, c: int) -> tuple[int, ...]:
-        """The codes of phi(c) for a signed letter c."""
-        if c > 0:
-            return self.images[c - 1].codes
-        w = self.inv.get(c)
-        if w is None:
-            w = self.inv[c] = tuple([-d for d in reversed(self.images[-c - 1].codes)])
-        return w
 
     def endo(self) -> Endomorphism:
         """The current map."""
@@ -435,18 +433,6 @@ class _Carry:
         """The codes of the current word and of the current images; their
         lengths, 4g + p and 2g + p, fix the signature."""
         return (self.word.codes, tuple([w.codes for w in self.images]))
-
-    def verdict(self, pair: tuple[int, int]) -> tuple:
-        """Build, memoise and index the verdict of the letter pair
-        (v_k, v_(k+1))."""
-        a, b = pair
-        A = _lcp(self.letter(-a), self.letter(b))
-        verdict = self.verdicts[pair] = _verdict(
-            self.letter(a), self.letter(-b), A, self.rank
-        )
-        for c in (abs(a), abs(b)):
-            self.pairs.setdefault(c, []).append(pair)
-        return verdict
 
     def advance(self, edge: GroupoidEdge) -> bool:
         """Move to the target of the Nielsen ``edge``, leaving the values a
@@ -458,7 +444,9 @@ class _Carry:
         b = abs(self.word.codes[edge.kind.k - 1])
         img = _substitute(self.images, edge.aut.inv.images[b - 1].codes, {})
         self.images[b - 1] = _word(sig, img)
-        self.inv.pop(-b, None)
+        at = self.at
+        at[b] = img
+        at[-b] = img_inv = tuple([_NEG[d] for d in reversed(img)])
         old, new = self.word.codes, edge.target.codes
         self.word = edge.target
         # every pair with a verdict is listed under both its letters; a list
@@ -472,15 +460,17 @@ class _Carry:
             slots, first = ((b - 1, img),), new.index(b)
         else:
             pos = sig.p + 2 * (b - sig.p - 1)
-            slots = ((pos, img), (pos + 1, self.letter(-b)))
+            slots = ((pos, img), (pos + 1, img_inv))
             first = min(new.index(b), new.index(-b))
         # a position before the last violation had the verdict (), and keeps
         # it unless one of its two letters changed or is +-b: the scan
         # resumes at the position whose pair (v_j, v_(j+1)) first holds such
         # a letter, at 0-based index j
         stop = min(self.resume, first)
-        while old[:stop] != new[:stop]:
-            stop -= 1
+        for j in range(stop):
+            if old[j] != new[j]:
+                stop = j
+                break
         self.resume = stop or 1
 
         key_at, codes_at, seen = self.key_at, self.codes_at, self.seen
@@ -628,12 +618,17 @@ def _find_violation(carry: _Carry):
     verdict ()."""
     sig = carry.sig
     codes = carry.word.codes
-    verdicts = carry.verdicts
+    verdicts, pairs, at, rank = carry.verdicts, carry.pairs, carry.at, carry.rank
     for k in range(carry.resume, len(codes)):
-        pair = (codes[k - 1], codes[k])
+        pair = a, b = codes[k - 1], codes[k]
         verdict = verdicts.get(pair)
         if verdict is None:
-            verdict = carry.verdict(pair)
+            # memoised per pair and listed under both its letters
+            verdict = verdicts[pair] = _verdict(
+                at[a], at[-b], _lcp(at[-a], at[b]), rank
+            )
+            for c in (abs(a), abs(b)):
+                pairs.setdefault(c, []).append(pair)
         if not verdict:
             continue
         carry.resume = k

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Signature, Word, letter_str, memo, order_rank
+from .core import _NEG, Signature, Word, letter_str, memo, order_rank
 from .errors import NotACandidate
 
 
@@ -121,16 +121,19 @@ def _is_zieschang(sig: Signature, codes: tuple[int, ...]) -> bool:
 def _chain_line(sig: Signature, codes: tuple[int, ...]) -> list[int]:
     """The vertices of the walk from v_1' along the graph's edges, of a
     nonempty candidate word ``codes`` of ``sig``: the whole chain line when
-    the word is Zieschang, a shorter path otherwise."""
+    the word is Zieschang, a shorter path otherwise.  The successor table
+    reads inverse letters from ``core._NEG``, and the walk makes one lookup
+    per vertex."""
     # successors: v_k -> v_(k+1)' along the word, and t_j' -> t_j
-    succ = dict(zip(codes, [-c for c in codes[1:]]))
+    succ = dict(zip(codes, map(_NEG.__getitem__, codes[1:])))
     for j in range(1, sig.p + 1):
-        succ[-j] = j
-    v = -codes[0]
-    line = [v]
-    while v in succ:  # v_1' has no predecessor, so the walk cannot close up
-        v = succ[v]
+        succ[_NEG[j]] = j
+    v = _NEG[codes[0]]
+    line = []
+    step = succ.get
+    while v is not None:  # v_1' has no predecessor, so the walk cannot close up
         line.append(v)
+        v = step(v)
     return line
 
 

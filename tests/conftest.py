@@ -42,6 +42,11 @@ def rng():
     return random.Random(SEED)
 
 
+def shared(c):
+    """Whether the code c is the object that ``core._NEG`` holds for its value."""
+    return c is core._NEG[-c]
+
+
 def clear_memos():
     """Empty every memo of the package: each registers itself in
     ``core._MEMOS`` (``test_memos`` checks that the registry holds every

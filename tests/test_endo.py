@@ -43,7 +43,7 @@ from surfaut.core import Letter
 from surfaut.errors import CosetViolation, ImageEscapes, ParseError, SignatureMismatch
 from surfaut.selftest import GRID, random_adl_automorphism, random_gen_word, random_word
 
-from conftest import SMALL_SIGS, words
+from conftest import SMALL_SIGS, shared, words
 
 S10 = Signature(1, 0)
 OFF_GRID = [Signature(2, 4), Signature(3, 2), Signature(4, 0), Signature(5, 1)]
@@ -578,6 +578,35 @@ class TestSubstitutionKernel:
         assert image == naive_apply(phi, u)
         assert Word(image.sig, image.codes).codes == image.codes
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_one_letter_images(self, data):
+        # maps whose images are one signed letter each, with some longer
+        # images mixed in: a negative letter of a one-letter image writes its
+        # inverse from the table or cancels the letter before it, and runs of
+        # such cancellations cascade; every code written is the table's (the
+        # validated images hold the table's objects)
+        sig = data.draw(st.sampled_from(SMALL_SIGS + TestSharedCodes.SIGS))
+        basis = list(sig.basis_codes())
+        letters = [c for b in basis for c in (b, -b)]
+        if data.draw(st.booleans()):
+            # sign flips and swaps: a signed permutation of the letters
+            targets = [
+                c if data.draw(st.booleans()) else -c
+                for c in data.draw(st.permutations(basis))
+            ]
+        else:
+            # not one-to-one, such as x1 -> y1', y1 -> y1
+            targets = data.draw(st.lists(st.sampled_from(letters), min_size=len(basis),
+                                         max_size=len(basis)))
+        images = [Word(sig, (c,)) for c in targets]
+        for b in data.draw(st.lists(st.sampled_from(basis), max_size=2, unique=True)):
+            images[b - 1] = data.draw(words(sig=sig, max_len=4))
+        u = data.draw(inverse_heavy_words(sig))
+        out = _substitute(images, u.codes, {})
+        assert out == naive_apply(Endomorphism(sig, tuple(images)), u).codes
+        assert all(shared(c) for c in out)
+
     @pytest.mark.parametrize("sig", SMALL_SIGS)
     def test_identity_automorphism_is_witnessed(self, sig):
         ident = Automorphism.identity(sig)
@@ -907,11 +936,6 @@ def _private(codes):
     return tuple(int(str(c)) for c in codes)
 
 
-def _shared(c):
-    """Whether the code c is the object that ``core._NEG`` holds for its value."""
-    return c is core._NEG[-c]
-
-
 class TestSharedCodes:
     """Every inverse letter the kernels write is read from ``core._NEG``, so
     the words the memos keep share one int object per code; at (2,4) and
@@ -920,34 +944,42 @@ class TestSharedCodes:
     SIGS = [Signature(2, 4), Signature(5, 1)]
 
     @pytest.mark.parametrize("sig", SIGS)
+    def test_validated_word(self, sig, rng):
+        for _ in range(50):
+            codes = random_word(sig, rng, 12).codes
+            w = Word(sig, _private(codes))
+            assert w.codes == codes and all(shared(c) for c in w.codes)
+
+    @pytest.mark.parametrize("sig", SIGS)
     def test_inverse(self, sig, rng):
         for _ in range(50):
             w = random_word(sig, rng, 12)
-            w = Word(sig, _private(w.codes))
+            w = core._word(sig, _private(w.codes))
             inv = w.inverse()
-            assert all(_shared(c) for c in inv.codes)
+            assert all(shared(c) for c in inv.codes)
             assert inv.codes == tuple(-c for c in reversed(w.codes))
 
     @pytest.mark.parametrize("sig", SIGS)
     def test_letter_move_inverts_through_the_table(self, sig):
         b = 1
-        left, right = Word(sig, _private((6, -7, 8))), Word(sig, _private((-6, 2)))
+        left = core._word(sig, _private((6, -7, 8)))
+        right = core._word(sig, _private((-6, 2)))
         for code in (b, -b):
             a = letter_move(sig, code, left, right)
             # the images that invert ``left`` and ``right``
             inverted = a.inv if code > 0 else a.fwd
             codes = inverted.images[b - 1].codes
-            assert len(codes) == 6 and all(_shared(c) for c in codes if c != b)
+            assert len(codes) == 6 and all(shared(c) for c in codes if c != b)
 
     @given(st.data())
     def test_substitute_of_inverse_letters(self, data):
         sig = data.draw(st.sampled_from(self.SIGS))
         endo = data.draw(endomorphisms(sig))
-        images = tuple(Word(sig, _private(w.codes)) for w in endo.images)
+        images = tuple(core._word(sig, _private(w.codes)) for w in endo.images)
         u = data.draw(words(sig=sig))
         negative = tuple(-abs(c) for c in u.codes)
         out = _substitute(images, negative, {})
-        assert all(_shared(c) for c in out)
+        assert all(shared(c) for c in out)
         assert out == naive_apply(Endomorphism(sig, images), Word(sig, negative)).codes
 
     @pytest.mark.parametrize("sig", SIGS)
@@ -959,7 +991,7 @@ class TestSharedCodes:
                 assert swap_letters(sig, a, b) is e
                 # arguments of their own give the same stored map
                 assert swap_letters(sig, *_private((a, b))) is e
-                assert all(_shared(c) for w in e.fwd.images for c in w.codes)
+                assert all(shared(c) for w in e.fwd.images for c in w.codes)
 
 
 def _one_move(sig, text):

@@ -52,7 +52,7 @@ from surfaut.groupoid import (
 from surfaut.whitehead import _candidate_letters, is_zieschang
 from surfaut.selftest import GRID, random_adl_automorphism, random_word, random_zieschang
 
-from conftest import SMALL_SIGS, clear_memos, word_pairs
+from conftest import SMALL_SIGS, clear_memos, shared, word_pairs
 
 S10 = Signature(1, 0)
 S11 = Signature(1, 1)
@@ -383,9 +383,13 @@ class TestNielsenReduce:
                         full = full_state(phi, word)
                         assert tuple(st["images"]) == full.phi.images
                         assert st["word"] == full.word
-                        # the inverse images read since their letter moved
-                        for c, codes in st["inv"].items():
-                            assert codes == phi.images[-c - 1].inverse().codes
+                        # the signed image table, with every code the one
+                        # int object of its value
+                        at = st["at"]
+                        for b in sig.basis_codes():
+                            assert at[b] == phi.images[b - 1].codes
+                            assert at[-b] == phi.images[b - 1].inverse().codes
+                        assert all(shared(c) for codes in at for c in codes)
                         # the measure by position, and sorted as (key, position)
                         ranks = sorted((k, i) for i, k in enumerate(st["key_at"]))
                         assert [st["codes_at"][i] for _, i in ranks] == [

@@ -6,9 +6,10 @@ library only (``sys.settrace``; no coverage package needed).
 Runs pytest in this interpreter (``-q -p no:cacheprovider`` and the given
 arguments, ``tests`` by default) while recording every line executed in a
 file of ``src/surfaut``.  The executable lines of a file are the line
-numbers of its compiled code objects.  The last line of output is JSON:
-the pytest exit code, the executable and the never-run line counts, and the
-never-run count per file; ``--list`` prints the never-run lines first.
+numbers of its compiled code objects, read before pytest starts.  The last
+line of output is JSON: the pytest exit code, the executable and the
+never-run line counts, and the never-run count per file; ``--list`` prints
+the never-run lines first.
 The script exits with pytest's exit code.  Tracing makes the run several
 times slower.
 """
@@ -39,6 +40,9 @@ def main(argv: list[str]) -> int:
     listing = "--list" in argv
     args = [a for a in argv if a != "--list"] or ["tests"]
     files = {str(p): p for p in sorted(PKG.glob("*.py"))}
+    # read before the run, so that the lines scored are those of the code
+    # that ran even when a file is edited during the run
+    lines = {name: executable_lines(path) for name, path in files.items()}
     ran: dict[str, set[int]] = {name: set() for name in files}
 
     def local(frame, event, arg):
@@ -59,9 +63,8 @@ def main(argv: list[str]) -> int:
     never = {}
     total = 0
     for name, path in files.items():
-        lines = executable_lines(path)
-        total += len(lines)
-        missed = sorted(lines - ran[name])
+        total += len(lines[name])
+        missed = sorted(lines[name] - ran[name])
         if missed:
             never[path.name] = missed
     if listing:
