@@ -33,11 +33,16 @@ the words the memos keep share one int object per code.
 Composition is a right fold: it starts from the images of the last factor
 and, going leftwards, recomputes only the basis letters each factor moves,
 so a named generator or a Nielsen move costs work on its 1-3 moved letters,
-not on all ``rank`` of them.  The witness check substitutes letter by letter
-and stops at the first letter that is not undone; a letter that the first
-map fixes costs one comparison of the other map's image instead of a
-substitution.  ``whitehead.is_onto`` is the independent oracle of the
-witness: it decides by Stallings folding whether a map is onto.
+not on all ``rank`` of them.  The witness check serves the pairs that
+callers build (``Automorphism``, ``aut_from_map``): it substitutes letter
+by letter and stops at the first letter that is not undone; a letter that
+the first map fixes costs one comparison of the other map's image instead
+of a substitution.  Its work grows with the product of the two maps' image
+lengths, so certification (``groupoid.certify_automorphism``) makes no
+witness check: its certificate is the composite of witnessed pairs,
+witnessed by algebra as ``compose`` is, once the forward composite is
+checked to be the input.  ``whitehead.is_onto`` is the independent oracle
+of the witness: it decides by Stallings folding whether a map is onto.
 ``letter_move`` and ``swap_letters`` range-check their letters and build
 their one-letter images with ``_word``.  The puncture-class check reads
 code tuples and builds no words.

@@ -28,8 +28,9 @@ verdict reads code tuples from ``at`` only: A_k is the longest common
 prefix of phi(v_k)' and phi(v_(k+1)), it cancels completely in
 B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are slices, and
 lenlex compares lengths first and then ``order_rank`` from a per-signature
-table.  Words are built
-for the stuck payload only.
+table.  Most verdicts are decided on lengths alone: A_k is below B and C
+when twice its length is below |phi(v_k)| and |phi(v_(k+1))|, so only the
+other pairs take the slices.  Words are built for the stuck payload only.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
 ``nielsen_edge``) check their source; the engine's Nielsen edges, the
@@ -68,12 +69,22 @@ left follows the stored links from there and builds no map for them.
 all 4g + p letters, so every walk ends at the relator.  Each call composes
 its maps once and checks that the composite carries V to the relator.
 
-``nielsen_reduce`` runs the loop ``_reduce`` with no memo.  Factorisation
+``_reduce`` checks the preconditions once and runs the loop
+``_reduce_from``; ``nielsen_reduce`` runs it with no memo.  Factorisation
 passes its memo of reduction suffixes (``factorize._reduced``), keyed on each
 state after the first (``_Carry.key``): the rest of a reduction is a
 function of the current word and images alone, so a hit appends the edges
 that an earlier reduction made from an equal state and returns its
 remainder, once that remainder is checked to end at this call's target.
+
+Certification (``certify_automorphism``) checks that the map fixes the
+relator and permutes the classes, and enters the loop past those checks
+with the relator as the target.  The certificate is read off the edges in
+one linear pass: each edge and the remainder is a pair witnessed by
+construction, so the composite pair is witnessed by algebra, once the
+forward composite, folded one moved letter at a time, is checked to be the
+input map.  No substitution of the long inverse images into the long input
+images is made, which would cost work quadratic in the images' length.
 """
 
 from __future__ import annotations
@@ -391,8 +402,9 @@ class _Carry:
     - ``verdicts``: the verdict of position k, per letter pair
       (v_k, v_(k+1)), built when ``_find_violation`` first needs it; it
       depends only on the pair and the two letters' images;
-    - ``pairs``: for each basis letter, the pairs memoised since it last
-      moved that involve it, so that a move drops only its letter's pairs;
+    - ``pairs``: for each basis letter, indexed by it, the pairs memoised
+      since it last moved that involve it, so that a move drops only its
+      letter's pairs;
     - ``codes_at`` and ``key_at``: the codes and the balanced key of each
       word of the measured word list, in ``mu_key``'s order (phi(b) for each
       basis letter b, followed by phi(b)' when b is a handle letter); a move
@@ -411,7 +423,7 @@ class _Carry:
         self.word = V
         self.images = list(endo.images)
         self.verdicts: dict[tuple[int, int], tuple] = {}
-        self.pairs: dict[int, list[tuple[int, int]]] = {}
+        self.pairs: list[list[tuple[int, int]]] = [[] for _ in range(sig.rank + 1)]
         at = self.at = [()] * (2 * sig.rank + 1)
         codes_at = self.codes_at = []
         for b, w in enumerate(self.images, 1):
@@ -452,8 +464,10 @@ class _Carry:
         # every pair with a verdict is listed under both its letters; a list
         # may still name a pair dropped through its other letter, or
         # memoised again since, and dropping that pair is right: it involves b
-        for pair in self.pairs.pop(b, ()):
-            self.verdicts.pop(pair, None)
+        drop = self.verdicts.pop
+        for pair in self.pairs[b]:
+            drop(pair, None)
+        self.pairs[b] = []
         # b's entries of the measured word list, in ``mu_key``'s order, and
         # the first index of the new word that holds +-b
         if sig.is_t_code(b):
@@ -505,7 +519,25 @@ def _reduce(
     V: Word, endo: Endomorphism, suffixes: Optional[_Memo]
 ) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     """``nielsen_reduce`` of the map ``endo``, through the memo ``suffixes``
-    of reduction suffixes when one is given.
+    of reduction suffixes when one is given: the preconditions, then the
+    loop ``_reduce_from``."""
+    sig = endo.sig
+    if not is_zieschang(V, sig):
+        raise NotZieschang(f"{V} is not Zieschang")
+    W = endo.apply(V)
+    if len(W) > sig.chain_len:
+        raise TargetTooLong(f"|image| = {len(W)} exceeds 4g+p = {sig.chain_len}")
+    if _t_class_permutation(endo) is None:
+        raise HypothesisViolated("map does not permute the puncture classes")
+    return _reduce_from(V, endo, W, suffixes)
+
+
+def _reduce_from(
+    V: Word, endo: Endomorphism, W: Word, suffixes: Optional[_Memo]
+) -> tuple[list[GroupoidEdge], GroupoidEdge]:
+    """The loop of ``_reduce`` for a map ``endo`` that passed its checks: V
+    is Zieschang, W = endo(V) is no longer than 4g + p, and ``endo``
+    permutes the classes.
 
     Every state after the first is looked up by ``_Carry.key``.  The rest of
     a reduction is a function of that state alone, so a hit serves the
@@ -516,14 +548,6 @@ def _reduce(
     index among them and the remainder; a raise stores nothing.
     """
     sig = endo.sig
-    if not is_zieschang(V, sig):
-        raise NotZieschang(f"{V} is not Zieschang")
-    W = endo.apply(V)
-    if len(W) > sig.chain_len:
-        raise TargetTooLong(f"|image| = {len(W)} exceeds 4g+p = {sig.chain_len}")
-    if _t_class_permutation(endo) is None:
-        raise HypothesisViolated("map does not permute the puncture classes")
-
     edges: list[GroupoidEdge] = []
     keys: list[tuple] = []  # the memo key of each state after the first
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
@@ -566,14 +590,14 @@ def _reduce(
     return edges, n1
 
 
-def _lcp(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The longest common prefix of two code tuples."""
+def _lcp(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The length of the longest common prefix of two code tuples."""
     m = 0
     for a, b in zip(u, v):
         if a != b:
             break
         m += 1
-    return u[:m]
+    return m
 
 
 def _lenlex_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
@@ -623,12 +647,18 @@ def _find_violation(carry: _Carry):
         pair = a, b = codes[k - 1], codes[k]
         verdict = verdicts.get(pair)
         if verdict is None:
-            # memoised per pair and listed under both its letters
-            verdict = verdicts[pair] = _verdict(
-                at[a], at[-b], _lcp(at[-a], at[b]), rank
-            )
-            for c in (abs(a), abs(b)):
-                pairs.setdefault(c, []).append(pair)
+            # A_k of length m is below B and C, of lengths |phi(v_k)| - m and
+            # |phi(v_(k+1))| - m, when it is shorter than both; only the
+            # other pairs compare words.  Memoised per pair and listed under
+            # both its letters
+            nxt = at[b]
+            m = _lcp(at[-a], nxt)
+            if 2 * m < len(nxt) and 2 * m < len(at[a]):
+                verdict = verdicts[pair] = ()
+            else:
+                verdict = verdicts[pair] = _verdict(at[a], at[-b], nxt[:m], rank)
+            pairs[abs(a)].append(pair)
+            pairs[abs(b)].append(pair)
         if not verdict:
             continue
         carry.resume = k
@@ -813,8 +843,20 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
 
 def certify_automorphism(phi) -> Optional[Automorphism]:
     """Certify an endomorphism fixing the relator and permuting the puncture
-    classes; the witness inverse is assembled from the Nielsen factorization.
-    Returns None when reduction gets stuck (the map is not an automorphism).
+    classes.  Returns None when reduction gets stuck (the map is not an
+    automorphism).
+
+    The reduction, entered past the two checks made here, factors the map as
+    its Nielsen edges e_1 .. e_n, applied first, followed by the N1
+    remainder.  Each edge is a one-letter move of the letter b of v_k, and
+    the remainder a letter permutation, each pair witnessed by construction,
+    so the composite of the pairs is witnessed by algebra, as in
+    ``endo.compose``.  Its forward map is folded from the right and must
+    give back the input (``CosetViolation`` otherwise, an engine fault); its
+    inverse is the remainder's inverse followed by the edges' inverses in
+    reverse order, folded from the right as well.  Each fold substitutes the
+    images so far into the 2-3 letter image of b only, so certification
+    costs work linear in the images' lengths.
     """
     endo = _fwd(phi)
     sig = endo.sig
@@ -824,8 +866,28 @@ def certify_automorphism(phi) -> Optional[Automorphism]:
     if _t_class_permutation(endo) is None:
         raise HypothesisViolated("puncture classes are not permuted")
     try:
-        edges, n1 = nielsen_reduce(v0, endo)
+        edges, n1 = _reduce_from(v0, endo, v0, None)
     except ReductionStuck:
         return None
-    parts = [n1.aut.inv] + [e.aut.inv for e in reversed(edges)]
-    return Automorphism(endo, _compose_endos(parts))
+    moves = [(abs(e.source.codes[e.kind.k - 1]), e.aut) for e in edges]
+    fwd = list(n1.aut.fwd.images)
+    _fold_moves(sig, fwd, [(b, aut.fwd) for b, aut in reversed(moves)])
+    if tuple(fwd) != endo.images:
+        raise CosetViolation("Nielsen edges do not recompose the input")
+    inv = list(Endomorphism.identity(sig).images)
+    _fold_moves(sig, inv, [(b, aut.inv) for b, aut in moves])
+    return _aut(endo, _compose_endos([n1.aut.inv, _endo(sig, tuple(inv))]))
+
+
+def _fold_moves(
+    sig: Signature, images: list[Word], moves: list[tuple[int, Endomorphism]]
+) -> None:
+    """Compose, in place, each map of ``moves`` in turn before the map with
+    the basis images ``images``: a move (b, f), where f moves the letter b
+    only, replaces b's image by the images substituted into f(b).  The
+    inverse images that ``_substitute`` keeps stay valid until their letter
+    moves."""
+    inv: dict[int, tuple[int, ...]] = {}
+    for b, f in moves:
+        images[b - 1] = _word(sig, _substitute(images, f.images[b - 1].codes, inv))
+        inv.pop(-b, None)

@@ -141,10 +141,10 @@ class TestCertifyFactorize:
     @pytest.mark.parametrize("as_json", [False, True])
     def test_certify_stuck_reduction_exits_1(self, as_json, monkeypatch):
         # no known input gets stuck, so the reduction is made to
-        def stuck(V, phi):
+        def stuck(V, phi, W, suffixes):
             raise ReductionStuck("forced")
 
-        monkeypatch.setattr(groupoid, "nielsen_reduce", stuck)
+        monkeypatch.setattr(groupoid, "_reduce_from", stuck)
         argv = ["certify", "--sig", "1,0", "--aut", "y1 -> x1 y1"]
         code, out, err = invoke(["--json"] + argv if as_json else argv)
         assert code == 1 and err == ""
@@ -156,13 +156,25 @@ class TestCertifyFactorize:
     def test_factorize_stuck_reduction_exits_1(self, monkeypatch):
         # the same forced refusal: ``factorize`` takes its input for no
         # automorphism
-        def stuck(V, phi):
+        def stuck(V, phi, W, suffixes):
             raise ReductionStuck("forced")
 
-        monkeypatch.setattr(groupoid, "nielsen_reduce", stuck)
+        monkeypatch.setattr(groupoid, "_reduce_from", stuck)
         code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "y1 -> x1 y1"])
         assert (code, out) == (1, "")
         assert err == "NotInA: input endomorphism is not an automorphism\n"
+
+    def test_certify_edges_missing_the_input_exit_3(self, monkeypatch):
+        # an engine fault: the forward fold skips the edge applied last
+        real = groupoid._fold_moves
+        monkeypatch.setattr(
+            groupoid, "_fold_moves", lambda sig, images, moves: real(sig, images, moves[1:])
+        )
+        code, out, err = invoke(["certify", "--sig", "1,0", "--aut", "y1 -> x1 y1"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal assertion: CosetViolation: Nielsen edges do not recompose the input\n"
+        )
 
     def test_factorize(self, tmp_path):
         path = tmp_path / "sigma2.txt"

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from surfaut import (
     classify_nielsen,
     compose,
     enumerate_nielsen_from,
+    eval_gen_word,
     format_endomorphism,
     generator,
     mu_key,
@@ -39,6 +41,7 @@ from surfaut import (
 from surfaut import core, groupoid
 from surfaut.core import MEMO_SIZE
 from surfaut.endo import _t_class_permutation, classify_letters, letter_move
+from surfaut.gens import parse_gen_word
 from surfaut.groupoid import (
     N1,
     N2_LEFT,
@@ -317,7 +320,7 @@ class TestNielsenReduce:
                     assert left[:m] == right[:m] == A[k].codes
                     assert m == min(len(left), len(right)) or left[m] != right[m]
                     # the engine's prefix of the two letters' codes
-                    assert groupoid._lcp(left, right) == A[k].codes
+                    assert left[: groupoid._lcp(left, right)] == A[k].codes
 
     def test_each_state_built_once(self, rng, monkeypatch):
         # one carry build per reduction, then one carried update per edge
@@ -465,7 +468,8 @@ class TestNielsenReduce:
         # any two images, the empty word among them, with their A_k
         img, nxt = pair
         sig = img.sig
-        A = groupoid._lcp(img.inverse().codes, nxt.codes)
+        left = img.inverse().codes
+        A = left[: groupoid._lcp(left, nxt.codes)]
         verdict = groupoid._verdict(
             img.codes, nxt.inverse().codes, A, groupoid._rank_table(sig)
         )
@@ -484,7 +488,8 @@ class TestNielsenReduce:
 
         def check(carry, image):
             for (a, b), verdict in carry.verdicts.items():
-                A = groupoid._lcp(image(-a).codes, image(b).codes)
+                left = image(-a).codes
+                A = left[: groupoid._lcp(left, image(b).codes)]
                 assert as_words(carry.sig, verdict) == reference_verdict(
                     image(a), image(-b), Word(carry.sig, A)
                 )
@@ -1202,6 +1207,36 @@ class TestCertify:
         phi = Endomorphism.from_map(S10, {1: parse_word(S10, "y1")})
         with pytest.raises(HypothesisViolated):
             certify_automorphism(phi)
+
+    @pytest.mark.parametrize(
+        "sig, word, power, letters",
+        [(S10, "a1 b1'", 12, 196418), (Signature(2, 0), "a1 b1' g2 a2 b2'", 5, 18086)],
+    )
+    def test_long_input_in_linear_work(self, sig, word, power, letters):
+        # the certificate is read off the edges, so its cost is linear in the
+        # image length; the witness check of the pair, quadratic, would take
+        # about ten minutes at 196,418 letters
+        a = eval_gen_word(parse_gen_word(" ".join([word] * power)), sig)
+        assert sum(len(w) for w in a.fwd.images) == letters
+        start = time.perf_counter()
+        cert = certify_automorphism(a.fwd)
+        assert time.perf_counter() - start < 10.0
+        # the inverse of an automorphism is unique
+        assert cert.fwd == a.fwd and cert.inv == a.inv
+
+    def test_edges_move_one_letter_each_way(self, rng):
+        # the folds read only b's image of each edge's maps, so both maps of
+        # every edge move b alone; the certificate passes the witness check
+        for sig in SMALL_SIGS:
+            for _ in range(4):
+                endo = random_adl_automorphism(sig, rng, 8).fwd
+                edges, _ = nielsen_reduce(relator(sig), endo)
+                for e in edges:
+                    b = abs(e.source.codes[e.kind.k - 1])
+                    assert e.aut.fwd.moved_codes() == [b]
+                    assert e.aut.inv.moved_codes() == [b]
+                cert = certify_automorphism(endo)
+                assert Automorphism(endo, cert.inv).inv == cert.inv
 
 
 def _word_codes(value):
