@@ -226,6 +226,14 @@ def _compose_endos(endos: list[Endomorphism]) -> Endomorphism:
     return _endo(sig, tuple(acc))
 
 
+def _compose_all(endos: list[Endomorphism], sig: Signature) -> Endomorphism:
+    """Left-to-right composite of the forward maps ``endos``; the identity
+    of ``sig`` when there are none."""
+    if not endos:
+        return Endomorphism.identity(sig)
+    return _compose_endos(endos)
+
+
 @dataclass(frozen=True, slots=True)
 class Automorphism:
     """Endomorphism with a witness inverse, checked at construction.

@@ -73,8 +73,9 @@ order.  It reads the bracket pairs and the checked coset tags from
 ``_brackets`` and ``_tags``, and no edge, parts or reduction memo: it
 reduces with the public ``nielsen_reduce``, which runs every move, so its
 scripts come from a reduction that no memo served.  Certification
-(``certify_automorphism``) reduces with ``nielsen_reduce`` as well, so it
-runs every move of its input.  Each case table records its cascade scripts
+(``certify_automorphism``) checks its preconditions itself and then enters
+the reduction loop ``groupoid._reduce_from`` with no memo, so it runs every
+move of its input as well.  Each case table records its cascade scripts
 as it telescopes; ``nielsen_to_base_loops`` builds them into
 ``EdgeScript``s only when it is given an audit list.
 
@@ -112,6 +113,7 @@ from .endo import (
     Automorphism,
     Endomorphism,
     _aut,
+    _compose_all,
     _compose_endos,
     compose,
     letter_move,
@@ -347,14 +349,6 @@ def _telescope(e: GroupoidEdge) -> tuple[list[BaseLoop], list]:
     if _compose_all([l.aut.fwd for l in loops], sig) != br.fwd:
         raise CosetViolation("base loops do not recompose the telescoped edge")
     return loops, records
-
-
-def _compose_all(endos: list[Endomorphism], sig: Signature) -> Endomorphism:
-    """Left-to-right composite of the forward maps ``endos``; the identity
-    when there are none."""
-    if not endos:
-        return Endomorphism.identity(sig)
-    return _compose_endos(endos)
 
 
 def _invert_loops(loops: list[BaseLoop], sig: Signature) -> list[BaseLoop]:

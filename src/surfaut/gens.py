@@ -38,7 +38,7 @@ from .endo import (
     Automorphism,
     Endomorphism,
     _aut,
-    _compose_endos,
+    _compose_all,
     aut_from_map,
     letter_move,
 )
@@ -224,13 +224,10 @@ def gen_set(sig: Signature, variant: str = "adl") -> list[GenName]:
 def _eval_fwd(w: GenWord, sig: Signature) -> Endomorphism:
     """Forward map of ``w``: the right fold of the forward maps of its
     generators, taking a generator's inverse map for a negative token."""
-    endos = [
+    return _compose_all([
         generator(n, sig).fwd if e > 0 else generator(n, sig).inv
         for n, e in w.tokens
-    ]
-    if not endos:
-        return Endomorphism.identity(sig)
-    return _compose_endos(endos)
+    ], sig)
 
 
 def eval_gen_word(w: GenWord, sig: Signature) -> Automorphism:

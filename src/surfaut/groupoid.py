@@ -14,21 +14,19 @@ their codes), and then updates it in place.  A Nielsen move changes the
 image of one basis letter b, the letter of v_k, so a move recomputes only
 what reads phi(b): the new phi(b), one substitution into the old images,
 and phi(b)', read from ``core._NEG``, in b's two entries of ``at``; b's one
-or two entries of the measure; the distinct-images check, kept as a set of
-image codes; and the verdict of each letter pair (v_k, v_(k+1)) that
-involves b.
+or two entries of the measure; and the distinct-images check, kept as a set
+of image codes.
 The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
 the entries' keys, so whether it strictly decreased is read off the
-replaced entries alone (``_decreases``).  The verdicts are memoised per
-letter pair and indexed by basis letter, so a move drops b's pairs without
-scanning the others.  The search for a violation resumes where the last
-one was found, or earlier where the move changed a letter of the word or
-b's letter occurs: every position before that kept the verdict ().  A
-verdict reads code tuples from ``at`` only: A_k is the longest common
-prefix of phi(v_k)' and phi(v_(k+1)), it cancels completely in
-B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are slices, and
-lenlex compares lengths first and then ``order_rank`` from a per-signature
-table.  Most verdicts are decided on lengths alone: A_k is below B and C
+replaced entries alone (``_decreases``).  No verdict is kept across moves:
+the search for a violation works out each position's verdict where it reads
+it, and resumes where the last one was found, or earlier where the move
+changed a letter of the word or b's letter occurs: every position before
+that kept the verdict ().  A verdict reads code tuples from ``at`` only:
+A_k is the longest common prefix of phi(v_k)' and phi(v_(k+1)), it cancels
+completely in B = phi(v_k) A_k and C = phi(v_(k+1))' A_k, so B and C are
+slices, and lenlex compares lengths first and then ``order_rank`` from a
+per-signature table.  Most verdicts are decided on lengths alone: A_k is below B and C
 when twice its length is below |phi(v_k)| and |phi(v_(k+1))|, so only the
 other pairs take the slices.  Words are built for the stuck payload only.
 
@@ -399,12 +397,6 @@ class _Carry:
     - ``at``: the codes of phi(c) for every signed letter c, indexed by c in
       ``core._NEG``'s layout, so ``at[b]`` and ``at[-b]`` are phi(b) and
       phi(b)'; a move replaces its letter's two entries;
-    - ``verdicts``: the verdict of position k, per letter pair
-      (v_k, v_(k+1)), built when ``_find_violation`` first needs it; it
-      depends only on the pair and the two letters' images;
-    - ``pairs``: for each basis letter, indexed by it, the pairs memoised
-      since it last moved that involve it, so that a move drops only its
-      letter's pairs;
     - ``codes_at`` and ``key_at``: the codes and the balanced key of each
       word of the measured word list, in ``mu_key``'s order (phi(b) for each
       basis letter b, followed by phi(b)' when b is a handle letter); a move
@@ -422,8 +414,6 @@ class _Carry:
         rank = self.rank = _rank_table(sig)
         self.word = V
         self.images = list(endo.images)
-        self.verdicts: dict[tuple[int, int], tuple] = {}
-        self.pairs: list[list[tuple[int, int]]] = [[] for _ in range(sig.rank + 1)]
         at = self.at = [()] * (2 * sig.rank + 1)
         codes_at = self.codes_at = []
         for b, w in enumerate(self.images, 1):
@@ -461,13 +451,6 @@ class _Carry:
         at[-b] = img_inv = tuple([_NEG[d] for d in reversed(img)])
         old, new = self.word.codes, edge.target.codes
         self.word = edge.target
-        # every pair with a verdict is listed under both its letters; a list
-        # may still name a pair dropped through its other letter, or
-        # memoised again since, and dropping that pair is right: it involves b
-        drop = self.verdicts.pop
-        for pair in self.pairs[b]:
-            drop(pair, None)
-        self.pairs[b] = []
         # b's entries of the measured word list, in ``mu_key``'s order, and
         # the first index of the new word that holds +-b
         if sig.is_t_code(b):
@@ -476,10 +459,11 @@ class _Carry:
             pos = sig.p + 2 * (b - sig.p - 1)
             slots = ((pos, img), (pos + 1, img_inv))
             first = min(new.index(b), new.index(-b))
-        # a position before the last violation had the verdict (), and keeps
-        # it unless one of its two letters changed or is +-b: the scan
-        # resumes at the position whose pair (v_j, v_(j+1)) first holds such
-        # a letter, at 0-based index j
+        # a verdict reads only its two letters' images, so a position before
+        # the last violation, which had the verdict (), keeps it unless one
+        # of its two letters changed or is +-b: the scan resumes at the
+        # position whose pair (v_j, v_(j+1)) first holds such a letter, at
+        # 0-based index j
         stop = min(self.resume, first)
         for j in range(stop):
             if old[j] != new[j]:
@@ -639,26 +623,21 @@ def _words(sig: Signature, triple) -> tuple[Word, ...]:
 def _find_violation(carry: _Carry):
     """Smallest k where A_k fails to be below both neighbours, with the move.
     The scan starts at ``carry.resume``: every position before it has the
-    verdict ()."""
+    verdict ().  Each position's verdict is worked out as it is read, from
+    the current images in ``carry.at``."""
     sig = carry.sig
     codes = carry.word.codes
-    verdicts, pairs, at, rank = carry.verdicts, carry.pairs, carry.at, carry.rank
+    at, rank = carry.at, carry.rank
     for k in range(carry.resume, len(codes)):
-        pair = a, b = codes[k - 1], codes[k]
-        verdict = verdicts.get(pair)
-        if verdict is None:
-            # A_k of length m is below B and C, of lengths |phi(v_k)| - m and
-            # |phi(v_(k+1))| - m, when it is shorter than both; only the
-            # other pairs compare words.  Memoised per pair and listed under
-            # both its letters
-            nxt = at[b]
-            m = _lcp(at[-a], nxt)
-            if 2 * m < len(nxt) and 2 * m < len(at[a]):
-                verdict = verdicts[pair] = ()
-            else:
-                verdict = verdicts[pair] = _verdict(at[a], at[-b], nxt[:m], rank)
-            pairs[abs(a)].append(pair)
-            pairs[abs(b)].append(pair)
+        a, b = codes[k - 1], codes[k]
+        # A_k of length m is below B and C, of lengths |phi(v_k)| - m and
+        # |phi(v_(k+1))| - m, when it is shorter than both; only the other
+        # pairs compare words
+        nxt = at[b]
+        m = _lcp(at[-a], nxt)
+        if 2 * m < len(nxt) and 2 * m < len(at[a]):
+            continue
+        verdict = _verdict(at[a], at[-b], nxt[:m], rank)
         if not verdict:
             continue
         carry.resume = k
