@@ -41,9 +41,14 @@ is the other).  Each entry is one value, made whole by one
   on the codes of the current word and of the current images (their
   lengths, 4g + p and 2g + p, fix the signature), the edges of a reduction
   that passed through it, the state's index among them and that reduction's
-  N1 remainder edge.  ``_factorize_word`` reduces through
-  ``groupoid._reduce`` with it, so a reduction that reaches a stored state
-  appends the stored suffix and runs no move for it.  The rest of a
+  N1 remainder edge.  ``_factorize_word`` enters the reduction loop
+  ``groupoid._reduce_from`` at the relator with it, so a reduction that
+  reaches a stored state appends the stored suffix and runs no move for it.
+  The loop checks that the remainder is a letter permutation of the classes
+  ending at the relator, so no precondition is checked again before it:
+  ``membership`` checked the top level, and a recursion level's stabilizer
+  that does not fix the relator and permute the classes is an engine fault
+  (``ReductionStuck`` or ``CosetViolation``).  The rest of a
   reduction is a function of its state, so a hit returns edges that passed
   every check on an equal state.  A state is stored once its reduction has
   its remainder; a hit that would end past the call's iteration budget is
@@ -142,7 +147,7 @@ from .groupoid import (
     NielsenKind,
     _edge,
     _nielsen_edge,
-    _reduce,
+    _reduce_from,
     canonical_edge,
     classify_nielsen,
     nielsen_reduce,
@@ -711,7 +716,10 @@ def _factorize_word(a: Automorphism) -> GenWord:
     # the reduced tokens and the forward value of each edge, in order
     runs: list[_Tokens] = []
     pieces: list[Endomorphism] = []
-    steps, n1 = _reduce(relator(sig), a.fwd, _reduced)
+    # ``membership`` checked the top level; at a recursion level the loop's
+    # end checks test the relator and the classes (see the module docstring)
+    v0 = relator(sig)
+    steps, n1 = _reduce_from(v0, a.fwd, v0, _reduced)
     for e in steps + [n1]:
         edge_tokens, value = _edge_factors(e)
         if edge_tokens:
@@ -757,7 +765,7 @@ _adlh_words = _Memo()
 #: Per state of a peak reduction after its first, keyed on the codes of the
 #: current word and images (``groupoid._Carry.key``): the edges of a
 #: reduction that passed through it, the state's index among them and that
-#: reduction's N1 remainder edge (``groupoid._reduce``).
+#: reduction's N1 remainder edge (``groupoid._reduce_from``).
 _reduced = _Memo()
 
 

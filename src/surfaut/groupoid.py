@@ -9,13 +9,13 @@ is the deterministic normalization of a Zieschang word onto the relator.
 
 The engine builds one ``_Carry`` per call, straight from the map and the
 word (the signed image table ``at``, with the codes of phi(c) for every
-signed letter c, the codes of the measured words, their keys, the set of
-their codes), and then updates it in place.  A Nielsen move changes the
-image of one basis letter b, the letter of v_k, so a move recomputes only
-what reads phi(b): the new phi(b), one substitution into the old images,
-and phi(b)', read from ``core._NEG``, in b's two entries of ``at``; b's one
-or two entries of the measure; and the distinct-images check, kept as a set
-of image codes.
+signed letter c, the keys of the measured words indexed the same way, the
+set of their codes), and then updates it in place.  A Nielsen move changes
+the image of one basis letter b, the letter of v_k, so a move recomputes
+only what reads phi(b): the new phi(b), one substitution into the old
+images, and phi(b)', read from ``core._NEG``, in b's two entries of ``at``;
+the keys of b, and of b' when b is a handle letter; and the distinct-images
+check, kept as a set of image codes.
 The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
 the entries' keys, so whether it strictly decreased is read off the
 replaced entries alone (``_decreases``).  No verdict is kept across moves:
@@ -31,15 +31,17 @@ when twice its length is below |phi(v_k)| and |phi(v_(k+1))|, so only the
 other pairs take the slices.  Words are built for the stuck payload only.
 
 Each edge end is checked once.  Public edges (``GroupoidEdge``,
-``nielsen_edge``) check their source; the engine's Nielsen edges, the
-factorisation case tables' edges and ``GroupoidEdge.inverse`` are built by
-the trusted ``_edge``, because their source is the checked input or the
-end of a checked edge.  ``_edge`` computes the target as the image of the
-source, so it checks only that target (``is_zieschang``, a walk along the
-chain) and the class permutation.  The Nielsen templates are one-letter
-moves (``letter_move``), witnessed by construction; a template fixes or
-conjugates every puncture letter, so it permutes the classes by
-construction, and a template edge checks its target only.  The step (vii)
+``nielsen_edge``) check their source; the N1 remainder and the
+factorisation case tables' edges are built by the trusted ``_edge``,
+because their source is the checked input or the end of a checked edge.
+``_edge`` computes the target as the image of the source, so it checks only
+that target (``is_zieschang``, a walk along the chain, in
+``_template_edge``) and then the class permutation.  The Nielsen templates
+are one-letter moves (``letter_move``), witnessed by construction; a
+template fixes or conjugates every puncture letter, so it permutes the
+classes by construction, and a template edge checks its target only.
+``GroupoidEdge.inverse`` swaps the ends of its edge, which were checked,
+and checks nothing.  The step (vii)
 maps of ``canonical_edge`` and the N1 remainder are witnessed by
 construction as well.  Every target and every step's word is the image of
 its source under ``apply``.  ``canonical_edge`` applies each step's map
@@ -67,13 +69,20 @@ left follows the stored links from there and builds no map for them.
 all 4g + p letters, so every walk ends at the relator.  Each call composes
 its maps once and checks that the composite carries V to the relator.
 
-``_reduce`` checks the preconditions once and runs the loop
-``_reduce_from``; ``nielsen_reduce`` runs it with no memo.  Factorisation
-passes its memo of reduction suffixes (``factorize._reduced``), keyed on each
-state after the first (``_Carry.key``): the rest of a reduction is a
-function of the current word and images alone, so a hit appends the edges
-that an earlier reduction made from an equal state and returns its
-remainder, once that remainder is checked to end at this call's target.
+The loop ``_reduce_from`` has three entries.  ``nielsen_reduce`` is the
+one that checks the public preconditions (``NotZieschang``,
+``TargetTooLong``, ``HypothesisViolated``) and runs the loop with no memo,
+towards W = phi(V).  Certification and factorisation enter it at the
+relator, with the relator as W: each checks the relator and the class
+permutation of its input itself (factorisation through ``membership`` at
+the top level), and at a level of the recursion the loop's own end checks
+test both facts for W: the remainder is a letter permutation, and its N1
+edge permutes the classes and ends at W.  Factorisation passes its memo of
+reduction suffixes (``factorize._reduced``), keyed on each state after the
+first (``_Carry.key``): the rest of a reduction is a function of the
+current word and images alone, so a hit appends the edges that an earlier
+reduction made from an equal state and returns its remainder, once that
+remainder is checked to end at W.
 
 Certification (``certify_automorphism``) checks that the map fixes the
 relator and permutes the classes, and enters the loop past those checks
@@ -121,6 +130,7 @@ N3_RIGHT = "N3_right"
 N3_LEFT = "N3_left"
 
 _NOT_CARRIED = "edge automorphism does not carry source to target"
+_NOT_PERMUTED = "edge automorphism does not permute the puncture classes"
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,41 +154,36 @@ class GroupoidEdge:
     kind: Optional[NielsenKind] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_zieschang(self.source, self.source.sig):
+        sig = self.source.sig
+        if not is_zieschang(self.source, sig):
             raise NotZieschang(f"edge source {self.source} is not Zieschang")
         if self.aut.apply(self.source) != self.target:
             raise CosetViolation(_NOT_CARRIED)
-        self._check_target(NotZieschang)
-
-    def _check_target(self, not_zieschang: type[Exception]) -> None:
-        """The checks left once the target is known to be the image of the
-        source: the target is Zieschang (``not_zieschang`` is raised
-        otherwise) and the map permutes the classes."""
-        if not is_zieschang(self.target, self.source.sig):
-            raise not_zieschang(f"edge target {self.target} is not Zieschang")
+        if not is_zieschang(self.target, sig):
+            raise NotZieschang(f"edge target {self.target} is not Zieschang")
         if _t_class_permutation(self.aut.fwd) is None:
-            raise CosetViolation(
-                "edge automorphism does not permute the puncture classes"
-            )
+            raise CosetViolation(_NOT_PERMUTED)
 
     @property
     def sig(self) -> Signature:
         return self.source.sig
 
     def inverse(self) -> "GroupoidEdge":
-        # the target is a checked end, and the inverse map carries it back
+        # both ends and the class permutation were checked on this edge, and
+        # the inverse map carries the target back to the source
         inv = self.aut.inverse()
-        return _edge(self.target, inv, classify_nielsen_map(self.target, inv))
+        return _edge_to(self.target, self.source, inv, classify_nielsen_map(self.target, inv))
 
 
 def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
     """Trusted constructor for the edge from a source already known to be
     Zieschang (a checked input or the target of a checked edge) to its image
-    under ``aut``; it runs ``GroupoidEdge``'s checks on that target.  The
-    engine built ``aut``, so a target that is not Zieschang is an engine
-    fault and raises ``CosetViolation``, not ``NotZieschang``."""
-    e = _edge_to(source, aut.apply(source), aut, kind)
-    e._check_target(CosetViolation)
+    under ``aut``: the target check of ``_template_edge``, then the class
+    permutation.  The engine built ``aut``, so a failed check is an engine
+    fault and raises ``CosetViolation``."""
+    e = _template_edge(source, aut, kind)
+    if _t_class_permutation(aut.fwd) is None:
+        raise CosetViolation(_NOT_PERMUTED)
     return e
 
 
@@ -196,10 +201,11 @@ def _edge_to(
     return e
 
 
-def _template_edge(V: Word, aut: Automorphism, kind: NielsenKind) -> GroupoidEdge:
-    """The edge of the Nielsen template ``aut`` at ``kind`` from V.  A
-    template fixes every puncture letter (N2) or conjugates one (N3), so it
-    permutes the classes by construction and only its target is checked."""
+def _template_edge(V: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
+    """The edge of the Nielsen template ``aut`` at ``kind`` from V, which is
+    known to be Zieschang.  A template fixes every puncture letter (N2) or
+    conjugates one (N3), so it permutes the classes by construction and only
+    its target is checked."""
     target = aut.apply(V)
     if not is_zieschang(target, V.sig):
         raise CosetViolation(f"edge target {target} is not Zieschang")
@@ -387,23 +393,23 @@ def _decreases(removed: list, inserted: list) -> bool:
 
 
 class _Carry:
-    """The state of one ``nielsen_reduce`` call, built once from the map and
-    the source word and updated in place by each move.  A Nielsen move
-    changes the image of one basis letter b only, so ``advance`` recomputes
-    only the values that read phi(b) or phi(b'):
+    """The state of one peak reduction, built once from the map and the
+    source word and updated in place by each move.  A Nielsen move changes
+    the image of one basis letter b only, so ``advance`` recomputes only the
+    values that read phi(b) or phi(b'):
 
     - ``word``: the current source word;
     - ``images``: the basis images of the current map;
     - ``at``: the codes of phi(c) for every signed letter c, indexed by c in
       ``core._NEG``'s layout, so ``at[b]`` and ``at[-b]`` are phi(b) and
       phi(b)'; a move replaces its letter's two entries;
-    - ``codes_at`` and ``key_at``: the codes and the balanced key of each
-      word of the measured word list, in ``mu_key``'s order (phi(b) for each
-      basis letter b, followed by phi(b)' when b is a handle letter); a move
-      replaces b's one or two entries, and ``_decreases`` reads the change
-      of the sorted measure off those entries alone;
-    - ``seen`` and ``distinct``: the codes of the measure words, and whether
-      they are pairwise distinct;
+    - ``key_at``: the balanced key of each measured word, indexed like
+      ``at`` by its signed letter: the measured letters are every basis
+      letter b, and b' too when b is a handle letter (``mu_key``'s words);
+      a move replaces b's one or two entries, and ``_decreases`` reads the
+      change of the sorted measure off those entries alone;
+    - ``seen`` and ``distinct``: the codes of the measured words, and
+      whether they are pairwise distinct;
     - ``resume``: the position where ``_find_violation`` starts.  Every
       position before the last violation had the verdict (), and keeps it
       unless a move changed one of its letters or its pair holds b's letter.
@@ -415,16 +421,18 @@ class _Carry:
         self.word = V
         self.images = list(endo.images)
         at = self.at = [()] * (2 * sig.rank + 1)
-        codes_at = self.codes_at = []
+        key_at = self.key_at = [None] * (2 * sig.rank + 1)
         for b, w in enumerate(self.images, 1):
             at[b] = w.codes
             at[-b] = tuple([_NEG[d] for d in reversed(w.codes)])
-            codes_at.append(at[b])
+            key_at[b] = _key_of(at[b], rank)
             if not sig.is_t_code(b):
-                codes_at.append(at[-b])
-        self.key_at = [_key_of(codes, rank) for codes in codes_at]
-        self.seen = set(codes_at)
-        self.distinct = len(self.seen) == len(codes_at)
+                key_at[-b] = _key_of(at[-b], rank)
+        # the two lists share their layout, so the measured words are the
+        # entries of ``at`` whose key is set
+        measured = [at[c] for c, key in enumerate(key_at) if key is not None]
+        self.seen = set(measured)
+        self.distinct = len(self.seen) == len(measured)
         self.resume = 1
 
     def endo(self) -> Endomorphism:
@@ -434,36 +442,28 @@ class _Carry:
     def key(self) -> tuple:
         """The codes of the current word and of the current images; their
         lengths, 4g + p and 2g + p, fix the signature."""
-        return (self.word.codes, tuple([w.codes for w in self.images]))
+        return (self.word.codes, tuple(self.at[1 : self.sig.rank + 1]))
 
     def advance(self, edge: GroupoidEdge) -> bool:
         """Move to the target of the Nielsen ``edge``, leaving the values a
         carry built from ``compose(edge.aut.inv, phi)`` and ``edge.target``
         would hold; True when the measure strictly decreased."""
-        sig = self.sig
         # the template at chain position k moves only the letter b of v_k, so
         # the composite differs from phi at b alone: phi(inv(b))
         b = abs(self.word.codes[edge.kind.k - 1])
         img = _substitute(self.images, edge.aut.inv.images[b - 1].codes, {})
-        self.images[b - 1] = _word(sig, img)
-        at = self.at
-        at[b] = img
-        at[-b] = img_inv = tuple([_NEG[d] for d in reversed(img)])
+        self.images[b - 1] = _word(self.sig, img)
         old, new = self.word.codes, edge.target.codes
         self.word = edge.target
-        # b's entries of the measured word list, in ``mu_key``'s order, and
-        # the first index of the new word that holds +-b
-        if sig.is_t_code(b):
-            slots, first = ((b - 1, img),), new.index(b)
-        else:
-            pos = sig.p + 2 * (b - sig.p - 1)
-            slots = ((pos, img), (pos + 1, img_inv))
-            first = min(new.index(b), new.index(-b))
         # a verdict reads only its two letters' images, so a position before
         # the last violation, which had the verdict (), keeps it unless one
         # of its two letters changed or is +-b: the scan resumes at the
         # position whose pair (v_j, v_(j+1)) first holds such a letter, at
         # 0-based index j
+        if self.sig.is_t_code(b):
+            measured, first = (b,), new.index(b)
+        else:
+            measured, first = (b, -b), min(new.index(b), new.index(-b))
         stop = min(self.resume, first)
         for j in range(stop):
             if old[j] != new[j]:
@@ -471,17 +471,19 @@ class _Carry:
                 break
         self.resume = stop or 1
 
-        key_at, codes_at, seen = self.key_at, self.codes_at, self.seen
+        at, key_at, seen = self.at, self.key_at, self.seen
         removed, inserted = [], []
-        for i, _ in slots:
-            removed.append(key_at[i])
-            seen.discard(codes_at[i])  # exact: the words were distinct
-        for i, codes in slots:
+        for c in measured:
+            removed.append(key_at[c])
+            seen.discard(at[c])  # exact: the words were distinct
+        at[b] = img
+        at[-b] = tuple([_NEG[d] for d in reversed(img)])
+        for c in measured:
+            codes = at[c]
             if codes in seen:
                 self.distinct = False
             seen.add(codes)
-            codes_at[i] = codes
-            key_at[i] = key = _key_of(codes, self.rank)
+            key_at[c] = key = _key_of(codes, self.rank)
             inserted.append(key)
         return _decreases(removed, inserted)
 
@@ -496,15 +498,7 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     Raises NotZieschang / TargetTooLong / HypothesisViolated on precondition
     failures and ReductionStuck when the input cannot be an automorphism.
     """
-    return _reduce(V, _fwd(phi), None)
-
-
-def _reduce(
-    V: Word, endo: Endomorphism, suffixes: Optional[_Memo]
-) -> tuple[list[GroupoidEdge], GroupoidEdge]:
-    """``nielsen_reduce`` of the map ``endo``, through the memo ``suffixes``
-    of reduction suffixes when one is given: the preconditions, then the
-    loop ``_reduce_from``."""
+    endo = _fwd(phi)
     sig = endo.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
@@ -513,15 +507,25 @@ def _reduce(
         raise TargetTooLong(f"|image| = {len(W)} exceeds 4g+p = {sig.chain_len}")
     if _t_class_permutation(endo) is None:
         raise HypothesisViolated("map does not permute the puncture classes")
-    return _reduce_from(V, endo, W, suffixes)
+    return _reduce_from(V, endo, W, None)
 
 
 def _reduce_from(
     V: Word, endo: Endomorphism, W: Word, suffixes: Optional[_Memo]
 ) -> tuple[list[GroupoidEdge], GroupoidEdge]:
-    """The loop of ``_reduce`` for a map ``endo`` that passed its checks: V
-    is Zieschang, W = endo(V) is no longer than 4g + p, and ``endo``
-    permutes the classes.
+    """The peak-reduction loop of the map ``endo`` from the Zieschang word
+    V, which must end at the word W, through the memo ``suffixes`` of
+    reduction suffixes when one is given.
+
+    W is what endo(V) must be: ``nielsen_reduce`` passes endo(V) once it has
+    checked that it is no longer than 4g + p and that ``endo`` permutes the
+    classes; certification and factorisation reduce from the relator and
+    pass the relator.  The loop itself checks both facts for W: the
+    remainder must be a letter permutation (``_finish_n1``), and its N1 edge
+    must permute the classes and end at W; a remainder served by the memo
+    passed those checks on an equal state and must end at W as well.  So a
+    map that does not carry V to W, or does not permute the classes, raises
+    ``ReductionStuck`` or ``CosetViolation``.
 
     Every state after the first is looked up by ``_Carry.key``.  The rest of
     a reduction is a function of that state alone, so a hit serves the

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfaut import Word, cli, factorize, groupoid
+from surfaut import Word, cli, compose, factorize, groupoid
+from surfaut.endo import letter_move
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.selftest import GRID
@@ -219,13 +220,13 @@ class TestCertifyFactorize:
 
     def test_non_nielsen_edge_exits_3(self, monkeypatch):
         # edges stripped of their kind, and a classifier that matches nothing
-        real = factorize._reduce
+        real = factorize._reduce_from
 
-        def unlabelled(V, endo, memo):
-            edges, n1 = real(V, endo, memo)
+        def unlabelled(V, endo, W, memo):
+            edges, n1 = real(V, endo, W, memo)
             return [dataclasses.replace(e, kind=None) for e in edges], n1
 
-        monkeypatch.setattr(factorize, "_reduce", unlabelled)
+        monkeypatch.setattr(factorize, "_reduce_from", unlabelled)
         monkeypatch.setattr(factorize, "classify_nielsen", lambda e: None)
         code, out, err = invoke(["factorize", "--sig", "1,0", "--aut", "x1 -> y1' x1"])
         assert code == 3 and out == ""
@@ -269,6 +270,29 @@ class TestCertifyFactorize:
         assert err == (
             "internal assertion: CosetViolation: edge target t1 y1' x1 y1 is not"
             " Zieschang\n"
+        )
+
+    def test_unpermuting_stabiliser_exits_3(self, monkeypatch):
+        # the stabiliser factored at (0,2) is followed by t1 -> t1 t2, which
+        # sends t1 to no conjugate of a puncture letter: the recursion built
+        # it, so the reduction that cannot end at the relator is an engine
+        # fault, not a rejected input
+        real = factorize._restricted
+
+        def unpermuting(stab):
+            inner = real(stab)
+            sig = inner.sig
+            t2 = Word(sig, (sig.t_code(2),))
+            return compose(inner, letter_move(sig, sig.t_code(1), Word.identity(sig), t2))
+
+        code, aut, _ = invoke(["eval", "--sig", "0,3", "--genword", "s3 s2"])
+        assert code == 0
+        monkeypatch.setattr(factorize, "_restricted", unpermuting)
+        argv = ["factorize", "--sig", "0,3", "--aut", aut.strip().replace("\n", "; ")]
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal assertion: ReductionStuck: remainder is not a letter permutation\n"
         )
 
 

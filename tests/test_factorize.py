@@ -403,9 +403,9 @@ class TestAdlhWordMemo:
         # factors are warm: every piece is a hit, and they compose to a3
         a3, a4 = gen("a", 3, S40), gen("a", 4, S40)
         factorize_adlh(a3)
-        reduction = F._reduce(relator(S40), a3.fwd, F._reduced)
+        reduction = _reduce(relator(S40), a3.fwd, F._reduced)
         warm = [dict(memo) for memo in (F._adl_words, F._adlh_words, F._factored)]
-        monkeypatch.setattr(F, "_reduce", lambda V, endo, memo: reduction)
+        monkeypatch.setattr(F, "_reduce_from", lambda V, endo, W, memo: reduction)
         with pytest.raises(CosetViolation, match="factorization failed to recompose the input"):
             factorize_adlh(a4)
         assert [dict(memo) for memo in (F._adl_words, F._adlh_words, F._factored)] == warm
@@ -513,6 +513,11 @@ S20 = Signature(2, 0)
 _TEN_MOVES = eval_gen_word(parse_gen_word("g2 a1"), S20)
 
 
+def _reduce(V, phi, memo):
+    """The reduction loop from V towards phi(V), through ``memo`` if given."""
+    return groupoid._reduce_from(V, phi, phi.apply(V), memo)
+
+
 def _state(sig, key):
     """The (word, map) of a reduction state from its ``_reduced`` key."""
     codes, images = key
@@ -547,7 +552,7 @@ class TestReductionSuffixMemo:
     def warm_entry():
         """Reduce an input of ten moves through ``_reduced`` and return its
         state after the first move, with its entry."""
-        F._reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
+        _reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
         assert len(F._reduced) == 10
         return next((k, v) for k, v in F._reduced.items() if v[1] == 1)
 
@@ -566,7 +571,7 @@ class TestReductionSuffixMemo:
         served = 0
         for a, (edges, n1, _) in zip(inputs, fresh):
             before = len(moved)
-            got, got_n1 = F._reduce(relator(a.sig), a.fwd, F._reduced)
+            got, got_n1 = _reduce(relator(a.sig), a.fwd, F._reduced)
             assert got == edges and [e.kind for e in got] == [e.kind for e in edges]
             assert got_n1 == n1 and got_n1.kind == n1.kind
             served += len(got) - (len(moved) - before)
@@ -584,7 +589,7 @@ class TestReductionSuffixMemo:
             groupoid, "_finish_n1", lambda *args: finished.append(args) or real_finish(*args)
         )
         # the first state is not looked up, its first move reaches a stored one
-        edges, got_n1 = F._reduce(V, phi, F._reduced)
+        edges, got_n1 = _reduce(V, phi, F._reduced)
         assert edges == list(done[1:]) and got_n1 is n1
         assert len(moved) == 1 and finished == []
         assert nielsen_reduce(V, phi) == (edges, n1)
@@ -603,10 +608,10 @@ class TestReductionSuffixMemo:
             for memo in (F._reduced, None):
                 warm = list(F._reduced.items())
                 if ok:
-                    assert len(F._reduce(V, phi, memo)[0]) == moves
+                    assert len(_reduce(V, phi, memo)[0]) == moves
                 else:
                     with pytest.raises(ReductionStuck, match="budget exhausted"):
-                        F._reduce(V, phi, memo)
+                        _reduce(V, phi, memo)
                     assert list(F._reduced.items()) == warm
 
     @pytest.mark.parametrize("fault", ["remainder", "move"])
@@ -625,7 +630,7 @@ class TestReductionSuffixMemo:
                 lambda self, e: moved.append(e) or (len(moved) < 3 and real(self, e)),
             )
         with pytest.raises((CosetViolation, ReductionStuck)):
-            F._reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
+            _reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)
         assert not F._reduced
         monkeypatch.undo()
         self.warm_entry()
@@ -639,7 +644,7 @@ class TestReductionSuffixMemo:
         F._reduced[second] = (done, 2, bad)
         warm = list(F._reduced.items())
         with pytest.raises(CosetViolation, match="does not carry"):
-            F._reduce(*_state(S20, key), F._reduced)
+            _reduce(*_state(S20, key), F._reduced)
         assert list(F._reduced.items()) == warm
 
     def test_bounded_least_recently_used_first(self, rng, monkeypatch):
@@ -647,7 +652,7 @@ class TestReductionSuffixMemo:
         second = next(k for k, (d, i, _) in F._reduced.items() if d is done and i == 2)
         order = [k for k in F._reduced if k != second]
         # a hit stores nothing new and moves its state last
-        F._reduce(*_state(S20, key), F._reduced)
+        _reduce(*_state(S20, key), F._reduced)
         assert list(F._reduced) == order + [second]
         F._reduced.clear()
         monkeypatch.setattr(core, "MEMO_SIZE", 5)

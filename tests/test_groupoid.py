@@ -393,9 +393,16 @@ class TestNielsenReduce:
                             assert at[b] == phi.images[b - 1].codes
                             assert at[-b] == phi.images[b - 1].inverse().codes
                         assert all(shared(c) for codes in at for c in codes)
-                        # the measure by position, and sorted as (key, position)
-                        ranks = sorted((k, i) for i, k in enumerate(st["key_at"]))
-                        assert [st["codes_at"][i] for _, i in ranks] == [
+                        # the measure by signed letter, in ``mu_key``'s order
+                        # (b, then b' for a handle letter b), and sorted as
+                        # (key, position) in that order
+                        measured = [c for b in sig.basis_codes()
+                                    for c in ((b,) if sig.is_t_code(b) else (b, -b))]
+                        key_at = st["key_at"]
+                        assert [c for c in range(-sig.rank, sig.rank + 1)
+                                if key_at[c] is not None] == sorted(measured)
+                        ranks = sorted((key_at[c], i) for i, c in enumerate(measured))
+                        assert [at[measured[i]] for _, i in ranks] == [
                             w.codes for w in full.mu.words]
                         assert tuple(k for k, _ in ranks) == full.mu.keys
                         assert tuple(i for _, i in ranks) == full.mu.order
@@ -1288,6 +1295,20 @@ class TestEdgeInvariants:
         monkeypatch.setattr(groupoid, "_t_class_permutation", lambda endo: None)
         with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
             groupoid._edge(v0, a1, None)
+
+    def test_public_edge_checks_the_class_permutation(self):
+        # t1 -> t2' t1 and t3 -> t2 t3 carry the relator t3 t2 t1 to the
+        # Zieschang word t2 t3 t1, but send t1 to no conjugate of a puncture
+        # letter
+        sig = Signature(0, 3)
+        t1, t2, t3 = (sig.t_code(j) for j in (1, 2, 3))
+        one = Word.identity(sig)
+        a = compose(letter_move(sig, t1, Word(sig, (-t2,)), one),
+                    letter_move(sig, t3, Word(sig, (t2,)), one))
+        v0 = relator(sig)
+        assert apply(a, v0) == parse_word(sig, "t2 t3 t1")
+        with pytest.raises(CosetViolation, match="does not permute the puncture classes"):
+            GroupoidEdge(v0, apply(a, v0), a)
 
     def test_template_edges_witnessed(self):
         e = nielsen_edge(relator(S10), N2_RIGHT, 1)

@@ -17,7 +17,13 @@ every expected value below is read off the rule alone:
   half-twists s_2 .. s_p around the p punctures satisfy (s_2 .. s_p)^p =
   the boundary twist (Farb & Margalit, *A Primer on Mapping Class Groups*,
   2012).  On the free group the boundary twist is the inner map u -> R' u R
-  by the relator R.
+  by the relator R;
+- the torus with one boundary and the disc with three punctures have the
+  same mapping-class group, the braid group B_3 = <u, v | u v u = v u v>:
+  A_(1,0) is generated by the twists a1 and b1, whose curves meet once, and
+  A_(0,3) by the half-twists s2 and s3, and a1 <-> s2, b1 <-> s3 is an
+  isomorphism.  So a word and any factorisation of its value translate to
+  words of equal value on the other side.
 """
 
 from functools import partial
@@ -33,6 +39,7 @@ from surfaut import (
     Word,
     compose,
     eval_gen_word,
+    factorize_adl,
     gen_set,
     generator,
     relator,
@@ -120,3 +127,31 @@ def test_chain_relation_closed_surface(g):
 def test_chain_relation_punctured_sphere(p):
     chain = [GenName("s", j) for j in range(2, p + 1)]
     _assert_chain_relation(Signature(0, p), chain, p)
+
+
+#: The isomorphism A_(1,0) -> A_(0,3) on generators, and its inverse.
+_B3 = {GenName("a", 1): GenName("s", 2), GenName("b", 1): GenName("s", 3)}
+_B3_INV = {s: a for a, s in _B3.items()}
+
+
+@pytest.mark.parametrize(
+    "source, target, names",
+    [(Signature(1, 0), Signature(0, 3), _B3), (Signature(0, 3), Signature(1, 0), _B3_INV)],
+    ids=["torus-to-disc", "disc-to-torus"],
+)
+def test_b3_isomorphism_carries_factorisations(source, target, names, rng):
+    assert set(gen_set(source)) == set(names)
+    assert set(gen_set(target)) == set(names.values())
+
+    def translate(w: GenWord) -> GenWord:
+        return GenWord(tuple((names[n], e) for n, e in w.tokens))
+
+    letters = gen_set(source)
+    nontrivial = 0
+    for _ in range(300):
+        w = GenWord(tuple(
+            (rng.choice(letters), rng.choice((1, -1))) for _ in range(rng.randint(0, 14))))
+        f = factorize_adl(eval_gen_word(w, source))
+        nontrivial += bool(f.tokens)
+        assert eval_gen_word(translate(f), target) == eval_gen_word(translate(w), target), w
+    assert nontrivial > 250
