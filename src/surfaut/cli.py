@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 for success or a true verdict, 1 for false verdicts and
-failed mathematical preconditions, 2 for malformed input, 3 for internal
-assertion failures (stuck reduction, coset violations).  A standard output
-closed by its reader (``surfaut ... | head -1``) ends the run with exit 1
-and no message.
+failed mathematical preconditions (among them a ``nielsen-reduce`` input
+whose images coincide, which is not injective), 2 for malformed input, 3
+for internal assertion failures (stuck reduction, coset violations).  A
+standard output closed by its reader (``surfaut ... | head -1``) ends the
+run with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -181,7 +182,13 @@ def _cmd_nielsen_reduce(args, out: TextIO) -> int:
     sig = _parse_sig(args.sig)
     word = parse_word(sig, args.word) if args.word else relator(sig)
     endo = _load_endo(sig, args.aut)
-    edges, n1 = nielsen_reduce(word, endo)
+    try:
+        edges, n1 = nielsen_reduce(word, endo)
+    except ReductionStuck as exc:
+        if not exc.not_injective:
+            raise
+        # the input is not injective: a verdict, not an engine fault
+        raise NotInA(f"input endomorphism is not an automorphism: {exc}") from exc
     lines = [f"({e.kind}) {e.source} => {e.target}" for e in edges]
     lines.append(f"({n1.kind}) {n1.source} => {n1.target}")
     payload = {"command": "nielsen-reduce", "moves": lines, "edge_count": len(edges)}

@@ -46,12 +46,18 @@ class NotInA(SurfautError, ValueError):
 
 
 class ReductionStuck(SurfautError, RuntimeError):
-    """Peak reduction cannot make progress; signals a non-automorphism input."""
+    """Peak reduction cannot make progress; signals a non-automorphism input.
 
-    def __init__(self, message, *, k=None, triple=None):
+    ``not_injective`` marks the stop at measured images that coincide: every
+    Nielsen move is an automorphism, so the map reduced is not injective, a
+    verdict on the input of ``nielsen_reduce`` and an engine fault where the
+    engine built the map."""
+
+    def __init__(self, message, *, k=None, triple=None, not_injective=False):
         super().__init__(message)
         self.k = k
         self.triple = triple
+        self.not_injective = not_injective
 
 
 class CosetViolation(SurfautError, RuntimeError):

@@ -9,16 +9,22 @@ is the deterministic normalization of a Zieschang word onto the relator.
 
 The engine builds one ``_Carry`` per call, straight from the map and the
 word (the signed image table ``at``, with the codes of phi(c) for every
-signed letter c, the keys of the measured words indexed the same way, the
-set of their codes), and then updates it in place.  A Nielsen move changes
-the image of one basis letter b, the letter of v_k, so a move recomputes
-only what reads phi(b): the new phi(b), one substitution into the old
-images, and phi(b)', read from ``core._NEG``, in b's two entries of ``at``;
-the keys of b, and of b' when b is a handle letter; and the distinct-images
-check, kept as a set of image codes.
+signed letter c, and the set of the measured words' codes), and then
+updates it in place; it builds the map's ``Word``s once, for the
+remainder.  A Nielsen move changes the image of one basis letter b, the
+letter of v_k, so a move recomputes only what reads phi(b): b's two entries
+of ``at``, and the distinct-images check, kept as a set of image codes.
+The move is read off the peak (A_k, B, C) where the search found it.  An
+N2 move's new image is phi(v_k) phi(v_(k+1)) = B A_k' A_k C' = B C', and its
+inverse C B': both are slices of ``at``, and nothing cancels between them,
+because A_k is the longest common prefix.  An N3 move conjugates, so its
+new image and its inverse each join one of those two products with one
+entry of ``at``, at the one seam that can cancel.
 The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
 the entries' keys, so whether it strictly decreased is read off the
-replaced entries alone (``_decreases``).  No verdict is kept across moves:
+replaced entries alone (``_decreases``), and their codes are compared as
+their keys would be, by length first and on a tie by ``order_rank`` on the
+balanced left halves, with no key built.  No verdict is kept across moves:
 the search for a violation works out each position's verdict where it reads
 it, and resumes where the last one was found, or earlier where the move
 changed a letter of the word or b's letter occurs: every position before
@@ -375,10 +381,24 @@ class ReductionState:
     mu: PreOrderKey
 
 
-def _decreases(removed: list, inserted: list) -> bool:
+def _key_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
+    """``_key_of(u, rank) < _key_of(v, rank)``, without building either key:
+    the shorter word first, and for one length ``order_rank`` (read from
+    ``rank``) at the first letter of the balanced left halves where they
+    differ."""
+    if len(u) != len(v):
+        return len(u) < len(v)
+    for i in range((len(u) + 1) // 2):
+        if u[i] != v[i]:
+            return rank[u[i]] < rank[v[i]]
+    return False
+
+
+def _decreases(removed: list, inserted: list, rank: tuple[int, ...]) -> bool:
     """Whether the measure, the sorted list of all entry keys, falls when
-    entries with the keys ``removed`` are replaced by as many with the keys
-    ``inserted``.
+    the one or two entries with the codes ``removed`` are replaced by as many
+    with the codes ``inserted``.  Entries compare as their keys do
+    (``_key_less``), so no key is built.
 
     For two multisets X and Y of one size, cancel the keys they share.  If
     nothing is left, X = Y.  Otherwise the least key m left is in one of
@@ -388,8 +408,35 @@ def _decreases(removed: list, inserted: list) -> bool:
     the order of the sorted lists is read off what is left after cancelling.
     For the measures after and before the move, what is left is ``inserted``
     and ``removed`` cancelled against each other, exactly as for the two
-    entry lists, so these compare as the measures do."""
-    return sorted(inserted) < sorted(removed)
+    entry lists, so these compare as the measures do.
+
+    Two sorted lists compare on their least keys first, and a key leads
+    with its word's length, so when the least lengths differ they decide;
+    the two words of a handle letter, b and b', have one length."""
+    if len(removed) == 1:
+        return _key_less(inserted[0], removed[0], rank)
+    i0, i1 = inserted
+    r0, r1 = removed
+    new, old = min(len(i0), len(i1)), min(len(r0), len(r1))
+    if new != old:
+        return new < old
+    if _key_less(i1, i0, rank):
+        i0, i1 = i1, i0
+    if _key_less(r1, r0, rank):
+        r0, r1 = r1, r0
+    if _key_less(i0, r0, rank):
+        return True
+    return not _key_less(r0, i0, rank) and _key_less(i1, r1, rank)
+
+
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes of the product of the reduced words u and v: they cancel
+    at the seam only."""
+    i, j, n = len(u), 0, len(v)
+    while i and j < n and u[i - 1] == -v[j]:
+        i -= 1
+        j += 1
+    return u[:i] + v[j:]
 
 
 class _Carry:
@@ -399,15 +446,13 @@ class _Carry:
     values that read phi(b) or phi(b'):
 
     - ``word``: the current source word;
-    - ``images``: the basis images of the current map;
     - ``at``: the codes of phi(c) for every signed letter c, indexed by c in
       ``core._NEG``'s layout, so ``at[b]`` and ``at[-b]`` are phi(b) and
-      phi(b)'; a move replaces its letter's two entries;
-    - ``key_at``: the balanced key of each measured word, indexed like
-      ``at`` by its signed letter: the measured letters are every basis
-      letter b, and b' too when b is a handle letter (``mu_key``'s words);
-      a move replaces b's one or two entries, and ``_decreases`` reads the
-      change of the sorted measure off those entries alone;
+      phi(b)'; a move replaces its letter's two entries.  The measured words
+      are ``at[b]`` for every basis letter b, and ``at[-b]`` too when b is a
+      handle letter (``mu_key``'s words), so a move replaces b's one or two
+      of them, and ``_decreases`` reads the change of the sorted measure off
+      those alone;
     - ``seen`` and ``distinct``: the codes of the measured words, and
       whether they are pairwise distinct;
     - ``resume``: the position where ``_find_violation`` starts.  Every
@@ -417,43 +462,58 @@ class _Carry:
 
     def __init__(self, endo: Endomorphism, V: Word) -> None:
         sig = self.sig = endo.sig
-        rank = self.rank = _rank_table(sig)
+        self.rank = _rank_table(sig)
         self.word = V
-        self.images = list(endo.images)
         at = self.at = [()] * (2 * sig.rank + 1)
-        key_at = self.key_at = [None] * (2 * sig.rank + 1)
-        for b, w in enumerate(self.images, 1):
+        for b, w in enumerate(endo.images, 1):
             at[b] = w.codes
             at[-b] = tuple([_NEG[d] for d in reversed(w.codes)])
-            key_at[b] = _key_of(at[b], rank)
-            if not sig.is_t_code(b):
-                key_at[-b] = _key_of(at[-b], rank)
-        # the two lists share their layout, so the measured words are the
-        # entries of ``at`` whose key is set
-        measured = [at[c] for c, key in enumerate(key_at) if key is not None]
+        measured = [at[c] for b in sig.basis_codes()
+                    for c in ((b,) if sig.is_t_code(b) else (b, -b))]
         self.seen = set(measured)
         self.distinct = len(self.seen) == len(measured)
         self.resume = 1
 
     def endo(self) -> Endomorphism:
         """The current map."""
-        return _endo(self.sig, tuple(self.images))
+        sig, at = self.sig, self.at
+        return _endo(sig, tuple([_word(sig, at[b]) for b in sig.basis_codes()]))
 
     def key(self) -> tuple:
         """The codes of the current word and of the current images; their
         lengths, 4g + p and 2g + p, fix the signature."""
         return (self.word.codes, tuple(self.at[1 : self.sig.rank + 1]))
 
-    def advance(self, edge: GroupoidEdge) -> bool:
-        """Move to the target of the Nielsen ``edge``, leaving the values a
+    def advance(self, edge: GroupoidEdge, peak: tuple) -> bool:
+        """Move to the target of the Nielsen ``edge``, made at the peak
+        (A_k, B, C) that ``_find_violation`` found, leaving the values a
         carry built from ``compose(edge.aut.inv, phi)`` and ``edge.target``
         would hold; True when the measure strictly decreased."""
-        # the template at chain position k moves only the letter b of v_k, so
-        # the composite differs from phi at b alone: phi(inv(b))
-        b = abs(self.word.codes[edge.kind.k - 1])
-        img = _substitute(self.images, edge.aut.inv.images[b - 1].codes, {})
-        self.images[b - 1] = _word(self.sig, img)
         old, new = self.word.codes, edge.target.codes
+        tag, k = edge.kind.tag, edge.kind.k
+        # the template at chain position k moves only the signed letter
+        # u = v_k, so the composite differs from phi at u alone: phi(inv(u))
+        u = old[k - 1]
+        b = abs(u)
+        at = self.at
+        # the peak pair (v_j, v_(j+1)) = (x, y), with u = x (a right move)
+        # or u = y (a left move): phi(x) = B A', phi(y) = A C', and A is
+        # their longest common prefix, so the product phi(x) phi(y) = B C'
+        # and its inverse C B' are slices of ``at`` with nothing to cancel
+        A, B, C = peak
+        j = k if tag in (N2_RIGHT, N3_RIGHT) else k - 1
+        x, y = old[j - 1], old[j]
+        m = len(A)
+        bc, cb = B + at[y][m:], C + at[-x][m:]
+        if tag in (N2_RIGHT, N2_LEFT):
+            # inv(u) = x y
+            img, img_inv = bc, cb
+        elif tag == N3_RIGHT:
+            # inv(u) = y' x y
+            img, img_inv = _join(at[-y], bc), _join(cb, at[y])
+        else:
+            # inv(u) = x y x'
+            img, img_inv = _join(bc, at[-x]), _join(at[x], cb)
         self.word = edge.target
         # a verdict reads only its two letters' images, so a position before
         # the last violation, which had the verdict (), keeps it unless one
@@ -471,21 +531,17 @@ class _Carry:
                 break
         self.resume = stop or 1
 
-        at, key_at, seen = self.at, self.key_at, self.seen
-        removed, inserted = [], []
-        for c in measured:
-            removed.append(key_at[c])
-            seen.discard(at[c])  # exact: the words were distinct
-        at[b] = img
-        at[-b] = tuple([_NEG[d] for d in reversed(img)])
-        for c in measured:
-            codes = at[c]
+        seen = self.seen
+        removed = [at[c] for c in measured]
+        for codes in removed:
+            seen.discard(codes)  # exact: the words were distinct
+        at[u], at[-u] = img, img_inv
+        inserted = [at[c] for c in measured]
+        for codes in inserted:
             if codes in seen:
                 self.distinct = False
             seen.add(codes)
-            key_at[c] = key = _key_of(codes, self.rank)
-            inserted.append(key)
-        return _decreases(removed, inserted)
+        return _decreases(removed, inserted, self.rank)
 
 
 _MAX_ITER_BASE = 10000
@@ -496,7 +552,9 @@ def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
     remainder; the measure strictly decreases at every applied move.
 
     Raises NotZieschang / TargetTooLong / HypothesisViolated on precondition
-    failures and ReductionStuck when the input cannot be an automorphism.
+    failures and ReductionStuck when the input cannot be an automorphism;
+    its ``not_injective`` marks a map whose measured images coincide at some
+    state, which is not injective.
     """
     endo = _fwd(phi)
     sig = endo.sig
@@ -553,7 +611,7 @@ def _reduce_from(
                 break
             keys.append(key)
         if not carry.distinct:
-            raise ReductionStuck("basis images are not distinct")
+            raise ReductionStuck("basis images are not distinct", not_injective=True)
         move = _find_violation(carry)
         if move is None:
             n1 = _finish_n1(carry.endo(), carry.word, W)
@@ -561,7 +619,7 @@ def _reduce_from(
         tag, k, triple = move
         # the source is V or the previous target, both checked
         edge = _nielsen_edge(carry.word, tag, k)
-        if not carry.advance(edge):
+        if not carry.advance(edge, triple):
             raise ReductionStuck(
                 f"measure failed to decrease at {tag} k={k}",
                 k=k,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfaut import Word, cli, compose, factorize, groupoid
-from surfaut.endo import letter_move
+from surfaut.endo import Endomorphism, _aut, letter_move
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
 from surfaut.selftest import GRID
@@ -121,6 +121,15 @@ class TestCanonAndReduce:
             ["nielsen-reduce", "--sig", "1,0", "--aut", "x1 -> y1' x1"]
         )
         assert code == 0 and "N2_right k=1" in out and "(N1)" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    def test_equal_images_exit_1(self, flags):
+        # x1 and y1 both go to x1 up to sign: the map is not injective, which
+        # is a verdict on the input, as certify's "not an automorphism" is
+        argv = [*flags, "nielsen-reduce", "--sig", "1,0", "--aut", "x1 -> x1'; y1 -> x1"]
+        assert invoke(argv) == (
+            1, "", "NotInA: input endomorphism is not an automorphism: "
+            "basis images are not distinct\n")
 
 
 class TestCertifyFactorize:
@@ -271,6 +280,25 @@ class TestCertifyFactorize:
             "internal assertion: CosetViolation: edge target t1 y1' x1 y1 is not"
             " Zieschang\n"
         )
+
+    def test_non_injective_stabiliser_exits_3(self, monkeypatch):
+        # the stabiliser factored at (0,2) is swapped for a map that sends
+        # both letters to t2: the recursion built it, so equal images there
+        # are an engine fault, not the verdict they are for nielsen-reduce
+        real = factorize._restricted
+
+        def collapsed(stab):
+            sig = real(stab).sig
+            t2 = Word(sig, (sig.t_code(2),))
+            return _aut(Endomorphism(sig, (t2, t2)), Endomorphism.identity(sig))
+
+        code, aut, _ = invoke(["eval", "--sig", "0,3", "--genword", "s3 s2"])
+        assert code == 0
+        monkeypatch.setattr(factorize, "_restricted", collapsed)
+        argv = ["factorize", "--sig", "0,3", "--aut", aut.strip().replace("\n", "; ")]
+        code, out, err = invoke(argv)
+        assert (code, out) == (3, "")
+        assert err == "internal assertion: ReductionStuck: basis images are not distinct\n"
 
     def test_unpermuting_stabiliser_exits_3(self, monkeypatch):
         # the stabiliser factored at (0,2) is followed by t1 -> t1 t2, which

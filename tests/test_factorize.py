@@ -544,7 +544,8 @@ class TestReductionSuffixMemo:
         calls = []
         real = groupoid._Carry.advance
         monkeypatch.setattr(
-            groupoid._Carry, "advance", lambda self, e: calls.append(e) or real(self, e)
+            groupoid._Carry, "advance",
+            lambda self, e, peak: calls.append(e) or real(self, e, peak),
         )
         return calls
 
@@ -627,7 +628,7 @@ class TestReductionSuffixMemo:
             real = groupoid._Carry.advance
             monkeypatch.setattr(
                 groupoid._Carry, "advance",
-                lambda self, e: moved.append(e) or (len(moved) < 3 and real(self, e)),
+                lambda self, e, peak: moved.append(e) or (len(moved) < 3 and real(self, e, peak)),
             )
         with pytest.raises((CosetViolation, ReductionStuck)):
             _reduce(relator(S20), _TEN_MOVES.fwd, F._reduced)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import io
@@ -219,6 +220,16 @@ def as_words(sig, verdict):
     return (tuple(Word(sig, codes) for codes in triple), distinct, left)
 
 
+_S11_RANK = groupoid._rank_table(S11)
+#: words of at most four letters over t1 (both signs) and x1 at (1,1)
+_SHORT_CODES = st.lists(st.sampled_from((1, -1, 2)), max_size=4).map(tuple)
+
+
+def _sorted_keys(words):
+    """The sorted ``_key_of`` keys of code tuples at (1,1)."""
+    return sorted(groupoid._key_of(w, _S11_RANK) for w in words)
+
+
 def full_state(phi, V):
     """The reduction state of ``phi`` at V, built from scratch."""
     return groupoid.ReductionState(phi, V, mu_key(phi))
@@ -331,9 +342,9 @@ class TestNielsenReduce:
             full.append(V)
             real_full(carry, endo, V)
 
-        def counted_advance(carry, edge):
+        def counted_advance(carry, edge, peak):
             carried.append(edge)
-            return real_advance(carry, edge)
+            return real_advance(carry, edge, peak)
 
         monkeypatch.setattr(groupoid._Carry, "__init__", counted_full)
         monkeypatch.setattr(groupoid._Carry, "advance", counted_advance)
@@ -348,26 +359,29 @@ class TestNielsenReduce:
 
     def test_carried_states_match_full_rebuild(self, rng, monkeypatch):
         # the carry is updated in place, so its build and each move record a
-        # copy of it, the build under the edge None
+        # copy of it and the map it gives, the build under the edge None
         carried = []
         real_init, real_advance = groupoid._Carry.__init__, groupoid._Carry.advance
 
         def snapshot(carry, edge):
-            carried.append((edge, {k: copy.copy(v) for k, v in vars(carry).items()}))
+            st = {k: copy.copy(v) for k, v in vars(carry).items()}
+            st["endo"] = carry.endo()
+            carried.append((edge, st))
 
         def built(carry, endo, V):
             real_init(carry, endo, V)
             snapshot(carry, None)
 
-        def recording(carry, edge):
-            decreased = real_advance(carry, edge)
+        def recording(carry, edge, peak):
+            decreased = real_advance(carry, edge, peak)
             snapshot(carry, edge)
             return decreased
 
         monkeypatch.setattr(groupoid._Carry, "__init__", built)
         monkeypatch.setattr(groupoid._Carry, "advance", recording)
-        moves = 0
+        tags = collections.Counter()
         for sig in list(GRID) + OFF_GRID:
+            rank = groupoid._rank_table(sig)
             tokens = 10 if sig.g <= 2 else 5
             for _ in range(4):
                 a = random_adl_automorphism(sig, rng, tokens)
@@ -384,7 +398,7 @@ class TestNielsenReduce:
                         if e is not None:
                             phi, word = compose(e.aut.inv, phi), e.target
                         full = full_state(phi, word)
-                        assert tuple(st["images"]) == full.phi.images
+                        assert st["endo"] == full.phi
                         assert st["word"] == full.word
                         # the signed image table, with every code the one
                         # int object of its value
@@ -398,36 +412,74 @@ class TestNielsenReduce:
                         # (key, position) in that order
                         measured = [c for b in sig.basis_codes()
                                     for c in ((b,) if sig.is_t_code(b) else (b, -b))]
-                        key_at = st["key_at"]
-                        assert [c for c in range(-sig.rank, sig.rank + 1)
-                                if key_at[c] is not None] == sorted(measured)
-                        ranks = sorted((key_at[c], i) for i, c in enumerate(measured))
+                        ranks = sorted((groupoid._key_of(at[c], rank), i)
+                                       for i, c in enumerate(measured))
                         assert [at[measured[i]] for _, i in ranks] == [
                             w.codes for w in full.mu.words]
                         assert tuple(k for k, _ in ranks) == full.mu.keys
                         assert tuple(i for _, i in ranks) == full.mu.order
                         assert st["seen"] == {w.codes for w in full.mu.words}
                         assert st["distinct"]
-                    moves += len(edges)
-        assert moves > 500
+                    tags.update(e.kind.tag for e in edges)
+        # both ways of building the moved image ran, each on both sides of
+        # its letter: the peak's slices (N2) and their join with an image (N3)
+        assert tags[N2_RIGHT] + tags[N2_LEFT] > 500
+        assert tags[N3_RIGHT] + tags[N3_LEFT] > 100
+        assert min(tags[t] for t in (N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT)) > 10
 
     @settings(max_examples=400)
     @given(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=8),
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+        st.lists(_SHORT_CODES, min_size=2, max_size=8),
+        st.lists(_SHORT_CODES, min_size=2, max_size=2),
         st.data(),
     )
     def test_measure_rule_matches_sorted_keys(self, before, inserted, data):
-        # small key ranges make ties frequent; one or two entries replaced
+        # short words over two letters make equal lengths, equal left halves
+        # and equal keys frequent; one or two entries replaced
         n = data.draw(st.integers(1, 2))
         slots = data.draw(st.lists(
             st.integers(0, len(before) - 1), min_size=n, max_size=n, unique=True))
         after = before[:]
-        for i, key in zip(slots, inserted):
-            after[i] = key
+        for i, codes in zip(slots, inserted):
+            after[i] = codes
         removed = [before[i] for i in slots]
-        assert groupoid._decreases(removed, inserted[:n]) == (
-            sorted(after) < sorted(before))
+        assert groupoid._decreases(removed, inserted[:n], _S11_RANK) == (
+            _sorted_keys(after) < _sorted_keys(before))
+
+    def test_measure_rule_decides_each_way(self):
+        """``_decreases`` on code tuples against ``sorted`` of the full
+        ``_key_of`` keys, for one entry and for the two words b and b' of a
+        handle letter, which have one length.  Each way the keys can decide
+        is reached: by a length, by a letter of the left halves at one
+        length, or not at all because the keys are equal (the words may
+        still differ in their right halves)."""
+        rng = random.Random(20260809)
+        seen = collections.Counter()
+
+        def word(n):
+            return tuple(rng.choice((1, -1, 2)) for _ in range(n))
+
+        for _ in range(20000):
+            n = rng.choice((1, 2))
+            lengths = rng.choice((0, 1, 2, 3, 4)), rng.choice((0, 1, 2, 3, 4))
+            removed = [word(lengths[0]) for _ in range(n)]
+            inserted = [word(lengths[1]) for _ in range(n)]
+            new, old = _sorted_keys(inserted), _sorted_keys(removed)
+            got = groupoid._decreases(removed, inserted, _S11_RANK)
+            assert got == (new < old), (removed, inserted)
+            first = next((i for i in range(n) if new[i] != old[i]), None)
+            if first is None:
+                way = "equal"
+            elif new[first][0] != old[first][0]:
+                way = "length"
+            else:
+                way = "left half"
+            seen[n, way, got] += 1
+        for n in (1, 2):
+            for way, got in (("length", True), ("length", False),
+                             ("left half", True), ("left half", False),
+                             ("equal", False)):
+                assert seen[n, way, got] > 100, (n, way, got)
 
     def test_resumed_scan_matches_scan_from_start(self, rng, monkeypatch):
         """At every search, so after every move, the resumed scan finds the
@@ -543,8 +595,8 @@ def _patch_stuck(site, monkeypatch, phi):
     """Patch one private step of the engine so that the reduction of
     ``phi`` from the relator raises at ``site``."""
     if site == "measure":
-        # every measure key equal: the first move cannot decrease it
-        monkeypatch.setattr(groupoid, "_key_of", lambda codes, rank: (0, ()))
+        # the measure never falls: the first move cannot decrease it
+        monkeypatch.setattr(groupoid, "_decreases", lambda removed, inserted, rank: False)
     elif site == "prefixes":
         real = groupoid._verdict
 
@@ -590,6 +642,7 @@ class TestStuckRaiseSites:
         with pytest.raises(ReductionStuck) as info:
             nielsen_reduce(v0, phi)
         assert (str(info.value), info.value.k, info.value.triple) == want
+        assert not info.value.not_injective  # an engine fault for the CLI
         out, err = io.StringIO(), io.StringIO()
         argv = ["nielsen-reduce", "--sig", f"{sig.g},{sig.p}", "--aut", _STUCK_AUT]
         assert run(argv, out, err) == 3
