@@ -254,12 +254,7 @@ class Word:
             return other
         if not b:
             return self
-        # both factors are reduced, so cancellation happens only at the seam
-        i, j, n = len(a), 0, len(b)
-        while i and j < n and a[i - 1] == -b[j]:
-            i -= 1
-            j += 1
-        return _word(sig, a[:i] + b[j:] if j else a + b)
+        return _word(sig, _join_codes(a, b))
 
     def inverse(self) -> "Word":
         return _word(self.sig, tuple([_NEG[c] for c in reversed(self.codes)]))
@@ -289,6 +284,16 @@ class Word:
 _new = object.__new__
 _set_sig = Word.sig.__set__
 _set_codes = Word.codes.__set__
+
+
+def _join_codes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The codes of the product of the reduced words with codes ``a`` and
+    ``b``: both are reduced, so cancellation happens only at the seam."""
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:] if j else a + b
 
 
 def _word(sig: Signature, codes: tuple[int, ...]) -> Word:

@@ -105,7 +105,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import _NEG, Signature, Word, _Memo, _word, letter_str, memo, order_rank, relator
+from .core import (
+    _NEG,
+    Signature,
+    Word,
+    _Memo,
+    _join_codes,
+    _word,
+    letter_str,
+    memo,
+    order_rank,
+    relator,
+)
 from .endo import (
     Automorphism,
     Endomorphism,
@@ -383,15 +394,12 @@ class ReductionState:
 
 def _key_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
     """``_key_of(u, rank) < _key_of(v, rank)``, without building either key:
-    the shorter word first, and for one length ``order_rank`` (read from
-    ``rank``) at the first letter of the balanced left halves where they
-    differ."""
+    the shorter word first, and for one length the balanced left halves in
+    lenlex order (``_lenlex_less``)."""
     if len(u) != len(v):
         return len(u) < len(v)
-    for i in range((len(u) + 1) // 2):
-        if u[i] != v[i]:
-            return rank[u[i]] < rank[v[i]]
-    return False
+    half = (len(u) + 1) // 2
+    return _lenlex_less(u[:half], v[:half], rank)
 
 
 def _decreases(removed: list, inserted: list, rank: tuple[int, ...]) -> bool:
@@ -427,16 +435,6 @@ def _decreases(removed: list, inserted: list, rank: tuple[int, ...]) -> bool:
     if _key_less(i0, r0, rank):
         return True
     return not _key_less(r0, i0, rank) and _key_less(i1, r1, rank)
-
-
-def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The codes of the product of the reduced words u and v: they cancel
-    at the seam only."""
-    i, j, n = len(u), 0, len(v)
-    while i and j < n and u[i - 1] == -v[j]:
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
 
 
 class _Carry:
@@ -510,10 +508,10 @@ class _Carry:
             img, img_inv = bc, cb
         elif tag == N3_RIGHT:
             # inv(u) = y' x y
-            img, img_inv = _join(at[-y], bc), _join(cb, at[y])
+            img, img_inv = _join_codes(at[-y], bc), _join_codes(cb, at[y])
         else:
             # inv(u) = x y x'
-            img, img_inv = _join(bc, at[-x]), _join(at[x], cb)
+            img, img_inv = _join_codes(bc, at[-x]), _join_codes(at[x], cb)
         self.word = edge.target
         # a verdict reads only its two letters' images, so a position before
         # the last violation, which had the verdict (), keeps it unless one

@@ -3,20 +3,21 @@ workload, with the standard library only: a count that does not drift with
 the machine's speed, as wall time on a shared machine does.
 
     python tools/bytecodes.py --workload NAME [--seed N] [--cases N]
-        [--src PATH] [--top N]
+        [--tree PATH]
 
 Builds the first ``--cases`` cases (default 300) of the ``perfbench``
 workload at ``--seed`` (default 7) untraced, empties every memo in the
 package's registry ``core._MEMOS``, and then runs the cases in order while
 counting each opcode executed in a frame of a file under the package
 (``sys.settrace`` with per-opcode events); the package's callees in the
-standard library are not counted.  The package is imported from ``--src``
-(default: this checkout's ``src``), so the same workloads can count another
-tree.  ``perfbench/`` is read, not changed.  The outputs are checked with
-the workload's check after the count.  A table of the ``--top`` functions
-(default 15) comes first; the last line is one JSON object with the total,
-the failed checks and the count of every function, keyed
-``module.qualname``.  Tracing makes the run many times slower.
+standard library are not counted.  The package ``src/surfaut`` is loaded
+from the checkout at ``--tree`` (default: this one) as ``tools/abrun.py``
+loads it, so the same workloads can count another tree.  ``perfbench/`` is
+read, not changed.  The outputs are checked with the workload's check after
+the count.  A table of the ``TOP`` functions with the most bytecodes comes
+first; the last line is one JSON object with the total, the failed checks
+and the count of every function, keyed ``module.qualname``.  Tracing makes
+the run many times slower.
 """
 
 from __future__ import annotations
@@ -27,21 +28,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from abrun import clear, load_package, load_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def load(src: Path):
-    """The workloads of ``perfbench`` over the package under ``src``, and the
-    package's directory."""
-    sys.path[:0] = [str(src), str(PERFBENCH)]
-    import surfaut
-    from workloads import WORKLOADS
-
-    pkg = Path(surfaut.__file__).resolve().parent
-    if pkg != src / "surfaut":
-        sys.exit(f"bytecodes: imported surfaut from {pkg}, not {src}")
-    return WORKLOADS, surfaut, pkg
+TOP = 15
 
 
 def count(run, cases, pkg: Path) -> tuple[Counter, list]:
@@ -82,23 +72,19 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--cases", type=int, default=300)
-    ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--top", type=int, default=15)
+    ap.add_argument("--tree", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     if args.cases < 1:
         ap.error("--cases must be at least 1")
 
-    workloads, surfaut, pkg = load(args.src.resolve())
+    pkg = load_package(args.tree.resolve(), "surfaut")
+    workloads = load_workloads(pkg, "workloads").WORKLOADS
     wl = workloads.get(args.workload)
     if wl is None:
         ap.error(f"unknown workload {args.workload!r}; choose from {', '.join(sorted(workloads))}")
     cases = wl.cases(args.seed, args.cases)
-    for memo in surfaut.core._MEMOS:
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()
-        else:
-            memo.clear()
-    counts, outs = count(wl.run, cases, pkg)
+    clear(pkg.core._MEMOS)
+    counts, outs = count(wl.run, cases, Path(pkg.__file__).parent)
     failed = sum(wl.check(c, o) is not None for c, o in zip(cases, outs))
 
     per_function: Counter = Counter()
@@ -108,7 +94,7 @@ def main(argv=None) -> int:
     total = sum(per_function.values())
     print(f"{args.workload} seed {args.seed}: {len(cases)} cases, "
           f"{total:,} bytecodes, {failed} failed checks")
-    for name, n in per_function.most_common(args.top):
+    for name, n in per_function.most_common(TOP):
         print(f"  {n:12,}  {100 * n / total:5.1f} %  {name}")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "cases": len(cases),
