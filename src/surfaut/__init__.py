@@ -69,7 +69,6 @@ from .groupoid import (
     GroupoidEdge,
     NielsenKind,
     PreOrderKey,
-    ReductionState,
     StepRecord,
     canonical_edge,
     certify_automorphism,

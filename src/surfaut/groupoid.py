@@ -381,17 +381,6 @@ def mu_key(phi) -> PreOrderKey:
     return PreOrderKey.of(words)
 
 
-@dataclass(frozen=True)
-class ReductionState:
-    """Snapshot of the reduction: current map, current source word and the
-    measure, built from scratch.  The engine's ``_Carry`` holds the same
-    values in the form it updates in place."""
-
-    phi: Endomorphism
-    word: Word
-    mu: PreOrderKey
-
-
 def _key_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
     """``_key_of(u, rank) < _key_of(v, rank)``, without building either key:
     the shorter word first, and for one length the balanced left halves in

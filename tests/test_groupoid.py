@@ -230,23 +230,18 @@ def _sorted_keys(words):
     return sorted(groupoid._key_of(w, _S11_RANK) for w in words)
 
 
-def full_state(phi, V):
-    """The reduction state of ``phi`` at V, built from scratch."""
-    return groupoid.ReductionState(phi, V, mu_key(phi))
-
-
-def reference_imgs(state):
-    """phi(v_k) for every letter v_k of the state's word."""
-    images = state.phi.images
+def reference_imgs(phi, word):
+    """phi(v_k) for every letter v_k of ``word``."""
+    images = phi.images
     return tuple(images[c - 1] if c > 0 else images[-c - 1].inverse()
-                 for c in state.word.codes)
+                 for c in word.codes)
 
 
-def reference_prefixes(state):
+def reference_prefixes(phi, word):
     """A_0 .. A_n: A_k is the longest common prefix of phi(v_k)' and
     phi(v_(k+1)) for 0 < k < n, and A_0 and A_n are empty."""
-    imgs = reference_imgs(state)
-    sig = state.phi.sig
+    imgs = reference_imgs(phi, word)
+    sig = phi.sig
     A = [Word.identity(sig)] * (len(imgs) + 1)
     for k in range(1, len(imgs)):
         left, right = imgs[k - 1].inverse().codes, imgs[k].codes
@@ -314,14 +309,14 @@ class TestNielsenReduce:
             sig = a.sig
             edges, _ = nielsen_reduce(relator(sig), a.fwd)
             phi, V = a.fwd, relator(sig)
-            states = [full_state(phi, V)]
+            states = [(phi, V)]
             for e in edges:
                 phi, V = compose(e.aut.inv, phi), e.target
-                states.append(full_state(phi, V))
-            for st in states:
-                codes, n = st.word.codes, len(st.word.codes)
-                imgs, A = reference_imgs(st), reference_prefixes(st)
-                assert imgs == tuple(apply(st.phi, Word(sig, (c,))) for c in codes)
+                states.append((phi, V))
+            for phi, word in states:
+                codes, n = word.codes, len(word.codes)
+                imgs, A = reference_imgs(phi, word), reference_prefixes(phi, word)
+                assert imgs == tuple(apply(phi, Word(sig, (c,))) for c in codes)
                 assert len(A) == n + 1
                 assert A[0] == Word.identity(sig) and A[n] == Word.identity(sig)
                 for k in range(1, n):
@@ -397,9 +392,10 @@ class TestNielsenReduce:
                     for e, st in carried:
                         if e is not None:
                             phi, word = compose(e.aut.inv, phi), e.target
-                        full = full_state(phi, word)
-                        assert st["endo"] == full.phi
-                        assert st["word"] == full.word
+                        # the map, the word and the measure rebuilt from scratch
+                        mu = mu_key(phi)
+                        assert st["endo"] == phi
+                        assert st["word"] == word
                         # the signed image table, with every code the one
                         # int object of its value
                         at = st["at"]
@@ -415,10 +411,10 @@ class TestNielsenReduce:
                         ranks = sorted((groupoid._key_of(at[c], rank), i)
                                        for i, c in enumerate(measured))
                         assert [at[measured[i]] for _, i in ranks] == [
-                            w.codes for w in full.mu.words]
-                        assert tuple(k for k, _ in ranks) == full.mu.keys
-                        assert tuple(i for _, i in ranks) == full.mu.order
-                        assert st["seen"] == {w.codes for w in full.mu.words}
+                            w.codes for w in mu.words]
+                        assert tuple(k for k, _ in ranks) == mu.keys
+                        assert tuple(i for _, i in ranks) == mu.order
+                        assert st["seen"] == {w.codes for w in mu.words}
                         assert st["distinct"]
                     tags.update(e.kind.tag for e in edges)
         # both ways of building the moved image ran, each on both sides of
@@ -576,9 +572,8 @@ class TestNielsenReduce:
 
 def reference_first_violation(phi, V):
     """The first position k whose verdict is not (), with its (A_k, B, C)
-    and whether B < C, from the full state of phi at V."""
-    state = full_state(phi, V)
-    imgs, A = reference_imgs(state), reference_prefixes(state)
+    and whether B < C, from the images of phi at V."""
+    imgs, A = reference_imgs(phi, V), reference_prefixes(phi, V)
     for k in range(1, len(imgs)):
         verdict = reference_verdict(imgs[k - 1], imgs[k].inverse(), A[k])
         if verdict:

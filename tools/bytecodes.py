@@ -10,14 +10,17 @@ workload at ``--seed`` (default 7) untraced, empties every memo in the
 package's registry ``core._MEMOS``, and then runs the cases in order while
 counting each opcode executed in a frame of a file under the package
 (``sys.settrace`` with per-opcode events); the package's callees in the
-standard library are not counted.  The package ``src/surfaut`` is loaded
-from the checkout at ``--tree`` (default: this one) as ``tools/abrun.py``
-loads it, so the same workloads can count another tree.  ``perfbench/`` is
-read, not changed.  The outputs are checked with the workload's check after
-the count.  A table of the ``TOP`` functions with the most bytecodes comes
-first; the last line is one JSON object with the total, the failed checks
-and the count of every function, keyed ``module.qualname``.  Tracing makes
-the run many times slower.
+standard library are not counted.  The package is imported from
+``src/surfaut`` of the checkout at ``--tree`` (default: this one), put first
+on ``sys.path`` with this checkout's ``perfbench/`` after it, so the same
+workloads can count another tree; one process counts one tree.
+``perfbench/`` is read, not changed.  The outputs are checked with the
+workload's check after the count.  A table of the ``TOP`` functions with the
+most bytecodes comes first; the last line is one JSON object with the
+package directory counted, the total, the failed checks and the count of
+every function, keyed ``module.qualname`` (``module.name`` on Python 3.10,
+whose code objects have no qualified name).  Tracing makes the run many
+times slower.
 """
 
 from __future__ import annotations
@@ -28,10 +31,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from abrun import clear, load_package, load_workloads
-
 ROOT = Path(__file__).resolve().parent.parent
 TOP = 15
+
+
+def function_key(code) -> str:
+    """``module.qualname`` of a code object, or ``module.name`` where the
+    interpreter gives code objects no ``co_qualname`` (before 3.11)."""
+    name = getattr(code, "co_qualname", code.co_name)
+    return f"{Path(code.co_filename).stem}.{name}"
 
 
 def count(run, cases, pkg: Path) -> tuple[Counter, list]:
@@ -77,28 +85,38 @@ def main(argv=None) -> int:
     if args.cases < 1:
         ap.error("--cases must be at least 1")
 
-    pkg = load_package(args.tree.resolve(), "surfaut")
-    workloads = load_workloads(pkg, "workloads").WORKLOADS
+    src = args.tree.resolve() / "src"
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import surfaut
+    from workloads import WORKLOADS as workloads
+
+    pkg = Path(surfaut.__file__).resolve().parent
+    if pkg != src / "surfaut":
+        ap.error(f"imported surfaut from {pkg}, not from {src}")
     wl = workloads.get(args.workload)
     if wl is None:
         ap.error(f"unknown workload {args.workload!r}; choose from {', '.join(sorted(workloads))}")
     cases = wl.cases(args.seed, args.cases)
-    clear(pkg.core._MEMOS)
-    counts, outs = count(wl.run, cases, Path(pkg.__file__).parent)
+    # the registry holds ``lru_cache`` functions and ``OrderedDict`` memos
+    for memo in surfaut.core._MEMOS:
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+        else:
+            memo.clear()
+    counts, outs = count(wl.run, cases, pkg)
     failed = sum(wl.check(c, o) is not None for c, o in zip(cases, outs))
 
     per_function: Counter = Counter()
     for code, n in counts.items():
-        module = Path(code.co_filename).stem
-        per_function[f"{module}.{code.co_qualname}"] += n
+        per_function[function_key(code)] += n
     total = sum(per_function.values())
     print(f"{args.workload} seed {args.seed}: {len(cases)} cases, "
           f"{total:,} bytecodes, {failed} failed checks")
     for name, n in per_function.most_common(TOP):
         print(f"  {n:12,}  {100 * n / total:5.1f} %  {name}")
     print(json.dumps({
-        "workload": args.workload, "seed": args.seed, "cases": len(cases),
-        "failed": failed, "bytecodes": total,
+        "package": str(pkg), "workload": args.workload, "seed": args.seed,
+        "cases": len(cases), "failed": failed, "bytecodes": total,
         "per_function": dict(per_function.most_common()),
     }))
     return 0
