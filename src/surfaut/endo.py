@@ -448,9 +448,10 @@ def membership(phi) -> Membership:
     perm = _t_class_permutation(endo)
     in_a = fixes and perm is not None
     if in_a and not isinstance(phi, Automorphism):
-        from .groupoid import certify_automorphism  # deferred: groupoid imports endo
+        from .groupoid import _certify  # deferred: groupoid imports endo
 
-        in_a = certify_automorphism(endo) is not None
+        # past the two checks just made
+        in_a = _certify(endo) is not None
     return Membership(fixes, perm, in_a)
 
 

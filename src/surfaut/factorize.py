@@ -126,7 +126,7 @@ from .endo import (
     restrict_drop_tp,
     restrict_relabel_K,
 )
-from .errors import CosetViolation, NotInA, SignatureMismatch
+from .errors import CosetViolation, NotInA, NotInStabilizer, NotZieschang, SignatureMismatch
 from .gens import (
     GenName,
     GenWord,
@@ -265,9 +265,14 @@ class EdgeScript:
 def _bracket(e: GroupoidEdge) -> Automorphism:
     """The loop canon(V)' e canon(W) at the relator, for e: V -> W.  Only
     the forward map is folded on every call; the inverse is folded on a miss
-    of ``_brackets`` only, since an automorphism has one inverse."""
-    phi_src, _ = canonical_edge(e.source)
-    phi_tgt, _ = canonical_edge(e.target)
+    of ``_brackets`` only, since an automorphism has one inverse.  The
+    engine built both ends of e, so an end that is not Zieschang, which
+    ``canonical_edge`` refuses on entry, is an engine fault."""
+    try:
+        phi_src, _ = canonical_edge(e.source)
+        phi_tgt, _ = canonical_edge(e.target)
+    except NotZieschang as exc:
+        raise CosetViolation(str(exc)) from exc
     fwd = _compose_endos([phi_src.inv, e.aut.fwd, phi_tgt.fwd])
 
     def witnessed() -> Automorphism:
@@ -652,8 +657,13 @@ def _alpha1_power(delta: Endomorphism, sig: Signature) -> int:
 
 def _restricted(stab: Automorphism) -> Automorphism:
     """The stabilizer part of a loop at the smaller signature it is factored
-    at: without the last puncture letter (p >= 1), or relabeled (p = 0)."""
-    return restrict_drop_tp(stab) if stab.sig.p >= 1 else restrict_relabel_K(stab)
+    at: without the last puncture letter (p >= 1), or relabeled (p = 0).
+    The recursion built ``stab``, so a letter it fails to fix, which the
+    restriction refuses, is an engine fault."""
+    try:
+        return restrict_drop_tp(stab) if stab.sig.p >= 1 else restrict_relabel_K(stab)
+    except NotInStabilizer as exc:
+        raise CosetViolation(str(exc)) from exc
 
 
 def _stab_word(stab: Automorphism, sig: Signature) -> tuple[GenWord, Endomorphism]:
@@ -710,8 +720,10 @@ def _factorize_word(a: Automorphism) -> GenWord:
     each through ``_factored``, and checked against ``a``."""
     sig = a.sig
     if 2 * sig.g + sig.p <= 1:
+        # ``membership`` refuses every other map at the top level, so only
+        # the recursion, an engine fault, reaches this with a non-identity
         if not a.is_identity():
-            raise NotInA(f"the group at {sig} is trivial")
+            raise CosetViolation(f"the group at {sig} is trivial")
         return GenWord.empty()
     # the reduced tokens and the forward value of each edge, in order
     runs: list[_Tokens] = []

@@ -36,31 +36,46 @@ per-signature table.  Most verdicts are decided on lengths alone: A_k is below B
 when twice its length is below |phi(v_k)| and |phi(v_(k+1))|, so only the
 other pairs take the slices.  Words are built for the stuck payload only.
 
-Each edge end is checked once.  Public edges (``GroupoidEdge``,
-``nielsen_edge``) check their source; the N1 remainder and the
-factorisation case tables' edges are built by the trusted ``_edge``,
-because their source is the checked input or the end of a checked edge.
-``_edge`` computes the target as the image of the source, so it checks only
-that target (``is_zieschang``, a walk along the chain, in
-``_template_edge``) and then the class permutation.  The Nielsen templates
-are one-letter moves (``letter_move``), witnessed by construction; a
-template fixes or conjugates every puncture letter, so it permutes the
-classes by construction, and a template edge checks its target only.
-``GroupoidEdge.inverse`` swaps the ends of its edge, which were checked,
-and checks nothing.  The step (vii)
-maps of ``canonical_edge`` and the N1 remainder are witnessed by
-construction as well.  Every target and every step's word is the image of
-its source under ``apply``.  ``canonical_edge`` applies each step's map
-(step (vii) reads the chain line off the walk of ``is_zieschang``, one
-pass over the codes), collects its steps, composes them once per call
-(witnessed by algebra, see ``endo.compose``) and checks that the composite
-carries the word to the relator.
+Each walk checks its end, not every word it reaches.  A Nielsen move at a
+peak takes a Zieschang word to a Zieschang word, and so does each of the
+canonical steps (i)-(vii) (``TestMovesStayZieschang`` checks both for
+every Zieschang word with 4g + p <= 7), so no engine edge checks its
+target.  Public edges check their source (``nielsen_edge``) or both ends
+(``GroupoidEdge``); the engine's edges take the image of their source
+under ``apply`` as their target.  The Nielsen templates are one-letter
+moves (``letter_move``), witnessed by construction; a template fixes or
+conjugates every puncture letter, so it permutes the classes by
+construction, and ``_template_edge`` checks nothing.  The N1 remainder and
+the factorisation case tables' edges are built by the trusted ``_edge``,
+which checks the class permutation only.  ``GroupoidEdge.inverse`` swaps
+the ends of its edge and checks nothing.  The step (vii) maps of
+``canonical_edge`` and the N1 remainder are witnessed by construction as
+well.  Each walk ends at a check of its result instead:
+
+- peak reduction: the remainder must be a letter permutation whose N1 edge
+  ends at W, and a reduction that stops early (``ReductionStuck``, or a
+  move whose target lacks the moved letter) checks that it stopped at a
+  Zieschang word, so a fault that left them is ``CosetViolation``, not a
+  verdict on the map;
+- certification: the forward fold must give back the input;
+- factorisation: the level check of ``factorize._factorize_word``, and the
+  entry check of ``canonical_edge`` on the ends of each bracketed edge;
+- ``canonical_edge``: the composite must carry V onto the relator.  A step
+  keeps the length of its word, 4g + p, and the walk has a step budget
+  (``_MAX_WALK_BASE`` plus 20 per letter), so a fault that leaves the
+  Zieschang words stops as ``CosetViolation`` or ``ReductionStuck``.
+
+``canonical_edge`` applies each step's map (step (vii) reads the chain line
+off the walk of ``is_zieschang``, one pass over the codes), collects its
+steps, composes them once per call (witnessed by algebra, see
+``endo.compose``) and checks that the composite carries the word to the
+relator.
 
 Five memos (``core.memo``, the ``lru_cache`` form of the package's one
 bounded LRU memo layer in ``core``; ``core._Memo`` is the other) keep pure
 functions of their keys, and a raise stores nothing: ``canonical_edge`` and
 ``_step`` per word; ``_nielsen_edge`` per (source, tag, k), so a hit returns
-an edge whose target and class permutation were checked on an equal key;
+the edge that an equal key built;
 ``_template_move``, the template pair per (signature, tag, moved letter,
 neighbour letter); and ``_rank_table`` per signature.
 
@@ -68,12 +83,15 @@ neighbour letter); and ``_rank_table`` per signature.
 reads only the current word: ``_first_move`` fires on the first block of
 the word that differs from the relator's.  So the walk from V is its first
 move followed by the walk from the word that move reaches, and ``_step``
-keeps that first move per word, its map and record, once the word it
-reaches is checked Zieschang.  A walk that reaches a word an earlier walk
+keeps that first move per word, its map and record; the word it reaches is
+not checked to be Zieschang.  A walk that reaches a word an earlier walk
 left follows the stored links from there and builds no map for them.
 ``_first_move`` is None only when all p + g blocks match, and they cover
 all 4g + p letters, so every walk ends at the relator.  Each call composes
-its maps once and checks that the composite carries V to the relator.
+its maps once and checks that the composite carries V to the relator.  On
+a word that is not Zieschang, a block that ``_first_move`` cannot read
+raises ``CosetViolation``; a link that a fault stored leads off the
+Zieschang words again on the next walk, which raises again.
 
 The loop ``_reduce_from`` has three entries.  ``nielsen_reduce`` is the
 one that checks the public preconditions (``NotZieschang``,
@@ -92,12 +110,14 @@ remainder is checked to end at W.
 
 Certification (``certify_automorphism``) checks that the map fixes the
 relator and permutes the classes, and enters the loop past those checks
-with the relator as the target.  The certificate is read off the edges in
-one linear pass: each edge and the remainder is a pair witnessed by
-construction, so the composite pair is witnessed by algebra, once the
-forward composite, folded one moved letter at a time, is checked to be the
-input map.  No substitution of the long inverse images into the long input
-images is made, which would cost work quadratic in the images' length.
+with the relator as the target; ``endo.membership``, which makes both
+checks itself, enters past them through ``_certify``.  The certificate is
+read off the edges in one linear pass: each edge and the remainder is a
+pair witnessed by construction, so the composite pair is witnessed by
+algebra, once the forward composite, folded one moved letter at a time, is
+checked to be the input map.  No substitution of the long inverse images
+into the long input images is made, which would cost work quadratic in the
+images' length.
 """
 
 from __future__ import annotations
@@ -138,7 +158,7 @@ from .errors import (
     ReductionStuck,
     TargetTooLong,
 )
-from .whitehead import _chain_line, is_zieschang
+from .whitehead import _candidate_letters, _chain_line, is_zieschang
 
 N1 = "N1"
 N2_RIGHT = "N2_right"
@@ -193,22 +213,21 @@ class GroupoidEdge:
 
 
 def _edge(source: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
-    """Trusted constructor for the edge from a source already known to be
-    Zieschang (a checked input or the target of a checked edge) to its image
-    under ``aut``: the target check of ``_template_edge``, then the class
-    permutation.  The engine built ``aut``, so a failed check is an engine
-    fault and raises ``CosetViolation``."""
-    e = _template_edge(source, aut, kind)
+    """Trusted constructor for the edge from a source the engine reached (a
+    checked input or an end of an engine edge) to its image under ``aut``,
+    which must permute the classes.  The engine built ``aut``, so a failed
+    check is an engine fault and raises ``CosetViolation``.  The target is
+    not checked: the walk that uses the edge checks its end."""
     if _t_class_permutation(aut.fwd) is None:
         raise CosetViolation(_NOT_PERMUTED)
-    return e
+    return _template_edge(source, aut, kind)
 
 
 def _edge_to(
     source: Word, target: Word, aut: Automorphism, kind: Optional[NielsenKind]
 ) -> GroupoidEdge:
     """The edge from ``source`` to ``target``, the image of the source under
-    ``aut``, with no check: its caller checks the target."""
+    ``aut``, with no check."""
     e = object.__new__(GroupoidEdge)
     setf = object.__setattr__  # the dataclass is frozen
     setf(e, "source", source)
@@ -219,14 +238,12 @@ def _edge_to(
 
 
 def _template_edge(V: Word, aut: Automorphism, kind: Optional[NielsenKind]) -> GroupoidEdge:
-    """The edge of the Nielsen template ``aut`` at ``kind`` from V, which is
-    known to be Zieschang.  A template fixes every puncture letter (N2) or
-    conjugates one (N3), so it permutes the classes by construction and only
-    its target is checked."""
-    target = aut.apply(V)
-    if not is_zieschang(target, V.sig):
-        raise CosetViolation(f"edge target {target} is not Zieschang")
-    return _edge_to(V, target, aut, kind)
+    """The edge of the Nielsen template ``aut`` at ``kind`` from V, with no
+    check.  A template fixes every puncture letter (N2) or conjugates one
+    (N3), so it permutes the classes by construction, and a Nielsen move
+    takes a Zieschang word to a Zieschang word, so its target is one when V
+    is; each walk checks its end instead (see the module docstring)."""
+    return _edge_to(V, aut.apply(V), aut, kind)
 
 
 def _template_aut(V: Word, tag: str, k: int) -> Optional[Automorphism]:
@@ -532,6 +549,11 @@ class _Carry:
 
 
 _MAX_ITER_BASE = 10000
+#: The canonical walk from a word V may take this many steps plus 20 per
+#: letter of V.  Walks took at most 1.0 step per letter over all Zieschang
+#: words at (1,0)-(1,3), (0,7) and (2,0), and at most 1.2 over seeded words
+#: up to (50,50).
+_MAX_WALK_BASE = 10000
 
 
 def nielsen_reduce(V: Word, phi) -> tuple[list[GroupoidEdge], GroupoidEdge]:
@@ -570,7 +592,10 @@ def _reduce_from(
     must permute the classes and end at W; a remainder served by the memo
     passed those checks on an equal state and must end at W as well.  So a
     map that does not carry V to W, or does not permute the classes, raises
-    ``ReductionStuck`` or ``CosetViolation``.
+    ``ReductionStuck`` or ``CosetViolation``.  No move's target is checked:
+    a loop that stops early checks that its current word is Zieschang, and
+    raises ``CosetViolation`` when it is not, since the moves keep the
+    Zieschang words.
 
     Every state after the first is looked up by ``_Carry.key``.  The rest of
     a reduction is a function of that state alone, so a hit serves the
@@ -585,36 +610,47 @@ def _reduce_from(
     keys: list[tuple] = []  # the memo key of each state after the first
     budget = _MAX_ITER_BASE + 20 * sum(len(w) for w in endo.images)
     carry = _Carry(endo, V)
-    for _ in range(budget):
-        if edges and suffixes is not None:
-            key = carry.key()
-            hit = suffixes.get(key)
-            if hit is not None and len(edges) + len(hit[0]) - hit[1] < budget:
-                done, i, n1 = hit
-                if n1.target != W:
-                    raise CosetViolation(_NOT_CARRIED)
-                suffixes.move_to_end(key)
-                edges.extend(done[i:])
+    try:
+        for _ in range(budget):
+            if edges and suffixes is not None:
+                key = carry.key()
+                hit = suffixes.get(key)
+                if hit is not None and len(edges) + len(hit[0]) - hit[1] < budget:
+                    done, i, n1 = hit
+                    if n1.target != W:
+                        raise CosetViolation(_NOT_CARRIED)
+                    suffixes.move_to_end(key)
+                    edges.extend(done[i:])
+                    break
+                keys.append(key)
+            if not carry.distinct:
+                raise ReductionStuck("basis images are not distinct", not_injective=True)
+            move = _find_violation(carry)
+            if move is None:
+                n1 = _finish_n1(carry.endo(), carry.word, W)
                 break
-            keys.append(key)
-        if not carry.distinct:
-            raise ReductionStuck("basis images are not distinct", not_injective=True)
-        move = _find_violation(carry)
-        if move is None:
-            n1 = _finish_n1(carry.endo(), carry.word, W)
-            break
-        tag, k, triple = move
-        # the source is V or the previous target, both checked
-        edge = _nielsen_edge(carry.word, tag, k)
-        if not carry.advance(edge, triple):
-            raise ReductionStuck(
-                f"measure failed to decrease at {tag} k={k}",
-                k=k,
-                triple=_words(sig, triple),
-            )
-        edges.append(edge)
-    else:
-        raise ReductionStuck("iteration budget exhausted")
+            tag, k, triple = move
+            # the source is V or the previous move's target
+            edge = _nielsen_edge(carry.word, tag, k)
+            if not carry.advance(edge, triple):
+                raise ReductionStuck(
+                    f"measure failed to decrease at {tag} k={k}",
+                    k=k,
+                    triple=_words(sig, triple),
+                )
+            edges.append(edge)
+        else:
+            raise ReductionStuck("iteration budget exhausted")
+    except (ReductionStuck, ValueError):
+        # a walk that stops early ends too, and its end word is checked: a
+        # Nielsen move takes a Zieschang word to a Zieschang word, so a stuck
+        # state off them, or one without the moved letter that ``advance``
+        # looks up, is an engine fault and not a verdict on the map
+        if not is_zieschang(carry.word, sig):
+            raise CosetViolation(
+                f"peak reduction left the Zieschang words at {carry.word}"
+            ) from None
+        raise
     # the state after move i is keyed keys[i - 1]; there are none without
     # a memo
     done = tuple(edges)
@@ -744,15 +780,19 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
     Returns the composite automorphism and the log of fired moves.  Results
     are kept in a bounded LRU memo keyed on the word, that is on its
     signature and codes; the walk follows the memoised links of ``_step``
-    (see the module docstring).
+    (see the module docstring).  A walk longer than ``_MAX_WALK_BASE`` plus
+    20 steps per letter of V raises ``ReductionStuck``.
     """
     sig = V.sig
     if not is_zieschang(V, sig):
         raise NotZieschang(f"{V} is not Zieschang")
     auts: list[Automorphism] = []
     steps: list[StepRecord] = []
+    budget = _MAX_WALK_BASE + 20 * len(V.codes)
     link = _step(V)
     while link is not None:
+        if len(steps) == budget:
+            raise ReductionStuck(f"canonical walk exceeds {budget} steps")
         aut, step = link
         auts.append(aut)
         steps.append(step)
@@ -766,16 +806,24 @@ def canonical_edge(V: Word) -> tuple[Automorphism, tuple[StepRecord, ...]]:
 
 @memo
 def _step(V: Word) -> Optional[tuple[Automorphism, StepRecord]]:
-    """The first move of the walk from the Zieschang word V, its map and
-    record, once the word it reaches is checked Zieschang; None at the
-    relator."""
-    move = _first_move(V)
+    """The first move of the walk from V, its map and record; None at the
+    relator.  V is the walk's checked input or a word a step reached, and
+    each step takes a Zieschang word to a Zieschang word, so the word it
+    reaches is checked only to keep the length of V: ``canonical_edge``
+    checks the walk's end.  A block that ``_first_move`` cannot read, on a
+    word that is not Zieschang, raises ``CosetViolation``."""
+    try:
+        move = _first_move(V)
+    except (StopIteration, ValueError) as exc:
+        raise CosetViolation(f"no canonical step from {V}") from exc
     if move is None:
         return None
     aut, kind, level = move
     W = aut.apply(V)
-    if not is_zieschang(W, V.sig):
-        raise NotZieschang(f"canonical step ({kind}, {level}) left {W}")
+    # a step keeps the length of its word, 4g + p, so a faulty step cannot
+    # grow the words of a walk past the step budget's reach
+    if len(W.codes) != len(V.codes):
+        raise CosetViolation(f"canonical step ({kind}, {level}) left {W}")
     return aut, StepRecord(kind, level, V, W)
 
 
@@ -835,6 +883,11 @@ def _whitehead_step(cur: Word, sig: Signature, i: int, done: int) -> Automorphis
     qpos = rest.index(yi)
     mid = rest[3:qpos]
     tail = rest[qpos + 1 :]
+    # the walk along the chain ends on a word whose letters occur once each
+    # (``surfaut.whitehead``); a walk's words keep their length 4g + p, but
+    # are not checked to be Zieschang
+    if frozenset(cur.codes) != _candidate_letters(sig):
+        raise CosetViolation(f"{cur} is not a candidate word")
     line, n = _chain_line(sig, cur.codes), sig.chain_len + sig.p
     if len(line) != n:
         raise CosetViolation(f"chain line has {len(line)} of {n} vertices")
@@ -887,12 +940,19 @@ def certify_automorphism(phi) -> Optional[Automorphism]:
     costs work linear in the images' lengths.
     """
     endo = _fwd(phi)
-    sig = endo.sig
-    v0 = relator(sig)
+    v0 = relator(endo.sig)
     if endo.apply(v0) != v0:
         raise HypothesisViolated("relator is not fixed")
     if _t_class_permutation(endo) is None:
         raise HypothesisViolated("puncture classes are not permuted")
+    return _certify(endo)
+
+
+def _certify(endo: Endomorphism) -> Optional[Automorphism]:
+    """``certify_automorphism`` of a map already known to fix the relator
+    and permute the classes (``endo.membership`` checks both first)."""
+    sig = endo.sig
+    v0 = relator(sig)
     try:
         edges, n1 = _reduce_from(v0, endo, v0, None)
     except ReductionStuck:

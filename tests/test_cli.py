@@ -7,13 +7,24 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import time
 import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfaut import Word, cli, compose, factorize, groupoid
+from surfaut import (
+    Automorphism,
+    GenName,
+    Signature,
+    Word,
+    cli,
+    compose,
+    factorize,
+    generator,
+    groupoid,
+)
 from surfaut.endo import Endomorphism, _aut, letter_move
 from surfaut.cli import run
 from surfaut.errors import CosetViolation, ImageEscapes, ReductionStuck
@@ -104,6 +115,49 @@ class TestCanonAndReduce:
         assert code == 3 and out == ""
         assert err == (
             "internal assertion: CosetViolation: chain line has 7 of 8 vertices\n"
+        )
+
+    def test_step_leaving_the_zieschang_words_exits_3(self, monkeypatch):
+        # step (v) with its right factor not inverted lengthens the word: a
+        # step keeps the length of its word, so the walk stops there
+        real = groupoid._first_move
+
+        def wrong_v(V):
+            move = real(V)
+            if move is None or move[1] != "v":
+                return move
+            aut, kind, level = move
+            b = aut.fwd.moved_codes()[0]
+            img = aut.fwd.images[b - 1].codes
+            i = img.index(b)
+            left, right = Word(V.sig, img[:i]), Word(V.sig, img[i + 1 :])
+            return letter_move(V.sig, b, left, right.inverse()), kind, level
+
+        monkeypatch.setattr(groupoid, "_first_move", wrong_v)
+        start = time.perf_counter()
+        code, out, err = invoke(
+            ["canon", "--sig", "2,0", "--word", "y1' x2 y2' x1' y1 x1 x2' y2"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal assertion: CosetViolation: canonical step (v, 1) left"
+            " x1' x2 y2' y1' y2' y1' x1 y1 y1 y2 x2' y2\n"
+        )
+
+    def test_cycling_walk_exits_3(self, monkeypatch):
+        # every step leads back to the word it left: the walk cycles, and its
+        # step budget stops it, well under a second
+        V = Word(Signature(1, 0), (2, 1, -2, -1))
+        link = (Automorphism.identity(V.sig), groupoid.StepRecord("iv", 1, V, V))
+        monkeypatch.setattr(groupoid, "_step", lambda W: link)
+        start = time.perf_counter()
+        code, out, err = invoke(["canon", "--sig", "1,0", "--word", "y1 x1 y1' x1'"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        budget = groupoid._MAX_WALK_BASE + 20 * 4
+        assert err == (
+            f"internal assertion: ReductionStuck: canonical walk exceeds {budget} steps\n"
         )
 
     def test_missing_template_exits_3(self, monkeypatch):
@@ -265,7 +319,9 @@ class TestCertifyFactorize:
 
     def test_bad_edge_target_exits_3(self, monkeypatch):
         # case-table moves that drop their right factor carry a checked word
-        # to one that is not Zieschang: an engine fault, not a rejected input
+        # to one that is not Zieschang: an engine fault, not a rejected input.
+        # An edge checks no target, and such a move of t1, t1 -> P' t1, sends
+        # t1 to no conjugate, so the class check of its edge stops it
         real = factorize.letter_move
 
         def no_right_factor(sig, code, left, right):
@@ -277,8 +333,74 @@ class TestCertifyFactorize:
         code, out, err = invoke(["factorize", "--sig", "1,1", "--aut", aut])
         assert code == 3 and out == ""
         assert err == (
-            "internal assertion: CosetViolation: edge target t1 y1' x1 y1 is not"
-            " Zieschang\n"
+            "internal assertion: CosetViolation: edge automorphism does not permute"
+            " the puncture classes\n"
+        )
+
+    def test_bracket_of_a_non_zieschang_end_exits_3(self, monkeypatch):
+        # case-table moves of handle letters gain a right factor t1: they
+        # permute the classes, but the pull edge of the left hexagon ends off
+        # the Zieschang words, and ``canonical_edge`` refuses that end when
+        # the edge is bracketed, as an engine fault
+        real = factorize.letter_move
+
+        def t1_appended(sig, code, left, right):
+            if sig.is_t_code(code):
+                return real(sig, code, left, right)
+            return real(sig, code, left, right * Word(sig, (sig.t_code(1),)))
+
+        code, aut, _ = invoke(["eval", "--sig", "1,1", "--genword", "g1"])
+        assert code == 0
+        monkeypatch.setattr(factorize, "letter_move", t1_appended)
+        code, out, err = invoke(["factorize", "--sig", "1,1", "--aut", aut])
+        assert code == 3 and out == ""
+        assert err == (
+            "internal assertion: CosetViolation: t1 x1' t1 y1' t1' x1 y1 is not Zieschang\n"
+        )
+
+    @pytest.mark.parametrize(
+        "sig, genword", [("1,2", "g1"), ("1,2", "s2 a1 b1'"), ("0,3", "s3 s2")]
+    )
+    def test_stabiliser_moving_its_last_puncture_exits_3(self, sig, genword, monkeypatch):
+        # the stabiliser of a loop is followed by s_p, so it fixes the relator
+        # and permutes the classes but moves t_p: the recursion built it, so
+        # the restriction that needs t_p fixed fails as an engine fault, not
+        # as the rejected input it is for a caller of ``restrict_drop_tp``
+        real = factorize.restrict_drop_tp
+
+        def moving_tp(a):
+            return real(compose(a, generator(GenName("s", a.sig.p), a.sig)))
+
+        code, aut, _ = invoke(["eval", "--sig", sig, "--genword", genword])
+        assert code == 0
+        monkeypatch.setattr(factorize, "restrict_drop_tp", moving_tp)
+        code, out, err = invoke(["factorize", "--sig", sig, "--aut", aut])
+        p = sig.split(",")[1]
+        assert (code, out) == (3, "")
+        assert err == f"internal assertion: CosetViolation: t{p} is not fixed\n"
+
+    @pytest.mark.parametrize("command", ["certify", "verify", "factorize", "nielsen-reduce"])
+    def test_template_leaving_the_zieschang_words_exits_3(self, command, monkeypatch):
+        # N3_left without its right factor, u -> c' u, sends t3 t2 t1 to t2 t1:
+        # no template edge checks its target, and the reduction stuck at that
+        # word checks it at its end, so the fault is no verdict on the input
+        real = groupoid._template_move
+
+        def no_right_factor(sig, tag, u, c):
+            if tag != groupoid.N3_LEFT:
+                return real(sig, tag, u, c)
+            return letter_move(sig, u, Word(sig, (-c,)), Word.identity(sig))
+
+        code, aut, _ = invoke(["eval", "--sig", "0,3", "--genword", "s3 s2"])
+        assert code == 0
+        monkeypatch.setattr(groupoid, "_template_move", no_right_factor)
+        start = time.perf_counter()
+        code, out, err = invoke([command, "--sig", "0,3", "--aut", aut])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal assertion: CosetViolation: peak reduction left the Zieschang"
+            " words at t2 t1\n"
         )
 
     def test_non_injective_stabiliser_exits_3(self, monkeypatch):

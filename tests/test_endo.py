@@ -160,6 +160,19 @@ class TestMembership:
             b = random_adl_automorphism(sig, rng, 6)
             assert membership(compose(a, b)).in_A
 
+    def test_certifies_past_its_own_checks(self, rng, monkeypatch):
+        # membership checks the relator and the classes once, then certifies
+        # a plain map through the entry that does not check them again
+        from surfaut import groupoid
+
+        def checks_again(phi):
+            raise AssertionError("certify_automorphism checks the relator again")
+
+        monkeypatch.setattr(groupoid, "certify_automorphism", checks_again)
+        for sig in SMALL_SIGS[:4]:
+            a = random_adl_automorphism(sig, rng, 6)
+            assert membership(a.fwd).in_A
+
 
 class TestOuterEqual:
     def test_reflexive(self):

@@ -1058,10 +1058,12 @@ class TestNeverRunRaises:
     def test_trivial_group_rejects_a_non_identity(self):
         # t1 -> t1' is an automorphism at (0,1), where the group is trivial;
         # ``membership`` rejects it before the level, so the level is called
-        # directly
+        # directly, and only the recursion reaches it: an engine fault
         flip = swap_letters(Signature(0, 1), 1, -1)
-        with pytest.raises(NotInA, match=r"^the group at .* is trivial$"):
+        with pytest.raises(CosetViolation, match=r"^the group at .* is trivial$"):
             F._factorize_word(flip)
+        with pytest.raises(NotInA, match="^input does not fix the relator"):
+            F.factorize_adl(flip)
 
 
 class TestAlpha1Power:

@@ -39,9 +39,9 @@ from surfaut import (
     parse_word,
     relator,
 )
-from surfaut import core, groupoid
+from surfaut import core, factorize, groupoid
 from surfaut.core import MEMO_SIZE
-from surfaut.endo import _t_class_permutation, classify_letters, letter_move
+from surfaut.endo import _t_class_permutation, classify_letters, letter_move, swap_letters
 from surfaut.gens import parse_gen_word
 from surfaut.groupoid import (
     N1,
@@ -740,10 +740,31 @@ class TestTemplateClasses:
             groupoid._edge(V, e.aut, None)
 
     def test_template_target_is_still_checked(self, monkeypatch):
-        # the engine built the template, so a bad target is an engine fault
-        monkeypatch.setattr(groupoid, "is_zieschang", lambda V, sig: False)
-        with pytest.raises(CosetViolation, match="edge target .* is not Zieschang"):
-            groupoid._nielsen_edge.__wrapped__(relator(S11), N2_RIGHT, 2)
+        # a template edge checks no target: a template that drops N3_left's
+        # right factor, u -> c' u, leaves the Zieschang words, and the walk
+        # that uses it stops at its end check, as an engine fault
+        real = groupoid._template_move
+
+        def no_right_factor(sig, tag, u, c):
+            if tag != N3_LEFT:
+                return real(sig, tag, u, c)
+            return letter_move(sig, u, Word(sig, (-c,)), Word.identity(sig))
+
+        monkeypatch.setattr(groupoid, "_template_move", no_right_factor)
+        V = relator(Signature(0, 3))
+        e = groupoid._nielsen_edge.__wrapped__(V, N3_LEFT, 2)
+        assert e.target == parse_word(V.sig, "t2 t1") and not is_zieschang(e.target, V.sig)
+        for sig, genword, message in [
+            # the walk leaves the Zieschang words and gets stuck there
+            (V.sig, "s3 s2", "^peak reduction left the Zieschang words at t2 t1$"),
+            # the walk ends, and its N1 edge misses the relator
+            (S11, "g1", "^edge automorphism does not carry source to target$"),
+        ]:
+            phi = eval_gen_word(parse_gen_word(genword), sig).fwd
+            with pytest.raises(CosetViolation, match=message):
+                certify_automorphism(phi)
+            with pytest.raises(CosetViolation, match=message):
+                nielsen_reduce(relator(sig), phi)
 
 
 def _map_builders(monkeypatch):
@@ -1008,7 +1029,9 @@ class TestCanonicalFaults:
     """The engine-fault raises of ``canonical_edge``, on a walk from empty
     memos and on one whose rest warm ``_step`` links serve after the first
     step.  A raise stores nothing in ``canonical_edge``, and ``_step`` stores
-    no link for the word it failed from."""
+    no link for the word it failed from.  The words a walk reaches are not
+    checked to be Zieschang, so ``_step`` can keep a link to a word that is
+    not: a walk through that link raises again and serves no result."""
 
     SIG = Signature(2, 1)
     NOT_CARRIED = "^canonical composite does not carry V to the relator$"
@@ -1041,33 +1064,46 @@ class TestCanonicalFaults:
 
         monkeypatch.setattr(groupoid, "_first_move", first_move)
         first = steps[0]
-        with pytest.raises(
-            NotZieschang, match=rf"^canonical step \({first.kind}, {first.level}\) left 1$"
-        ):
-            canonical_edge(V)
-        assert _memo_state() == before
+        # a step keeps the length of its word, and 1 is shorter: the step is
+        # refused, and a second walk fails the same way
+        for _ in range(2):
+            with pytest.raises(
+                CosetViolation,
+                match=rf"^canonical step \({first.kind}, {first.level}\) left 1$",
+            ):
+                canonical_edge(V)
+            assert _memo_state() == before
 
     def test_later_step_leaving_a_non_zieschang_word(self, walk, monkeypatch):
-        # the walk fails at its second step: the first link is stored, and
-        # the word the walk failed from has none
+        # the walk's second step inverts t1, which the first step put in
+        # front: the word it reaches is not Zieschang, and its first move
+        # inverts t1 back, so the walk cycles until the step budget stops it
         V, steps = walk
         bad = steps[1]
-        real = groupoid.is_zieschang
+        sig = self.SIG
+        assert bad.before.codes[0] == sig.t_code(1)
+        flip = swap_letters(sig, sig.t_code(1), -sig.t_code(1))
+        real = groupoid._first_move
         monkeypatch.setattr(
-            groupoid, "is_zieschang", lambda W, sig: W != bad.after and real(W, sig)
+            groupoid,
+            "_first_move",
+            lambda W: (flip, bad.kind, bad.level) if W == bad.before else real(W),
         )
-        with pytest.raises(
-            NotZieschang, match=rf"^canonical step \({bad.kind}, {bad.level}\) left {bad.after}$"
-        ):
+        budget = groupoid._MAX_WALK_BASE + 20 * sig.chain_len
+        with pytest.raises(ReductionStuck, match=f"^canonical walk exceeds {budget} steps$"):
             canonical_edge(V)
-        assert _memo_state() == (0, 1)
+        # the links of V, of the word the fault moved and of the word it
+        # reached are stored; ``canonical_edge`` stores nothing
+        flipped = apply(flip, bad.before)
+        assert not is_zieschang(flipped, sig)
+        assert groupoid._step(flipped)[1].after == bad.before
+        assert _memo_state() == (0, 3)
+        # with the fault gone, the stored link still leads off the Zieschang
+        # words, and the walk through it raises again
         monkeypatch.undo()
-        info = _step_info
-        misses = info().misses
-        groupoid._step(V)
-        assert info().misses == misses
-        groupoid._step(bad.before)
-        assert info().misses == misses + 1
+        with pytest.raises(ReductionStuck, match="^canonical walk exceeds"):
+            canonical_edge(V)
+        assert _memo_state() == (0, 3)
 
     def test_walk_ending_early(self, walk, monkeypatch):
         # the walk is cut after its first step, so the composite carries V to
@@ -1109,6 +1145,75 @@ class TestCanonicalFaults:
         with pytest.raises(CosetViolation, match=self.NOT_CARRIED):
             canonical_edge(V)
         assert _memo_state() == (before[0], before[1] + 1)
+
+
+class TestStepOffTheZieschangWords:
+    """The words a walk reaches are not checked, so ``_first_move`` may read
+    a word of length 4g + p that is not Zieschang.  A block it cannot read
+    raises ``CosetViolation`` from ``_step``, which stores nothing."""
+
+    @pytest.mark.parametrize(
+        "sig, word, cause",
+        [
+            # step (i) finds no puncture letter
+            (S11, "x1' y1' x1 y1 x1'", StopIteration),
+            # the first block holds no x1
+            (S10, "x1' y1' x1' y1", ValueError),
+            # step (v) finds no letter of P whose inverse is in Q
+            (Signature(2, 0), "x1' y2 x2 x1 y1 y1 x2 y2", StopIteration),
+            # step (vii) finds no y1
+            (S10, "x1' y1' x1 y1'", ValueError),
+        ],
+        ids=["i", "block", "v", "vii"],
+    )
+    def test_unreadable_block(self, sig, word, cause):
+        V = parse_word(sig, word)
+        assert len(V) == sig.chain_len and not is_zieschang(V, sig)
+        with pytest.raises(CosetViolation, match=f"^no canonical step from {word}$") as info:
+            groupoid._step(V)
+        assert type(info.value.__cause__) is cause
+        assert _step_info().currsize == 0
+
+    def test_chain_of_a_word_with_a_letter_twice(self):
+        # step (vii) fires on this word, and the walk along its chain
+        # (``whitehead._chain_line``) would never end: y1 and x1' occur
+        # twice, so two letters lead to one vertex and the walk enters a
+        # cycle.  Step (vii) refuses the word before the walk
+        word = "x1' y1' x1 y2 y1 x1' y2' y1"
+        V = parse_word(Signature(2, 0), word)
+        with pytest.raises(CosetViolation, match=f"^{word} is not a candidate word$"):
+            groupoid._step(V)
+        assert _step_info().currsize == 0
+
+
+class TestMovesStayZieschang:
+    """Peak reduction and the canonical walk check no word they reach, since
+    a Nielsen move and each canonical step take a Zieschang word to a
+    Zieschang word.  That is checked here instead of at run time, for every
+    template edge and every first canonical move from every Zieschang word
+    of every signature with 4g + p <= 7."""
+
+    SIGS = [Signature(g, p) for g in range(2) for p in range(8 - 4 * g)]
+
+    def test_template_edges_and_first_moves(self):
+        targets = firsts = 0
+        for sig in self.SIGS:
+            for V in zieschang_words(sig):
+                for tag in (N2_RIGHT, N2_LEFT, N3_RIGHT, N3_LEFT):
+                    for k in range(1, sig.chain_len + 1):
+                        aut = groupoid._template_aut(V, tag, k)
+                        if aut is None:
+                            continue
+                        # a Nielsen move moves the letter of v_k
+                        assert aut.fwd.moved_codes() == [abs(V.codes[k - 1])]
+                        e = groupoid._template_edge(V, aut, NielsenKind(tag, k))
+                        assert is_zieschang(e.target, sig), (V, tag, k)
+                        targets += 1
+                move = groupoid._first_move(V)
+                if move is not None:
+                    assert is_zieschang(move[0].apply(V), sig), (V, move[1])
+                    firsts += 1
+        assert (targets, firsts) == (91740, 7870)
 
 
 class TestWhiteheadStepFaults:
@@ -1327,9 +1432,12 @@ class TestEdgeInvariants:
         # x1 -> x1 y1 sends the relator to a word of length 6
         y1 = parse_word(S10, "y1")
         lengthens = letter_move(S10, S10.x_code(1), Word.identity(S10), y1)
-        # the engine built the map, so a bad target is an engine fault
-        with pytest.raises(CosetViolation, match="edge target .* is not Zieschang"):
-            groupoid._edge(v0, lengthens, None)
+        # the engine built the map, so the edge checks no target; the bracket
+        # of the case tables refuses it at the walk's entry, as an engine fault
+        e = groupoid._edge(v0, lengthens, None)
+        assert e.target == apply(lengthens, v0) and not is_zieschang(e.target, S10)
+        with pytest.raises(CosetViolation, match="^y1' x1' y1' x1 y1 y1 is not Zieschang$"):
+            factorize._bracket(e)
         # a caller-supplied edge with that target is a rejected input
         with pytest.raises(NotZieschang, match="edge target .* is not Zieschang"):
             GroupoidEdge(v0, apply(lengthens, v0), lengthens)
