@@ -51,6 +51,7 @@ from .factorize import (
     EdgeScript,
     factorize_adl,
     factorize_adlh,
+    factorize_audit,
     nielsen_to_base_loops,
     peel_special,
 )
@@ -68,7 +69,6 @@ from .gens import (
 from .groupoid import (
     GroupoidEdge,
     NielsenKind,
-    PreOrderKey,
     StepRecord,
     canonical_edge,
     certify_automorphism,

@@ -41,7 +41,7 @@ from .errors import (
     ReductionStuck,
     TargetTooLong,
 )
-from .factorize import factorize_adl, factorize_adlh
+from .factorize import factorize_adl, factorize_adlh, factorize_audit
 from .gens import _eval_fwd, parse_gen_word
 from .groupoid import canonical_edge, certify_automorphism, nielsen_reduce
 from .whitehead import build_graph, is_zieschang, to_dot
@@ -221,10 +221,10 @@ def _cmd_factorize(args, out: TextIO) -> int:
     sig = _parse_sig(args.sig)
     endo = _load_endo(sig, args.aut)
     aut = _certified(endo)
-    audit: Optional[list] = [] if args.audit else None
-    word = factorize_adlh(aut, audit) if args.adlh else factorize_adl(aut, audit)
+    word = factorize_adlh(aut) if args.adlh else factorize_adl(aut)
     payload = {"command": "factorize", "genword": str(word), "tokens": len(word.tokens)}
     text = str(word)
+    audit = factorize_audit(aut) if args.audit else []
     if audit:
         script_lines = [line for script in audit for line in script.lines()]
         payload["audit"] = script_lines

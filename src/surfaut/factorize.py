@@ -71,18 +71,18 @@ returns: the same predicate as evaluating that word, whether its parts came
 from a memo or not.  Every ADL word rests on that one check, and every ADLH
 word is the splice of a checked ADL word.
 
-An audit is a replay of a factorisation that has succeeded (``_replay``):
-it telescopes every edge of a level again, in order, then peels every loop
-and replays its stabilizer, so the scripts come out in the recursion's
-order.  It reads the bracket pairs and the checked coset tags from
-``_brackets`` and ``_tags``, and no edge, parts or reduction memo: it
-reduces with the public ``nielsen_reduce``, which runs every move, so its
-scripts come from a reduction that no memo served.  Certification
-(``certify_automorphism``) checks its preconditions itself and then enters
-the reduction loop ``groupoid._reduce_from`` with no memo, so it runs every
-move of its input as well.  Each case table records its cascade scripts
-as it telescopes; ``nielsen_to_base_loops`` builds them into
-``EdgeScript``s only when it is given an audit list.
+``factorize_audit`` factorises its input, so a non-member raises
+``NotInA``, and then replays the factorisation (``_replay``): it telescopes
+every edge of a level again, in order, then peels every loop and replays
+its stabilizer, so the scripts come out in the recursion's order.  It reads
+the bracket pairs and the checked coset tags from ``_brackets`` and
+``_tags``, and no edge, parts or reduction memo: it reduces with the public
+``nielsen_reduce``, which runs every move, so its scripts come from a
+reduction that no memo served.  Certification (``certify_automorphism``)
+checks its preconditions itself and then enters the reduction loop
+``groupoid._reduce_from`` with no memo, so it runs every move of its input
+as well.  Each case table records its cascade scripts as it telescopes
+(``_telescope``); only the replay builds them into ``EdgeScript``s.
 
 Words are joined, not re-reduced: every ``GenWord`` is reduced, so an
 edge's tokens and a level's word are the parts' and edges' token runs
@@ -317,25 +317,15 @@ def _edge_key(e: GroupoidEdge) -> tuple:
     return (e.sig, e.source.codes, tuple([w.codes for w in e.aut.fwd.images]), e.kind)
 
 
-def nielsen_to_base_loops(
-    e: GroupoidEdge, audit: Optional[list] = None
-) -> list[BaseLoop]:
+def nielsen_to_base_loops(e: GroupoidEdge) -> list[BaseLoop]:
     """Telescope one Nielsen edge into base loops at the relator: classify,
     bracket, run the case table and check the loops against the bracket.
 
     The loops composed in order equal
     compose(invert(canonical(source)), e.aut, canonical(target)).
-    With ``audit``, the case tables' cascade scripts are appended to it as
-    ``EdgeScript``s, each checked for chaining and against its edge.
     Factorisation telescopes an edge only on a miss of ``_factored``.
     """
-    loops, records = _telescope(e)
-    if audit is not None:
-        for moves, expected in records:
-            if expected is None:
-                expected = compose(*(m.aut for m in moves))
-            audit.append(EdgeScript(moves, expected))
-    return loops
+    return _telescope(e)[0]
 
 
 def _telescope(e: GroupoidEdge) -> tuple[list[BaseLoop], list]:
@@ -694,7 +684,7 @@ def _stab_word(stab: Automorphism, sig: Signature) -> tuple[GenWord, Endomorphis
     return prefix * shifted, value
 
 
-def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
+def factorize_adl(a: Automorphism) -> GenWord:
     """Factor a member of the relator-stabilizing group over the ADL names.
 
     The result recomposes to ``a`` exactly; this is asserted before returning.
@@ -702,10 +692,16 @@ def factorize_adl(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     word was checked to recompose its key's automorphism, which is therefore
     a member.
     """
-    word = _adl_words.lookup(_loop_key(a.fwd), lambda: _factorize_member(a))
-    if audit is not None:
-        _replay(a, audit)
-    return word
+    return _adl_words.lookup(_loop_key(a.fwd), lambda: _factorize_member(a))
+
+
+def factorize_audit(a: Automorphism) -> list[EdgeScript]:
+    """The cascade scripts of the factorisation of ``a``, in the recursion's
+    order, each checked for chaining and against its edge.  ``a`` is
+    factorised first, so a non-member raises ``NotInA``; the scripts come
+    from the replay ``_replay``."""
+    factorize_adl(a)
+    return _replay(a)
 
 
 def _factorize_member(a: Automorphism) -> GenWord:
@@ -743,18 +739,25 @@ def _factorize_word(a: Automorphism) -> GenWord:
     return _genword(_join(runs))
 
 
-def _replay(a: Automorphism, audit: list) -> None:
-    """Append the cascade scripts of the factorisation of ``a``, which has
-    succeeded, to ``audit``: each edge of the level telescoped in order, then
-    the scripts of each loop's stabilizer, one loop after another.  Nothing
-    is read from or stored in the edge and parts memos."""
+def _replay(a: Automorphism) -> list[EdgeScript]:
+    """The cascade scripts of the factorisation of ``a``, which has
+    succeeded: each edge of the level telescoped in order, then the scripts
+    of each loop's stabilizer, one loop after another.  Nothing is read from
+    or stored in the edge and parts memos."""
     sig = a.sig
     if 2 * sig.g + sig.p <= 1:
-        return
+        return []
     steps, n1 = nielsen_reduce(relator(sig), a.fwd)
-    loops = [loop for e in steps + [n1] for loop in nielsen_to_base_loops(e, audit)]
+    scripts: list[EdgeScript] = []
+    loops: list[BaseLoop] = []
+    for e in steps + [n1]:
+        edge_loops, records = _telescope(e)
+        loops += edge_loops
+        for moves, expected in records:
+            scripts.append(EdgeScript(moves, expected or compose(*(m.aut for m in moves))))
     for loop in loops:
-        _replay(_restricted(peel_special(loop, sig)[0]), audit)
+        scripts += _replay(_restricted(peel_special(loop, sig)[0]))
+    return scripts
 
 
 _Parts = tuple[tuple[GenWord, Endomorphism], ...]  # (word, checked forward value)
@@ -815,7 +818,7 @@ def _peel_parts(loop: BaseLoop, sig: Signature) -> _Parts:
     return tuple([part for part in parts if part[0].tokens])
 
 
-def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
+def factorize_adlh(a: Automorphism) -> GenWord:
     """ADL factorization with every alpha_i (i >= 3) token rewritten over the
     ADLH names (``gens._splice``, which joins the ADL word's runs with the
     memoised rewrites at their seams).  The flat word is the splice of the
@@ -824,7 +827,4 @@ def factorize_adlh(a: Automorphism, audit: Optional[list] = None) -> GenWord:
     bounded LRU memo ``_adlh_words``, keyed like ``_adl_words``: an equal
     key is an equal forward map, so a hit is the splice of that map's
     word."""
-    word = _adlh_words.lookup(_loop_key(a.fwd), lambda: _splice(factorize_adl(a), a.sig))
-    if audit is not None:
-        _replay(a, audit)
-    return word
+    return _adlh_words.lookup(_loop_key(a.fwd), lambda: _splice(factorize_adl(a), a.sig))

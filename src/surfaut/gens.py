@@ -261,9 +261,11 @@ def eta() -> Automorphism:
             y[1].conjugate_by(c2 * c3),
         ),
     )
-    from .groupoid import certify_automorphism  # deferred: groupoid imports endo
+    from .groupoid import _certify  # deferred: groupoid imports endo
 
-    aut = certify_automorphism(fwd)
+    # the table is the engine's own: one that fails to fix the relator or
+    # permute the classes is a fault, which the reduction's end checks raise
+    aut = _certify(fwd)
     if aut is None:
         raise CosetViolation("eta failed certification")
     return aut

@@ -20,11 +20,11 @@ inverse C B': both are slices of ``at``, and nothing cancels between them,
 because A_k is the longest common prefix.  An N3 move conjugates, so its
 new image and its inverse each join one of those two products with one
 entry of ``at``, at the one seam that can cancel.
-The measure (``mu_key``, ordered as ``PreOrderKey``) is the sorted list of
-the entries' keys, so whether it strictly decreased is read off the
-replaced entries alone (``_decreases``), and their codes are compared as
-their keys would be, by length first and on a tie by ``order_rank`` on the
-balanced left halves, with no key built.  No verdict is kept across moves:
+The measure (``mu_key``) is the sorted tuple of the entries' keys, so
+whether it strictly decreased is read off the replaced entries alone
+(``_decreases``), and their codes are compared as their keys would be, by
+length first and on a tie by ``order_rank`` on the balanced left halves,
+with no key built.  No verdict is kept across moves:
 the search for a violation works out each position's verdict where it reads
 it, and resumes where the last one was found, or earlier where the move
 changed a letter of the word or b's letter occurs: every position before
@@ -55,8 +55,8 @@ well.  Each walk ends at a check of its result instead:
 - peak reduction: the remainder must be a letter permutation whose N1 edge
   ends at W, and a reduction that stops early (``ReductionStuck``, or a
   move whose target lacks the moved letter) checks that it stopped at a
-  Zieschang word, so a fault that left them is ``CosetViolation``, not a
-  verdict on the map;
+  Zieschang word that its carried map takes to W, so a fault that broke
+  either is ``CosetViolation``, not a verdict on the map;
 - certification: the forward fold must give back the input;
 - factorisation: the level check of ``factorize._factorize_word``, and the
   entry check of ``canonical_edge`` on the ends of each bracketed edge;
@@ -345,57 +345,28 @@ def _rank_table(sig: Signature) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _balanced_key(w: Word) -> tuple[int, tuple[int, ...]]:
-    """Length-first key on the balanced left half, |left| - |right| in {0, 1}."""
-    return _key_of(w.codes, _rank_table(w.sig))
-
-
 def _key_of(
     codes: tuple[int, ...], rank: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
-    """``_balanced_key`` of the word ``codes``, with ``rank`` its signature's
+    """Length-first key of the word ``codes`` on its balanced left half,
+    |left| - |right| in {0, 1}, with ``rank`` its signature's
     ``_rank_table``."""
     return (len(codes), tuple([rank[c] for c in codes[: (len(codes) + 1) // 2]]))
 
 
-@dataclass(frozen=True)
-class PreOrderKey:
-    """Multiset measure of the basis images: puncture letters contribute one
-    image, handle letters both signs.  Ordered by the sorted balanced keys;
-    ``order`` holds the position in the measured word list of each sorted
-    entry."""
-
-    words: tuple[Word, ...]
-    keys: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False)
-    order: tuple[int, ...] = field(compare=False)
-
-    @staticmethod
-    def of(words: list[Word]) -> "PreOrderKey":
-        # the index breaks ties, so this is the stable sort of the words by key
-        keyed = sorted((_balanced_key(w), i) for i, w in enumerate(words))
-        return PreOrderKey(
-            tuple(words[i] for _, i in keyed),
-            tuple(k for k, _ in keyed),
-            tuple(i for _, i in keyed),
-        )
-
-    def __lt__(self, other: "PreOrderKey") -> bool:
-        return self.keys < other.keys
-
-    def __le__(self, other: "PreOrderKey") -> bool:
-        return self.keys <= other.keys
-
-
-def mu_key(phi) -> PreOrderKey:
-    """The termination measure of the reduction engine."""
+def mu_key(phi) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The termination measure of the reduction engine: the sorted keys
+    (``_key_of``) of the basis images, one image per puncture letter and
+    both signs per handle letter."""
     endo = _fwd(phi)
     sig = endo.sig
-    words = []
+    rank = _rank_table(sig)
+    keys = []
     for b, w in enumerate(endo.images, 1):
-        words.append(w)
+        keys.append(_key_of(w.codes, rank))
         if not sig.is_t_code(b):
-            words.append(w.inverse())
-    return PreOrderKey.of(words)
+            keys.append(_key_of(w.inverse().codes, rank))
+    return tuple(sorted(keys))
 
 
 def _key_less(u: tuple[int, ...], v: tuple[int, ...], rank: tuple[int, ...]) -> bool:
@@ -454,9 +425,9 @@ class _Carry:
       ``core._NEG``'s layout, so ``at[b]`` and ``at[-b]`` are phi(b) and
       phi(b)'; a move replaces its letter's two entries.  The measured words
       are ``at[b]`` for every basis letter b, and ``at[-b]`` too when b is a
-      handle letter (``mu_key``'s words), so a move replaces b's one or two
-      of them, and ``_decreases`` reads the change of the sorted measure off
-      those alone;
+      handle letter (the words ``mu_key`` measures), so a move replaces b's
+      one or two of them, and ``_decreases`` reads the change of the sorted
+      measure off those alone;
     - ``seen`` and ``distinct``: the codes of the measured words, and
       whether they are pairwise distinct;
     - ``resume``: the position where ``_find_violation`` starts.  Every
@@ -593,9 +564,9 @@ def _reduce_from(
     passed those checks on an equal state and must end at W as well.  So a
     map that does not carry V to W, or does not permute the classes, raises
     ``ReductionStuck`` or ``CosetViolation``.  No move's target is checked:
-    a loop that stops early checks that its current word is Zieschang, and
-    raises ``CosetViolation`` when it is not, since the moves keep the
-    Zieschang words.
+    a loop that stops early checks that its current word is Zieschang and
+    that the carried map takes it to W, and raises ``CosetViolation`` when
+    either fails, since faithful moves keep both.
 
     Every state after the first is looked up by ``_Carry.key``.  The rest of
     a reduction is a function of that state alone, so a hit serves the
@@ -642,14 +613,19 @@ def _reduce_from(
         else:
             raise ReductionStuck("iteration budget exhausted")
     except (ReductionStuck, ValueError):
-        # a walk that stops early ends too, and its end word is checked: a
-        # Nielsen move takes a Zieschang word to a Zieschang word, so a stuck
-        # state off them, or one without the moved letter that ``advance``
-        # looks up, is an engine fault and not a verdict on the map
-        if not is_zieschang(carry.word, sig):
-            raise CosetViolation(
-                f"peak reduction left the Zieschang words at {carry.word}"
-            ) from None
+        # a walk that stops early ends too, and its end is checked: a Nielsen
+        # move takes a Zieschang word to a Zieschang word, and replaces phi by
+        # compose(move', phi) and the word by its image, so the carried map
+        # takes the word to W.  A stuck state off the Zieschang words, one
+        # without the moved letter that ``advance`` looks up, or one whose
+        # move did not move what ``advance`` read off the peak, is an engine
+        # fault and not a verdict on the map
+        word = carry.word
+        if not is_zieschang(word, sig):
+            raise CosetViolation(f"peak reduction left the Zieschang words at {word}") from None
+        image = carry.endo().apply(word)
+        if image != W:
+            raise CosetViolation(f"peak reduction carried {word} to {image}, not to {W}") from None
         raise
     # the state after move i is keyed keys[i - 1]; there are none without
     # a memo

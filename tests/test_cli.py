@@ -21,9 +21,12 @@ from surfaut import (
     Word,
     cli,
     compose,
+    eval_gen_word,
     factorize,
+    factorize_audit,
     generator,
     groupoid,
+    parse_gen_word,
 )
 from surfaut.endo import Endomorphism, _aut, letter_move
 from surfaut.cli import run
@@ -273,7 +276,7 @@ class TestCertifyFactorize:
 
     @pytest.mark.parametrize("kind", [CosetViolation, ImageEscapes, ReductionStuck])
     def test_internal_error_exits_3(self, kind, monkeypatch):
-        def fail(aut, audit=None):
+        def fail(aut):
             raise kind("forced")
 
         monkeypatch.setattr(cli, "factorize_adl", fail)
@@ -403,10 +406,33 @@ class TestCertifyFactorize:
             " words at t2 t1\n"
         )
 
+    @pytest.mark.parametrize("command", ["certify", "verify", "factorize"])
+    @pytest.mark.parametrize("sig,genword", [("1,1", "g1 a1 b1'"), ("2,0", "b1 a1 g2 b2'"),
+                                             ("2,1", "b2 g2 a1'")])
+    def test_template_moving_nothing_exits_3(self, command, sig, genword, monkeypatch):
+        # N2_right without its right factor is the identity, so the words stay
+        # Zieschang; the reduction stops at a word that its carried map no
+        # longer takes to the relator, which no faithful move can leave
+        real = groupoid._template_move
+
+        def no_right_factor(s, tag, u, c):
+            if tag != groupoid.N2_RIGHT:
+                return real(s, tag, u, c)
+            return letter_move(s, u, Word.identity(s), Word.identity(s))
+
+        code, aut, _ = invoke(["eval", "--sig", sig, "--genword", genword])
+        assert code == 0
+        monkeypatch.setattr(groupoid, "_template_move", no_right_factor)
+        code, out, err = invoke([command, "--sig", sig, "--aut", aut])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal assertion: CosetViolation: peak reduction carried ")
+
     def test_non_injective_stabiliser_exits_3(self, monkeypatch):
         # the stabiliser factored at (0,2) is swapped for a map that sends
         # both letters to t2: the recursion built it, so equal images there
-        # are an engine fault, not the verdict they are for nielsen-reduce
+        # are an engine fault, not the verdict they are for nielsen-reduce.
+        # The map moves the relator, so the stuck reduction's carry check
+        # reports it
         real = factorize._restricted
 
         def collapsed(stab):
@@ -420,13 +446,17 @@ class TestCertifyFactorize:
         argv = ["factorize", "--sig", "0,3", "--aut", aut.strip().replace("\n", "; ")]
         code, out, err = invoke(argv)
         assert (code, out) == (3, "")
-        assert err == "internal assertion: ReductionStuck: basis images are not distinct\n"
+        assert err == (
+            "internal assertion: CosetViolation: peak reduction carried t2 t1 to t2 t2,"
+            " not to t2 t1\n"
+        )
 
     def test_unpermuting_stabiliser_exits_3(self, monkeypatch):
         # the stabiliser factored at (0,2) is followed by t1 -> t1 t2, which
         # sends t1 to no conjugate of a puncture letter: the recursion built
         # it, so the reduction that cannot end at the relator is an engine
-        # fault, not a rejected input
+        # fault, not a rejected input; the stuck reduction's carry check
+        # reports it
         real = factorize._restricted
 
         def unpermuting(stab):
@@ -442,7 +472,8 @@ class TestCertifyFactorize:
         code, out, err = invoke(argv)
         assert (code, out) == (3, "")
         assert err == (
-            "internal assertion: ReductionStuck: remainder is not a letter permutation\n"
+            "internal assertion: CosetViolation: peak reduction carried t1 t2 to t2 t1 t2,"
+            " not to t2 t1\n"
         )
 
 
@@ -479,6 +510,14 @@ def test_factorize_audit_golden(case, as_json):
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_factorize_adlh_audit_golden(case, as_json):
     _check_audit_golden(case, as_json, ["--adlh"], "adlh_")
+
+
+@pytest.mark.parametrize("case", _AUDIT_GOLDEN, ids=_audit_id)
+def test_factorize_audit_returns_the_printed_scripts(case):
+    sig = Signature(*map(int, case["sig"].split(",")))
+    scripts = factorize_audit(eval_gen_word(parse_gen_word(case["genword"]), sig))
+    lines = [line for script in scripts for line in script.lines()]
+    assert lines == json.loads(case["json"]).get("audit", [])
 
 
 class TestWhitehead:

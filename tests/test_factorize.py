@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -29,6 +30,7 @@ from surfaut import (
     eval_gen_word,
     factorize_adl,
     factorize_adlh,
+    factorize_audit,
     generator,
     nielsen_reduce,
     nielsen_to_base_loops,
@@ -99,13 +101,14 @@ class TestBaseLoops:
                         assert _tag_of(loop.aut, sig) == loop.coset_tag
 
     def test_audit_scripts_recorded(self, rng):
+        # each record is the moves of a script and the map they compose to,
+        # or None when that is their own composite
         sig = Signature(1, 2)
         V = random_zieschang(sig, rng)
-        audit = []
-        for e in enumerate_nielsen_from(V):
-            nielsen_to_base_loops(e, audit)
-        assert audit, "expected at least one cascade script"
-        for script in audit:
+        records = [r for e in enumerate_nielsen_from(V) for r in F._telescope(e)[1]]
+        assert records, "expected at least one cascade script"
+        for moves, expected in records:
+            script = EdgeScript(moves, expected or compose(*(m.aut for m in moves)))
             assert script.lines()
 
     def test_edge_script_checks_chain_and_composite(self, rng):
@@ -132,7 +135,7 @@ class TestBaseLoops:
         for sig in GRID:
             for _ in range(3):
                 for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-                    nielsen_to_base_loops(e, [])
+                    F._telescope(e)
                     telescoped += 1
         assert telescoped and not checked
 
@@ -261,13 +264,15 @@ class TestFactorizeAdl:
         assert eval_gen_word(w, sig).fwd == a.fwd
 
     def test_not_in_A(self):
-        with pytest.raises(NotInA):
-            factorize_adl(
-                Automorphism(
-                    Endomorphism.from_map(S10, {1: parse_word(S10, "x1'")}),
-                    Endomorphism.from_map(S10, {1: parse_word(S10, "x1'")}),
-                )
-            )
+        # the audit factorises its input first
+        inverted = Endomorphism.from_map(S10, {1: parse_word(S10, "x1'")})
+        for fn in (factorize_adl, factorize_audit):
+            with pytest.raises(NotInA):
+                fn(Automorphism(inverted, inverted))
+
+    def test_entry_points_take_one_input(self):
+        for fn in (factorize_adl, factorize_adlh, factorize_audit, nielsen_to_base_loops):
+            assert len(inspect.signature(fn).parameters) == 1
 
     def test_alpha1_power_correction(self):
         # powers of alpha_1 restrict to the identity, so the correction
@@ -666,9 +671,7 @@ class TestReductionSuffixMemo:
         inputs = self.inputs(rng)[::3]
         cold = []
         for a in inputs:
-            audit = []
-            factorize_adl(a, audit)
-            cold.append([line for script in audit for line in script.lines()])
+            cold.append([line for script in factorize_audit(a) for line in script.lines()])
         assert F._reduced
         monkeypatch.setattr(F, "_reduced", _Tripwire())
         moved = self.advances(monkeypatch)
@@ -679,9 +682,7 @@ class TestReductionSuffixMemo:
             # both reductions ran every move
             assert len(moved) - before == 2 * len(edges)
             # the word is read from ``_adl_words``; the replay reduces again
-            audit = []
-            factorize_adl(a, audit)
-            assert [line for script in audit for line in script.lines()] == lines
+            assert [line for script in factorize_audit(a) for line in script.lines()] == lines
 
 
 _WORDS_GOLDEN = json.loads(
@@ -709,13 +710,6 @@ def _short(sig):
 
 
 class TestComputedOnce:
-    @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(GRID), st.integers(0, 2**32 - 1))
-    def test_audit_and_plain_words_agree(self, sig, seed):
-        # the audit replays the plain factorisation and changes no word
-        a = random_adl_automorphism(sig, random.Random(seed), _short(sig))
-        assert factorize_adl(a, []) == factorize_adl(a)
-
     def test_bracket_of_inverse_edge(self, rng):
         for sig in GRID:
             if sig.p <= 1 and sig.g < 1:
@@ -757,12 +751,12 @@ class TestComputedOnce:
                 assert count == before
             return out
 
-        def loops(e, audit=None):
+        def loops(e):
             # the edge, brackets of the edge itself, brackets of any edge
             count["telescope"] += 1
             tops.append([e, 0, 0])
             try:
-                return real_loops(e, audit)
+                return real_loops(e)
             finally:
                 done_tops.append(tops.pop())
 
@@ -1119,12 +1113,10 @@ class TestTelescopeMemo:
         # the replay telescopes every edge itself, in order
         for sig in GRID:
             a = random_adl_automorphism(sig, rng, _short(sig))
-            cold: list = []
-            word = factorize_adl(a, cold)
+            cold = factorize_audit(a)
+            word = factorize_adl(a)
+            assert factorize_audit(a) == cold
             assert factorize_adl(a) == word
-            warm: list = []
-            assert factorize_adl(a, warm) == word
-            assert warm == cold
 
     def test_raising_telescope_is_not_stored(self, rng, monkeypatch):
         e = _distinct_edges(Signature(1, 2), rng, 1)[0]
@@ -1148,9 +1140,9 @@ class TestTelescopeMemo:
         runs = []
         real = F.nielsen_to_base_loops
 
-        def telescope(e, audit=None):
+        def telescope(e):
             runs.append(e)
-            return real(e, audit)
+            return real(e)
 
         monkeypatch.setattr(core, "MEMO_SIZE", 2)
         monkeypatch.setattr(F, "nielsen_to_base_loops", telescope)
@@ -1254,8 +1246,8 @@ class TestFactorMemos:
 
         telescoped = {}
 
-        def recording(e, audit=None):
-            loops = telescoped[F._edge_key(e)] = real_telescope(e, audit)
+        def recording(e):
+            loops = telescoped[F._edge_key(e)] = real_telescope(e)
             return loops
 
         real_telescope = F.nielsen_to_base_loops
@@ -1267,7 +1259,8 @@ class TestFactorMemos:
         assert not [key for key in F._factored
                     if top[1] in [loop.aut.fwd for loop in telescoped[key]]]
         monkeypatch.undo()
-        assert factorize_adl(a) == factorize_adl(a, [])
+        # the factorisation and its replay both run through now
+        assert factorize_audit(a)
         assert _parts(top[1]) is not None
 
     def test_least_recently_used_goes_first(self, rng, monkeypatch):
@@ -1303,7 +1296,10 @@ class TestFactorMemos:
         for sig in GRID:
             x = random_adl_automorphism(sig, rng, _short(sig))
             F._adl_words.clear()
-            assert factorize_adl(x) == factorize_adl(x, [])
+            word = factorize_adl(x)
+            factorize_audit(x)
+            F._adl_words.clear()
+            assert factorize_adl(x) == word
             assert len(F._factored) <= 2
             assert all(len(memo) <= 2 for memo in (F._brackets, F._tags, F._parts))
 
@@ -1435,13 +1431,13 @@ _TABLES = ["_loops_chunked_square", "_loops_move_front", "_loops_hexagon_left",
 
 
 def _telescope_enumerated(rng, words=8):
-    """Audited, uncached telescoping of every Nielsen edge from seeded
-    Zieschang words at each grid signature with a case table and at (3,1)."""
-    audit: list = []
+    """Uncached telescoping, with its script records, of every Nielsen edge
+    from seeded Zieschang words at each grid signature with a case table and
+    at (3,1)."""
     for sig in [s for s in GRID if s.p >= 2 or s.g >= 1] + [Signature(3, 1)]:
         for _ in range(words):
             for e in enumerate_nielsen_from(random_zieschang(sig, rng)):
-                nielsen_to_base_loops(e, audit)
+                F._telescope(e)
 
 
 def _has_t_before(d):
@@ -1539,7 +1535,7 @@ def test_audit_golden_enters_every_case_table(monkeypatch):
     calls = _trace(monkeypatch, _TABLES)
     for sig, genword in _audit_golden_cases():
         s = Signature(*map(int, sig.split(",")))
-        factorize_adl(eval_gen_word(parse_gen_word(genword), s), [])
+        factorize_audit(eval_gen_word(parse_gen_word(genword), s))
 
     def children(call):
         return [c for c in calls if c.parent is call]

@@ -291,9 +291,19 @@ class TestEta:
         # eta certifies its own map; a refusal is an engine fault
         from surfaut import groupoid
 
-        monkeypatch.setattr(groupoid, "certify_automorphism", lambda fwd: None)
+        monkeypatch.setattr(groupoid, "_certify", lambda fwd: None)
         with pytest.raises(CosetViolation, match="^eta failed certification$"):
             eta()
+
+    def test_table_moving_the_relator_exits_3(self, monkeypatch):
+        # eta's table is the engine's own, so a table that fails the relator
+        # check is an engine fault, not a verdict on an input
+        monkeypatch.setattr(gens, "commutator", lambda u, v: u * v)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["selftest", "--criteria", "3"], out, err) == 3
+        assert (out.getvalue(), err.getvalue()) == ("", (
+            "internal assertion: CosetViolation: "
+            "edge automorphism does not carry source to target\n"))
 
 
 class TestZetaLift:

@@ -40,7 +40,7 @@ from surfaut import (
     relator,
 )
 from surfaut import core, factorize, groupoid
-from surfaut.core import MEMO_SIZE
+from surfaut.core import MEMO_SIZE, order_rank
 from surfaut.endo import _t_class_permutation, classify_letters, letter_move, swap_letters
 from surfaut.gens import parse_gen_word
 from surfaut.groupoid import (
@@ -175,8 +175,12 @@ class TestEnumerate:
 
 class TestMuKey:
     def test_identity_key(self):
+        # the sorted (length, ranks) keys of x1, x1', y1, y1'
         key = mu_key(Endomorphism.identity(S10))
-        assert [len(w) for w in key.words] == [1, 1, 1, 1]
+        assert isinstance(key, tuple) and key == tuple(sorted(key))
+        assert [length for length, _ in key] == [1, 1, 1, 1]
+        assert sorted(ranks for _, ranks in key) == sorted(
+            (order_rank(c),) for c in (1, -1, 2, -2))
 
     def test_identity_below_alpha1(self):
         assert mu_key(Endomorphism.identity(S10)) < mu_key(
@@ -195,10 +199,8 @@ class TestMuKey:
         assert not ident < swapped and not swapped < ident
 
     def test_balanced_split(self):
-        from surfaut.groupoid import _balanced_key
-
         w = parse_word(S10, "x1 y1 x1")
-        length, left = _balanced_key(w)
+        length, left = groupoid._key_of(w.codes, groupoid._rank_table(S10))
         assert length == 3 and len(left) == 2
 
 
@@ -403,18 +405,19 @@ class TestNielsenReduce:
                             assert at[b] == phi.images[b - 1].codes
                             assert at[-b] == phi.images[b - 1].inverse().codes
                         assert all(shared(c) for codes in at for c in codes)
-                        # the measure by signed letter, in ``mu_key``'s order
-                        # (b, then b' for a handle letter b), and sorted as
-                        # (key, position) in that order
-                        measured = [c for b in sig.basis_codes()
-                                    for c in ((b,) if sig.is_t_code(b) else (b, -b))]
-                        ranks = sorted((groupoid._key_of(at[c], rank), i)
-                                       for i, c in enumerate(measured))
-                        assert [at[measured[i]] for _, i in ranks] == [
-                            w.codes for w in mu.words]
-                        assert tuple(k for k, _ in ranks) == mu.keys
-                        assert tuple(i for _, i in ranks) == mu.order
-                        assert st["seen"] == {w.codes for w in mu.words}
+                        # the measured codes from the map's images: phi(b),
+                        # and phi(b)' too for a handle letter b; the carried
+                        # entries of those letters give the sorted keys
+                        measured = []
+                        for b, w in enumerate(phi.images, 1):
+                            measured.append(w.codes)
+                            if not sig.is_t_code(b):
+                                measured.append(w.inverse().codes)
+                        keys = sorted(groupoid._key_of(codes, rank) for codes in measured)
+                        assert mu == tuple(keys)
+                        assert sorted(groupoid._key_of(at[c], rank) for b in sig.basis_codes()
+                                      for c in ((b,) if sig.is_t_code(b) else (b, -b))) == keys
+                        assert st["seen"] == set(measured)
                         assert st["distinct"]
                     tags.update(e.kind.tag for e in edges)
         # both ways of building the moved image ran, each on both sides of

@@ -11,7 +11,9 @@ every expected value below is read off the rule alone:
   and s_j meets s_(j+1); g_1, which exists when p >= 1, runs round t_1 and
   meets b_1.  The curves of the half-twist s_2 and of g_1 both pass t_1,
   and they are neither disjoint nor do they meet once, so that pair does
-  neither;
+  neither.  It has label 4 in the Artin-type presentation of the punctured
+  groups (Labruere-Paris): x y x y = y x y x, which commuting pairs satisfy
+  too and braiding pairs do not;
 - the chain relation: a chain of 2g curves c_1 .. c_2g, here a1 b1 g2 b2 ..
   gg bg, satisfies (T_c1 .. T_c2g)^(4g+2) = the boundary twist, and the
   half-twists s_2 .. s_p around the p punctures satisfy (s_2 .. s_p)^p =
@@ -82,6 +84,10 @@ def _braid(x, y) -> bool:
     return compose(x, y, x).fwd == compose(y, x, y).fwd
 
 
+def _artin4(x, y) -> bool:
+    return compose(x, y, x, y).fwd == compose(y, x, y, x).fwd
+
+
 @pytest.mark.parametrize("sig", SIGS, ids=str)
 def test_generator_pairs_commute_or_braid(sig):
     braids, neither = _meet_once(sig), _neither(sig)
@@ -90,13 +96,14 @@ def test_generator_pairs_commute_or_braid(sig):
     for m, n in combinations(names, 2):
         x, y = generator(m, sig), generator(n, sig)
         pair = frozenset((m, n))
+        # (commute, braid, x y x y = y x y x)
         if pair in braids:
-            expected = (False, True)
+            expected = (False, True, False)
         elif pair in neither:
-            expected = (False, False)
+            expected = (False, False, True)
         else:
-            expected = (True, False)
-        assert (_commute(x, y), _braid(x, y)) == expected, (sig, m, n)
+            expected = (True, False, True)
+        assert (_commute(x, y), _braid(x, y), _artin4(x, y)) == expected, (sig, m, n)
 
 
 def _assert_chain_relation(sig: Signature, chain: list[GenName], power: int) -> None:
