@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from operator import itemgetter
 from typing import Optional, TextIO
 
 from . import selftest as st
@@ -168,12 +169,9 @@ def _cmd_canon(args, out: TextIO) -> int:
     word = parse_word(sig, args.word)
     phi, steps = canonical_edge(word)
     log = [str(s) for s in steps]
-    payload = {
-        "command": "canon",
-        "automorphism": format_endomorphism(phi.fwd),
-        "steps": log,
-    }
-    text = format_endomorphism(phi.fwd) + "".join(line + "\n" for line in log)
+    automorphism = format_endomorphism(phi.fwd)
+    payload = {"command": "canon", "automorphism": automorphism, "steps": log}
+    text = automorphism + "".join(line + "\n" for line in log)
     _emit(out, args.json, payload, text)
     return 0
 
@@ -208,12 +206,8 @@ def _cmd_certify(args, out: TextIO) -> int:
             "not an automorphism",
         )
         return 1
-    payload = {
-        "command": "certify",
-        "certified": True,
-        "inverse": format_endomorphism(aut.inv),
-    }
-    _emit(out, args.json, payload, format_endomorphism(aut.inv))
+    text = format_endomorphism(aut.inv)
+    _emit(out, args.json, {"command": "certify", "certified": True, "inverse": text}, text)
     return 0
 
 
@@ -222,8 +216,8 @@ def _cmd_factorize(args, out: TextIO) -> int:
     endo = _load_endo(sig, args.aut)
     aut = _certified(endo)
     word = factorize_adlh(aut) if args.adlh else factorize_adl(aut)
-    payload = {"command": "factorize", "genword": str(word), "tokens": len(word.tokens)}
     text = str(word)
+    payload = {"command": "factorize", "genword": text, "tokens": len(word.tokens)}
     audit = factorize_audit(aut) if args.audit else []
     if audit:
         script_lines = [line for script in audit for line in script.lines()]
@@ -236,15 +230,16 @@ def _cmd_factorize(args, out: TextIO) -> int:
 def _cmd_eval(args, out: TextIO) -> int:
     sig = _parse_sig(args.sig)
     word = parse_gen_word(args.genword)
-    for name, _ in word.tokens:
+    # each distinct name once, in first-occurrence order: the first bad one raises
+    for name in dict.fromkeys(map(itemgetter(0), word.tokens)):
         name.validate(sig)
     fwd = _eval_fwd(word, sig)
     if args.apply:
-        image = fwd.apply(parse_word(sig, args.apply))
-        _emit(out, args.json, {"command": "eval", "image": str(image)}, str(image))
+        image = str(fwd.apply(parse_word(sig, args.apply)))
+        _emit(out, args.json, {"command": "eval", "image": image}, image)
         return 0
-    payload = {"command": "eval", "automorphism": format_endomorphism(fwd)}
-    _emit(out, args.json, payload, format_endomorphism(fwd))
+    text = format_endomorphism(fwd)
+    _emit(out, args.json, {"command": "eval", "automorphism": text}, text)
     return 0
 
 
@@ -256,12 +251,8 @@ def _cmd_outer_equal(args, out: TextIO) -> int:
     if conj is None:
         _emit(out, args.json, {"command": "outer-equal", "equal": False}, "none")
         return 1
-    _emit(
-        out,
-        args.json,
-        {"command": "outer-equal", "equal": True, "conjugator": str(conj)},
-        str(conj),
-    )
+    text = str(conj)
+    _emit(out, args.json, {"command": "outer-equal", "equal": True, "conjugator": text}, text)
     return 0
 
 

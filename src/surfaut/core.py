@@ -22,6 +22,17 @@ reads an inverse letter -c from the table ``_NEG`` instead of computing it,
 and a validated word reads every code from it.
 ``_NEG[c] == -c`` for every code c of every signature made so far, and
 ``Signature`` grows the table when it meets a larger rank.
+
+Words cross the text boundary through two tables per signature, kept in
+the bounded memos ``_name_tables`` and ``_code_tables``:
+``_letter_names(sig)`` holds the name of each signed code in ``_NEG``'s
+layout, and ``_letter_codes(sig)`` maps each name back to its code.  Both
+are built once, from ``Letter``, which stays the reference.  ``Word``
+prints as one join of lookups, ``letter_str`` range-checks and looks up,
+and ``parse_word`` looks every token up and hands the codes to the
+validating ``Word``.  A token that is not in the table takes the reference
+parse, ``parse_letter`` and ``Letter.code``, whose ``ParseError`` names the
+first malformed token, or else the first one out of range.
 """
 
 from __future__ import annotations
@@ -207,7 +218,42 @@ def parse_letter(token: str) -> Letter:
 
 
 def letter_str(sig: Signature, code: int) -> str:
-    return str(Letter.from_code(sig, code))
+    if not 1 <= abs(code) <= sig.rank:
+        raise ValueError(f"letter code {code} out of range for {sig}")
+    return _letter_names(sig)[code]
+
+
+#: Per signature, the tables of ``_letter_names`` and ``_letter_codes``.
+#: ``_Memo``s, not ``memo``s: ``MEMO_SIZE`` bounds them when they grow, so a
+#: bound set after this module is imported still holds for them.
+_name_tables = _Memo()
+_code_tables = _Memo()
+
+
+def _letter_names(sig: Signature) -> tuple:
+    """The name of every signed code c of ``sig`` at index c, in ``_NEG``'s
+    layout: a negative code reads from the end, and index 0 holds ``None``.
+    ``Letter`` is the reference it is built from, once per basis letter."""
+
+    def build() -> tuple:
+        names = [None] * (2 * sig.rank + 1)
+        for c in sig.basis_codes():
+            letter = Letter.from_code(sig, c)
+            names[c], names[-c] = str(letter), str(letter.inverse)
+        return tuple(names)
+
+    return _name_tables.lookup(sig, build)
+
+
+def _letter_codes(sig: Signature) -> dict:
+    """The signed code of every letter name of ``sig``: the inverse of
+    ``_letter_names``."""
+
+    def build() -> dict:
+        names = _letter_names(sig)
+        return {names[c]: c for c in range(-sig.rank, sig.rank + 1) if c}
+
+    return _code_tables.lookup(sig, build)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +312,7 @@ class Word:
     def __str__(self) -> str:
         if not self.codes:
             return "1"
-        return " ".join(letter_str(self.sig, c) for c in self.codes)
+        return " ".join(map(_letter_names(self.sig).__getitem__, self.codes))
 
     def lenlex_key(self) -> tuple:
         return (len(self.codes), tuple(order_rank(c) for c in self.codes))
@@ -334,6 +380,11 @@ def parse_word(sig: Signature, text: str) -> Word:
         raise ParseError("empty word text; use '1' for the identity")
     if tokens == ["1"]:
         return Word.identity(sig)
+    codes = tuple(map(_letter_codes(sig).get, tokens))
+    if None not in codes:
+        return Word(sig, codes)
+    # a token that names no letter of ``sig``: the reference parse raises,
+    # and names the first malformed token, else the first out of range
     letters = [parse_letter(tok) for tok in tokens]
     try:
         return Word.from_letters(sig, letters)

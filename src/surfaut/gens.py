@@ -24,6 +24,13 @@ sign).  Each rewrite run contains no alpha_(>=3) token, by induction on i
 (``humphries_rewrite``), and its value is checked; ``_join`` only cancels
 inverse pairs.  So a splice has no alpha_(>=3) token and the value of the
 word it splices, and nothing scans or folds it again.
+
+Generator words cross the text boundary one token at a time through two
+memos: ``_token_name`` prints a token and ``_parse_token`` reads one; a
+text that names no token raises a ``ParseError`` that quotes it.
+Distinct tokens are few (at most four families times the genus or the
+punctures, each of either sign), so a long word prints and parses with one
+memo hit per token.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ class GenWord:
     def __str__(self) -> str:
         if not self.tokens:
             return "1"
-        return " ".join(f"{n}{'' if e > 0 else chr(39)}" for n, e in self.tokens)
+        return " ".join(map(_token_name, self.tokens))
 
 
 _Tokens = tuple[tuple[GenName, int], ...]
@@ -159,20 +166,30 @@ def _join(runs: Iterable[_Tokens]) -> _Tokens:
     return tuple(out)
 
 
+@memo
+def _token_name(token: tuple[GenName, int]) -> str:
+    """The text of one token: its name, with an apostrophe if it is inverse."""
+    name, exp = token
+    return f"{name}{'' if exp > 0 else chr(39)}"
+
+
+@memo
+def _parse_token(text: str) -> tuple[GenName, int]:
+    """The token that ``text`` names; a text that names none raises."""
+    m = _TOKEN_RE.match(text)
+    if m is None:
+        raise ParseError(f"bad generator token {text!r}")
+    fam, idx, inv = m.groups()
+    return (GenName(fam, int(idx)), -1 if inv else 1)
+
+
 def parse_gen_word(text: str) -> GenWord:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty generator word; use '1' for the identity")
     if tokens == ["1"]:
         return GenWord.empty()
-    out = []
-    for tok in tokens:
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise ParseError(f"bad generator token {tok!r}")
-        fam, idx, inv = m.groups()
-        out.append((GenName(fam, int(idx)), -1 if inv else 1))
-    return GenWord(tuple(out))
+    return GenWord(tuple(map(_parse_token, tokens)))
 
 
 @memo

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from surfaut import (
     Automorphism,
     GenName,
+    GenWord,
     Signature,
     Word,
     cli,
@@ -70,6 +71,64 @@ class TestEval:
     def test_bad_generator_for_signature(self):
         code, _, _ = invoke(["eval", "--sig", "1,0", "--genword", "s2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sig, genword, err",
+        [
+            ("1,0", "a1 s2 g3 s2 b1", "error: s2 is not a generator name for (g=1, p=0)\n"),
+            ("2,0", "g2 a3 g9", "error: a3 is not a generator name for (g=2, p=0)\n"),
+            ("1,0", "a1 a0", "error: bad generator token 'a0'\n"),
+        ],
+    )
+    def test_first_bad_name_raises(self, sig, genword, err):
+        assert invoke(["eval", "--sig", sig, "--genword", genword]) == (2, "", err)
+
+    def test_validates_each_distinct_name_once(self, monkeypatch):
+        # the names validated before the fold, which validates them again
+        seen, before_fold = [], []
+        real, fold = GenName.validate, cli._eval_fwd
+        monkeypatch.setattr(GenName, "validate", lambda n, sig: seen.append(n) or real(n, sig))
+        monkeypatch.setattr(cli, "_eval_fwd", lambda w, sig: before_fold.extend(seen) or fold(w, sig))
+        code, _, _ = invoke(["eval", "--sig", "2,0", "--genword", "b2 a1 b2' g2 a1 b2 a1'"])
+        assert code == 0
+        assert before_fold == [GenName("b", 2), GenName("a", 1), GenName("g", 2)]
+
+
+class TestFormattedOnce:
+    """Each command formats its output once, and ``--json`` carries the same
+    text as the plain output."""
+
+    AUT = "x1 -> y1' x1"
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["certify", "--sig", "1,0", "--aut", AUT], "inverse"),
+            (["eval", "--sig", "1,0", "--genword", "a1 b1'"], "automorphism"),
+            (["canon", "--sig", "1,1", "--word", "t1 x1 y1 x1' y1'"], "automorphism"),
+        ],
+        ids=["certify", "eval", "canon"],
+    )
+    def test_format_endomorphism_once(self, argv, field, monkeypatch):
+        calls = []
+        real = cli.format_endomorphism
+        monkeypatch.setattr(cli, "format_endomorphism", lambda e: calls.append(e) or real(e))
+        code, text, _ = invoke(argv)
+        assert code == 0 and len(calls) == 1
+        code, out, _ = invoke(["--json", *argv])
+        assert code == 0 and len(calls) == 2
+        assert text.startswith(json.loads(out)[field])
+
+    def test_factorize_prints_its_word_once(self, monkeypatch):
+        calls = []
+        real = GenWord.__str__
+        monkeypatch.setattr(GenWord, "__str__", lambda w: calls.append(w) or real(w))
+        argv = ["factorize", "--sig", "1,0", "--aut", self.AUT]
+        code, text, _ = invoke(argv)
+        assert (code, text, len(calls)) == (0, "a1\n", 1)
+        code, out, _ = invoke(["--json", *argv])
+        assert (code, len(calls)) == (0, 2)
+        assert json.loads(out)["genword"] == "a1"
 
 
 class TestVerify:

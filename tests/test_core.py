@@ -139,6 +139,78 @@ class TestParsing:
         assert Word.from_letters(u.sig, list(u.letters())) == u
 
 
+#: Every signature with 2g + p <= 12.
+TABLE_SIGS = [Signature(g, p) for g in range(7) for p in range(13 - 2 * g)]
+
+
+class TestLetterTables:
+    """Words print and parse through the per-signature tables
+    ``core._letter_names`` and ``core._letter_codes``; ``Letter`` is their
+    reference, and a token outside them takes the reference parse."""
+
+    @pytest.mark.parametrize("sig", TABLE_SIGS, ids=str)
+    def test_every_signed_letter_matches_the_reference(self, sig):
+        names, codes = core._letter_names(sig), core._letter_codes(sig)
+        assert len(names) == 2 * sig.rank + 1 and len(codes) == 2 * sig.rank
+        for c in range(-sig.rank, sig.rank + 1):
+            if c:
+                name = str(Letter.from_code(sig, c))
+                assert names[c] == core.letter_str(sig, c) == name
+                assert codes[name] == c
+
+    def test_seeded_words_round_trip(self, rng):
+        unreduced = 0
+        for _ in range(300):
+            sig = Signature(rng.randint(0, 5), rng.randint(0, 6))
+            letters = [c for c in range(-sig.rank, sig.rank + 1) if c]
+            raw = [rng.choice(letters) for _ in range(rng.randint(0, 30) if letters else 0)]
+            u = Word(sig, tuple(raw))
+            assert parse_word(sig, str(u)) == u
+            # the text of the unreduced codes parses to their reduced word
+            text = " ".join(str(Letter.from_code(sig, c)) for c in raw) or "1"
+            assert parse_word(sig, text) == u
+            unreduced += len(u) < len(raw)
+        assert unreduced > 100
+
+    @pytest.mark.parametrize(
+        "sig, text, message",
+        [
+            (Signature(1, 1), "x0", "bad letter token 'x0'"),
+            (Signature(1, 1), "x01", "bad letter token 'x01'"),
+            (Signature(1, 1), "z1", "bad letter token 'z1'"),
+            (Signature(1, 0), "t1", "t-index 1 out of range for (g=1, p=0)"),
+            (Signature(2, 0), "x3", "x-index 3 out of range for (g=2, p=0)"),
+            (Signature(1, 1), "x1 1 y1", "bad letter token '1'"),
+            # every token is read before any is placed: a malformed token
+            # raises before an earlier one out of range
+            (Signature(1, 1), "x1 x3 q1", "bad letter token 'q1'"),
+        ],
+    )
+    def test_parse_error_texts(self, sig, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_word(sig, text)
+
+    @pytest.mark.parametrize("sig", [Signature(0, 0), Signature(1, 1), Signature(2, 3)], ids=str)
+    def test_letter_str_range_error(self, sig):
+        for code in (0, sig.rank + 1, -sig.rank - 1):
+            message = f"letter code {code} out of range for {sig}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                core.letter_str(sig, code)
+
+    def test_long_word_builds_each_table_once(self, monkeypatch):
+        sig = Signature(2, 3)
+        calls = []
+        real = Letter.from_code
+        monkeypatch.setattr(
+            Letter, "from_code", staticmethod(lambda s, c: calls.append(c) or real(s, c)))
+        # every signed letter; neighbours differ in letter, so nothing cancels
+        u = Word(sig, tuple((k % 7 + 1) * (-1) ** (k // 7) for k in range(10_000)))
+        assert len(u) == 10_000
+        assert parse_word(sig, str(u)) == u
+        assert str(parse_word(sig, str(u.inverse()))) == str(u.inverse())
+        assert len(calls) <= sig.rank
+
+
 class TestFox:
     def test_basis_rule_same(self):
         d = fox_derivative(w(S10, "x1"), Letter("x", 1, 1))

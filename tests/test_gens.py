@@ -202,6 +202,35 @@ class TestEvalGenWord:
         with pytest.raises(ParseError):
             parse_gen_word("q1")
 
+    def test_seeded_words_round_trip(self, rng):
+        unreduced = 0
+        for _ in range(300):
+            sig = Signature(rng.randint(1, 4), rng.randint(0, 5))
+            raw = random_gen_word(sig, rng, 30).tokens
+            # ``random_gen_word`` reduces; a token next to its inverse makes
+            # text that is not
+            at = rng.randrange(len(raw) + 1)
+            name, exp = rng.choice(gen_set(sig)), rng.choice((1, -1))
+            raw = raw[:at] + ((name, exp), (name, -exp)) + raw[at:]
+            w = GenWord(raw)
+            assert parse_gen_word(str(w)) == w
+            text = " ".join(f"{n}{chr(39) if e < 0 else ''}" for n, e in raw)
+            assert parse_gen_word(text) == w
+            unreduced += len(w) < len(raw)
+        assert unreduced == 300
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a0", "bad generator token 'a0'"),
+            ("q1", "bad generator token 'q1'"),
+            ("a1 b2' 1", "bad generator token '1'"),
+        ],
+    )
+    def test_parse_error_texts(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_gen_word(text)
+
 
 def _single_tokens():
     return [

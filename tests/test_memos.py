@@ -50,6 +50,8 @@ def test_finds_the_known_caches():
     assert {
         "surfaut.endo.Endomorphism.identity",
         "surfaut.endo.swap_letters",
+        "surfaut.gens._parse_token",
+        "surfaut.gens._token_name",
         "surfaut.gens.generator",
         "surfaut.groupoid._nielsen_edge",
         "surfaut.groupoid._rank_table",
@@ -63,6 +65,8 @@ def test_finds_the_known_caches():
 
 def test_finds_the_known_dict_memos():
     assert {
+        "surfaut.core._code_tables",
+        "surfaut.core._name_tables",
         "surfaut.factorize._adl_words",
         "surfaut.factorize._adlh_words",
         "surfaut.factorize._brackets",

@@ -3,7 +3,8 @@
 Every check of a factorisation folds the package's own generator tables, so
 a table that is wrong but still an element of A would recompose every word
 exactly.  Relations are a property of the group, written in no table, and
-every expected value below is read off the rule alone:
+every expected value below is read off the rule alone, but for the one
+named:
 
 - twists about curves that meet once braid (aba = bab), and twists about
   disjoint curves commute (Artin; Lickorish; Humphries).  The curves of the
@@ -20,6 +21,15 @@ every expected value below is read off the rule alone:
   the boundary twist (Farb & Margalit, *A Primer on Mapping Class Groups*,
   2012).  On the free group the boundary twist is the inner map u -> R' u R
   by the relator R;
+- the chain relation on sub-surfaces.  A contiguous piece D of the relator
+  bounds a sub-surface, and the twist about its boundary is u -> D' u D on
+  the letters of D and fixes every other letter.  The even chain a1 b1 g2
+  b2 .. gi bi of 2i curves gives (a1 b1 .. gi bi)^(4i+2) with D = [x1,y1]
+  .. [xi,yi], and the puncture chain s2 .. sk gives (s2 .. sk)^k with D =
+  tk .. t1; both rules were written down before any run.  The odd chain a1
+  b1 g1 of three curves has two boundary curves, and (a1 b1 g1)^4 maps u ->
+  D' u D on t1, x1, y1 with D = t1 x1' y1' x1 y1.  That D was read off one
+  run, at (1,2), and not predicted;
 - the torus with one boundary and the disc with three punctures have the
   same mapping-class group, the braid group B_3 = <u, v | u v u = v u v>:
   A_(1,0) is generated by the twists a1 and b1, whose curves meet once, and
@@ -39,6 +49,7 @@ from surfaut import (
     GenWord,
     Signature,
     Word,
+    commutator,
     compose,
     eval_gen_word,
     factorize_adl,
@@ -106,20 +117,25 @@ def test_generator_pairs_commute_or_braid(sig):
         assert (_commute(x, y), _braid(x, y), _artin4(x, y)) == expected, (sig, m, n)
 
 
-def _assert_chain_relation(sig: Signature, chain: list[GenName], power: int) -> None:
-    """The power ``power`` of the chain word ``chain`` is u -> R' u R.  The
-    power is folded one factor at a time: that end value has about 2 rank |R|
-    letters, and a wrong table makes the images grow exponentially, so each
-    partial power is held to twice that size and a wrong table fails here
-    instead of filling memory."""
+def _assert_chain_relation(
+    sig: Signature, chain: list[GenName], power: int, D: Word | None = None
+) -> None:
+    """The power ``power`` of the chain word ``chain`` is u -> D' u D on the
+    letters of ``D`` and fixes every other letter; ``D`` is the relator R
+    unless given.  The power is folded one factor at a time: the end value
+    has at most about 2 rank |R| letters, and a wrong table makes the images
+    grow exponentially, so each partial power is held to twice that size and
+    a wrong table fails here instead of filling memory."""
     R = relator(sig)
+    D = R if D is None else D
     C, T = eval_gen_word(GenWord.of(*chain), sig), Automorphism.identity(sig)
     for _ in range(power):
         T = compose(T, C)
         assert sum(len(w) for w in T.fwd.images) <= 4 * sig.rank * len(R), sig
+    enclosed = {abs(c) for c in D.codes}
     for b in sig.basis_codes():
         u = Word(sig, (b,))
-        assert T.apply(u) == R.inverse() * u * R, (sig, b)
+        assert T.apply(u) == (D.inverse() * u * D if b in enclosed else u), (sig, b)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -134,6 +150,38 @@ def test_chain_relation_closed_surface(g):
 def test_chain_relation_punctured_sphere(p):
     chain = [GenName("s", j) for j in range(2, p + 1)]
     _assert_chain_relation(Signature(0, p), chain, p)
+
+
+def _commutators(sig: Signature, i: int) -> Word:
+    """[x1,y1] .. [xi,yi], as the relator writes it."""
+    D = Word.identity(sig)
+    for j in range(1, i + 1):
+        D = D * commutator(Word(sig, (sig.x_code(j),)), Word(sig, (sig.y_code(j),)))
+    return D
+
+
+@pytest.mark.parametrize(
+    "sig, i", [(sig, i) for sig in SIGS for i in range(1, sig.g + 1)], ids=str)
+def test_even_chain_twists_its_subsurface(sig, i):
+    chain = [GenName("a", 1), GenName("b", 1)]
+    for j in range(2, i + 1):
+        chain += [GenName("g", j), GenName("b", j)]
+    _assert_chain_relation(sig, chain, 4 * i + 2, _commutators(sig, i))
+
+
+@pytest.mark.parametrize(
+    "sig, k", [(sig, k) for sig in SIGS for k in range(2, sig.p + 1)], ids=str)
+def test_puncture_chain_twists_its_subsurface(sig, k):
+    chain = [GenName("s", j) for j in range(2, k + 1)]
+    D = Word(sig, tuple(sig.t_code(j) for j in range(k, 0, -1)))
+    _assert_chain_relation(sig, chain, k, D)
+
+
+@pytest.mark.parametrize("sig", [sig for sig in SIGS if sig.g and sig.p], ids=str)
+def test_odd_chain_twists_its_subsurface(sig):
+    # D read off one run (see the module docstring)
+    D = Word(sig, (sig.t_code(1),)) * _commutators(sig, 1)
+    _assert_chain_relation(sig, [GenName("a", 1), GenName("b", 1), GenName("g", 1)], 4, D)
 
 
 #: The isomorphism A_(1,0) -> A_(0,3) on generators, and its inverse.
